@@ -19,8 +19,6 @@ import tempfile
 import time
 from concurrent.futures import ThreadPoolExecutor
 
-import numpy as np
-
 from . import __version__
 from .analysis import convergence_metrics
 from .ergodic import solve_ergodic
@@ -158,9 +156,10 @@ def _run_ergodic(params, out_dir):
         g = inst.grid
 
         def write_ubar(p):
-            rows = ["node_index,x,ubar\n"]
-            for i in range(g.n_points):
-                rows.append(f"{i},{float(g.points[i])!r},{float(sol.u_bar[i])!r}\n")
+            names, coords = g.csv_columns()
+            rows = [",".join(["node_index", *names, "ubar"]) + "\n"]
+            for i, (c, u) in enumerate(zip(coords, sol.u_bar.tolist())):
+                rows.append(",".join([str(i), *c, repr(u)]) + "\n")
             _atomic_write(p, "".join(rows))
 
         outputs.append(_atomic_move_into(out_dir, write_ubar, "ubar.csv"))
@@ -168,7 +167,7 @@ def _run_ergodic(params, out_dir):
     measured = {
         "lambda": sol.lam,
         "mather_node": sol.mather_node,
-        "mather_x": float(np.atleast_1d(inst.grid.points[sol.mather_node])[0]),
+        "mather_x": inst.grid.points[sol.mather_node].tolist(),
         "horizon_used": sol.horizon_used,
         "residuals": {k: float(v) for k, v in sol.residuals.items()},
     }

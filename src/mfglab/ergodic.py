@@ -24,14 +24,8 @@ def _rest_landscape(L, coupling, grid, m):
 
 
 def _boundary_mask(grid):
-    if grid.dim == 1:
-        mask = np.zeros(grid.n_points, dtype=bool)
-        mask[0] = mask[-1] = True
-        return mask
-    n1, n2 = grid.nodes
-    mask = np.zeros((n1, n2), dtype=bool)
-    mask[0, :] = mask[-1, :] = True
-    mask[:, 0] = mask[:, -1] = True
+    mask = np.ones(grid.nodes, dtype=bool)
+    mask[(slice(1, -1),) * grid.dim] = False
     return mask.ravel()
 
 
@@ -174,17 +168,10 @@ def _feedback_at(L, coupling, grid, m_bar, u_bar, node):
     """One-step DP minimizer at a node against the frozen u_bar."""
     dt = grid.dt
     Fb = coupling.values_on(grid, m_bar)
-    if grid.dim == 1:
-        x = grid.points[node]
-        V = grid.v_axis
-        obj = dt * (np.asarray(L.eval(x, V), dtype=float) + Fb[node]) + np.interp(
-            x + dt * V, grid.axes[0], u_bar
-        )
-        return float(V[int(np.argmin(obj))])
     x = grid.points[node]
     V = grid.velocities
-    obj = dt * (np.asarray(L.eval(x[None, :], V), dtype=float) + Fb[node]) + interp_grid(
-        grid, u_bar, x[None, :] + dt * V
+    obj = dt * (np.asarray(L.eval(x, V), dtype=float) + Fb[node]) + interp_grid(
+        grid, u_bar, x + dt * V
     )
     return V[int(np.argmin(obj))].copy()
 

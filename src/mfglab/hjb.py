@@ -55,21 +55,18 @@ def zero_terminal():
 
 def _grid_lipschitz(grid, vals, mask=None):
     """Max absolute slope over grid edges (optionally within a node mask)."""
-    if grid.dim == 1:
-        d = np.abs(np.diff(vals)) / grid.dx[0]
-        if mask is not None:
-            keep = mask[:-1] & mask[1:]
-            d = d[keep]
-        return float(d.max()) if d.size else 0.0
-    vm = vals.reshape(grid.nodes)
-    mk = None if mask is None else mask.reshape(grid.nodes)
-    d0 = np.abs(np.diff(vm, axis=0)) / grid.dx[0]
-    d1 = np.abs(np.diff(vm, axis=1)) / grid.dx[1]
-    if mk is not None:
-        d0 = d0[mk[:-1, :] & mk[1:, :]]
-        d1 = d1[mk[:, :-1] & mk[:, 1:]]
-    parts = [d.max() for d in (d0, d1) if d.size]
-    return float(max(parts)) if parts else 0.0
+    vm = np.reshape(vals, grid.nodes)
+    mk = None if mask is None else np.reshape(mask, grid.nodes)
+    best = 0.0
+    for d, dx in enumerate(grid.dx):
+        va = np.moveaxis(vm, d, 0)
+        slopes = np.abs(va[1:] - va[:-1]) / dx
+        if mk is not None:
+            ma = np.moveaxis(mk, d, 0)
+            slopes = slopes[ma[:-1] & ma[1:]]
+        if slopes.size:
+            best = max(best, float(slopes.max()))
+    return best
 
 
 @dataclass
@@ -78,7 +75,8 @@ class ValueField:
 
     values has shape (K+1, N); feedback has shape (K, N) (no minimization
     happens at the final time) and holds the chosen grid velocity, or in
-    2-D two stacked components with shape (K, N, 2).
+    2-D two stacked components with shape (K, N, 2).  Feedback rows thus
+    have the shape of grid.points.
     """
 
     grid: object
@@ -91,33 +89,21 @@ class ValueField:
         return float(self.times[-1])
 
     def velocity_at(self, k, pts):
-        """Feedback at arbitrary points, multilinear in space."""
+        """Feedback at arbitrary points, multilinear in space; shaped like pts."""
         k = min(k, self.feedback.shape[0] - 1)
-        if self.grid.dim == 1:
-            return interp_grid(self.grid, self.feedback[k], pts)
-        return np.stack(
-            [interp_grid(self.grid, self.feedback[k, :, d], pts) for d in range(2)],
-            axis=-1,
-        )
+        comps = self.feedback[k].reshape(self.grid.n_points, -1).T
+        return np.stack([interp_grid(self.grid, c, pts) for c in comps],
+                        axis=-1).reshape(np.shape(pts))
 
     def to_csv(self, path):
-        g = self.grid
+        names, coords = self.grid.csv_columns()
         with open(path, "w", newline="") as fh:
             w = csv.writer(fh)
-            if g.dim == 1:
-                w.writerow(["t", "node_index", "x", "u"])
-                for k, t in enumerate(self.times):
-                    for i in range(g.n_points):
-                        w.writerow([repr(float(t)), i, repr(float(g.points[i])),
-                                    repr(float(self.values[k, i]))])
-            else:
-                w.writerow(["t", "node_index", "x", "y", "u"])
-                for k, t in enumerate(self.times):
-                    for i in range(g.n_points):
-                        w.writerow([repr(float(t)), i,
-                                    repr(float(g.points[i, 0])),
-                                    repr(float(g.points[i, 1])),
-                                    repr(float(self.values[k, i]))])
+            w.writerow(["t", "node_index", *names, "u"])
+            for t, row in zip(self.times.tolist(), self.values):
+                ts = repr(t)
+                w.writerows([ts, i, *c, repr(u)]
+                            for i, (c, u) in enumerate(zip(coords, row.tolist())))
 
 
 def _as_path_values(F_path, grid, K):
@@ -154,36 +140,12 @@ def solve_backward(L, F_path, uf, grid, T, check_boundary=True):
     uT = uf.validate(grid) if isinstance(uf, TerminalDatum) else np.asarray(uf, dtype=float)
     N = grid.n_points
     dt = grid.dt
-
-    if grid.dim == 1:
-        V = grid.v_axis
-        Lmat = np.asarray(L.eval(grid.points[None, :], V[:, None]), dtype=float)
-        pos = grid.points[None, :] + dt * V[:, None]
-        pos_flat = pos.ravel()
-        values = np.empty((K + 1, N))
-        feedback = np.empty((K, N))
-        values[K] = uT
-        arangeN = np.arange(N)
-        for k in range(K - 1, -1, -1):
-            cont = np.interp(pos_flat, grid.axes[0], values[k + 1]).reshape(len(V), N)
-            cand = dt * (Lmat + F[k][None, :]) + cont
-            jstar = np.argmin(cand, axis=0)
-            if check_boundary:
-                bad = (jstar == 0) | (jstar == len(V) - 1)
-                if bad.any():
-                    i = int(arangeN[bad][0])
-                    raise MinimizerOnBoundary(times[k], grid.points[i])
-            values[k] = cand[jstar, arangeN]
-            feedback[k] = V[jstar]
-        return ValueField(grid, times, values, feedback)
-
-    # 2-D
-    Vlist = grid.velocities
+    V = grid.velocities
     nv = grid.v_nodes
-    Lmat = np.asarray(L.eval(grid.points[None, :, :], Vlist[:, None, :]), dtype=float)
-    pos = grid.points[None, :, :] + dt * Vlist[:, None, :]
+    Lmat = np.asarray(L.eval(grid.points[None], V[:, None]), dtype=float)
+    pos = grid.points[None] + dt * V[:, None]
     values = np.empty((K + 1, N))
-    feedback = np.empty((K, N, 2))
+    feedback = np.empty((K,) + grid.points.shape)
     values[K] = uT
     arangeN = np.arange(N)
     for k in range(K - 1, -1, -1):
@@ -191,13 +153,14 @@ def solve_backward(L, F_path, uf, grid, T, check_boundary=True):
         cand = dt * (Lmat + F[k][None, :]) + cont
         jstar = np.argmin(cand, axis=0)
         if check_boundary:
-            j1, j2 = np.divmod(jstar, nv)
-            bad = (j1 == 0) | (j1 == nv - 1) | (j2 == 0) | (j2 == nv - 1)
+            bad = np.zeros(N, dtype=bool)
+            for j in np.unravel_index(jstar, (nv,) * grid.dim):
+                bad |= (j == 0) | (j == nv - 1)
             if bad.any():
                 i = int(arangeN[bad][0])
                 raise MinimizerOnBoundary(times[k], grid.points[i])
         values[k] = cand[jstar, arangeN]
-        feedback[k] = Vlist[jstar]
+        feedback[k] = V[jstar]
     return ValueField(grid, times, values, feedback)
 
 
@@ -244,44 +207,20 @@ def gradient(vf, k):
     Boundary nodes take the available one-sided difference.
     """
     g = vf.grid
-    u = vf.values[k]
-    kf = min(k, vf.feedback.shape[0] - 1)
-    if g.dim == 1:
-        v = vf.feedback[kf]
-        dx = g.dx[0]
-        dv = g.v_axis[1] - g.v_axis[0]
-        fwd = np.empty_like(u)
-        bwd = np.empty_like(u)
-        fwd[:-1] = (u[1:] - u[:-1]) / dx
-        fwd[-1] = (u[-1] - u[-2]) / dx
-        bwd[1:] = (u[1:] - u[:-1]) / dx
-        bwd[0] = (u[1] - u[0]) / dx
-        ctr = 0.5 * (fwd + bwd)
-        out = np.where(v > 0.5 * dv, fwd, np.where(v < -0.5 * dv, bwd, ctr))
-        return out
-    v = vf.feedback[kf]
-    n1, n2 = g.nodes
-    um = u.reshape(n1, n2)
-    out = np.empty((g.n_points, 2))
+    um = vf.values[k].reshape(g.nodes)
+    v = vf.feedback[min(k, vf.feedback.shape[0] - 1)].reshape(g.n_points, -1)
+    dv = g.v_axis[1] - g.v_axis[0]
+    out = np.empty((g.n_points, g.dim))
     for d, dx in enumerate(g.dx):
-        dv = g.v_axis[1] - g.v_axis[0]
-        fwd = np.empty_like(um)
-        bwd = np.empty_like(um)
-        if d == 0:
-            fwd[:-1, :] = (um[1:, :] - um[:-1, :]) / dx
-            fwd[-1, :] = fwd[-2, :]
-            bwd[1:, :] = (um[1:, :] - um[:-1, :]) / dx
-            bwd[0, :] = bwd[1, :]
-        else:
-            fwd[:, :-1] = (um[:, 1:] - um[:, :-1]) / dx
-            fwd[:, -1] = fwd[:, -2]
-            bwd[:, 1:] = (um[:, 1:] - um[:, :-1]) / dx
-            bwd[:, 0] = bwd[:, 1]
+        ua = np.moveaxis(um, d, 0)
+        diff = (ua[1:] - ua[:-1]) / dx
+        fwd = np.concatenate([diff, diff[-1:]])
+        bwd = np.concatenate([diff[:1], diff])
         ctr = 0.5 * (fwd + bwd)
-        vd = v[:, d].reshape(n1, n2)
-        sel = np.where(vd > 0.5 * dv, fwd, np.where(vd < -0.5 * dv, bwd, ctr))
-        out[:, d] = sel.ravel()
-    return out
+        va = np.moveaxis(v[:, d].reshape(g.nodes), d, 0)
+        sel = np.where(va > 0.5 * dv, fwd, np.where(va < -0.5 * dv, bwd, ctr))
+        out[:, d] = np.moveaxis(sel, 0, d).ravel()
+    return out.reshape(g.points.shape)
 
 
 def lipschitz_estimate(vf, R=None):

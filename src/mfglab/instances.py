@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hjb import TerminalDatum
+from .hjb import TerminalDatum, zero_terminal
 from .measure import GridMeasure
 from .model import GridSpec, quadratic_kinetic, separable_coupling
 
@@ -37,9 +37,6 @@ class Instance:
     grid: GridSpec
     uf: TerminalDatum
     m0: GridMeasure
-
-    def config(self):
-        return {"name": self.name, "grid": self.grid.describe()}
 
 
 # spatial profiles usable as the separable factor f or as potentials
@@ -58,6 +55,22 @@ SHAPES = {
 }
 
 
+def _require(cfg, key, section):
+    """cfg[key], or a ValueError naming the missing key."""
+    if key not in cfg:
+        raise ValueError(f"{section}: missing required key {key!r}")
+    return cfg[key]
+
+
+def _pick(registry, cfg, key, section):
+    """The registry entry named by cfg[key], or a ValueError listing the choices."""
+    name = _require(cfg, key, section)
+    if not isinstance(name, str) or name not in registry:
+        raise ValueError(f"{section}: unknown {key} {name!r}; "
+                         f"known: {', '.join(sorted(registry))}")
+    return registry[name]
+
+
 def _build_grid(cfg):
     lo, hi = cfg.get("lo", -4.0), cfg.get("hi", 4.0)
     if "dx" in cfg:
@@ -66,7 +79,7 @@ def _build_grid(cfg):
         nodes = [int(round((b - a) / cfg["dx"])) + 1 for a, b in zip(lo_arr, hi_arr)]
         nodes = nodes[0] if len(nodes) == 1 else nodes
     else:
-        nodes = cfg["nodes"]
+        nodes = _require(cfg, "nodes", "grid")
     dt = cfg.get("dt", cfg.get("dx", 0.02))
     return GridSpec(lo, hi, nodes, dt, cfg.get("v_max", 4.0), cfg.get("v_nodes", 161))
 
@@ -76,7 +89,7 @@ def _build_lagrangian(cfg):
     if kind == "kinetic":
         return quadratic_kinetic()
     if kind == "kinetic_plus_potential":
-        phi = PROFILES[cfg["potential"]]
+        phi = _pick(PROFILES, cfg, "potential", "lagrangian")
         return quadratic_kinetic(potential=phi, C3=float(cfg.get("C3", 3.0)),
                                  name=f"kinetic+{cfg['potential']}")
     raise ValueError(f"unknown lagrangian kind {kind!r}")
@@ -86,25 +99,21 @@ def _build_coupling(cfg):
     kind = cfg.get("kind", "separable")
     if kind != "separable":
         raise ValueError(f"unknown coupling kind {kind!r}")
-    f = PROFILES[cfg["f"]]
-    G, Gp = SHAPES[cfg["G"]]
-    K0 = cfg["K0"]
-    K0_lo, K0_hi = (K0[0], K0[1]) if np.ndim(K0[0]) == 0 else (K0[0], K0[1])
+    f = _pick(PROFILES, cfg, "f", "coupling")
+    G, Gp = _pick(SHAPES, cfg, "G", "coupling")
+    K0_lo, K0_hi = _require(cfg, "K0", "coupling")
     return separable_coupling(f, G, Gp, K0_lo, K0_hi,
-                              float(cfg["delta0"]), float(cfg["lip2"]),
+                              float(_require(cfg, "delta0", "coupling")),
+                              float(_require(cfg, "lip2", "coupling")),
                               name=f"{cfg['f']}*{cfg['G']}")
 
 
 def _build_terminal(cfg, grid):
     kind = cfg.get("kind", "zero")
     if kind == "zero":
-        return TerminalDatum(lambda pts: np.zeros(np.shape(np.atleast_1d(pts))[0])
-                             if np.ndim(pts) else 0.0, 0.0, 0.0)
+        return zero_terminal()
     if kind == "half_square":
-        if grid.dim == 1:
-            ev = lambda pts: 0.5 * np.asarray(pts, dtype=float) ** 2
-        else:
-            ev = lambda pts: 0.5 * (np.asarray(pts, dtype=float) ** 2).sum(axis=-1)
+        ev = lambda pts: 0.5 * (grid.coordinates(pts) ** 2).sum(axis=1)
         lip = max(abs(a) for bounds in (grid.lo, grid.hi) for a in bounds)
         return TerminalDatum(ev, lip, 0.0)
     raise ValueError(f"unknown terminal kind {kind!r}")
@@ -115,7 +124,7 @@ def _build_initial(cfg, grid, coupling):
     if kind == "uniform_K0":
         return GridMeasure.uniform_on(grid, coupling.K0_lo, coupling.K0_hi)
     if kind == "dirac":
-        return GridMeasure.dirac(grid, cfg["at"])
+        return GridMeasure.dirac(grid, _require(cfg, "at", "initial"))
     raise ValueError(f"unknown initial kind {kind!r}")
 
 
@@ -129,7 +138,7 @@ def from_config(cfg, dx=None, dt=None):
         gcfg["dt"] = dt
     grid = _build_grid(gcfg)
     L = _build_lagrangian(cfg.get("lagrangian", {}))
-    coupling = _build_coupling(cfg["coupling"])
+    coupling = _build_coupling(_require(cfg, "coupling", "instance"))
     uf = _build_terminal(cfg.get("terminal", {}), grid)
     m0 = _build_initial(cfg.get("initial", {}), grid, coupling)
     return Instance(cfg.get("name", "instance"), L, coupling, grid, uf, m0)

@@ -7,12 +7,14 @@ the CDF integral in 1-D, the transportation LP on supports in 2-D.
 from __future__ import annotations
 
 import csv
+import math
 
 import numpy as np
 from scipy import sparse
 from scipy.optimize import linprog
 
 from .errors import EscapedBox, NotLipschitz, SupportTooLarge, UnsupportedDimension
+from .model import cell_corners
 
 MASS_TOL = 1e-12
 SUPPORT_EPS = 1e-15
@@ -47,29 +49,11 @@ class GridMeasure:
 
     @classmethod
     def uniform_on(cls, grid, lo, hi):
-        lo = np.atleast_1d(np.asarray(lo, dtype=float))
-        hi = np.atleast_1d(np.asarray(hi, dtype=float))
-        pts = grid.points
-        if grid.dim == 1:
-            mask = (pts >= lo[0] - 1e-12) & (pts <= hi[0] + 1e-12)
-        else:
-            mask = np.ones(grid.n_points, dtype=bool)
-            for d in range(2):
-                mask &= (pts[:, d] >= lo[d] - 1e-12) & (pts[:, d] <= hi[d] + 1e-12)
+        mask = grid.in_box(grid.points, lo, hi)
         if not mask.any():
             raise ValueError("no grid nodes inside the requested sub-box")
         w = mask.astype(float)
         return cls(grid, w / w.sum())
-
-    @classmethod
-    def from_density(cls, grid, density):
-        vals = np.asarray(density(grid.points), dtype=float)
-        if vals.min() < 0:
-            raise ValueError("density must be nonnegative")
-        s = vals.sum()
-        if s <= 0:
-            raise ValueError("density integrates to zero on the grid")
-        return cls(grid, vals / s)
 
     # queries ----------------------------------------------------------
 
@@ -87,9 +71,7 @@ class GridMeasure:
         return float(np.dot(self.weights, np.asarray(v, dtype=float)))
 
     def mean(self):
-        if self.grid.dim == 1:
-            return self.integrate(self.grid.points)
-        return self.weights @ self.grid.points
+        return np.dot(self.weights, self.grid.points)
 
     def cdf(self):
         if self.grid.dim != 1:
@@ -107,43 +89,26 @@ class GridMeasure:
 
 
 def write_measure_csv(path, m):
-    g = m.grid
+    names, coords = m.grid.csv_columns()
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
-        if g.dim == 1:
-            w.writerow(["node_index", "x", "weight"])
-            for i in range(g.n_points):
-                w.writerow([i, repr(float(g.points[i])), repr(float(m.weights[i]))])
-        else:
-            w.writerow(["node_index", "x", "y", "weight"])
-            for i in range(g.n_points):
-                w.writerow([
-                    i,
-                    repr(float(g.points[i, 0])),
-                    repr(float(g.points[i, 1])),
-                    repr(float(m.weights[i])),
-                ])
+        w.writerow(["node_index", *names, "weight"])
+        w.writerows([i, *c, repr(x)] for i, (c, x) in enumerate(zip(coords, m.weights.tolist())))
 
 
 def read_measure_csv(grid, path):
     weights = np.zeros(grid.n_points)
+    coords = grid.coordinates()
     with open(path, newline="") as fh:
         r = csv.reader(fh)
-        header = next(r)
+        next(r)  # header
         for row in r:
             i = int(row[0])
             weights[i] = float(row[-1])
             # node coordinates must match the grid they claim to live on
-            if grid.dim == 1:
-                if abs(float(row[1]) - grid.points[i]) > 1e-9:
-                    raise ValueError(f"node {i} coordinate mismatch in {path}")
-            else:
-                if (
-                    abs(float(row[1]) - grid.points[i, 0]) > 1e-9
-                    or abs(float(row[2]) - grid.points[i, 1]) > 1e-9
-                ):
-                    raise ValueError(f"node {i} coordinate mismatch in {path}")
-    _ = header
+            got = np.array(row[1 : 1 + grid.dim], dtype=float)
+            if np.abs(got - coords[i]).max() > 1e-9:
+                raise ValueError(f"node {i} coordinate mismatch in {path}")
     return GridMeasure(grid, weights)
 
 
@@ -164,6 +129,16 @@ def wasserstein1(m1, m2):
         c = np.cumsum(m1.weights - m2.weights)[:-1]
         return float(np.abs(c).sum() * g.dx[0])
     return _wasserstein1_lp(m1, m2)
+
+
+def sup_d1(grid, rows1, rows2):
+    """max over k of d_1 between weight rows rows1[k] and rows2[k]."""
+    if grid.dim == 1:  # the CDF formula on all rows at once
+        c = np.cumsum(rows1 - rows2, axis=1)[:, :-1]
+        return float(np.abs(c).sum(axis=1).max() * grid.dx[0])
+    return max(wasserstein1(GridMeasure(grid, a, validate=False),
+                            GridMeasure(grid, b, validate=False))
+               for a, b in zip(rows1, rows2))
 
 
 def _wasserstein1_lp(m1, m2):
@@ -216,15 +191,9 @@ def duality_gap_check(m1, m2, witness):
     """
     g = m1.grid
     w = np.asarray(witness, dtype=float)
-    if g.dim == 1:
-        if np.max(np.abs(np.diff(w))) > g.dx[0] * (1 + 1e-9) + 1e-12:
-            raise NotLipschitz("witness exceeds slope 1 on a grid edge")
-    else:
-        wm = w.reshape(g.nodes)
-        if (
-            np.max(np.abs(np.diff(wm, axis=0))) > g.dx[0] * (1 + 1e-9) + 1e-12
-            or np.max(np.abs(np.diff(wm, axis=1))) > g.dx[1] * (1 + 1e-9) + 1e-12
-        ):
+    wm = w.reshape(g.nodes)
+    for d, dx in enumerate(g.dx):
+        if np.max(np.abs(np.diff(wm, axis=d))) > dx * (1 + 1e-9) + 1e-12:
             raise NotLipschitz("witness exceeds slope 1 on a grid edge")
     pairing = float(np.dot(w, m1.weights - m2.weights))
     return wasserstein1(m1, m2) - pairing
@@ -235,31 +204,24 @@ def duality_gap_check(m1, m2, witness):
 
 
 def deposit(grid, pts, masses):
-    """Area-weight the point masses onto their 2^n neighboring nodes."""
-    pts = np.asarray(pts, dtype=float)
+    """Area-weight the point masses onto their 2^n neighboring nodes.
+
+    pts holds P points, shaped like grid.points rows, optionally behind
+    leading batch axes; each batch row of points gets its own weight row and
+    all rows share the P masses.
+    """
     masses = np.asarray(masses, dtype=float)
-    w = np.zeros(grid.n_points)
-    if grid.dim == 1:
-        f = (pts - grid.lo[0]) / grid.dx[0]
-        i0 = np.minimum(f.astype(int), grid.nodes[0] - 2)
-        i0 = np.maximum(i0, 0)
-        a = f - i0
-        np.add.at(w, i0, masses * (1 - a))
-        np.add.at(w, i0 + 1, masses * a)
-        return w
-    n1, n2 = grid.nodes
-    fx = (pts[:, 0] - grid.lo[0]) / grid.dx[0]
-    fy = (pts[:, 1] - grid.lo[1]) / grid.dx[1]
-    i0 = np.clip(fx.astype(int), 0, n1 - 2)
-    j0 = np.clip(fy.astype(int), 0, n2 - 2)
-    ax = fx - i0
-    ay = fy - j0
-    base = i0 * n2 + j0
-    np.add.at(w, base, masses * (1 - ax) * (1 - ay))
-    np.add.at(w, base + n2, masses * ax * (1 - ay))
-    np.add.at(w, base + 1, masses * (1 - ax) * ay)
-    np.add.at(w, base + n2 + 1, masses * ax * ay)
-    return w
+    batch = np.shape(pts)[: np.ndim(pts) - grid.points.ndim]
+    rows = math.prod(batch)
+    offset = np.repeat(np.arange(rows) * grid.n_points, len(masses))
+    m = np.tile(masses, rows)
+    w = np.zeros(rows * grid.n_points)
+    for idx, weights in cell_corners(grid, pts, clamp=False):
+        wt = m
+        for f in weights:
+            wt = wt * f
+        np.add.at(w, idx + offset, wt)
+    return w.reshape(batch + (grid.n_points,))
 
 
 def pushforward(m, images):
@@ -279,7 +241,7 @@ def pushforward(m, images):
         img = np.asarray(images, dtype=float)
         if img.shape[0] == g.n_points:
             img = img[sup]
-    inside = g.contains_points(img)
+    inside = g.in_box(img)
     if not inside.all():
         k = int(np.flatnonzero(~inside)[0])
         raise EscapedBox(int(sup[k]), 0.0, img[k])
@@ -311,32 +273,15 @@ class MeasurePath:
     def measure(self, k):
         return GridMeasure(self.grid, self.weights[k], validate=False)
 
-    def d1_to(self, other_weights):
-        """d_1 row-by-row against another weight stack (1-D grids)."""
-        if self.grid.dim != 1:
-            raise UnsupportedDimension("vectorized path distance is 1-D only")
-        c = np.cumsum(self.weights - other_weights, axis=1)[:, :-1]
-        return np.abs(c).sum(axis=1) * self.grid.dx[0]
-
     def to_csv(self, path):
-        g = self.grid
+        names, coords = self.grid.csv_columns()
         with open(path, "w", newline="") as fh:
             w = csv.writer(fh)
-            if g.dim == 1:
-                w.writerow(["t", "node_index", "x", "weight"])
-            else:
-                w.writerow(["t", "node_index", "x", "y", "weight"])
-            for k, t in enumerate(self.times):
-                row_w = self.weights[k]
-                for i in np.flatnonzero(row_w > SUPPORT_EPS):
-                    if g.dim == 1:
-                        w.writerow([repr(float(t)), i, repr(float(g.points[i])),
-                                    repr(float(row_w[i]))])
-                    else:
-                        w.writerow([repr(float(t)), i,
-                                    repr(float(g.points[i, 0])),
-                                    repr(float(g.points[i, 1])),
-                                    repr(float(row_w[i]))])
+            w.writerow(["t", "node_index", *names, "weight"])
+            for t, row_w in zip(self.times.tolist(), self.weights):
+                ts = repr(t)
+                w.writerows([ts, i, *coords[i], repr(float(row_w[i]))]
+                            for i in np.flatnonzero(row_w > SUPPORT_EPS).tolist())
 
     @classmethod
     def from_csv(cls, grid, path):

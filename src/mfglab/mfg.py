@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import AssumptionFailure
 from .hjb import TerminalDatum, solve_backward, lipschitz_estimate, time_lipschitz_estimate
-from .measure import GridMeasure, MeasurePath
+from .measure import GridMeasure, MeasurePath, sup_d1
 from .model import check_F4_gap, check_strict_tonelli
 from .transport import measure_path, trace_optimal_flow
 
@@ -109,13 +109,7 @@ def solve_finite_horizon(L, coupling, m0, uf, grid, T, params=None):
         new_path = measure_path(bundle)
         theta = params.theta(it)
         W_next = (1.0 - theta) * W + theta * new_path.weights
-        if grid.dim == 1:
-            c = np.cumsum(W_next - W, axis=1)[:, :-1]
-            res = float(np.abs(c).sum(axis=1).max() * grid.dx[0])
-        else:
-            res = max(
-                _w1_rowpair(grid, W_next[k], W[k]) for k in range(K + 1)
-            )
+        res = sup_d1(grid, W_next, W)
         residuals.append(res)
         W = W_next
         if res <= params.tol:
@@ -136,19 +130,16 @@ def solve_finite_horizon(L, coupling, m0, uf, grid, T, params=None):
     return MFGSolution(vf, path, bundle, converged, it + 1, residuals, diagnostics)
 
 
-def _w1_rowpair(grid, w1, w2):
-    from .measure import wasserstein1
-
-    return wasserstein1(GridMeasure(grid, w1, validate=False),
-                        GridMeasure(grid, w2, validate=False))
-
-
 # ---------------------------------------------------------------------------
 # weak-form residual of the continuity equation
 
 
 class SpaceTimeBump:
-    """C-infinity bump psi(t, x) = chi(t) * phi(x), compactly supported."""
+    """C-infinity bump psi(t, x) = chi(t) * phi(x), compactly supported.
+
+    phi is the product of one-dimensional bumps over the axes; x has the
+    shape of grid points, and so does the spatial gradient dx.
+    """
 
     def __init__(self, t_center, t_radius, x_center, x_radius, dim=1):
         self.tc, self.tr = float(t_center), float(t_radius)
@@ -172,32 +163,31 @@ class SpaceTimeBump:
         return out
 
     def _xi(self, x):
-        if self.dim == 1:
-            return (np.asarray(x, dtype=float) - self.xc[0]) / self.xr
-        return (np.asarray(x, dtype=float) - self.xc[None, :]) / self.xr
+        """Scaled offsets from the center, one column per axis."""
+        return ((np.asarray(x, dtype=float) - self.xc) / self.xr).reshape(-1, self.dim)
+
+    def _time(self, t, bump):
+        return bump(np.asarray((t - self.tc) / self.tr, dtype=float))
+
+    def _product(self, lead, x, deriv_axis=None):
+        """lead times phi(x), with the bump along deriv_axis (if any) differentiated."""
+        xi = self._xi(x)
+        for d in range(self.dim):
+            if d == deriv_axis:
+                lead = lead * (self._bump_prime(xi[:, d]) / self.xr)
+            else:
+                lead = lead * self._bump(xi[:, d])
+        return lead
 
     def eval(self, t, x):
-        st = np.asarray((t - self.tc) / self.tr, dtype=float)
-        if self.dim == 1:
-            return self._bump(st) * self._bump(self._xi(x))
-        xi = self._xi(x)
-        return self._bump(st) * self._bump(xi[:, 0]) * self._bump(xi[:, 1])
+        return self._product(self._time(t, self._bump), x)
 
     def dt(self, t, x):
-        st = np.asarray((t - self.tc) / self.tr, dtype=float)
-        if self.dim == 1:
-            return self._bump_prime(st) / self.tr * self._bump(self._xi(x))
-        xi = self._xi(x)
-        return self._bump_prime(st) / self.tr * self._bump(xi[:, 0]) * self._bump(xi[:, 1])
+        return self._product(self._time(t, self._bump_prime) / self.tr, x)
 
     def dx(self, t, x):
-        st = np.asarray((t - self.tc) / self.tr, dtype=float)
-        if self.dim == 1:
-            return self._bump(st) * self._bump_prime(self._xi(x)) / self.xr
-        xi = self._xi(x)
-        gx = self._bump_prime(xi[:, 0]) / self.xr * self._bump(xi[:, 1])
-        gy = self._bump(xi[:, 0]) * self._bump_prime(xi[:, 1]) / self.xr
-        return self._bump(st) * np.stack([gx, gy], axis=-1)
+        grad = np.stack([self._product(1.0, x, d) for d in range(self.dim)], axis=-1)
+        return (self._time(t, self._bump) * grad).reshape(np.shape(x))
 
 
 def default_test_functions(grid, T, count=5):
@@ -209,10 +199,9 @@ def default_test_functions(grid, T, count=5):
         tc = T * (j + 1.0) / (count + 1.0)
         tr = T * 0.9 / (count + 1.0) + 0.25 * T / count
         tr = min(tr, 0.49 * T)
-        xc = mid if grid.dim == 2 else mid[0]
         xr = halfwidth * (0.55 + 0.08 * (j % 3))
         out.append(SpaceTimeBump(tc, min(tr, tc * 0.999, (T - tc) * 0.999),
-                                 xc, xr, grid.dim))
+                                 mid, xr, grid.dim))
     return out
 
 
@@ -247,10 +236,7 @@ def kfp_residual(solution, test_functions=None):
             vstar = vf.velocity_at(k, pts)
             dpsi_t = psi.dt(t, pts)
             dpsi_x = psi.dx(t, pts)
-            if g.dim == 1:
-                integrand = dpsi_t + dpsi_x * vstar
-            else:
-                integrand = dpsi_t + (dpsi_x * vstar).sum(axis=-1)
+            integrand = dpsi_t + (dpsi_x * vstar).reshape(len(pts), -1).sum(axis=1)
             acc += dt * float(np.dot(w[sup], integrand))
         bdry = float(np.dot(path.weights[0], psi.eval(0.0, g.points))) - float(
             np.dot(path.weights[K], psi.eval(T, g.points))

@@ -9,6 +9,7 @@ points rather than assumed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -16,16 +17,23 @@ import numpy as np
 from .errors import (
     GapViolated,
     MaximizerOnBoundary,
-    MinOnBoundary,
     UnsupportedDimension,
 )
 
 ARGMIN_TOL = 1e-10  # two node values within this are treated as tied minima
 HESSIAN_RTOL = 1e-3  # relative tolerance on finite-difference matrix bounds
+AXIS_NAMES = ("x", "y")  # coordinate column names in CSV outputs
 
 
 # ---------------------------------------------------------------------------
 # grids
+
+
+def _tensor_points(axes):
+    """Row-major tensor product of 1-D axes: (N, n), or (N,) when n = 1."""
+    mesh = np.meshgrid(*axes, indexing="ij")
+    pts = np.stack([a.ravel() for a in mesh], axis=-1)
+    return pts[:, 0] if len(axes) == 1 else pts
 
 
 class GridSpec:
@@ -33,7 +41,8 @@ class GridSpec:
 
     lo, hi, nodes may be scalars (1-D) or length-2 sequences.  The velocity
     grid is linspace(-v_max, v_max, v_nodes) per axis; v_nodes should be odd
-    so that v = 0 is representable.
+    so that v = 0 is representable.  points and velocities are row-major
+    tensor grids of shape (N, n), except that in 1-D they are flat (N,).
     """
 
     def __init__(self, lo, hi, nodes, dt, v_max, v_nodes):
@@ -61,27 +70,26 @@ class GridSpec:
         )
         self.dx = tuple((b - a) / (n - 1) for a, b, n in zip(lo_t, hi_t, nodes_t))
         self.n_points = int(np.prod(nodes_t))
-        if self.dim == 1:
-            self.points = self.axes[0]
-        else:
-            xx, yy = np.meshgrid(self.axes[0], self.axes[1], indexing="ij")
-            self.points = np.column_stack([xx.ravel(), yy.ravel()])
+        self.points = _tensor_points(self.axes)
         self.v_axis = np.linspace(-self.v_max, self.v_max, self.v_nodes)
-        if self.dim == 1:
-            self.velocities = self.v_axis
-        else:
-            vv, ww = np.meshgrid(self.v_axis, self.v_axis, indexing="ij")
-            self.velocities = np.column_stack([vv.ravel(), ww.ravel()])
+        self.velocities = _tensor_points((self.v_axis,) * self.dim)
 
     @property
     def dx_max(self):
         return max(self.dx)
 
+    def coordinates(self, pts=None):
+        """Points or velocities (the nodes by default) as a (P, n) array."""
+        return np.reshape(self.points if pts is None else pts, (-1, self.dim))
+
+    def csv_columns(self, pts=None):
+        """Coordinate header names and, per point, the repr of each coordinate."""
+        rows = self.coordinates(pts).tolist()
+        return list(AXIS_NAMES[: self.dim]), [[repr(c) for c in row] for row in rows]
+
     def radii(self):
         """Euclidean norm of every node (distance to the origin)."""
-        if self.dim == 1:
-            return np.abs(self.points)
-        return np.sqrt((self.points**2).sum(axis=1))
+        return np.sqrt((self.coordinates() ** 2).sum(axis=1))
 
     def ball_mask(self, R):
         return self.radii() <= R + 1e-12
@@ -90,25 +98,22 @@ class GridSpec:
         """Whether the closed ball B_R around the origin fits in the box."""
         return all(a <= -R and b >= R for a, b in zip(self.lo, self.hi))
 
-    def contains_points(self, pts):
-        pts = np.asarray(pts, dtype=float)
-        if self.dim == 1:
-            return (pts >= self.lo[0] - 1e-12) & (pts <= self.hi[0] + 1e-12)
-        ok = np.ones(pts.shape[0], dtype=bool)
-        for d in range(2):
-            ok &= (pts[:, d] >= self.lo[d] - 1e-12) & (pts[:, d] <= self.hi[d] + 1e-12)
-        return ok
+    def in_box(self, pts, lo=None, hi=None):
+        """Which points lie in the closed box [lo, hi] (default: the grid's own)."""
+        lo = self.lo if lo is None else np.atleast_1d(lo)
+        hi = self.hi if hi is None else np.atleast_1d(hi)
+        c = self.coordinates(pts)
+        inside = True
+        for d in range(self.dim):
+            inside = inside & (c[:, d] >= lo[d] - 1e-12) & (c[:, d] <= hi[d] + 1e-12)
+        return inside
 
     def nearest_node(self, x):
         """Flat index of the node closest to x."""
         x = np.atleast_1d(np.asarray(x, dtype=float))
-        idx = []
-        for d in range(self.dim):
-            i = int(round((x[d] - self.lo[d]) / self.dx[d]))
-            idx.append(min(max(i, 0), self.nodes[d] - 1))
-        if self.dim == 1:
-            return idx[0]
-        return idx[0] * self.nodes[1] + idx[1]
+        idx = [min(max(int(round((x[d] - self.lo[d]) / self.dx[d])), 0), self.nodes[d] - 1)
+               for d in range(self.dim)]
+        return int(np.ravel_multi_index(idx, self.nodes))
 
     def time_steps(self, T):
         """Number of uniform steps covering [0, T]; T must be a near-multiple of dt."""
@@ -150,28 +155,41 @@ class GridSpec:
         }
 
 
+def cell_corners(grid, pts, clamp):
+    """Multilinear stencil of points: per cell corner, flat node index and weights.
+
+    Yields the 2^n corners of each point's cell, axis 0 varying fastest, as
+    (flat index, per-axis weights).  With clamp the points are first moved
+    into the box; without it the weights of a point just outside the box
+    extrapolate, which keeps the mass and first moment of a deposit exact.
+    """
+    c = grid.coordinates(pts)
+    strides = [math.prod(grid.nodes[d + 1 :]) for d in range(grid.dim)]
+    base, frac = 0, []
+    for d in range(grid.dim):
+        f = (c[:, d] - grid.lo[d]) / grid.dx[d]
+        if clamp:
+            f = np.minimum(np.maximum(f, 0.0), grid.nodes[d] - 1.0)
+        i = np.maximum(np.minimum(f.astype(int), grid.nodes[d] - 2), 0)
+        frac.append(f - i)
+        base = base + i * strides[d]
+    for corner in range(2**grid.dim):
+        bits = [(corner >> d) & 1 for d in range(grid.dim)]
+        idx = base + sum(b * s for b, s in zip(bits, strides))
+        yield idx, [f if b else 1 - f for b, f in zip(bits, frac)]
+
+
 def interp_grid(grid, values, pts):
     """Clamped multilinear interpolation of node values at points."""
-    if grid.dim == 1:
+    if grid.dim == 1:  # np.interp is faster than the generic stencil
         return np.interp(pts, grid.axes[0], values)
-    pts = np.asarray(pts, dtype=float)
-    n1, n2 = grid.nodes
-    vals = values.reshape(n1, n2)
-    out_shape = pts.shape[:-1]
-    p = pts.reshape(-1, 2)
-    fx = np.clip((p[:, 0] - grid.lo[0]) / grid.dx[0], 0.0, n1 - 1.0)
-    fy = np.clip((p[:, 1] - grid.lo[1]) / grid.dx[1], 0.0, n2 - 1.0)
-    i0 = np.minimum(fx.astype(int), n1 - 2)
-    j0 = np.minimum(fy.astype(int), n2 - 2)
-    ax = fx - i0
-    ay = fy - j0
-    out = (
-        vals[i0, j0] * (1 - ax) * (1 - ay)
-        + vals[i0 + 1, j0] * ax * (1 - ay)
-        + vals[i0, j0 + 1] * (1 - ax) * ay
-        + vals[i0 + 1, j0 + 1] * ax * ay
-    )
-    return out.reshape(out_shape)
+    out = None
+    for idx, weights in cell_corners(grid, pts, clamp=True):
+        term = values[idx]
+        for w in weights:
+            term = term * w
+        out = term if out is None else out + term
+    return out.reshape(np.shape(pts)[:-1])
 
 
 # ---------------------------------------------------------------------------
@@ -268,13 +286,7 @@ class Coupling:
                 raise ValueError("K0 must sit strictly inside the box")
 
     def K0_mask(self, grid):
-        pts = grid.points
-        if grid.dim == 1:
-            return (pts >= self.K0_lo[0] - 1e-12) & (pts <= self.K0_hi[0] + 1e-12)
-        ok = np.ones(grid.n_points, dtype=bool)
-        for d in range(2):
-            ok &= (pts[:, d] >= self.K0_lo[d] - 1e-12) & (pts[:, d] <= self.K0_hi[d] + 1e-12)
-        return ok
+        return grid.in_box(grid.points, self.K0_lo, self.K0_hi)
 
     def values_on(self, grid, m):
         """F(., m) at every grid node."""
@@ -320,8 +332,7 @@ class MeanFieldLagrangian:
 
     def values_at_rest(self, grid):
         """L_m(x, 0) at every node; the landscape whose minima confine."""
-        zero = 0.0 if grid.dim == 1 else np.zeros(2)
-        base = self.base.eval(grid.points, zero)
+        base = self.base.eval(grid.points, np.zeros(grid.velocities.shape[1:]))
         return np.broadcast_to(base, (grid.n_points,)) + self.coupling.values_on(grid, self.m)
 
 
@@ -333,36 +344,26 @@ def legendre_transform(L, x, p, grid):
     """H(x, p) = max over v of <p, v> - L(x, v), with the maximizing v.
 
     The max is taken over the velocity grid and refined by one quadratic fit
-    around the discrete maximizer (per axis in 2-D).  Raises
-    MaximizerOnBoundary when the discrete maximizer sits on the grid edge.
+    per axis around the discrete maximizer.  Raises MaximizerOnBoundary when
+    the discrete maximizer sits on the grid edge.
     """
-    if grid.dim == 1:
-        v = grid.v_axis
-        obj = p * v - L.eval(x, v)
-        j = int(np.argmax(obj))
-        if j in (0, len(v) - 1):
-            raise MaximizerOnBoundary(x, p)
-        vj = _quad_vertex(v[j - 1 : j + 2], obj[j - 1 : j + 2])
-        cand = p * vj - float(L.eval(x, vj))
-        if cand > obj[j]:
-            return float(cand), float(vj)
-        return float(obj[j]), float(v[j])
-    # 2-D: full tensor grid then one per-axis fit
     V = grid.velocities
-    obj = V @ np.asarray(p, dtype=float) - L.eval(x, V)
+    obj = grid.coordinates(V) @ np.atleast_1d(np.asarray(p, dtype=float)) - L.eval(x, V)
     j = int(np.argmax(obj))
     nv = grid.v_nodes
-    j1, j2 = divmod(j, nv)
-    if j1 in (0, nv - 1) or j2 in (0, nv - 1):
+    jj = np.unravel_index(j, (nv,) * grid.dim)
+    if any(jd in (0, nv - 1) for jd in jj):
         raise MaximizerOnBoundary(x, p)
     va = grid.v_axis
-    o = obj.reshape(nv, nv)
-    v1 = _quad_vertex(va[j1 - 1 : j1 + 2], o[j1 - 1 : j1 + 2, j2])
-    v2 = _quad_vertex(va[j2 - 1 : j2 + 2], o[j1, j2 - 1 : j2 + 2])
-    vstar = np.array([v1, v2])
+    o = obj.reshape((nv,) * grid.dim)
+    vstar = np.array([
+        _quad_vertex(va[jd - 1 : jd + 2],
+                     o[jj[:d] + (slice(jd - 1, jd + 2),) + jj[d + 1 :]])
+        for d, jd in enumerate(jj)
+    ]).reshape(V.shape[1:])
     cand = float(np.dot(p, vstar) - L.eval(x, vstar))
     if cand > obj[j]:
-        return cand, vstar
+        return cand, vstar[()]
     return float(obj[j]), V[j].copy()
 
 
@@ -399,53 +400,43 @@ def check_strict_tonelli(L, grid, sample_points=None, sample_velocities=None):
     all with relative tolerance 1e-3.  Growth bounds with the derived
     alpha, beta are flagged (not failed) when violated.
     """
-    xs = _default_x_samples(grid) if sample_points is None else sample_points
-    vs = _default_v_samples(grid) if sample_velocities is None else sample_velocities
+    shape = grid.velocities.shape[1:]  # () in 1-D, where L.eval gets scalars
+    E = list(np.eye(grid.dim).reshape((grid.dim,) + shape))
+    zero = np.zeros(shape)[()]
+    per_x, per_v = (9, 7) if grid.dim == 1 else (4, 3)
+    vm = 0.9 * grid.v_max
+    xs = _samples(grid.lo, grid.hi, per_x) if sample_points is None else sample_points
+    vs = (_samples((-vm,) * grid.dim, (vm,) * grid.dim, per_v)
+          if sample_velocities is None else sample_velocities)
     rep = TonelliReport(True, [], [], L.alpha, L.beta)
     rtol = HESSIAN_RTOL
     for x in xs:
         for v in vs:
-            hvv = _hess_vv(L, x, v, grid.dim)
-            eig = np.linalg.eigvalsh(hvv) if grid.dim == 2 else np.array([hvv])
+            eig = np.linalg.eigvalsh(_hess_vv(L, x, v, E))
             lo_b, hi_b = 1.0 / L.C1, L.C1
             if eig.min() < lo_b * (1 - rtol) or eig.max() > hi_b * (1 + rtol):
                 rep.violations.append(("vv_bounds", x, v, float(eig.min()), float(eig.max())))
-            hvx = _hess_vx(L, x, v, grid.dim)
+            hvx = float(np.linalg.norm(_hess_vx(L, x, v, E), 2))
             bound = L.C2 * (1.0 + _norm(v))
-            if _matnorm(hvx, grid.dim) > bound * (1 + rtol):
-                rep.violations.append(("vx_bound", x, v, float(_matnorm(hvx, grid.dim)), bound))
-            val = abs(float(L.eval(x, _zero(grid.dim)))) + _norm(
-                _grad_x(L, x, _zero(grid.dim), grid.dim)
-            ) + _norm(_grad_v(L, x, _zero(grid.dim), grid.dim))
+            if hvx > bound * (1 + rtol):
+                rep.violations.append(("vx_bound", x, v, hvx, bound))
+            val = abs(_ev(L, x, zero)) + _norm(_grad_x(L, x, zero, E)) + _norm(
+                _grad_v(L, x, zero, E))
             if val > L.C3 * (1 + rtol):
                 rep.violations.append(("c3_bound", x, None, float(val), L.C3))
-            lv = float(L.eval(x, v))
+            lv = _ev(L, x, v)
             nv2 = _norm(v) ** 2
             if not (nv2 / (4 * L.beta) - L.alpha <= lv + 1e-9 and lv <= 4 * L.beta * nv2 + L.alpha + 1e-9):
                 rep.growth_flags.append(("energy_growth", x, v, lv))
-            if _norm(_grad_v(L, x, v, grid.dim)) > L.alpha * (1 + _norm(v)) * (1 + rtol):
+            if _norm(_grad_v(L, x, v, E)) > L.alpha * (1 + _norm(v)) * (1 + rtol):
                 rep.growth_flags.append(("dv_growth", x, v))
     rep.passed = not rep.violations
     return rep
 
 
-def _default_x_samples(grid):
-    if grid.dim == 1:
-        return list(np.linspace(grid.lo[0], grid.hi[0], 9))
-    return [np.array([a, b]) for a in np.linspace(grid.lo[0], grid.hi[0], 4)
-            for b in np.linspace(grid.lo[1], grid.hi[1], 4)]
-
-
-def _default_v_samples(grid):
-    vm = grid.v_max
-    if grid.dim == 1:
-        return list(np.linspace(-0.9 * vm, 0.9 * vm, 7))
-    return [np.array([a, b]) for a in np.linspace(-0.9 * vm, 0.9 * vm, 3)
-            for b in np.linspace(-0.9 * vm, 0.9 * vm, 3)]
-
-
-def _zero(dim):
-    return 0.0 if dim == 1 else np.zeros(2)
+def _samples(lo, hi, per_axis):
+    """Tensor grid of sample points over the box [lo, hi], in the grid's point shape."""
+    return list(_tensor_points([np.linspace(a, b, per_axis) for a, b in zip(lo, hi)]))
 
 
 def _norm(v):
@@ -453,73 +444,57 @@ def _norm(v):
     return float(np.sqrt((v**2).sum()))
 
 
-def _matnorm(h, dim):
-    if dim == 1:
-        return abs(float(h))
-    return float(np.linalg.norm(h, 2))
+def _ev(L, x, v):
+    return float(L.eval(x, v))
 
 
 def _fd_step(v):
     return 1e-4 * (1.0 + _norm(v))
 
 
-def _hess_vv(L, x, v, dim):
+# Finite differences along the unit directions E (scalars in 1-D).
+
+
+def _hess_vv(L, x, v, E):
     h = _fd_step(v)
-    if dim == 1:
-        return (float(L.eval(x, v + h)) - 2 * float(L.eval(x, v)) + float(L.eval(x, v - h))) / h**2
-    out = np.empty((2, 2))
-    e = np.eye(2)
-    for i in range(2):
-        for j in range(2):
-            out[i, j] = (
-                float(L.eval(x, v + h * e[i] + h * e[j]))
-                - float(L.eval(x, v + h * e[i] - h * e[j]))
-                - float(L.eval(x, v - h * e[i] + h * e[j]))
-                + float(L.eval(x, v - h * e[i] - h * e[j]))
-            ) / (4 * h**2)
+    out = np.empty((len(E), len(E)))
+    for i, ei in enumerate(E):
+        for j, ej in enumerate(E):
+            if i == j:
+                out[i, j] = (_ev(L, x, v + h * ei) - 2 * _ev(L, x, v)
+                             + _ev(L, x, v - h * ei)) / h**2
+            else:
+                out[i, j] = (
+                    _ev(L, x, v + h * ei + h * ej)
+                    - _ev(L, x, v + h * ei - h * ej)
+                    - _ev(L, x, v - h * ei + h * ej)
+                    + _ev(L, x, v - h * ei - h * ej)
+                ) / (4 * h**2)
     return 0.5 * (out + out.T)
 
 
-def _hess_vx(L, x, v, dim):
+def _hess_vx(L, x, v, E):
     h = _fd_step(v)
-    if dim == 1:
-        return (
-            float(L.eval(x + h, v + h))
-            - float(L.eval(x + h, v - h))
-            - float(L.eval(x - h, v + h))
-            + float(L.eval(x - h, v - h))
-        ) / (4 * h**2)
-    out = np.empty((2, 2))
-    e = np.eye(2)
-    for i in range(2):  # d/dv_i d/dx_j
-        for j in range(2):
+    out = np.empty((len(E), len(E)))
+    for i, ei in enumerate(E):  # d/dv_i d/dx_j
+        for j, ej in enumerate(E):
             out[i, j] = (
-                float(L.eval(x + h * e[j], v + h * e[i]))
-                - float(L.eval(x + h * e[j], v - h * e[i]))
-                - float(L.eval(x - h * e[j], v + h * e[i]))
-                + float(L.eval(x - h * e[j], v - h * e[i]))
+                _ev(L, x + h * ej, v + h * ei)
+                - _ev(L, x + h * ej, v - h * ei)
+                - _ev(L, x - h * ej, v + h * ei)
+                + _ev(L, x - h * ej, v - h * ei)
             ) / (4 * h**2)
     return out
 
 
-def _grad_v(L, x, v, dim):
+def _grad_v(L, x, v, E):
     h = _fd_step(v)
-    if dim == 1:
-        return (float(L.eval(x, v + h)) - float(L.eval(x, v - h))) / (2 * h)
-    e = np.eye(2)
-    return np.array(
-        [(float(L.eval(x, v + h * e[i])) - float(L.eval(x, v - h * e[i]))) / (2 * h) for i in range(2)]
-    )
+    return np.array([(_ev(L, x, v + h * e) - _ev(L, x, v - h * e)) / (2 * h) for e in E])
 
 
-def _grad_x(L, x, v, dim):
+def _grad_x(L, x, v, E):
     h = _fd_step(v)
-    if dim == 1:
-        return (float(L.eval(x + h, v)) - float(L.eval(x - h, v))) / (2 * h)
-    e = np.eye(2)
-    return np.array(
-        [(float(L.eval(x + h * e[i], v)) - float(L.eval(x - h * e[i], v))) / (2 * h) for i in range(2)]
-    )
+    return np.array([(_ev(L, x + h * e, v) - _ev(L, x - h * e, v)) / (2 * h) for e in E])
 
 
 def check_F4_gap(coupling, L, grid, probes):

@@ -13,7 +13,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EscapedBox
+from .hjb import _as_path_values
 from .measure import MeasurePath, deposit
+from .model import interp_grid
 
 
 @dataclass
@@ -28,38 +30,33 @@ class TrajectoryBundle:
     masses: np.ndarray  # (C,)
 
     def speeds(self):
-        if self.grid.dim == 1:
-            return np.abs(self.velocities)
-        return np.sqrt((self.velocities**2).sum(axis=-1))
+        return _norms(self.velocities)
 
     def max_speed(self):
         return float(self.speeds().max())
 
     def radii(self):
-        if self.grid.dim == 1:
-            return np.abs(self.positions)
-        return np.sqrt((self.positions**2).sum(axis=-1))
+        return _norms(self.positions)
 
     def to_csv(self, path):
         g = self.grid
+        names, pos = g.csv_columns(self.positions)
+        _, vel = g.csv_columns(self.velocities)
+        vnames = ["v"] if g.dim == 1 else ["v" + n for n in names]
+        C, Kp1 = self.positions.shape[:2]
+        K = Kp1 - 1
+        times = [repr(t) for t in self.times.tolist()]
         with open(path, "w", newline="") as fh:
             w = csv.writer(fh)
-            if g.dim == 1:
-                w.writerow(["curve", "t", "x", "v"])
-            else:
-                w.writerow(["curve", "t", "x", "y", "vx", "vy"])
-            K = len(self.times) - 1
-            for c in range(self.positions.shape[0]):
-                for k, t in enumerate(self.times):
-                    vel = self.velocities[c, min(k, K - 1)]
-                    if g.dim == 1:
-                        w.writerow([c, repr(float(t)), repr(float(self.positions[c, k])),
-                                    repr(float(vel))])
-                    else:
-                        w.writerow([c, repr(float(t)),
-                                    repr(float(self.positions[c, k, 0])),
-                                    repr(float(self.positions[c, k, 1])),
-                                    repr(float(vel[0])), repr(float(vel[1]))])
+            w.writerow(["curve", "t", *names, *vnames])
+            for c in range(C):
+                w.writerows([c, times[k], *pos[c * Kp1 + k], *vel[c * K + min(k, K - 1)]]
+                            for k in range(Kp1))
+
+
+def _norms(a):
+    """Euclidean norm of every (curve, time) entry: abs in 1-D, over the last axis in 2-D."""
+    return np.sqrt((a**2).reshape(a.shape[:2] + (-1,)).sum(axis=-1))
 
 
 def trace_optimal_flow(vf, m0, start_nodes=None):
@@ -73,32 +70,18 @@ def trace_optimal_flow(vf, m0, start_nodes=None):
     K = vf.feedback.shape[0]
     starts = m0.support() if start_nodes is None else np.asarray(start_nodes)
     C = len(starts)
-    if g.dim == 1:
-        pos = np.empty((C, K + 1))
-        vel = np.empty((C, K))
-        pos[:, 0] = g.points[starts]
-        for k in range(K):
-            v = vf.velocity_at(k, pos[:, k])
-            vel[:, k] = v
-            nxt = pos[:, k] + g.dt * v
-            out = (nxt < g.lo[0] - 1e-12) | (nxt > g.hi[0] + 1e-12)
-            if out.any():
-                c = int(np.flatnonzero(out)[0])
-                raise EscapedBox(int(starts[c]), float(vf.times[k + 1]), float(nxt[c]))
-            pos[:, k + 1] = nxt
-    else:
-        pos = np.empty((C, K + 1, 2))
-        vel = np.empty((C, K, 2))
-        pos[:, 0] = g.points[starts]
-        for k in range(K):
-            v = vf.velocity_at(k, pos[:, k])
-            vel[:, k] = v
-            nxt = pos[:, k] + g.dt * v
-            inside = g.contains_points(nxt)
-            if not inside.all():
-                c = int(np.flatnonzero(~inside)[0])
-                raise EscapedBox(int(starts[c]), float(vf.times[k + 1]), nxt[c])
-            pos[:, k + 1] = nxt
+    pos = np.empty((C, K + 1) + g.points.shape[1:])
+    vel = np.empty((C, K) + g.points.shape[1:])
+    pos[:, 0] = g.points[starts]
+    for k in range(K):
+        v = vf.velocity_at(k, pos[:, k])
+        vel[:, k] = v
+        nxt = pos[:, k] + g.dt * v
+        inside = g.in_box(nxt)
+        if not inside.all():
+            c = int(np.flatnonzero(~inside)[0])
+            raise EscapedBox(int(starts[c]), float(vf.times[k + 1]), nxt[c])
+        pos[:, k + 1] = nxt
     masses = m0.weights[starts]
     return TrajectoryBundle(g, vf.times.copy(), starts, pos, vel, masses)
 
@@ -106,16 +89,13 @@ def trace_optimal_flow(vf, m0, start_nodes=None):
 def measure_path(bundle):
     """Deposit the bundle onto the grid at every time to get m(t)."""
     g = bundle.grid
-    Kp1 = len(bundle.times)
-    rows = np.empty((Kp1, g.n_points))
-    total = bundle.masses.sum()
-    for k in range(Kp1):
-        w = deposit(g, bundle.positions[:, k], bundle.masses)
-        s = w.sum()
-        if abs(s - total) > 1e-12:
-            raise ValueError(f"deposition lost mass at step {k}: {abs(s-total):.3e}")
-        rows[k] = w / s
-    return MeasurePath(g, bundle.times, rows, validate=False)
+    rows = deposit(g, np.swapaxes(bundle.positions, 0, 1), bundle.masses)
+    s = rows.sum(axis=1)
+    lost = np.abs(s - bundle.masses.sum())
+    if (lost > 1e-12).any():
+        k = int(np.argmax(lost > 1e-12))
+        raise ValueError(f"deposition lost mass at step {k}: {lost[k]:.3e}")
+    return MeasurePath(g, bundle.times, rows / s[:, None], validate=False)
 
 
 def occupation_time_outside(bundle, R):
@@ -151,25 +131,13 @@ def action_defect(bundle, vf, L, F_path, uf_values):
     g = bundle.grid
     dt = g.dt
     K = bundle.velocities.shape[1]
-    from .hjb import _as_path_values
-
     F = _as_path_values(F_path, g, K)
     C = bundle.positions.shape[0]
     action = np.zeros(C)
     for k in range(K):
         x = bundle.positions[:, k]
         v = bundle.velocities[:, k]
-        Fk = np.interp(x, g.axes[0], F[k]) if g.dim == 1 else _interp2(g, F[k], x)
-        action += dt * (np.asarray(L.eval(x, v), dtype=float) + Fk)
-    end = bundle.positions[:, K]
-    from .model import interp_grid
-
-    action += interp_grid(g, uf_values, end)
+        action += dt * (np.asarray(L.eval(x, v), dtype=float) + interp_grid(g, F[k], x))
+    action += interp_grid(g, uf_values, bundle.positions[:, K])
     u0 = interp_grid(g, vf.values[0], bundle.positions[:, 0])
     return action - u0
-
-
-def _interp2(g, vals, pts):
-    from .model import interp_grid
-
-    return interp_grid(g, vals, pts)

@@ -166,3 +166,51 @@ def test_module_entry_point():
     assert proc.returncode == 0
     for word in ("verify", "ergodic", "horizon", "converge", "reproduce"):
         assert word in proc.stdout
+
+
+
+@pytest.mark.parametrize("section, patch, key", [
+    ("coupling", {"f": "nope"}, "f"),
+    ("coupling", {"G": "nope"}, "G"),
+    ("lagrangian", {"kind": "kinetic_plus_potential", "potential": "nope"}, "potential"),
+    ("coupling", {"K0": None}, "K0"),  # None drops the key
+])
+def test_bad_instance_document_is_config_error(tmp_path, capsys, section, patch, key):
+    cfg = {
+        "name": "bad-doc",
+        "lagrangian": {"kind": "kinetic"},
+        "coupling": {"kind": "separable", "f": "neg_gaussian", "G": "two_plus_tanh",
+                     "K0": [-1.0, 1.0], "delta0": 0.36, "lip2": 0.86},
+        "grid": {"lo": -4.0, "hi": 4.0, "dx": 0.04, "dt": 0.04,
+                 "v_max": 4.0, "v_nodes": 81},
+    }
+    for k, v in patch.items():
+        if v is None:
+            del cfg[section][k]
+        else:
+            cfg[section][k] = v
+    cfg_path = tmp_path / "bad.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert run(["ergodic", "--config", str(cfg_path), "--out", str(tmp_path / "x")]) == 4
+    err = capsys.readouterr().err
+    assert repr(key) in err or f" {key} " in err
+    if "nope" in patch.values():
+        assert "known:" in err
+
+def test_ergodic_2d_writes_and_reproduces(tmp_path):
+    cfg = {
+        "name": "two-d",
+        "lagrangian": {"kind": "kinetic"},
+        "coupling": {"kind": "separable", "f": "neg_gaussian_2d", "G": "two_plus_tanh",
+                     "K0": [[-1.0, -1.0], [1.0, 1.0]], "delta0": 0.1, "lip2": 0.86},
+        "grid": {"lo": [-3.0, -3.0], "hi": [3.0, 3.0], "dx": 0.25, "dt": 0.25,
+                 "v_max": 4.0, "v_nodes": 17},
+    }
+    cfg_path = tmp_path / "two_d.json"
+    cfg_path.write_text(json.dumps(cfg))
+    out = str(tmp_path / "erg")
+    assert run(["ergodic", "--config", str(cfg_path), "--out", out]) == 0
+    with open(os.path.join(out, "ubar.csv")) as fh:
+        assert fh.readline() == "node_index,x,y,ubar\n"
+    assert manifest_of(out)["measured"]["mather_x"] == [0.0, 0.0]
+    assert run(["reproduce", os.path.join(out, "manifest.json")]) == 0
