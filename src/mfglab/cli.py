@@ -1,11 +1,12 @@
 """Command-line front end.
 
 Subcommands: verify | ergodic | horizon | converge | reproduce.
-Exit codes: 0 success, 2 assumption failure, 3 non-convergence, 4 I/O error
-(reproduce mismatches exit 1).  Every run writes a manifest.json that
-round-trips byte-identically and lists the SHA-256 of each CSV output;
-`mfg reproduce <manifest>` re-runs the same configuration and asserts the
-outputs are byte-identical.
+Exit codes: 0 success, 1 reproduce mismatch, 2 assumption failure,
+3 non-convergence, 4 I/O or configuration error, 5 solver failure (any
+other MFGLabError, such as MinimizerOnBoundary or EscapedBox).  Every run
+writes a manifest.json that round-trips byte-identically and lists the
+SHA-256 of each CSV output; `mfg reproduce <manifest>` re-runs the same
+configuration and asserts the outputs are byte-identical.
 """
 
 from __future__ import annotations
@@ -28,9 +29,11 @@ from .mfg import MFGParams, default_probes, solve_finite_horizon
 from .model import check_F4_gap, check_F5, check_strict_tonelli
 
 EXIT_OK = 0
+EXIT_MISMATCH = 1
 EXIT_ASSUMPTION = 2
 EXIT_NO_CONVERGENCE = 3
 EXIT_IO = 4
+EXIT_SOLVER = 5
 
 
 def _atomic_write(path, data):
@@ -381,7 +384,7 @@ def main(argv=None):
         return code
     except Mismatch as e:
         print(f"error: {e}", file=sys.stderr)
-        return 1
+        return EXIT_MISMATCH
     except AssumptionFailure as e:
         print(f"assumption failure: {e}", file=sys.stderr)
         return EXIT_ASSUMPTION
@@ -392,8 +395,8 @@ def main(argv=None):
         print(f"i/o or configuration error: {e}", file=sys.stderr)
         return EXIT_IO
     except MFGLabError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
+        print(f"solver failure: {e}", file=sys.stderr)
+        return EXIT_SOLVER
 
 
 if __name__ == "__main__":

@@ -10,6 +10,14 @@ velocity is chosen from the grid, the continuation value interpolated
 multilinearly, and the minimizing velocity stored as the optimal feedback.
 Interpolation clamps to the box, which encodes state constraints at the
 (remote) boundary.
+
+The departure points x + dt v do not change from step to step, so
+``solve_backward`` builds their interpolation once per solve as a sparse
+operator (N * nV rows of 2^n weights, N * nV * 2^n * 12 bytes: 1.5 MB on
+RI-1, 8.7 MB on a 25x25 grid with 17^2 velocities).  A step is then one
+sparse product plus the precomputed dt * L, a minimization over velocities,
+and dt * F(x, t_k) added afterwards, which is exact because F does not
+depend on v.
 """
 
 from __future__ import annotations
@@ -20,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import MinimizerOnBoundary, NotLipschitz
-from .model import interp_grid
+from .model import interp_grid, interp_operator
 
 
 @dataclass
@@ -129,6 +137,12 @@ def solve_backward(L, F_path, uf, grid, T, check_boundary=True):
     u(t_k, x) = min over grid velocities v of
         dt * [L(x, v) + F(x, t_k)] + Interp[u(t_{k+1})](x + dt v).
 
+    The departure points x + dt v are the same at every step, so their
+    interpolation is built once per call as a sparse operator P
+    (``interp_operator``; N * nV rows of 2^n corner weights, N * nV * 2^n * 12
+    bytes) and a step is ``P @ u(t_{k+1})`` plus the precomputed dt * L.
+    F does not depend on v, so dt * F is added after the minimization.
+
     Returns a ValueField whose feedback rows hold the minimizing velocity
     per (t_k, node); ties go to the lowest velocity index.  Raises
     MinimizerOnBoundary when a minimizer lands on the velocity-grid edge,
@@ -141,25 +155,26 @@ def solve_backward(L, F_path, uf, grid, T, check_boundary=True):
     N = grid.n_points
     dt = grid.dt
     V = grid.velocities
-    nv = grid.v_nodes
-    Lmat = np.asarray(L.eval(grid.points[None], V[:, None]), dtype=float)
-    pos = grid.points[None] + dt * V[:, None]
+    nV = len(V)
+    # node-major (N, nV): the argmin over velocities reads contiguous rows
+    dtL = dt * np.asarray(L.eval(grid.points[:, None], V[None]), dtype=float)
+    P = interp_operator(grid, grid.points[:, None] + dt * V[None])
+    edge = np.zeros(nV, dtype=bool)
+    for j in np.unravel_index(np.arange(nV), (grid.v_nodes,) * grid.dim):
+        edge |= (j == 0) | (j == grid.v_nodes - 1)
     values = np.empty((K + 1, N))
     feedback = np.empty((K,) + grid.points.shape)
     values[K] = uT
     arangeN = np.arange(N)
     for k in range(K - 1, -1, -1):
-        cont = interp_grid(grid, values[k + 1], pos)
-        cand = dt * (Lmat + F[k][None, :]) + cont
-        jstar = np.argmin(cand, axis=0)
+        cand = (P @ values[k + 1]).reshape(N, nV)
+        cand += dtL
+        jstar = cand.argmin(axis=1)
         if check_boundary:
-            bad = np.zeros(N, dtype=bool)
-            for j in np.unravel_index(jstar, (nv,) * grid.dim):
-                bad |= (j == 0) | (j == nv - 1)
+            bad = edge[jstar]
             if bad.any():
-                i = int(arangeN[bad][0])
-                raise MinimizerOnBoundary(times[k], grid.points[i])
-        values[k] = cand[jstar, arangeN]
+                raise MinimizerOnBoundary(times[k], grid.points[bad.argmax()])
+        values[k] = cand[arangeN, jstar] + dt * F[k]
         feedback[k] = V[jstar]
     return ValueField(grid, times, values, feedback)
 

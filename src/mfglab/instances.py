@@ -62,6 +62,14 @@ def _require(cfg, key, section):
     return cfg[key]
 
 
+def _section(cfg, key, required=False):
+    """The object cfg[key] ({} when optional and absent), or a ValueError."""
+    sec = _require(cfg, key, "instance") if required else cfg.get(key, {})
+    if not isinstance(sec, dict):
+        raise ValueError(f"{key}: section must be a JSON object, got {type(sec).__name__}")
+    return sec
+
+
 def _pick(registry, cfg, key, section):
     """The registry entry named by cfg[key], or a ValueError listing the choices."""
     name = _require(cfg, key, section)
@@ -130,17 +138,20 @@ def _build_initial(cfg, grid, coupling):
 
 def from_config(cfg, dx=None, dt=None):
     """Instance from a parsed JSON document, with optional grid overrides."""
-    gcfg = dict(cfg.get("grid", {}))
+    if not isinstance(cfg, dict):
+        raise ValueError(f"instance: document must be a JSON object, "
+                         f"got {type(cfg).__name__}")
+    gcfg = dict(_section(cfg, "grid"))
     if dx is not None:
         gcfg["dx"] = dx
         gcfg.pop("nodes", None)
     if dt is not None:
         gcfg["dt"] = dt
     grid = _build_grid(gcfg)
-    L = _build_lagrangian(cfg.get("lagrangian", {}))
-    coupling = _build_coupling(_require(cfg, "coupling", "instance"))
-    uf = _build_terminal(cfg.get("terminal", {}), grid)
-    m0 = _build_initial(cfg.get("initial", {}), grid, coupling)
+    L = _build_lagrangian(_section(cfg, "lagrangian"))
+    coupling = _build_coupling(_section(cfg, "coupling", required=True))
+    uf = _build_terminal(_section(cfg, "terminal"), grid)
+    m0 = _build_initial(_section(cfg, "initial"), grid, coupling)
     return Instance(cfg.get("name", "instance"), L, coupling, grid, uf, m0)
 
 

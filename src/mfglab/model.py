@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import sparse
 
 from .errors import (
     GapViolated,
@@ -23,6 +24,7 @@ from .errors import (
 ARGMIN_TOL = 1e-10  # two node values within this are treated as tied minima
 HESSIAN_RTOL = 1e-3  # relative tolerance on finite-difference matrix bounds
 AXIS_NAMES = ("x", "y")  # coordinate column names in CSV outputs
+OPERATOR_BLOCK = 16384  # points per interpolation-stencil pass in interp_operator
 
 
 # ---------------------------------------------------------------------------
@@ -190,6 +192,34 @@ def interp_grid(grid, values, pts):
             term = term * w
         out = term if out is None else out + term
     return out.reshape(np.shape(pts)[:-1])
+
+
+def interp_operator(grid, pts):
+    """Clamped multilinear interpolation at fixed points as a CSR matrix.
+
+    Row p of the (P, N) result holds the 2^n corner weights of point p, so
+    ``interp_operator(grid, pts) @ values`` equals ``interp_grid(grid,
+    values, pts)`` up to rounding.  This matrix is the largest the backward
+    solve holds, P * 2^n * 12 bytes, so its arrays are filled in place, one
+    column per corner, a block of OPERATOR_BLOCK points at a time; the
+    stencil's temporaries then stay a few MB at any P.
+    """
+    corners = 2**grid.dim
+    coords = grid.coordinates(pts)
+    rows = coords.shape[0]
+    data = np.empty((rows, corners))
+    indices = np.empty((rows, corners), dtype=np.int32)
+    for start in range(0, rows, OPERATOR_BLOCK):
+        block = slice(start, start + OPERATOR_BLOCK)
+        for c, (idx, weights) in enumerate(cell_corners(grid, coords[block], clamp=True)):
+            indices[block, c] = idx
+            col = data[block, c]
+            col[:] = weights[0]
+            for w in weights[1:]:
+                col *= w
+    indptr = np.arange(0, corners * rows + 1, corners)
+    return sparse.csr_matrix((data.ravel(), indices.ravel(), indptr),
+                             shape=(rows, grid.n_points))
 
 
 # ---------------------------------------------------------------------------

@@ -214,3 +214,37 @@ def test_ergodic_2d_writes_and_reproduces(tmp_path):
         assert fh.readline() == "node_index,x,y,ubar\n"
     assert manifest_of(out)["measured"]["mather_x"] == [0.0, 0.0]
     assert run(["reproduce", os.path.join(out, "manifest.json")]) == 0
+
+
+RI1_COUPLING = {"kind": "separable", "f": "neg_gaussian", "G": "two_plus_tanh",
+                "K0": [-1.0, 1.0], "delta0": 0.36, "lip2": 0.86}
+
+
+@pytest.mark.parametrize("doc, section", [
+    ([RI1_COUPLING], "document"),
+    ({"grid": {"dx": 0.04}, "coupling": 3}, "coupling"),
+    ({"grid": [], "coupling": RI1_COUPLING}, "grid"),
+])
+def test_non_object_document_is_config_error(tmp_path, capsys, doc, section):
+    cfg_path = tmp_path / "bad.json"
+    cfg_path.write_text(json.dumps(doc))
+    assert run(["verify", "--config", str(cfg_path), "--out", str(tmp_path / "v")]) == 4
+    err = capsys.readouterr().err
+    assert section in err and "must be a JSON object" in err
+
+
+def test_solver_failure_has_its_own_exit_code(tmp_path, capsys):
+    # v_max = 0.5 cannot follow the slope of the half-square terminal datum
+    cfg = {
+        "name": "narrow-velocities",
+        "lagrangian": {"kind": "kinetic"},
+        "coupling": RI1_COUPLING,
+        "grid": {"lo": -4, "hi": 4, "dx": 0.04, "dt": 0.04,
+                 "v_max": 0.5, "v_nodes": 11},
+        "terminal": {"kind": "half_square"},
+    }
+    cfg_path = tmp_path / "narrow.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert run(["horizon", "--T", "1", "--config", str(cfg_path),
+                "--out", str(tmp_path / "hz")]) == 5
+    assert "velocity-grid boundary" in capsys.readouterr().err

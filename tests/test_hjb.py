@@ -9,6 +9,7 @@ import pytest
 
 import mfglab as M
 from mfglab import errors, hjb
+from mfglab.instances import PROFILES
 
 
 def grid1d(dx, lo=-4.0, hi=4.0, v_max=4.0):
@@ -123,6 +124,70 @@ def test_minimizer_on_boundary_detected():
     vf = M.solve_backward(M.quadratic_kinetic(), None, steep, g, 1.0,
                           check_boundary=False)
     assert np.isfinite(vf.values).all()
+
+
+def backward_by_node(L, F, uT, g, T):
+    """Per-node reference step: min over v of dt*(L + F) + interp of the next values."""
+    K = g.time_steps(T)
+    V = g.velocities
+    values = np.empty((K + 1, g.n_points))
+    values[K] = uT
+    feedback = np.empty((K,) + g.points.shape)
+    for k in range(K - 1, -1, -1):
+        for i, x in enumerate(g.points):
+            cand = (g.dt * (np.asarray(L.eval(x, V)) + F[k, i])
+                    + M.interp_grid(g, values[k + 1], x + g.dt * V))
+            j = int(np.argmin(cand))
+            values[k, i] = cand[j]
+            feedback[k, i] = V[j]
+    return values, feedback
+
+
+SMALL_GRIDS = {
+    "1d": (M.GridSpec(-2.0, 2.0, 21, 0.1, 1.0, 9), PROFILES["gaussian"]),
+    "2d": (M.GridSpec((-2.0, -1.5), (2.0, 1.5), (9, 7), 0.1, 1.0, 5),
+           PROFILES["neg_gaussian_2d"]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SMALL_GRIDS))
+def test_backward_step_matches_per_node_loop(name):
+    g, phi = SMALL_GRIDS[name]
+    T = 0.5
+    c = g.coordinates()
+    L = M.quadratic_kinetic(potential=lambda x: 0.2 * phi(x), C3=1.0)
+    # irrational-looking coefficients: a candidate tie that only rounding
+    # breaks would make either order of summation a valid answer
+    uT = 0.113 * ((c - 0.317) ** 2).sum(axis=1) + c @ [0.0571, -0.0433][: g.dim]
+    ts = np.arange(g.time_steps(T) + 1) * g.dt
+    F = 0.217 * np.sin(c[:, 0][None, :] + 3.1 * ts[:, None])  # varies in time
+    vf = M.solve_backward(L, F, uT, g, T)
+    values, feedback = backward_by_node(L, F, uT, g, T)
+    np.testing.assert_allclose(vf.values, values, rtol=0, atol=1e-12)
+    np.testing.assert_array_equal(vf.feedback, feedback)
+
+
+@pytest.mark.parametrize("name", sorted(SMALL_GRIDS))
+def test_backward_step_ties_go_to_lowest_velocity(name):
+    g, _ = SMALL_GRIDS[name]
+    kin = M.quadratic_kinetic()
+    flat = M.LagrangianModel(lambda x, v: 0.0 * kin.eval(x, v), 1.0, 1.0, 1.0)
+    uT = np.zeros(g.n_points)
+    F = np.zeros((g.time_steps(0.3) + 1, g.n_points))
+    vf = M.solve_backward(flat, F, uT, g, 0.3, check_boundary=False)
+    values, feedback = backward_by_node(flat, F, uT, g, 0.3)
+    np.testing.assert_array_equal(vf.values, values)
+    np.testing.assert_array_equal(vf.feedback, feedback)
+    assert (vf.feedback == g.velocities[0]).all()
+
+
+def test_minimizer_on_boundary_detected_2d():
+    g = M.GridSpec((-2.0, -2.0), (2.0, 2.0), (11, 11), 0.1, 0.5, 5)
+    # steep along y only: the minimizer hits the edge in its second component
+    steep = M.TerminalDatum(lambda p: 5.0 * np.asarray(p, dtype=float)[:, 1],
+                            lip=5.0, c0=10.0)
+    with pytest.raises(errors.MinimizerOnBoundary):
+        M.solve_backward(M.quadratic_kinetic(), None, steep, g, 1.0)
 
 
 def test_terminal_datum_validation():

@@ -2,8 +2,11 @@
 
 Deposit keeps mass and first moment, also over a batch of point sets;
 interpolation, the grid Lipschitz constant and the upwind gradient are
-exact on affine functions.
+exact on affine functions; the sparse interpolation operator agrees with
+interp_grid and its rows are partitions of unity.
 """
+
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mfglab as M
+from mfglab import model
 from mfglab.hjb import _grid_lipschitz
 from mfglab.measure import deposit
 
@@ -71,6 +75,27 @@ def test_interp_grid_exact_on_affine_with_clamping(data, slope, offset):
     got = M.interp_grid(grid, values, pts)
     assert got.shape == (10,)
     np.testing.assert_allclose(got, affine_on(grid, slope, offset, clamped), atol=1e-10)
+
+
+@SETTINGS
+@given(data=st.data(), slope=st.lists(finite, min_size=2, max_size=2), offset=finite)
+def test_interp_operator_matches_interp_grid(data, slope, offset):
+    grid = data.draw(grids())
+    pts = points_in(data.draw, grid, 10, margin=0.5)  # some points outside the box
+    with mock.patch.object(model, "OPERATOR_BLOCK", data.draw(st.integers(1, 12))):
+        P = model.interp_operator(grid, pts)
+    assert P.shape == (10, grid.n_points)
+    assert (np.diff(P.indptr) == 2**grid.dim).all()
+    np.testing.assert_allclose(P.sum(axis=1).A1, 1.0, rtol=0, atol=1e-15)
+    size = grid.n_points
+    vals = np.asarray(data.draw(st.lists(st.floats(-1e3, 1e3), min_size=size,
+                                         max_size=size)))
+    np.testing.assert_allclose(P @ vals, M.interp_grid(grid, vals, pts), rtol=0,
+                               atol=1e-13 * (1 + np.abs(vals).max()))
+    clamped = np.clip(grid.coordinates(pts), grid.lo, grid.hi)
+    affine = affine_on(grid, slope, offset, grid.points)
+    np.testing.assert_allclose(P @ affine, affine_on(grid, slope, offset, clamped),
+                               atol=1e-10)
 
 
 @SETTINGS
