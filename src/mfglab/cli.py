@@ -6,7 +6,10 @@ Exit codes: 0 success, 1 reproduce mismatch, 2 assumption failure,
 other MFGLabError, such as MinimizerOnBoundary or EscapedBox).  Every run
 writes a manifest.json that round-trips byte-identically and lists the
 SHA-256 of each CSV output; `mfg reproduce <manifest>` re-runs the same
-configuration and asserts the outputs are byte-identical.
+configuration and asserts the outputs are byte-identical.  A `--config` run
+embeds the parsed instance document and its SHA-256 in the manifest params,
+so reproduce rebuilds the instance from the manifest alone, from any working
+directory and whatever happened to the JSON file since.
 """
 
 from __future__ import annotations
@@ -108,8 +111,14 @@ def read_manifest(path):
 # subcommand bodies (shared between the CLI and reproduce)
 
 
+def _instance(params):
+    """The embedded document of a --config run, else the built-in instance."""
+    return load_instance(params.get("document", params["instance"]),
+                         dx=params.get("dx"), dt=params.get("dt"))
+
+
 def _run_verify(params, out_dir):
-    inst = load_instance(params["instance"], dx=params.get("dx"), dt=params.get("dt"))
+    inst = _instance(params)
     t0 = time.perf_counter()
     lines = []
     ok = True
@@ -150,7 +159,7 @@ def _run_verify(params, out_dir):
 
 
 def _run_ergodic(params, out_dir):
-    inst = load_instance(params["instance"], dx=params.get("dx"), dt=params.get("dt"))
+    inst = _instance(params)
     t0 = time.perf_counter()
     sol = solve_ergodic(inst.L, inst.coupling, inst.grid, tol=params.get("tol", 1e-6))
     timings = {"seconds": round(time.perf_counter() - t0, 3)}
@@ -178,7 +187,7 @@ def _run_ergodic(params, out_dir):
 
 
 def _run_horizon(params, out_dir):
-    inst = load_instance(params["instance"], dx=params.get("dx"), dt=params.get("dt"))
+    inst = _instance(params)
     t0 = time.perf_counter()
     mfg_params = MFGParams(tol=params.get("tol", 1e-4),
                            max_iters=params.get("max_iters", 60))
@@ -199,7 +208,7 @@ def _run_horizon(params, out_dir):
 
 
 def _run_converge(params, out_dir):
-    inst = load_instance(params["instance"], dx=params.get("dx"), dt=params.get("dt"))
+    inst = _instance(params)
     t0 = time.perf_counter()
     T_list = params["T_list"]
     R = params.get("R", 3.0)
@@ -296,6 +305,10 @@ def _collect_params(args, needs_T=False, T_is_list=False):
         raise ValueError("pass --instance or --config")
     params = {"instance": args.config or args.instance, "seed": args.seed,
               "threads": args.threads}
+    if args.config:
+        with open(args.config) as fh:
+            params["document"] = json.load(fh)
+        params["document_sha256"] = _config_hash(params["document"])
     for key in ("dx", "dt", "tol", "R"):
         val = getattr(args, key)
         if val is not None:
@@ -344,6 +357,10 @@ def _dispatch(command, params, out_dir):
 def _cmd_reproduce(manifest_path):
     manifest = read_manifest(manifest_path)
     cfg = manifest["config"]
+    doc = cfg["params"].get("document")
+    if doc is not None and _config_hash(doc) != cfg["params"].get("document_sha256"):
+        raise ValueError("manifest: the embedded instance document does not match "
+                         "its document_sha256")
     base = os.path.dirname(os.path.abspath(manifest_path))
     with tempfile.TemporaryDirectory(dir=base) as tmp:
         _dispatch(cfg["subcommand"], cfg["params"], tmp)

@@ -70,6 +70,28 @@ def _section(cfg, key, required=False):
     return sec
 
 
+def _convert(val, cast, section, key, what):
+    """cast(val), or a ValueError naming the section and key."""
+    try:
+        return cast(val)
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(f"{section}: {key!r} must be {what}, got {val!r}") from None
+
+
+def _number(val, section, key, cast=float):
+    return _convert(val, cast, section, key, "a number")
+
+
+def _per_axis(val, section, key, dtype=float):
+    """val as a 1-D array with one entry per axis (a bare number is one axis)."""
+    def cast(v):
+        arr = np.atleast_1d(v).astype(dtype)
+        if arr.ndim != 1:
+            raise ValueError
+        return arr
+    return _convert(val, cast, section, key, "a number or a list of numbers")
+
+
 def _pick(registry, cfg, key, section):
     """The registry entry named by cfg[key], or a ValueError listing the choices."""
     name = _require(cfg, key, section)
@@ -80,16 +102,18 @@ def _pick(registry, cfg, key, section):
 
 
 def _build_grid(cfg):
-    lo, hi = cfg.get("lo", -4.0), cfg.get("hi", 4.0)
+    lo = _per_axis(cfg.get("lo", -4.0), "grid", "lo")
+    hi = _per_axis(cfg.get("hi", 4.0), "grid", "hi")
     if "dx" in cfg:
-        lo_arr = np.atleast_1d(lo).astype(float)
-        hi_arr = np.atleast_1d(hi).astype(float)
-        nodes = [int(round((b - a) / cfg["dx"])) + 1 for a, b in zip(lo_arr, hi_arr)]
-        nodes = nodes[0] if len(nodes) == 1 else nodes
+        dx = _number(cfg["dx"], "grid", "dx")
+        if not dx > 0:
+            raise ValueError(f"grid: 'dx' must be positive, got {dx!r}")
+        nodes = [int(round((b - a) / dx)) + 1 for a, b in zip(lo, hi)]
     else:
-        nodes = _require(cfg, "nodes", "grid")
-    dt = cfg.get("dt", cfg.get("dx", 0.02))
-    return GridSpec(lo, hi, nodes, dt, cfg.get("v_max", 4.0), cfg.get("v_nodes", 161))
+        nodes = _per_axis(_require(cfg, "nodes", "grid"), "grid", "nodes", dtype=int)
+    dt = _number(cfg.get("dt", cfg.get("dx", 0.02)), "grid", "dt")
+    return GridSpec(lo, hi, nodes, dt, _number(cfg.get("v_max", 4.0), "grid", "v_max"),
+                    _number(cfg.get("v_nodes", 161), "grid", "v_nodes", cast=int))
 
 
 def _build_lagrangian(cfg):
@@ -98,7 +122,8 @@ def _build_lagrangian(cfg):
         return quadratic_kinetic()
     if kind == "kinetic_plus_potential":
         phi = _pick(PROFILES, cfg, "potential", "lagrangian")
-        return quadratic_kinetic(potential=phi, C3=float(cfg.get("C3", 3.0)),
+        return quadratic_kinetic(potential=phi,
+                                 C3=_number(cfg.get("C3", 3.0), "lagrangian", "C3"),
                                  name=f"kinetic+{cfg['potential']}")
     raise ValueError(f"unknown lagrangian kind {kind!r}")
 
@@ -109,10 +134,13 @@ def _build_coupling(cfg):
         raise ValueError(f"unknown coupling kind {kind!r}")
     f = _pick(PROFILES, cfg, "f", "coupling")
     G, Gp = _pick(SHAPES, cfg, "G", "coupling")
-    K0_lo, K0_hi = _require(cfg, "K0", "coupling")
+    K0 = _require(cfg, "K0", "coupling")
+    if not isinstance(K0, list) or len(K0) != 2:
+        raise ValueError(f"coupling: 'K0' must be a pair [lo, hi], got {K0!r}")
+    K0_lo, K0_hi = (_per_axis(b, "coupling", "K0") for b in K0)
     return separable_coupling(f, G, Gp, K0_lo, K0_hi,
-                              float(_require(cfg, "delta0", "coupling")),
-                              float(_require(cfg, "lip2", "coupling")),
+                              _number(_require(cfg, "delta0", "coupling"), "coupling", "delta0"),
+                              _number(_require(cfg, "lip2", "coupling"), "coupling", "lip2"),
                               name=f"{cfg['f']}*{cfg['G']}")
 
 
@@ -132,7 +160,10 @@ def _build_initial(cfg, grid, coupling):
     if kind == "uniform_K0":
         return GridMeasure.uniform_on(grid, coupling.K0_lo, coupling.K0_hi)
     if kind == "dirac":
-        return GridMeasure.dirac(grid, _require(cfg, "at", "initial"))
+        at = _per_axis(_require(cfg, "at", "initial"), "initial", "at")
+        if len(at) != grid.dim:
+            raise ValueError(f"initial: 'at' needs {grid.dim} coordinate(s), got {len(at)}")
+        return GridMeasure.dirac(grid, at)
     raise ValueError(f"unknown initial kind {kind!r}")
 
 
@@ -156,7 +187,13 @@ def from_config(cfg, dx=None, dt=None):
 
 
 def load_instance(path_or_name, dx=None, dt=None):
-    """Named built-in instance, or a path to a JSON instance document."""
+    """Named built-in instance, or a path to a JSON instance document.
+
+    A document already parsed from JSON (anything but a string) is built
+    as it is: the CLI passes the copy it embeds in a manifest this way.
+    """
+    if not isinstance(path_or_name, str):
+        return from_config(path_or_name, dx=dx, dt=dt)
     if path_or_name in BUILTIN:
         cfg = json.loads(json.dumps(BUILTIN[path_or_name]))
         return from_config(cfg, dx=dx, dt=dt)

@@ -1,7 +1,12 @@
 """Probability measures on the grid and the 1-Wasserstein machinery.
 
 Measures are nonnegative node-weight vectors summing to one.  d_1 is exact:
-the CDF integral in 1-D, the transportation LP on supports in 2-D.
+the CDF integral in 1-D; in 2-D a transport LP that moves the positive part
+of the signed difference of the two measures onto its negative part.  sup_d1
+stacks the rows of two measure paths into one block-diagonal LP, so a
+fictitious-play residual is one HiGHS solve however many time slices it
+compares.  LP_SUPPORT_CAP bounds, per row, the number of nodes in each part
+of the difference.
 """
 
 from __future__ import annotations
@@ -120,7 +125,7 @@ def wasserstein1(m1, m2):
     """Exact d_1 between two grid measures on the same grid.
 
     1-D: integral of |CDF difference| (piecewise-constant between nodes).
-    2-D: transportation LP on the supports, solved with HiGHS.
+    2-D: the transport LP on the signed difference m1 - m2 (see _d1_lp).
     """
     if m1.grid is not m2.grid and m1.grid.describe() != m2.grid.describe():
         raise ValueError("measures live on different grids")
@@ -128,45 +133,66 @@ def wasserstein1(m1, m2):
     if g.dim == 1:
         c = np.cumsum(m1.weights - m2.weights)[:-1]
         return float(np.abs(c).sum() * g.dx[0])
-    return _wasserstein1_lp(m1, m2)
+    return float(_d1_lp(g, (m1.weights - m2.weights)[None])[0])
 
 
 def sup_d1(grid, rows1, rows2):
-    """max over k of d_1 between weight rows rows1[k] and rows2[k]."""
-    if grid.dim == 1:  # the CDF formula on all rows at once
+    """max over k of d_1 between weight rows rows1[k] and rows2[k].
+
+    1-D: the CDF formula on all rows at once.  2-D: one transport LP for all
+    rows together (see _d1_lp), so a fictitious-play iteration makes a
+    single HiGHS solve.
+    """
+    if grid.dim == 1:
         c = np.cumsum(rows1 - rows2, axis=1)[:, :-1]
         return float(np.abs(c).sum(axis=1).max() * grid.dx[0])
-    return max(wasserstein1(GridMeasure(grid, a, validate=False),
-                            GridMeasure(grid, b, validate=False))
-               for a, b in zip(rows1, rows2))
+    return float(_d1_lp(grid, rows1 - rows2).max())
 
 
-def _wasserstein1_lp(m1, m2):
-    s1 = m1.support()
-    s2 = m2.support()
-    if len(s1) > LP_SUPPORT_CAP or len(s2) > LP_SUPPORT_CAP:
-        raise SupportTooLarge(f"supports {len(s1)}x{len(s2)} exceed cap {LP_SUPPORT_CAP}")
-    a = m1.weights[s1]
-    b = m2.weights[s2]
-    p = m1.grid.points[s1]
-    q = m2.grid.points[s2]
-    cost = np.sqrt(((p[:, None, :] - q[None, :, :]) ** 2).sum(axis=2)).ravel()
-    ni, nj = len(s1), len(s2)
-    rows, cols, vals = [], [], []
-    for i in range(ni):
-        rows.extend([i] * nj)
-        cols.extend(range(i * nj, (i + 1) * nj))
-        vals.extend([1.0] * nj)
-    for j in range(nj):
-        rows.extend([ni + j] * ni)
-        cols.extend(range(j, ni * nj, nj))
-        vals.extend([1.0] * ni)
-    A = sparse.csr_matrix((vals, (rows, cols)), shape=(ni + nj, ni * nj))
-    rhs = np.concatenate([a, b])
-    res = linprog(cost, A_eq=A, b_eq=rhs, bounds=(0, None), method="highs")
+def _d1_lp(grid, diffs):
+    """d_1 for each row of signed differences diffs[k] = mu_k - nu_k.
+
+    By Kantorovich-Rubinstein, d_1(mu, nu) depends only on mu - nu: row k
+    moves its positive part onto its negative part at Euclidean cost.  Every
+    row with both parts nonempty becomes one block of a block-diagonal
+    transport LP, solved by a single HiGHS call; the blocks are independent,
+    so row k's optimum is the cost of its own slice of the solution.  Rows
+    without positive or without negative entries (such as equal measures)
+    are 0 without an LP.  Entries within SUPPORT_EPS of 0 count as neither
+    part, and each part may hold at most LP_SUPPORT_CAP nodes per row.
+    """
+    pts = grid.coordinates()
+    out = np.zeros(len(diffs))
+    blocks, costs, rows, cols, rhs = [], [], [], [], []
+    nvar = ncon = 0
+    for k, d in enumerate(diffs):
+        src = np.flatnonzero(d > SUPPORT_EPS)
+        dst = np.flatnonzero(d < -SUPPORT_EPS)
+        if len(src) > LP_SUPPORT_CAP or len(dst) > LP_SUPPORT_CAP:
+            raise SupportTooLarge(f"difference supports {len(src)}x{len(dst)} "
+                                  f"exceed cap {LP_SUPPORT_CAP}")
+        if not len(src) or not len(dst):
+            continue
+        p, q = len(src), len(dst)
+        ij = np.arange(p * q)  # variable (i, j) of the block is i * q + j
+        costs.append(np.sqrt(((pts[src, None] - pts[None, dst]) ** 2).sum(axis=2)).ravel())
+        rows += [ncon + ij // q, ncon + p + ij % q]  # supply row i, demand row j
+        cols += [nvar + ij] * 2
+        rhs += [d[src], -d[dst]]
+        blocks.append((k, slice(nvar, nvar + p * q)))
+        nvar += p * q
+        ncon += p + q
+    if not blocks:
+        return out
+    cost = np.concatenate(costs)
+    A = sparse.csr_matrix((np.ones(2 * nvar), (np.concatenate(rows), np.concatenate(cols))),
+                          shape=(ncon, nvar))
+    res = linprog(cost, A_eq=A, b_eq=np.concatenate(rhs), bounds=(0, None), method="highs")
     if not res.success:
         raise RuntimeError(f"transport LP failed: {res.message}")
-    return float(res.fun)
+    for k, s in blocks:
+        out[k] = cost[s] @ res.x[s]
+    return out
 
 
 def kantorovich_potential_1d(m1, m2):

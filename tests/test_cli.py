@@ -110,6 +110,40 @@ def test_reproduce_missing_manifest(tmp_path):
     assert run(["reproduce", str(tmp_path / "none" / "manifest.json")]) == 4
 
 
+def test_config_manifest_reproduces_from_any_directory(tmp_path, monkeypatch, capsys):
+    # the manifest carries the document, so neither the working directory
+    # nor later edits of the JSON file matter; edits of the embedded copy do
+    (tmp_path / "run").mkdir()
+    (tmp_path / "elsewhere").mkdir()
+    doc = {"name": "embedded", "coupling": dict(RI1_COUPLING),
+           "grid": {"lo": -4.0, "hi": 4.0, "dx": 0.04, "dt": 0.04,
+                    "v_max": 4.0, "v_nodes": 81}}
+    (tmp_path / "run" / "inst.json").write_text(json.dumps(doc))
+    monkeypatch.chdir(tmp_path / "run")
+    assert run(["verify", "--config", "inst.json", "--out", "ver"]) == 0
+    manifest = str(tmp_path / "run" / "ver" / "manifest.json")
+    params = manifest_of(os.path.dirname(manifest))["config"]["params"]
+    assert params["instance"] == "inst.json" and params["document"] == doc
+    assert len(params["document_sha256"]) == 64
+    (tmp_path / "run" / "inst.json").write_text(json.dumps({**doc, "coupling": 3}))
+    monkeypatch.chdir(tmp_path / "elsewhere")
+    assert run(["reproduce", manifest]) == 0
+    m = manifest_of(os.path.dirname(manifest))
+    m["config"]["params"]["document"]["coupling"]["lip2"] = 0.5
+    with open(manifest, "w") as fh:
+        fh.write(json.dumps(m, sort_keys=True, indent=2) + "\n")
+    assert run(["reproduce", manifest]) == 4
+    assert "document_sha256" in capsys.readouterr().err
+
+
+def test_instance_manifest_records_no_document(tmp_path):
+    out = str(tmp_path / "ver")
+    assert run(["verify", "--instance", "RI-1", "--dx", "0.04", "--dt", "0.04",
+                "--out", out]) == 0
+    assert set(manifest_of(out)["config"]["params"]) == {"instance", "seed", "threads",
+                                                          "dx", "dt"}
+
+
 # ---------------------------------------------------------------------------
 # converge
 
@@ -174,6 +208,12 @@ def test_module_entry_point():
     ("coupling", {"G": "nope"}, "G"),
     ("lagrangian", {"kind": "kinetic_plus_potential", "potential": "nope"}, "potential"),
     ("coupling", {"K0": None}, "K0"),  # None drops the key
+    ("coupling", {"K0": 3}, "K0"),
+    ("grid", {"dx": "a"}, "dx"),
+    ("grid", {"v_nodes": "x"}, "v_nodes"),
+    ("grid", {"dx": 0}, "dx"),
+    ("coupling", {"delta0": [0.36]}, "delta0"),
+    ("initial", {"kind": "dirac", "at": [0.0, 1.0]}, "at"),  # two coordinates in 1-D
 ])
 def test_bad_instance_document_is_config_error(tmp_path, capsys, section, patch, key):
     cfg = {
@@ -183,6 +223,7 @@ def test_bad_instance_document_is_config_error(tmp_path, capsys, section, patch,
                      "K0": [-1.0, 1.0], "delta0": 0.36, "lip2": 0.86},
         "grid": {"lo": -4.0, "hi": 4.0, "dx": 0.04, "dt": 0.04,
                  "v_max": 4.0, "v_nodes": 81},
+        "initial": {"kind": "uniform_K0"},
     }
     for k, v in patch.items():
         if v is None:
@@ -193,6 +234,7 @@ def test_bad_instance_document_is_config_error(tmp_path, capsys, section, patch,
     cfg_path.write_text(json.dumps(cfg))
     assert run(["ergodic", "--config", str(cfg_path), "--out", str(tmp_path / "x")]) == 4
     err = capsys.readouterr().err
+    assert section in err
     assert repr(key) in err or f" {key} " in err
     if "nope" in patch.values():
         assert "known:" in err
