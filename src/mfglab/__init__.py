@@ -29,6 +29,7 @@ from .ergodic import (
 from .hjb import (
     TerminalDatum,
     ValueField,
+    departure_operator,
     gradient,
     hopf_lax_oracle,
     lipschitz_estimate,

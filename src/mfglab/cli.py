@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 import tempfile
@@ -212,6 +213,8 @@ def _run_converge(params, out_dir):
     t0 = time.perf_counter()
     T_list = params["T_list"]
     R = params.get("R", 3.0)
+    for T in T_list:  # reject a bad horizon before any solve
+        inst.grid.time_steps(T)
     erg = solve_ergodic(inst.L, inst.coupling, inst.grid, tol=params.get("tol", 1e-6))
     mfg_params = MFGParams(tol=params.get("tol", 1e-4),
                            max_iters=params.get("max_iters", 60))
@@ -313,6 +316,9 @@ def _collect_params(args, needs_T=False, T_is_list=False):
         val = getattr(args, key)
         if val is not None:
             params[key] = val
+    # a NaN, infinite or negative tolerance can never be met (NaN fails both tests)
+    if "tol" in params and not (math.isfinite(params["tol"]) and params["tol"] >= 0):
+        raise ValueError(f"--tol must be a finite number >= 0, got {params['tol']}")
     if needs_T:
         if T_is_list:
             params["T_list"] = [float(s) for s in str(args.T).split(",")]

@@ -11,13 +11,15 @@ multilinearly, and the minimizing velocity stored as the optimal feedback.
 Interpolation clamps to the box, which encodes state constraints at the
 (remote) boundary.
 
-The departure points x + dt v do not change from step to step, so
-``solve_backward`` builds their interpolation once per solve as a sparse
-operator (N * nV rows of 2^n weights, N * nV * 2^n * 12 bytes: 1.5 MB on
-RI-1, 8.7 MB on a 25x25 grid with 17^2 velocities).  A step is then one
-sparse product plus the precomputed dt * L, a minimization over velocities,
-and dt * F(x, t_k) added afterwards, which is exact because F does not
-depend on v.
+The departure points x + dt v depend only on the grid, so their
+interpolation is built once per solver run as a sparse operator
+(``departure_operator``; N * nV rows of 2^n weights, N * nV * 2^n * 12 bytes:
+1.5 MB on RI-1, 8.7 MB on a 25x25 grid with 17^2 velocities).  Fictitious
+play and the weak-KAM horizon doubling build it before their loops and hand
+it to every ``solve_backward`` call, so it is freed when they return.  A
+step is then one sparse product plus the precomputed dt * L, a minimization
+over velocities, and dt * F(x, t_k) added afterwards, which is exact because
+F does not depend on v.
 """
 
 from __future__ import annotations
@@ -131,17 +133,27 @@ def _as_path_values(F_path, grid, K):
     return F
 
 
-def solve_backward(L, F_path, uf, grid, T, check_boundary=True):
+def departure_operator(grid):
+    """Sparse interpolation at the departure points x + dt v, node-major.
+
+    Row i * nV + j interpolates at grid.points[i] + dt * velocities[j]; N * nV
+    rows of 2^n corner weights, N * nV * 2^n * 12 bytes.
+    """
+    return interp_operator(grid, grid.points[:, None] + grid.dt * grid.velocities[None])
+
+
+def solve_backward(L, F_path, uf, grid, T, check_boundary=True, operator=None):
     """Dynamic-programming solve of the backward HJ equation on [0, T].
 
     u(t_k, x) = min over grid velocities v of
         dt * [L(x, v) + F(x, t_k)] + Interp[u(t_{k+1})](x + dt v).
 
-    The departure points x + dt v are the same at every step, so their
-    interpolation is built once per call as a sparse operator P
-    (``interp_operator``; N * nV rows of 2^n corner weights, N * nV * 2^n * 12
-    bytes) and a step is ``P @ u(t_{k+1})`` plus the precomputed dt * L.
-    F does not depend on v, so dt * F is added after the minimization.
+    The departure points x + dt v are the same at every step and in every
+    solve on one grid, so their interpolation is one sparse operator P
+    (``departure_operator(grid)``), built once per solver run: pass it as
+    ``operator`` to reuse it across solves; when it is None it is built here.
+    A step is ``P @ u(t_{k+1})`` plus the precomputed dt * L.  F does not
+    depend on v, so dt * F is added after the minimization.
 
     Returns a ValueField whose feedback rows hold the minimizing velocity
     per (t_k, node); ties go to the lowest velocity index.  Raises
@@ -158,7 +170,7 @@ def solve_backward(L, F_path, uf, grid, T, check_boundary=True):
     nV = len(V)
     # node-major (N, nV): the argmin over velocities reads contiguous rows
     dtL = dt * np.asarray(L.eval(grid.points[:, None], V[None]), dtype=float)
-    P = interp_operator(grid, grid.points[:, None] + dt * V[None])
+    P = departure_operator(grid) if operator is None else operator
     edge = np.zeros(nV, dtype=bool)
     for j in np.unravel_index(np.arange(nV), (grid.v_nodes,) * grid.dim):
         edge |= (j == 0) | (j == grid.v_nodes - 1)

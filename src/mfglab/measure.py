@@ -141,7 +141,8 @@ def sup_d1(grid, rows1, rows2):
 
     1-D: the CDF formula on all rows at once.  2-D: one transport LP for all
     rows together (see _d1_lp), so a fictitious-play iteration makes a
-    single HiGHS solve.
+    single HiGHS solve; it is exact only to HiGHS's default primal
+    feasibility tolerance of 1e-7, so a mass below it may be rounded away.
     """
     if grid.dim == 1:
         c = np.cumsum(rows1 - rows2, axis=1)[:, :-1]
@@ -160,6 +161,10 @@ def _d1_lp(grid, diffs):
     without positive or without negative entries (such as equal measures)
     are 0 without an LP.  Entries within SUPPORT_EPS of 0 count as neither
     part, and each part may hold at most LP_SUPPORT_CAP nodes per row.
+
+    The value is exact only to HiGHS's default primal feasibility tolerance
+    of 1e-7: a mass below it may be rounded away, which moves d_1 by up to
+    that mass times the distance it should travel.
     """
     pts = grid.coordinates()
     out = np.zeros(len(diffs))

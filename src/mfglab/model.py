@@ -58,8 +58,11 @@ class GridSpec:
         for a, b, n in zip(lo_t, hi_t, nodes_t):
             if not (b > a and n >= 2):
                 raise ValueError("need hi > lo and at least two nodes per axis")
-        if dt <= 0 or v_max <= 0 or v_nodes < 3:
-            raise ValueError("need dt > 0, v_max > 0, v_nodes >= 3")
+        for name, val in (("dt", dt), ("v_max", v_max)):
+            if not (np.isfinite(val) and val > 0):
+                raise ValueError(f"grid: need a finite {name} > 0, got {name}={val!r}")
+        if v_nodes < 3:
+            raise ValueError(f"grid: need v_nodes >= 3, got v_nodes={v_nodes!r}")
         self.dim = len(lo_t)
         self.lo = lo_t
         self.hi = hi_t
@@ -119,7 +122,10 @@ class GridSpec:
 
     def time_steps(self, T):
         """Number of uniform steps covering [0, T]; T must be a near-multiple of dt."""
-        K = int(round(T / self.dt))
+        steps = T / self.dt
+        if not np.isfinite(steps):
+            raise ValueError(f"T={T} is not a finite multiple of dt={self.dt}")
+        K = int(round(steps))
         if K < 1 or abs(K * self.dt - T) > 1e-9 * max(1.0, T):
             raise ValueError(f"T={T} is not a multiple of dt={self.dt}")
         return K

@@ -214,6 +214,8 @@ def test_module_entry_point():
     ("grid", {"dx": 0}, "dx"),
     ("coupling", {"delta0": [0.36]}, "delta0"),
     ("initial", {"kind": "dirac", "at": [0.0, 1.0]}, "at"),  # two coordinates in 1-D
+    ("grid", {"dt": float("nan")}, "dt"),
+    ("grid", {"v_max": float("inf")}, "v_max"),
 ])
 def test_bad_instance_document_is_config_error(tmp_path, capsys, section, patch, key):
     cfg = {
@@ -238,6 +240,27 @@ def test_bad_instance_document_is_config_error(tmp_path, capsys, section, patch,
     assert repr(key) in err or f" {key} " in err
     if "nope" in patch.values():
         assert "known:" in err
+
+
+@pytest.mark.parametrize("args, value", [
+    (["horizon", "--T", "inf"], "T=inf"),
+    (["horizon", "--T", "nan"], "T=nan"),
+    (["converge", "--T", "2,inf"], "T=inf"),
+    (["horizon", "--T", "2", "--dt", "nan"], "dt=nan"),
+    (["horizon", "--T", "2", "--tol", "nan"], "got nan"),
+    (["horizon", "--T", "2", "--tol", "-1"], "got -1.0"),
+    (["ergodic", "--tol", "nan"], "got nan"),
+    (["ergodic", "--tol", "inf"], "got inf"),
+])
+def test_bad_number_flag_is_config_error(tmp_path, capsys, args, value):
+    assert run([*args, "--instance", "RI-1", "--out", str(tmp_path / "x")]) == 4
+    assert value in capsys.readouterr().err
+
+
+def test_zero_tolerance_is_accepted(tmp_path):
+    assert run(["ergodic", "--instance", "RI-1", "--tol", "0",
+                "--out", str(tmp_path / "erg")]) == 0
+
 
 def test_ergodic_2d_writes_and_reproduces(tmp_path):
     cfg = {

@@ -6,7 +6,8 @@ exact on affine functions; the sparse interpolation operator agrees with
 interp_grid and its rows are partitions of unity.  The 2-D d_1 is symmetric,
 obeys the triangle inequality, agrees with the 1-D CDF formula on data laid
 along an axis, and matches a full-support transport LP per row, also as the
-stopping residual of a 2-D fixed point.
+stopping residual of a 2-D fixed point.  The Legendre transform of the
+kinetic Lagrangian |v|^2/2 is |p|^2/2, attained at v = p.
 """
 
 from unittest import mock
@@ -251,3 +252,18 @@ def test_2d_fixed_point_stops_where_the_reference_lp_stops():
     assert got.iterations == want.iterations
     np.testing.assert_allclose(got.residuals, want.residuals, rtol=1e-12, atol=0)
     np.testing.assert_array_equal(got.m_path.weights, want.m_path.weights)
+
+
+@SETTINGS
+@given(data=st.data(), dim=st.sampled_from([1, 2]), v_max=st.floats(0.5, 5.0),
+       half=st.integers(3, 40))
+def test_legendre_of_kinetic_lagrangian_is_half_square(data, dim, v_max, half):
+    grid = M.GridSpec([-1.0] * dim, [1.0] * dim, [3] * dim, 0.1, v_max, 2 * half + 1)
+    dv = grid.v_axis[1] - grid.v_axis[0]
+    inner = st.floats(-(v_max - 2 * dv), v_max - 2 * dv)  # two steps inside the edge
+    p = np.array([data.draw(inner) for _ in range(dim)])
+    x = points_in(data.draw, grid, 1)[0]
+    H, vstar = M.legendre_transform(M.quadratic_kinetic(), x, p if dim == 2 else p[0], grid)
+    sq = float(p @ p)
+    assert abs(H - 0.5 * sq) <= 1e-12 * (1.0 + sq)
+    np.testing.assert_allclose(np.atleast_1d(vstar), p, rtol=0, atol=1e-12 * (1.0 + sq))
