@@ -29,7 +29,6 @@ from .ergodic import (
 from .hjb import (
     TerminalDatum,
     ValueField,
-    departure_operator,
     gradient,
     hopf_lax_oracle,
     lipschitz_estimate,

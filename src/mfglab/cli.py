@@ -319,6 +319,8 @@ def _collect_params(args, needs_T=False, T_is_list=False):
     # a NaN, infinite or negative tolerance can never be met (NaN fails both tests)
     if "tol" in params and not (math.isfinite(params["tol"]) and params["tol"] >= 0):
         raise ValueError(f"--tol must be a finite number >= 0, got {params['tol']}")
+    if "R" in params and not (math.isfinite(params["R"]) and params["R"] > 0):
+        raise ValueError(f"--R must be a finite radius > 0, got {params['R']}")
     if needs_T:
         if T_is_list:
             params["T_list"] = [float(s) for s in str(args.T).split(",")]

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CycleDetected, MinOnBoundary, NoStabilization, NotReversible
-from .hjb import TerminalDatum, _grid_lipschitz, departure_operator, solve_backward
+from .hjb import TerminalDatum, _grid_lipschitz, solve_backward
 from .measure import GridMeasure, wasserstein1
 from .model import ARGMIN_TOL, MeanFieldLagrangian, interp_grid
 
@@ -85,11 +85,9 @@ def weak_kam_solution(L, coupling, grid, m_bar, lam, tol=1e-6, horizon_cap=128.0
 
     Runs the backward solve for the frozen cost L + F(., m_bar) + lam,
     doubling the accumulated horizon (semigroup restarts from the previous
-    slice) until the sup-norm change between doublings is below tol.  Every
-    doubling reuses one interpolation operator.  Raises NoStabilization past
-    horizon_cap.
+    slice) until the sup-norm change between doublings is below tol.  Raises
+    NoStabilization past horizon_cap.
     """
-    P = departure_operator(grid)
     Fbar = coupling.values_on(grid, m_bar) + lam
     w = (uf.values_on(grid) if uf is not None else np.zeros(grid.n_points))
     T_inc = max(1.0, 64 * grid.dt)
@@ -98,7 +96,7 @@ def weak_kam_solution(L, coupling, grid, m_bar, lam, tol=1e-6, horizon_cap=128.0
         datum = TerminalDatum(lambda pts, w=w: w,
                               lip=_grid_lipschitz(grid, w) + 1e-9,
                               c0=max(0.0, -float(w.min())) + 1e-9)
-        vf = solve_backward(L, Fbar, datum, grid, T_inc, operator=P)
+        vf = solve_backward(L, Fbar, datum, grid, T_inc)
         w_new = vf.values[0]
         total += T_inc
         change = float(np.abs(w_new - w).max())

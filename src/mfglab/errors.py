@@ -50,6 +50,10 @@ class SupportTooLarge(MFGLabError):
     pass
 
 
+class TransportLPFailed(MFGLabError):
+    """HiGHS returned no optimum for a d_1 transport LP (CLI exit code 5)."""
+
+
 class NotLipschitz(MFGLabError):
     pass
 

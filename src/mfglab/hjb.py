@@ -11,15 +11,14 @@ multilinearly, and the minimizing velocity stored as the optimal feedback.
 Interpolation clamps to the box, which encodes state constraints at the
 (remote) boundary.
 
-The departure points x + dt v depend only on the grid, so their
-interpolation is built once per solver run as a sparse operator
-(``departure_operator``; N * nV rows of 2^n weights, N * nV * 2^n * 12 bytes:
-1.5 MB on RI-1, 8.7 MB on a 25x25 grid with 17^2 velocities).  Fictitious
-play and the weak-KAM horizon doubling build it before their loops and hand
-it to every ``solve_backward`` call, so it is freed when they return.  A
-step is then one sparse product plus the precomputed dt * L, a minimization
-over velocities, and dt * F(x, t_k) added afterwards, which is exact because
-F does not depend on v.
+The shift dt * v / dx of a departure point x + dt v is the same at every
+node, so each axis of the interpolation is one small (W, nv) weight matrix
+applied to a sliding window of the edge-padded value array (a shift-invariant
+stencil, see Falcone & Ferretti, Semi-Lagrangian Approximation Schemes for
+Linear and Hamilton-Jacobi Equations, SIAM 2013).  Edge padding reproduces
+the clamp to the box.  A step is one small matrix product per axis plus the
+precomputed dt * L, a minimization over velocities, and dt * F(x, t_k) added
+afterwards, which is exact because F does not depend on v.
 """
 
 from __future__ import annotations
@@ -28,9 +27,10 @@ import csv
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import MinimizerOnBoundary, NotLipschitz
-from .model import interp_grid, interp_operator
+from .model import interp_grid
 
 
 @dataclass
@@ -133,27 +133,59 @@ def _as_path_values(F_path, grid, K):
     return F
 
 
-def departure_operator(grid):
-    """Sparse interpolation at the departure points x + dt v, node-major.
+def _departure_step(grid):
+    """Function u -> (N, nV) array of Interp[u](grid.points[i] + dt * velocities[j]).
 
-    Row i * nV + j interpolates at grid.points[i] + dt * velocities[j]; N * nV
-    rows of 2^n corner weights, N * nV * 2^n * 12 bytes.
+    Per axis d the shift s_j = dt * v_j / dx_d has floor m_j and fraction
+    a_j; a (W_d, nv) matrix puts 1 - a_j at row m_j - min m and a_j below
+    it, W_d = max m - min m + 2.  Stage d contracts axis d of the
+    edge-padded values with it and appends the velocity axis, so the last
+    stage is node-major with row-major velocities.  Buffers are allocated
+    once: each call overwrites the array the previous call returned.
     """
-    return interp_operator(grid, grid.points[:, None] + grid.dt * grid.velocities[None])
+    nv = grid.v_nodes
+    weights, cells = [], []
+    for n, dx in zip(grid.nodes, grid.dx):
+        s = grid.dt * grid.v_axis / dx
+        m = np.floor(s)
+        row = (m - m.min()).astype(int)
+        w = np.zeros((row.max() + 2, nv))
+        w[row, np.arange(nv)] = 1 - (s - m)
+        w[row + 1, np.arange(nv)] = s - m
+        weights.append(w)
+        # node of each padded cell, -min m below the axis and max m + 1 above it
+        cells.append(np.clip(np.arange(int(m.min()), n + int(m.max()) + 1), 0, n - 1))
+    source = np.ravel_multi_index(np.ix_(*cells), grid.nodes)  # edge padding = clamp
+    padded = out = np.empty(source.shape)
+    stages = []
+    for d, w in enumerate(weights):
+        win = sliding_window_view(out, len(w), axis=d)
+        rows = np.empty(win.shape)  # contiguous copy of the windows, a GEMM operand
+        out = np.empty(win.shape[:-1] + (nv,))
+        stages.append((win, rows, w, out.reshape(-1, nv)))
+    cand = out.reshape(grid.n_points, -1)
+
+    def step(u):
+        np.take(u, source, out=padded)
+        for win, rows, w, res in stages:
+            np.copyto(rows, win)
+            np.matmul(rows.reshape(-1, len(w)), w, out=res)
+        return cand
+
+    return step
 
 
-def solve_backward(L, F_path, uf, grid, T, check_boundary=True, operator=None):
+def solve_backward(L, F_path, uf, grid, T, check_boundary=True):
     """Dynamic-programming solve of the backward HJ equation on [0, T].
 
     u(t_k, x) = min over grid velocities v of
         dt * [L(x, v) + F(x, t_k)] + Interp[u(t_{k+1})](x + dt v).
 
-    The departure points x + dt v are the same at every step and in every
-    solve on one grid, so their interpolation is one sparse operator P
-    (``departure_operator(grid)``), built once per solver run: pass it as
-    ``operator`` to reuse it across solves; when it is None it is built here.
-    A step is ``P @ u(t_{k+1})`` plus the precomputed dt * L.  F does not
-    depend on v, so dt * F is added after the minimization.
+    Interpolation at the departure points x + dt v is a shift-invariant
+    stencil built here (``_departure_step``, a few KB, no N * nV operator):
+    a step costs N * W_d * nv multiply-adds per axis d, W_d about
+    2 v_max dt / dx_d, plus the precomputed dt * L.  F does not depend on v,
+    so dt * F is added after the minimization.
 
     Returns a ValueField whose feedback rows hold the minimizing velocity
     per (t_k, node); ties go to the lowest velocity index.  Raises
@@ -167,19 +199,16 @@ def solve_backward(L, F_path, uf, grid, T, check_boundary=True, operator=None):
     N = grid.n_points
     dt = grid.dt
     V = grid.velocities
-    nV = len(V)
     # node-major (N, nV): the argmin over velocities reads contiguous rows
     dtL = dt * np.asarray(L.eval(grid.points[:, None], V[None]), dtype=float)
-    P = departure_operator(grid) if operator is None else operator
-    edge = np.zeros(nV, dtype=bool)
-    for j in np.unravel_index(np.arange(nV), (grid.v_nodes,) * grid.dim):
-        edge |= (j == 0) | (j == grid.v_nodes - 1)
+    departure = _departure_step(grid)
+    edge = (np.abs(grid.coordinates(V)) == grid.v_max).any(axis=1)  # linspace ends exactly
     values = np.empty((K + 1, N))
     feedback = np.empty((K,) + grid.points.shape)
     values[K] = uT
     arangeN = np.arange(N)
     for k in range(K - 1, -1, -1):
-        cand = (P @ values[k + 1]).reshape(N, nV)
+        cand = departure(values[k + 1])
         cand += dtL
         jstar = cand.argmin(axis=1)
         if check_boundary:

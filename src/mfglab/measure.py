@@ -18,7 +18,8 @@ import numpy as np
 from scipy import sparse
 from scipy.optimize import linprog
 
-from .errors import EscapedBox, NotLipschitz, SupportTooLarge, UnsupportedDimension
+from .errors import (EscapedBox, NotLipschitz, SupportTooLarge, TransportLPFailed,
+                     UnsupportedDimension)
 from .model import cell_corners
 
 MASS_TOL = 1e-12
@@ -194,7 +195,7 @@ def _d1_lp(grid, diffs):
                           shape=(ncon, nvar))
     res = linprog(cost, A_eq=A, b_eq=np.concatenate(rhs), bounds=(0, None), method="highs")
     if not res.success:
-        raise RuntimeError(f"transport LP failed: {res.message}")
+        raise TransportLPFailed(f"transport LP failed: {res.message}")
     for k, s in blocks:
         out[k] = cost[s] @ res.x[s]
     return out

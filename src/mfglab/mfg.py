@@ -14,8 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import AssumptionFailure
-from .hjb import (TerminalDatum, departure_operator, lipschitz_estimate, solve_backward,
-                  time_lipschitz_estimate)
+from .hjb import TerminalDatum, lipschitz_estimate, solve_backward, time_lipschitz_estimate
 from .measure import GridMeasure, MeasurePath, sup_d1
 from .model import check_F4_gap, check_strict_tonelli
 from .transport import measure_path, trace_optimal_flow
@@ -93,7 +92,6 @@ def solve_finite_horizon(L, coupling, m0, uf, grid, T, params=None):
         _check_standing_assumptions(L, coupling, grid, m0, uf_datum)
 
     K = grid.time_steps(T)
-    P = departure_operator(grid)  # one interpolation operator for every iteration
     f_nodes = None
     if coupling.separable is not None:
         f_nodes = coupling.separable[0](grid.points)
@@ -106,7 +104,7 @@ def solve_finite_horizon(L, coupling, m0, uf, grid, T, params=None):
     it = 0
     for it in range(params.max_iters):
         F = coupling.path_values(grid, W, f_nodes)
-        vf = solve_backward(L, F, uf_datum, grid, T, operator=P)
+        vf = solve_backward(L, F, uf_datum, grid, T)
         bundle = trace_optimal_flow(vf, m0)
         new_path = measure_path(bundle)
         theta = params.theta(it)

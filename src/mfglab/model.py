@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import sparse
 
 from .errors import (
     GapViolated,
@@ -24,7 +23,6 @@ from .errors import (
 ARGMIN_TOL = 1e-10  # two node values within this are treated as tied minima
 HESSIAN_RTOL = 1e-3  # relative tolerance on finite-difference matrix bounds
 AXIS_NAMES = ("x", "y")  # coordinate column names in CSV outputs
-OPERATOR_BLOCK = 16384  # points per interpolation-stencil pass in interp_operator
 
 
 # ---------------------------------------------------------------------------
@@ -78,10 +76,6 @@ class GridSpec:
         self.points = _tensor_points(self.axes)
         self.v_axis = np.linspace(-self.v_max, self.v_max, self.v_nodes)
         self.velocities = _tensor_points((self.v_axis,) * self.dim)
-
-    @property
-    def dx_max(self):
-        return max(self.dx)
 
     def coordinates(self, pts=None):
         """Points or velocities (the nodes by default) as a (P, n) array."""
@@ -198,34 +192,6 @@ def interp_grid(grid, values, pts):
             term = term * w
         out = term if out is None else out + term
     return out.reshape(np.shape(pts)[:-1])
-
-
-def interp_operator(grid, pts):
-    """Clamped multilinear interpolation at fixed points as a CSR matrix.
-
-    Row p of the (P, N) result holds the 2^n corner weights of point p, so
-    ``interp_operator(grid, pts) @ values`` equals ``interp_grid(grid,
-    values, pts)`` up to rounding.  This matrix is the largest the backward
-    solve holds, P * 2^n * 12 bytes, so its arrays are filled in place, one
-    column per corner, a block of OPERATOR_BLOCK points at a time; the
-    stencil's temporaries then stay a few MB at any P.
-    """
-    corners = 2**grid.dim
-    coords = grid.coordinates(pts)
-    rows = coords.shape[0]
-    data = np.empty((rows, corners))
-    indices = np.empty((rows, corners), dtype=np.int32)
-    for start in range(0, rows, OPERATOR_BLOCK):
-        block = slice(start, start + OPERATOR_BLOCK)
-        for c, (idx, weights) in enumerate(cell_corners(grid, coords[block], clamp=True)):
-            indices[block, c] = idx
-            col = data[block, c]
-            col[:] = weights[0]
-            for w in weights[1:]:
-                col *= w
-    indptr = np.arange(0, corners * rows + 1, corners)
-    return sparse.csr_matrix((data.ravel(), indices.ravel(), indptr),
-                             shape=(rows, grid.n_points))
 
 
 # ---------------------------------------------------------------------------

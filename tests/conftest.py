@@ -7,7 +7,6 @@ because two acceptance criteria carry wall-clock budgets.
 
 import time
 
-import numpy as np
 import pytest
 
 import mfglab as M
@@ -58,19 +57,3 @@ def long_ladder(ri1):
         sols[T] = sol
         wides[T] = M.trace_optimal_flow(sol.u, m_wide)
     return sols, wides
-
-
-@pytest.fixture
-def operator_builds(monkeypatch):
-    """List that grows by one entry per departure-operator build, for this test."""
-    from mfglab import hjb
-
-    builds = []
-    build = hjb.interp_operator
-
-    def counting(grid, pts):
-        builds.append(np.shape(pts))
-        return build(grid, pts)
-
-    monkeypatch.setattr(hjb, "interp_operator", counting)
-    return builds

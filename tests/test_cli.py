@@ -6,7 +6,9 @@ import subprocess
 import sys
 
 import pytest
+from scipy.optimize import OptimizeResult
 
+from mfglab import cli, measure
 from mfglab.cli import main
 
 
@@ -255,6 +257,28 @@ def test_bad_instance_document_is_config_error(tmp_path, capsys, section, patch,
 def test_bad_number_flag_is_config_error(tmp_path, capsys, args, value):
     assert run([*args, "--instance", "RI-1", "--out", str(tmp_path / "x")]) == 4
     assert value in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("radius", ["-1", "nan"])
+def test_bad_radius_is_rejected_before_any_solve(tmp_path, capsys, monkeypatch, radius):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a solver ran")
+
+    monkeypatch.setattr(cli, "solve_ergodic", no_solve)
+    assert run(["converge", "--instance", "RI-1", "--T", "2,4", "--R", radius,
+                "--out", str(tmp_path / "x")]) == 4
+    assert f"--R must be a finite radius > 0, got {float(radius)}" in capsys.readouterr().err
+
+
+def test_failed_transport_lp_is_solver_failure(tmp_path, capsys, monkeypatch):
+    def failed(*args, **kwargs):
+        return OptimizeResult(success=False, status=2, message="The problem is infeasible.")
+
+    monkeypatch.setattr(measure, "linprog", failed)
+    config = os.path.join(os.path.dirname(__file__), "..", "bench", "ri2.json")
+    assert run(["horizon", "--config", config, "--T", "2", "--tol", "5e-4",
+                "--out", str(tmp_path / "x")]) == 5
+    assert "transport LP failed: The problem is infeasible." in capsys.readouterr().err
 
 
 def test_zero_tolerance_is_accepted(tmp_path):

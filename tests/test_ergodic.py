@@ -150,14 +150,3 @@ def test_weak_kam_rejects_wrong_multiplier(ri1, ergodic_sol):
     with pytest.raises((errors.NoStabilization, errors.AssumptionFailure, ValueError)):
         M.weak_kam_solution(ri1.L, ri1.coupling, ri1.grid, sol.m_bar,
                             sol.lam - 0.5, horizon_cap=16.0)
-
-
-def test_weak_kam_builds_one_operator(ri1_coarse, operator_builds):
-    inst = ri1_coarse
-    g = inst.grid
-    m_bar = M.GridMeasure.dirac(g, 0.0)
-    lam = M.critical_value(inst.L, inst.coupling, g, m_bar)
-    _, horizon = M.weak_kam_solution(inst.L, inst.coupling, g, m_bar, lam)
-    first = max(1.0, 64 * g.dt)  # the horizon of the first solve
-    assert horizon >= 2 * first  # at least two backward solves
-    assert len(operator_builds) == 1

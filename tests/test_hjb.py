@@ -209,16 +209,3 @@ def test_hj_residual_small_and_stable():
         vals[dx] = hjb.hj_residual(vf, M.quadratic_kinetic(), None, sample_ks=ks)
         assert vals[dx] <= 2.0 * (dx + dx)
     assert vals[0.02] <= vals[0.04] * 1.2 + 1e-12
-
-
-@pytest.mark.parametrize("name", sorted(SMALL_GRIDS))
-def test_backward_solve_with_given_operator_matches_default(name):
-    g, phi = SMALL_GRIDS[name]
-    L = M.quadratic_kinetic(potential=lambda x: 0.2 * phi(x), C3=1.0)
-    c = g.coordinates()
-    uT = 0.113 * ((c - 0.317) ** 2).sum(axis=1)
-    F = 0.217 * np.cos(c[:, 0])
-    default = M.solve_backward(L, F, uT, g, 0.5)
-    given = M.solve_backward(L, F, uT, g, 0.5, operator=M.departure_operator(g))
-    np.testing.assert_array_equal(given.values, default.values)
-    np.testing.assert_array_equal(given.feedback, default.feedback)

@@ -203,16 +203,3 @@ def test_diagnostics_contents(ladder):
         assert d["max_speed"] <= 4.0
         assert d["lipschitz_B2"] > 0
         assert d["mass_drift"] <= 1e-12
-
-
-# ---------------------------------------------------------------------------
-# one interpolation operator per solver run
-
-
-def test_fictitious_play_builds_one_operator(operator_builds):
-    g = grid1d(0.04)
-    m0 = M.GridMeasure.uniform_on(g, -1.0, 1.0)
-    sol = M.solve_finite_horizon(M.quadratic_kinetic(), decoupled_coupling(),
-                                 m0, zero_terminal(), g, 2.0)
-    assert sol.iterations >= 2
-    assert len(operator_builds) == 1

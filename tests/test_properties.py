@@ -2,8 +2,8 @@
 
 Deposit keeps mass and first moment, also over a batch of point sets;
 interpolation, the grid Lipschitz constant and the upwind gradient are
-exact on affine functions; the sparse interpolation operator agrees with
-interp_grid and its rows are partitions of unity.  The 2-D d_1 is symmetric,
+exact on affine functions; the backward step's departure values agree with
+interp_grid at every x + dt v, past the box too.  The 2-D d_1 is symmetric,
 obeys the triangle inequality, agrees with the 1-D CDF formula on data laid
 along an axis, and matches a full-support transport LP per row, also as the
 stopping residual of a 2-D fixed point.  The Legendre transform of the
@@ -20,8 +20,8 @@ from scipy import sparse
 from scipy.optimize import linprog
 
 import mfglab as M
-from mfglab import mfg, model
-from mfglab.hjb import _grid_lipschitz
+from mfglab import mfg
+from mfglab.hjb import _departure_step, _grid_lipschitz
 from mfglab.measure import _d1_lp, deposit, sup_d1
 
 SETTINGS = settings(max_examples=40, deadline=None)
@@ -96,24 +96,35 @@ def test_interp_grid_exact_on_affine_with_clamping(data, slope, offset):
     np.testing.assert_allclose(got, affine_on(grid, slope, offset, clamped), atol=1e-10)
 
 
+@st.composite
+def step_grids(draw):
+    """A grid with its own dt, v_max and v_nodes (even or odd).
+
+    Each axis has its own dx, and the largest shift dt * v_max reaches up to
+    1.5 box widths, so departure points fall past the box on either side.
+    """
+    g = draw(grids())
+    dt = draw(st.floats(0.01, 1.0))
+    reach = draw(st.floats(0.05, 1.5)) * max(b - a for a, b in zip(g.lo, g.hi))
+    return M.GridSpec(g.lo, g.hi, g.nodes, dt, reach / dt, draw(st.integers(3, 12)))
+
+
 @SETTINGS
-@given(data=st.data(), slope=st.lists(finite, min_size=2, max_size=2), offset=finite)
-def test_interp_operator_matches_interp_grid(data, slope, offset):
-    grid = data.draw(grids())
-    pts = points_in(data.draw, grid, 10, margin=0.5)  # some points outside the box
-    with mock.patch.object(model, "OPERATOR_BLOCK", data.draw(st.integers(1, 12))):
-        P = model.interp_operator(grid, pts)
-    assert P.shape == (10, grid.n_points)
-    assert (np.diff(P.indptr) == 2**grid.dim).all()
-    np.testing.assert_allclose(P.sum(axis=1).A1, 1.0, rtol=0, atol=1e-15)
+@given(grid=step_grids(), data=st.data(), slope=st.lists(finite, min_size=2, max_size=2),
+       offset=finite)
+def test_departure_step_matches_interp_grid(grid, data, slope, offset):
+    step = _departure_step(grid)
+    pts = grid.points[:, None] + grid.dt * grid.velocities[None]  # every x + dt v
     size = grid.n_points
     vals = np.asarray(data.draw(st.lists(st.floats(-1e3, 1e3), min_size=size,
                                          max_size=size)))
-    np.testing.assert_allclose(P @ vals, M.interp_grid(grid, vals, pts), rtol=0,
+    cand = step(vals)
+    assert cand.shape == (size, len(grid.velocities))
+    np.testing.assert_allclose(cand, M.interp_grid(grid, vals, pts), rtol=0,
                                atol=1e-13 * (1 + np.abs(vals).max()))
     clamped = np.clip(grid.coordinates(pts), grid.lo, grid.hi)
-    affine = affine_on(grid, slope, offset, grid.points)
-    np.testing.assert_allclose(P @ affine, affine_on(grid, slope, offset, clamped),
+    affine = step(affine_on(grid, slope, offset, grid.points))
+    np.testing.assert_allclose(affine.ravel(), affine_on(grid, slope, offset, clamped),
                                atol=1e-10)
 
 
