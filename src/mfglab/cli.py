@@ -22,7 +22,6 @@ import os
 import sys
 import tempfile
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 from . import __version__
 from .analysis import convergence_metrics
@@ -40,13 +39,13 @@ EXIT_IO = 4
 EXIT_SOLVER = 5
 
 
-def _atomic_write(path, data):
-    """Write via a temp file in the same directory, then rename."""
-    d = os.path.dirname(os.path.abspath(path)) or "."
+def _atomic_write(path, writer):
+    """Run writer(tmp) on a temp file in path's directory, then rename it to path."""
+    d = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp_", suffix=os.path.basename(path))
+    os.close(fd)
     try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(data)
+        writer(tmp)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -54,19 +53,12 @@ def _atomic_write(path, data):
         raise
 
 
-def _atomic_move_into(out_dir, writer, filename):
-    """Run writer(tmp_path) then rename tmp into out_dir/filename."""
-    fd, tmp = tempfile.mkstemp(dir=out_dir, prefix=".tmp_", suffix=filename)
-    os.close(fd)
-    try:
-        writer(tmp)
-        dest = os.path.join(out_dir, filename)
-        os.replace(tmp, dest)
-        return dest
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+def _text(make):
+    """Writer that saves the string make() returns."""
+    def write(path):
+        with open(path, "w") as fh:
+            fh.write(make())
+    return write
 
 
 def _sha256(path):
@@ -95,7 +87,7 @@ def write_manifest(out_dir, subcommand, params, outputs, measured, timings):
         "timings": timings,
     }
     path = os.path.join(out_dir, "manifest.json")
-    _atomic_write(path, _canonical_json(manifest))
+    _atomic_write(path, _text(lambda: _canonical_json(manifest)))
     return path
 
 
@@ -109,7 +101,9 @@ def read_manifest(path):
 
 
 # ---------------------------------------------------------------------------
-# subcommand bodies (shared between the CLI and reproduce)
+# subcommand bodies (shared between the CLI and reproduce): each takes the
+# params and the loaded instance and returns ({filename: writer(path)},
+# measured, exit code, lines to print)
 
 
 def _instance(params):
@@ -118,9 +112,7 @@ def _instance(params):
                          dx=params.get("dx"), dt=params.get("dt"))
 
 
-def _run_verify(params, out_dir):
-    inst = _instance(params)
-    t0 = time.perf_counter()
+def _run_verify(params, inst):
     lines = []
     ok = True
     rep = check_strict_tonelli(inst.L, inst.grid)
@@ -128,7 +120,7 @@ def _run_verify(params, out_dir):
     ok &= rep.passed
     if rep.growth_flags:
         lines.append(f"growth_flags: {len(rep.growth_flags)} sample(s) flagged")
-    probes = default_probes(inst.coupling, inst.grid, seed=params.get("seed", 0))
+    probes = default_probes(inst.coupling, inst.grid)
     try:
         gap = check_F4_gap(inst.coupling, inst.L, inst.grid, probes)
         lines.append(f"confinement_gap: pass (min gap {gap:.6f} >= {inst.coupling.delta0})")
@@ -150,114 +142,77 @@ def _run_verify(params, out_dir):
         lines.append(f"terminal_datum: FAIL ({e})")
         ok = False
     measured = {"min_gap": gap, "witness_node": witness, "passed": bool(ok)}
-    outputs = []
-    if out_dir:
-        report = "".join(line + "\n" for line in lines)
-        dest = _atomic_move_into(out_dir, lambda p: _atomic_write(p, report), "verify.txt")
-        outputs.append(dest)
-    timings = {"seconds": round(time.perf_counter() - t0, 3)}
-    return ok, lines, outputs, measured, timings
+    writers = {"verify.txt": _text(lambda: "".join(line + "\n" for line in lines))}
+    return writers, measured, (EXIT_OK if ok else EXIT_ASSUMPTION), lines
 
 
-def _run_ergodic(params, out_dir):
-    inst = _instance(params)
-    t0 = time.perf_counter()
-    sol = solve_ergodic(inst.L, inst.coupling, inst.grid, tol=params.get("tol", 1e-6))
-    timings = {"seconds": round(time.perf_counter() - t0, 3)}
-    outputs = []
-    if out_dir:
-        g = inst.grid
+def _run_ergodic(params, inst):
+    g = inst.grid
+    sol = solve_ergodic(inst.L, inst.coupling, g, tol=params.get("tol", 1e-6))
 
-        def write_ubar(p):
-            names, coords = g.csv_columns()
-            rows = [",".join(["node_index", *names, "ubar"]) + "\n"]
-            for i, (c, u) in enumerate(zip(coords, sol.u_bar.tolist())):
-                rows.append(",".join([str(i), *c, repr(u)]) + "\n")
-            _atomic_write(p, "".join(rows))
+    def ubar_csv():
+        names, coords = g.csv_columns()
+        rows = [",".join(["node_index", *names, "ubar"]) + "\n"]
+        for i, (c, u) in enumerate(zip(coords, sol.u_bar.tolist())):
+            rows.append(",".join([str(i), *c, repr(u)]) + "\n")
+        return "".join(rows)
 
-        outputs.append(_atomic_move_into(out_dir, write_ubar, "ubar.csv"))
-        outputs.append(_atomic_move_into(out_dir, lambda p: sol.m_bar.to_csv(p), "mbar.csv"))
     measured = {
         "lambda": sol.lam,
         "mather_node": sol.mather_node,
-        "mather_x": inst.grid.points[sol.mather_node].tolist(),
+        "mather_x": g.points[sol.mather_node].tolist(),
         "horizon_used": sol.horizon_used,
         "residuals": {k: float(v) for k, v in sol.residuals.items()},
     }
-    return sol, outputs, measured, timings
+    lines = [f"lambda = {sol.lam!r}", f"mather node x = {measured['mather_x']!r}"]
+    return {"ubar.csv": _text(ubar_csv), "mbar.csv": sol.m_bar.to_csv}, measured, EXIT_OK, lines
 
 
-def _run_horizon(params, out_dir):
-    inst = _instance(params)
-    t0 = time.perf_counter()
-    mfg_params = MFGParams(tol=params.get("tol", 1e-4),
-                           max_iters=params.get("max_iters", 60))
-    sol = solve_finite_horizon(inst.L, inst.coupling, inst.m0, inst.uf,
-                               inst.grid, params["T"], mfg_params)
-    timings = {"seconds": round(time.perf_counter() - t0, 3)}
-    outputs = []
-    if out_dir:
-        outputs.append(_atomic_move_into(out_dir, lambda p: sol.u.to_csv(p), "u.csv"))
-        outputs.append(_atomic_move_into(out_dir, lambda p: sol.m_path.to_csv(p), "mpath.csv"))
+def _run_horizon(params, inst):
+    sol = solve_finite_horizon(inst.L, inst.coupling, inst.m0, inst.uf, inst.grid,
+                               params["T"], MFGParams(tol=params.get("tol", 1e-4)))
     measured = {
         "converged": sol.converged,
         "iterations": sol.iterations,
         "final_residual": sol.residuals[-1] if sol.residuals else None,
         **{k: float(v) for k, v in sol.diagnostics.items()},
     }
-    return sol, outputs, measured, timings
+    lines = [f"converged = {sol.converged} after {sol.iterations} iterations",
+             f"final residual = {measured['final_residual']!r}"]
+    code = EXIT_OK if sol.converged else EXIT_NO_CONVERGENCE
+    return {"u.csv": sol.u.to_csv, "mpath.csv": sol.m_path.to_csv}, measured, code, lines
 
 
-def _run_converge(params, out_dir):
-    inst = _instance(params)
-    t0 = time.perf_counter()
+def _run_converge(params, inst):
     T_list = params["T_list"]
     R = params.get("R", 3.0)
     for T in T_list:  # reject a bad horizon before any solve
         inst.grid.time_steps(T)
     erg = solve_ergodic(inst.L, inst.coupling, inst.grid, tol=params.get("tol", 1e-6))
-    mfg_params = MFGParams(tol=params.get("tol", 1e-4),
-                           max_iters=params.get("max_iters", 60))
-
-    def run_one(T):
-        return T, solve_finite_horizon(inst.L, inst.coupling, inst.m0, inst.uf,
-                                       inst.grid, T, mfg_params)
-
-    threads = max(1, int(params.get("threads", 1)))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            sols = dict(ex.map(run_one, T_list))
-    else:
-        sols = dict(map(run_one, T_list))
+    mfg_params = MFGParams(tol=params.get("tol", 1e-4))
+    sols = {T: solve_finite_horizon(inst.L, inst.coupling, inst.m0, inst.uf, inst.grid,
+                                    T, mfg_params)
+            for T in T_list}
     all_converged = all(s.converged for s in sols.values())
     rep = convergence_metrics(sols, erg, inst.coupling, R)
-    timings = {"seconds": round(time.perf_counter() - t0, 3)}
-    outputs = []
-    if out_dir:
-        def write_report(p):
-            rows = ["T,e_u,e_F,e_u_scaled,e_F_scaled\n"]
-            for T, eu, ef, eus, efs in rep.rows():
-                rows.append(f"{T!r},{eu!r},{ef!r},{eus!r},{efs!r}\n")
-            _atomic_write(p, "".join(rows))
 
-        outputs.append(_atomic_move_into(out_dir, write_report, "report.csv"))
+    def report_csv():
+        rows = ["T,e_u,e_F,e_u_scaled,e_F_scaled\n"]
+        for T, eu, ef, eus, efs in rep.rows():
+            rows.append(f"{T!r},{eu!r},{ef!r},{eus!r},{efs!r}\n")
+        return "".join(rows)
 
-        def write_dat(which):
-            def w(p):
-                rows = [f"# T  e_{which}\n"]
-                es = rep.e_u if which == "u" else rep.e_F
-                for T, e in zip(rep.T_list, es):
-                    rows.append(f"{T!r} {e!r}\n")
-                _atomic_write(p, "".join(rows))
-            return w
+    def dat(which, es):
+        return lambda: "".join([f"# T  e_{which}\n"]
+                               + [f"{T!r} {e!r}\n" for T, e in zip(rep.T_list, es)])
 
-        outputs.append(_atomic_move_into(out_dir, write_dat("u"), "eu.dat"))
-        outputs.append(_atomic_move_into(out_dir, write_dat("F"), "ef.dat"))
-        fit = {"rate_u": rep.rate_u, "rate_F": rep.rate_F,
-               "C_hat_u": rep.C_hat_u, "C_hat_F": rep.C_hat_F,
-               "R": R, "lambda": erg.lam}
-        outputs.append(_atomic_move_into(
-            out_dir, lambda p: _atomic_write(p, _canonical_json(fit)), "fit.json"))
+    fit = {"rate_u": rep.rate_u, "rate_F": rep.rate_F,
+           "C_hat_u": rep.C_hat_u, "C_hat_F": rep.C_hat_F,
+           "R": R, "lambda": erg.lam}
+    writers = {"report.csv": _text(report_csv),
+               "eu.dat": _text(dat("u", rep.e_u)),
+               "ef.dat": _text(dat("F", rep.e_F)),
+               "fit.json": _text(lambda: _canonical_json(fit))}
     measured = {
         "lambda": erg.lam,
         "e_u": rep.e_u,
@@ -268,7 +223,17 @@ def _run_converge(params, out_dir):
         "C_hat_F": rep.C_hat_F,
         "all_converged": all_converged,
     }
-    return rep, outputs, measured, timings, all_converged
+    lines = [f"T={T!r}: e_u={eu!r} e_F={ef!r}" for T, eu, ef in
+             zip(rep.T_list, rep.e_u, rep.e_F)]
+    lines.append(f"slope(e_u) = {rep.rate_u['slope']:.3f}, "
+                 f"slope(e_F) = {rep.rate_F['slope']:.3f}")
+    return writers, measured, (EXIT_OK if all_converged else EXIT_NO_CONVERGENCE), lines
+
+
+_RUNS = {"verify": _run_verify, "ergodic": _run_ergodic,
+         "horizon": _run_horizon, "converge": _run_converge}
+# params each subcommand reads without a default, besides "instance"
+_PARAMS_READ = {"horizon": ("T",), "converge": ("T_list",)}
 
 
 # ---------------------------------------------------------------------------
@@ -291,8 +256,8 @@ def _parser():
         sp.add_argument("--tol", type=float, default=None)
         sp.add_argument("--R", type=float, default=None)
         sp.add_argument("--out", default=None, help="output directory")
-        sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--threads", type=int, default=1)
+        sp.add_argument("--threads", type=int, default=1,
+                        help="recorded in the manifest and otherwise ignored")
 
     common(sub.add_parser("verify", help="run the assumption checks"))
     common(sub.add_parser("ergodic", help="solve the stationary system"))
@@ -306,8 +271,7 @@ def _parser():
 def _collect_params(args, needs_T=False, T_is_list=False):
     if not args.instance and not args.config:
         raise ValueError("pass --instance or --config")
-    params = {"instance": args.config or args.instance, "seed": args.seed,
-              "threads": args.threads}
+    params = {"instance": args.config or args.instance, "threads": args.threads}
     if args.config:
         with open(args.config) as fh:
             params["document"] = json.load(fh)
@@ -329,50 +293,53 @@ def _collect_params(args, needs_T=False, T_is_list=False):
     return params
 
 
-def _ensure_out(args):
-    out = args.out
-    if out:
-        os.makedirs(out, exist_ok=True)
-    return out
-
-
 def _dispatch(command, params, out_dir):
-    """Shared between normal runs and reproduce re-runs."""
-    if command == "verify":
-        ok, lines, outputs, measured, timings = _run_verify(params, out_dir)
-        return outputs, measured, timings, (EXIT_OK if ok else EXIT_ASSUMPTION), lines
-    if command == "ergodic":
-        sol, outputs, measured, timings = _run_ergodic(params, out_dir)
-        lines = [f"lambda = {sol.lam!r}", f"mather node x = {measured['mather_x']!r}"]
-        return outputs, measured, timings, EXIT_OK, lines
-    if command == "horizon":
-        sol, outputs, measured, timings = _run_horizon(params, out_dir)
-        lines = [f"converged = {sol.converged} after {sol.iterations} iterations",
-                 f"final residual = {measured['final_residual']!r}"]
-        code = EXIT_OK if sol.converged else EXIT_NO_CONVERGENCE
-        return outputs, measured, timings, code, lines
-    if command == "converge":
-        rep, outputs, measured, timings, all_conv = _run_converge(params, out_dir)
-        lines = [f"T={T!r}: e_u={eu!r} e_F={ef!r}" for T, eu, ef in
-                 zip(rep.T_list, rep.e_u, rep.e_F)]
-        lines.append(f"slope(e_u) = {rep.rate_u['slope']:.3f}, "
-                     f"slope(e_F) = {rep.rate_F['slope']:.3f}")
-        code = EXIT_OK if all_conv else EXIT_NO_CONVERGENCE
-        return outputs, measured, timings, code, lines
-    raise ValueError(f"unknown command {command!r}")
+    """Run a subcommand and write its outputs into out_dir, if one is given.
+
+    Shared between normal runs and reproduce re-runs.  Returns (output
+    paths, measured, timings, exit code, lines to print).
+    """
+    inst = _instance(params)
+    t0 = time.perf_counter()
+    writers, measured, code, lines = _RUNS[command](params, inst)
+    timings = {"seconds": round(time.perf_counter() - t0, 3)}
+    outputs = []
+    if out_dir:
+        for fname, writer in writers.items():
+            outputs.append(os.path.join(out_dir, fname))
+            _atomic_write(outputs[-1], writer)
+    return outputs, measured, timings, code, lines
+
+
+def _manifest_field(manifest, path):
+    """The value at a dotted key path of a manifest; ValueError if it is missing."""
+    obj, keys = manifest, path.split(".")
+    for i, key in enumerate(keys):
+        if not isinstance(obj, dict) or key not in obj:
+            raise ValueError(f"manifest: missing key {'.'.join(keys[:i + 1])}")
+        obj = obj[key]
+    return obj
 
 
 def _cmd_reproduce(manifest_path):
     manifest = read_manifest(manifest_path)
-    cfg = manifest["config"]
-    doc = cfg["params"].get("document")
-    if doc is not None and _config_hash(doc) != cfg["params"].get("document_sha256"):
+    command = _manifest_field(manifest, "config.subcommand")
+    params = _manifest_field(manifest, "config.params")
+    outputs = _manifest_field(manifest, "outputs")
+    if not isinstance(command, str) or command not in _RUNS:
+        raise ValueError(f"manifest: unknown subcommand {command!r}")
+    if not isinstance(params, dict) or not isinstance(outputs, dict):
+        raise ValueError("manifest: config.params and outputs must be JSON objects")
+    for key in ("instance", *_PARAMS_READ.get(command, ())):
+        _manifest_field(manifest, f"config.params.{key}")
+    doc = params.get("document")
+    if doc is not None and _config_hash(doc) != params.get("document_sha256"):
         raise ValueError("manifest: the embedded instance document does not match "
                          "its document_sha256")
     base = os.path.dirname(os.path.abspath(manifest_path))
     with tempfile.TemporaryDirectory(dir=base) as tmp:
-        _dispatch(cfg["subcommand"], cfg["params"], tmp)
-        for fname in manifest["outputs"]:
+        _dispatch(command, params, tmp)
+        for fname in outputs:
             orig = os.path.join(base, fname)
             fresh = os.path.join(tmp, fname)
             if not os.path.exists(orig):
@@ -387,7 +354,7 @@ def _cmd_reproduce(manifest_path):
                         raise Mismatch(fname, n, lg[:80], lw[:80])
                 raise Mismatch(fname, min(len(want.splitlines()),
                                           len(got.splitlines())) + 1, "<eof>", "<eof>")
-    return list(manifest["outputs"])
+    return list(outputs)
 
 
 def main(argv=None):
@@ -399,7 +366,9 @@ def main(argv=None):
             return EXIT_OK
         needs_T = args.command in ("horizon", "converge")
         params = _collect_params(args, needs_T, T_is_list=(args.command == "converge"))
-        out_dir = _ensure_out(args)
+        out_dir = args.out
+        if out_dir:
+            os.makedirs(out_dir, exist_ok=True)
         outputs, measured, timings, code, lines = _dispatch(args.command, params, out_dir)
         for line in lines:
             print(line)

@@ -14,9 +14,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CycleDetected, MinOnBoundary, NoStabilization, NotReversible
-from .hjb import TerminalDatum, _grid_lipschitz, solve_backward
+from .hjb import solve_backward
 from .measure import GridMeasure, wasserstein1
 from .model import ARGMIN_TOL, MeanFieldLagrangian, interp_grid
+
+MAX_DIRAC_ITERS = 25  # steps of the Dirac iteration before it counts as a cycle
 
 
 def _rest_landscape(L, coupling, grid, m):
@@ -79,8 +81,7 @@ class ErgodicSolution:
     residuals: dict = field(default_factory=dict)
 
 
-def weak_kam_solution(L, coupling, grid, m_bar, lam, tol=1e-6, horizon_cap=128.0,
-                      uf=None):
+def weak_kam_solution(L, coupling, grid, m_bar, lam, tol=1e-6, horizon_cap=128.0):
     """Corrected long-horizon limit u_bar with u_bar(mather point) = 0.
 
     Runs the backward solve for the frozen cost L + F(., m_bar) + lam,
@@ -89,14 +90,11 @@ def weak_kam_solution(L, coupling, grid, m_bar, lam, tol=1e-6, horizon_cap=128.0
     NoStabilization past horizon_cap.
     """
     Fbar = coupling.values_on(grid, m_bar) + lam
-    w = (uf.values_on(grid) if uf is not None else np.zeros(grid.n_points))
+    w = np.zeros(grid.n_points)
     T_inc = max(1.0, 64 * grid.dt)
     total = 0.0
     while total < horizon_cap:
-        datum = TerminalDatum(lambda pts, w=w: w,
-                              lip=_grid_lipschitz(grid, w) + 1e-9,
-                              c0=max(0.0, -float(w.min())) + 1e-9)
-        vf = solve_backward(L, Fbar, datum, grid, T_inc)
+        vf = solve_backward(L, Fbar, w, grid, T_inc)
         w_new = vf.values[0]
         total += T_inc
         change = float(np.abs(w_new - w).max())
@@ -107,8 +105,7 @@ def weak_kam_solution(L, coupling, grid, m_bar, lam, tol=1e-6, horizon_cap=128.0
     raise NoStabilization(f"no weak-KAM stabilization below horizon {horizon_cap}")
 
 
-def solve_ergodic(L, coupling, grid, m_start=None, max_iters=25, tol=1e-6,
-                  horizon_cap=128.0):
+def solve_ergodic(L, coupling, grid, m_start=None, tol=1e-6):
     """Fixed point of m -> Dirac at the Mather point, then the weak-KAM limit.
 
     The projection map is finite-state (node indices), so the iteration
@@ -123,7 +120,7 @@ def solve_ergodic(L, coupling, grid, m_start=None, max_iters=25, tol=1e-6,
     def iterate(m0):
         seen = []
         m = m0
-        for it in range(max_iters):
+        for it in range(MAX_DIRAC_ITERS):
             node = mather_point(L, coupling, grid, m)
             if seen and node == seen[-1]:
                 return node, it + 1
@@ -133,7 +130,7 @@ def solve_ergodic(L, coupling, grid, m_start=None, max_iters=25, tol=1e-6,
             w = np.zeros(grid.n_points)
             w[node] = 1.0
             m = GridMeasure(grid, w, validate=False)
-        return None, max_iters
+        return None, MAX_DIRAC_ITERS
 
     node, iters = iterate(m_start)
     if node is None:
@@ -152,8 +149,7 @@ def solve_ergodic(L, coupling, grid, m_start=None, max_iters=25, tol=1e-6,
     w[node] = 1.0
     m_bar = GridMeasure(grid, w)
     lam = critical_value(L, coupling, grid, m_bar)
-    u_bar, horizon = weak_kam_solution(L, coupling, grid, m_bar, lam,
-                                       tol=tol, horizon_cap=horizon_cap)
+    u_bar, horizon = weak_kam_solution(L, coupling, grid, m_bar, lam, tol=tol)
     u_bar = u_bar - u_bar[node]
     residuals = {
         "fixed_point_gap": wasserstein1(
@@ -176,20 +172,19 @@ def _feedback_at(L, coupling, grid, m_bar, u_bar, node):
     return V[int(np.argmin(obj))].copy()
 
 
-def verify_second_equation(L, coupling, grid, m_bar, u_bar, test_gradients=None):
+def verify_second_equation(L, coupling, grid, m_bar, u_bar):
     """Stationarity of m_bar under the flow of the frozen problem.
 
     For atomic m_bar the continuity equation reduces to
     <D f(x*), v*(x*)> = 0 for smooth test functions f; the residual is the
-    max over a gradient dictionary using the one-step DP feedback at the
-    support nodes.
+    max over a fixed gradient dictionary using the one-step DP feedback at
+    the support nodes.
     """
-    if test_gradients is None:
-        if grid.dim == 1:
-            test_gradients = [1.0, -0.7, 2.3]
-        else:
-            test_gradients = [np.array([1.0, 0.0]), np.array([0.0, 1.0]),
-                              np.array([0.7, -0.7])]
+    if grid.dim == 1:
+        test_gradients = [1.0, -0.7, 2.3]
+    else:
+        test_gradients = [np.array([1.0, 0.0]), np.array([0.0, 1.0]),
+                          np.array([0.7, -0.7])]
     worst = 0.0
     for node in m_bar.support():
         v = _feedback_at(L, coupling, grid, m_bar, u_bar, int(node))

@@ -279,10 +279,10 @@ def gradient(vf, k):
     return out.reshape(g.points.shape)
 
 
-def lipschitz_estimate(vf, R=None):
+def lipschitz_estimate(vf, R):
     """Largest grid-edge slope of u over all times, restricted to B_R."""
     g = vf.grid
-    mask = None if R is None else g.ball_mask(R)
+    mask = g.ball_mask(R)
     best = 0.0
     for k in range(vf.values.shape[0]):
         best = max(best, _grid_lipschitz(g, vf.values[k], mask))
@@ -295,13 +295,12 @@ def time_lipschitz_estimate(vf):
     return float(du / vf.grid.dt)
 
 
-def hj_residual(vf, L, F_path, sample_ks=None, kink_tol=None):
+def hj_residual(vf, L, F_path, sample_ks=None):
     """Sup of |-du/dt + H(x, Du) - F| over smooth interior nodes.
 
     H is evaluated by brute-force Legendre max over the velocity grid.
     Nodes where forward and backward differences disagree by more than
-    kink_tol (default 10 dx) are treated as kinks and skipped, as are box
-    boundary nodes.
+    10 dx are treated as kinks and skipped, as are box boundary nodes.
     """
     g = vf.grid
     K = vf.values.shape[0] - 1
@@ -311,8 +310,6 @@ def hj_residual(vf, L, F_path, sample_ks=None, kink_tol=None):
     if g.dim != 1:
         raise NotImplementedError("residual diagnostic is 1-D")
     dx = g.dx[0]
-    if kink_tol is None:
-        kink_tol = 10.0 * dx
     V = g.v_axis
     Lmat = np.asarray(L.eval(g.points[None, :], V[:, None]), dtype=float)
     worst = 0.0
@@ -321,7 +318,7 @@ def hj_residual(vf, L, F_path, sample_ks=None, kink_tol=None):
         dudt = (vf.values[k + 1] - u) / g.dt
         fwd = (u[2:] - u[1:-1]) / dx
         bwd = (u[1:-1] - u[:-2]) / dx
-        smooth = np.abs(fwd - bwd) <= kink_tol
+        smooth = np.abs(fwd - bwd) <= 10.0 * dx
         p = 0.5 * (fwd + bwd)
         H = (p[None, :] * V[:, None] - Lmat[:, 1:-1]).max(axis=0)
         res = np.abs(-dudt[1:-1] + H - F[k][1:-1])

@@ -87,35 +87,28 @@ class GridMeasure:
     # serialization ------------------------------------------------------
 
     def to_csv(self, path):
-        write_measure_csv(path, self)
+        names, coords = self.grid.csv_columns()
+        with open(path, "w", newline="") as fh:
+            w = csv.writer(fh)
+            w.writerow(["node_index", *names, "weight"])
+            w.writerows([i, *c, repr(x)]
+                        for i, (c, x) in enumerate(zip(coords, self.weights.tolist())))
 
     @classmethod
     def from_csv(cls, grid, path):
-        return read_measure_csv(grid, path)
-
-
-def write_measure_csv(path, m):
-    names, coords = m.grid.csv_columns()
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["node_index", *names, "weight"])
-        w.writerows([i, *c, repr(x)] for i, (c, x) in enumerate(zip(coords, m.weights.tolist())))
-
-
-def read_measure_csv(grid, path):
-    weights = np.zeros(grid.n_points)
-    coords = grid.coordinates()
-    with open(path, newline="") as fh:
-        r = csv.reader(fh)
-        next(r)  # header
-        for row in r:
-            i = int(row[0])
-            weights[i] = float(row[-1])
-            # node coordinates must match the grid they claim to live on
-            got = np.array(row[1 : 1 + grid.dim], dtype=float)
-            if np.abs(got - coords[i]).max() > 1e-9:
-                raise ValueError(f"node {i} coordinate mismatch in {path}")
-    return GridMeasure(grid, weights)
+        weights = np.zeros(grid.n_points)
+        coords = grid.coordinates()
+        with open(path, newline="") as fh:
+            r = csv.reader(fh)
+            next(r)  # header
+            for row in r:
+                i = int(row[0])
+                weights[i] = float(row[-1])
+                # node coordinates must match the grid they claim to live on
+                got = np.array(row[1 : 1 + grid.dim], dtype=float)
+                if np.abs(got - coords[i]).max() > 1e-9:
+                    raise ValueError(f"node {i} coordinate mismatch in {path}")
+        return cls(grid, weights)
 
 
 # ---------------------------------------------------------------------------
@@ -123,24 +116,17 @@ def read_measure_csv(grid, path):
 
 
 def wasserstein1(m1, m2):
-    """Exact d_1 between two grid measures on the same grid.
-
-    1-D: integral of |CDF difference| (piecewise-constant between nodes).
-    2-D: the transport LP on the signed difference m1 - m2 (see _d1_lp).
-    """
+    """Exact d_1 between two grid measures on the same grid (see sup_d1)."""
     if m1.grid is not m2.grid and m1.grid.describe() != m2.grid.describe():
         raise ValueError("measures live on different grids")
-    g = m1.grid
-    if g.dim == 1:
-        c = np.cumsum(m1.weights - m2.weights)[:-1]
-        return float(np.abs(c).sum() * g.dx[0])
-    return float(_d1_lp(g, (m1.weights - m2.weights)[None])[0])
+    return sup_d1(m1.grid, m1.weights[None], m2.weights[None])
 
 
 def sup_d1(grid, rows1, rows2):
     """max over k of d_1 between weight rows rows1[k] and rows2[k].
 
-    1-D: the CDF formula on all rows at once.  2-D: one transport LP for all
+    1-D: the integral of |CDF difference| (piecewise constant between
+    nodes), on all rows at once.  2-D: one transport LP for all
     rows together (see _d1_lp), so a fictitious-play iteration makes a
     single HiGHS solve; it is exact only to HiGHS's default primal
     feasibility tolerance of 1e-7, so a mass below it may be rounded away.

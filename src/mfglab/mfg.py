@@ -19,11 +19,12 @@ from .measure import GridMeasure, MeasurePath, sup_d1
 from .model import check_F4_gap, check_strict_tonelli
 from .transport import measure_path, trace_optimal_flow
 
+MAX_ITERS = 60  # fictitious-play iterations before giving up unconverged
+
 
 @dataclass
 class MFGParams:
     tol: float = 1e-4
-    max_iters: int = 60
     averaging: object = "fictitious"  # or a fixed theta in (0, 1]
     check_assumptions: bool = True
 
@@ -47,7 +48,7 @@ class MFGSolution:
     diagnostics: dict = field(default_factory=dict)
 
 
-def default_probes(coupling, grid, count=3, seed=0):
+def default_probes(coupling, grid):
     """Probe measures living on K0: corner/center diracs plus a uniform."""
     probes = []
     mask = coupling.K0_mask(grid)
@@ -57,11 +58,6 @@ def default_probes(coupling, grid, count=3, seed=0):
         w[i] = 1.0
         probes.append(GridMeasure(grid, w))
     probes.append(GridMeasure.uniform_on(grid, coupling.K0_lo, coupling.K0_hi))
-    rng = np.random.default_rng(seed)
-    for _ in range(max(count - 4, 0)):
-        w = np.zeros(grid.n_points)
-        w[idx] = rng.random(len(idx))
-        probes.append(GridMeasure(grid, w / w.sum()))
     return probes
 
 
@@ -84,12 +80,10 @@ def solve_finite_horizon(L, coupling, m0, uf, grid, T, params=None):
     table ends at the terminal datum exactly.
     """
     params = params or MFGParams()
-    if isinstance(uf, TerminalDatum):
-        uf_datum = uf
-    else:
+    if not isinstance(uf, TerminalDatum):
         raise TypeError("uf must be a TerminalDatum")
     if params.check_assumptions:
-        _check_standing_assumptions(L, coupling, grid, m0, uf_datum)
+        _check_standing_assumptions(L, coupling, grid, m0, uf)
 
     K = grid.time_steps(T)
     f_nodes = None
@@ -102,9 +96,9 @@ def solve_finite_horizon(L, coupling, m0, uf, grid, T, params=None):
     vf = None
     bundle = None
     it = 0
-    for it in range(params.max_iters):
+    for it in range(MAX_ITERS):
         F = coupling.path_values(grid, W, f_nodes)
-        vf = solve_backward(L, F, uf_datum, grid, T)
+        vf = solve_backward(L, F, uf, grid, T)
         bundle = trace_optimal_flow(vf, m0)
         new_path = measure_path(bundle)
         theta = params.theta(it)
@@ -190,9 +184,10 @@ class SpaceTimeBump:
         return (self._time(t, self._bump) * grad).reshape(np.shape(x))
 
 
-def default_test_functions(grid, T, count=5):
-    """Bumps staggered over (0, T) x interior of the box."""
+def default_test_functions(grid, T):
+    """Five bumps staggered over (0, T) x interior of the box."""
     out = []
+    count = 5
     mid = [(a + b) / 2 for a, b in zip(grid.lo, grid.hi)]
     halfwidth = min(b - a for a, b in zip(grid.lo, grid.hi)) / 2
     for j in range(count):

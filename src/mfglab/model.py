@@ -124,26 +124,6 @@ class GridSpec:
             raise ValueError(f"T={T} is not a multiple of dt={self.dt}")
         return K
 
-    def with_resolution(self, dx=None, dt=None):
-        """Same box and velocity extent at a different resolution."""
-        nodes = self.nodes
-        if dx is not None:
-            nodes = tuple(int(round((b - a) / dx)) + 1 for a, b in zip(self.lo, self.hi))
-            for a, b, n in zip(self.lo, self.hi, nodes):
-                if abs((b - a) / (n - 1) - dx) > 1e-12:
-                    raise ValueError(f"dx={dx} does not tile the box [{a},{b}]")
-        new_dt = self.dt if dt is None else dt
-        if dx is not None and dt is None:
-            new_dt = dx
-        v_nodes = self.v_nodes
-        if dx is not None:
-            # keep dv comparable to the original ratio dv/dx
-            dv_old = 2 * self.v_max / (self.v_nodes - 1)
-            ratio = dv_old / self.dx[0]
-            dv_new = ratio * dx
-            v_nodes = 2 * int(round(self.v_max / dv_new / 1.0)) + 1
-        return GridSpec(self.lo, self.hi, nodes, new_dt, self.v_max, v_nodes)
-
     def describe(self):
         return {
             "dim": self.dim,
@@ -292,10 +272,6 @@ class Coupling:
 
     def values_on(self, grid, m):
         """F(., m) at every grid node."""
-        if self.separable is not None:
-            f, G, _ = self.separable
-            a = float(np.dot(m.weights, f(grid.points)))
-            return f(grid.points) * G(a)
         return self.eval(grid.points, m)
 
     def path_values(self, grid, weight_rows, f_nodes=None):
@@ -394,7 +370,7 @@ class TonelliReport:
         return self.passed
 
 
-def check_strict_tonelli(L, grid, sample_points=None, sample_velocities=None):
+def check_strict_tonelli(L, grid):
     """Finite-difference verification of the strict Tonelli bounds.
 
     Checks, at sampled (x, v): eigenvalues of D^2_vv L within [1/C1, C1],
@@ -407,9 +383,8 @@ def check_strict_tonelli(L, grid, sample_points=None, sample_velocities=None):
     zero = np.zeros(shape)[()]
     per_x, per_v = (9, 7) if grid.dim == 1 else (4, 3)
     vm = 0.9 * grid.v_max
-    xs = _samples(grid.lo, grid.hi, per_x) if sample_points is None else sample_points
-    vs = (_samples((-vm,) * grid.dim, (vm,) * grid.dim, per_v)
-          if sample_velocities is None else sample_velocities)
+    xs = _samples(grid.lo, grid.hi, per_x)
+    vs = _samples((-vm,) * grid.dim, (vm,) * grid.dim, per_v)
     rep = TonelliReport(True, [], [], L.alpha, L.beta)
     rtol = HESSIAN_RTOL
     for x in xs:

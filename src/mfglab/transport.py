@@ -59,16 +59,16 @@ def _norms(a):
     return np.sqrt((a**2).reshape(a.shape[:2] + (-1,)).sum(axis=-1))
 
 
-def trace_optimal_flow(vf, m0, start_nodes=None):
+def trace_optimal_flow(vf, m0):
     """Forward-Euler curves through the stored optimal feedback.
 
-    One curve starts at each support node of m0 (or at the given flat node
-    indices).  Raises EscapedBox if a curve leaves the box, which the
-    clamped scheme should prevent for admissible data.
+    One curve starts at each support node of m0.  Raises EscapedBox if a
+    curve leaves the box, which the clamped scheme should prevent for
+    admissible data.
     """
     g = vf.grid
     K = vf.feedback.shape[0]
-    starts = m0.support() if start_nodes is None else np.asarray(start_nodes)
+    starts = m0.support()
     C = len(starts)
     pos = np.empty((C, K + 1) + g.points.shape[1:])
     vel = np.empty((C, K) + g.points.shape[1:])
@@ -137,7 +137,9 @@ def action_defect(bundle, vf, L, F_path, uf_values):
     for k in range(K):
         x = bundle.positions[:, k]
         v = bundle.velocities[:, k]
-        action += dt * (np.asarray(L.eval(x, v), dtype=float) + interp_grid(g, F[k], x))
+        # a unit axis keeps a 1-D bundle of two curves from reading as one 2-D point
+        lag = np.asarray(L.eval(x[:, None], v[:, None]), dtype=float)[:, 0]
+        action += dt * (lag + interp_grid(g, F[k], x))
     action += interp_grid(g, uf_values, bundle.positions[:, K])
     u0 = interp_grid(g, vf.values[0], bundle.positions[:, 0])
     return action - u0

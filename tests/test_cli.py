@@ -142,8 +142,53 @@ def test_instance_manifest_records_no_document(tmp_path):
     out = str(tmp_path / "ver")
     assert run(["verify", "--instance", "RI-1", "--dx", "0.04", "--dt", "0.04",
                 "--out", out]) == 0
-    assert set(manifest_of(out)["config"]["params"]) == {"instance", "seed", "threads",
-                                                          "dx", "dt"}
+    assert set(manifest_of(out)["config"]["params"]) == {"instance", "threads", "dx", "dt"}
+
+
+def write_canonical(path, manifest):
+    with open(path, "w") as fh:
+        fh.write(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
+
+
+@pytest.mark.parametrize("args, old_params", [
+    (["verify"], {"seed": 7}),
+    (["converge", "--T", "2,4", "--R", "3.0"], {"seed": 0, "threads": 2}),
+])
+def test_old_manifest_reproduces(tmp_path, args, old_params):
+    # manifests of earlier versions carry "seed", and "threads" that ran a pool
+    out = tmp_path / "run"
+    assert run([*args, "--instance", "RI-1", "--dx", "0.04", "--dt", "0.04",
+                "--out", str(out)]) == 0
+    manifest = manifest_of(out)
+    manifest["config"]["params"].update(old_params)
+    write_canonical(out / "manifest.json", manifest)
+    assert run(["reproduce", str(out / "manifest.json")]) == 0
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda m: m.clear(), "missing key config"),
+    (lambda m: m["config"].pop("subcommand"), "missing key config.subcommand"),
+    (lambda m: m["config"].pop("params"), "missing key config.params"),
+    (lambda m: m["config"].update(params=[]), "config.params and outputs must be JSON objects"),
+    (lambda m: m.pop("outputs"), "missing key outputs"),
+    (lambda m: m["config"]["params"].pop("instance"), "missing key config.params.instance"),
+    (lambda m: m["config"]["params"].pop("T"), "missing key config.params.T"),
+    (lambda m: m["config"].update(subcommand="converge"), "missing key config.params.T_list"),
+    (lambda m: m["config"].update(subcommand=["horizon"]), "unknown subcommand ['horizon']"),
+])
+def test_malformed_manifest_is_config_error(tmp_path, monkeypatch, capsys, edit, message):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a solver ran")
+
+    manifest = {"config": {"subcommand": "horizon", "version": "0.1.0",
+                           "params": {"instance": "RI-1", "T": 2.0}},
+                "outputs": {"u.csv": "0" * 64}}
+    edit(manifest)
+    path = tmp_path / "manifest.json"
+    write_canonical(path, manifest)
+    monkeypatch.setattr(cli, "solve_finite_horizon", no_solve)
+    assert run(["reproduce", str(path)]) == 4
+    assert capsys.readouterr().err.endswith(f"manifest: {message}\n")
 
 
 # ---------------------------------------------------------------------------

@@ -190,11 +190,3 @@ def test_grid_ball_and_nodes():
     mask = g.ball_mask(2.0)
     assert np.abs(g.points[mask]).max() <= 2.0 + 1e-12
     assert g.points[g.nearest_node(0.011)] == pytest.approx(0.02)
-
-
-def test_with_resolution_preserves_box():
-    g = grid1d()
-    g2 = g.with_resolution(dx=0.04, dt=0.04)
-    assert g2.lo == g.lo and g2.hi == g.hi
-    assert g2.dx[0] == pytest.approx(0.04)
-    assert g2.dt == pytest.approx(0.04)

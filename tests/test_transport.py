@@ -117,6 +117,23 @@ def test_action_defect_small_and_first_order():
     assert order >= 0.8
 
 
+def test_action_defect_of_two_curves_is_per_curve():
+    # a 1-D bundle of exactly two curves must not be read as one 2-D point
+    g = grid1d(0.1, lo=-2.0, hi=2.0)
+    vf = M.solve_backward(M.quadratic_kinetic(), None, quadratic_terminal(), g, 0.5)
+    uf_vals = quadratic_terminal().values_on(g)
+
+    def defects(nodes):
+        w = np.zeros(g.n_points)
+        w[nodes] = 1.0 / len(nodes)
+        b = M.trace_optimal_flow(vf, M.GridMeasure(g, w))
+        return M.action_defect(b, vf, M.quadratic_kinetic(), None, uf_vals)
+
+    together = defects([18, 22])
+    assert together.shape == (2,)
+    np.testing.assert_array_equal(together, [defects([18])[0], defects([22])[0]])
+
+
 def test_bundle_csv(tmp_path):
     g, vf = hl_setup(0.04)
     b = M.trace_optimal_flow(vf, M.GridMeasure.dirac(g, 1.0))
