@@ -1,8 +1,8 @@
 """Finite-horizon equilibrium on the reference instance.
 
-Runs damped fictitious play at T = 2, prints the residual history, mass
-conservation along the path, the solver diagnostics, and the weak residual
-of the continuity equation.
+Runs fictitious play at T = 2, prints the best-response gap of each
+iteration, mass conservation along the path, the solver diagnostics, and
+the weak residual of the continuity equation.
 """
 
 import numpy as np
@@ -16,7 +16,7 @@ def main():
     sol = M.solve_finite_horizon(inst.L, inst.coupling, inst.m0, inst.uf,
                                  inst.grid, 2.0)
     print(f"converged = {sol.converged} after {sol.iterations} iterations")
-    print("residual history:", ["%.2e" % r for r in sol.residuals])
+    print("gap history:", ["%.2e" % r for r in sol.residuals])
 
     masses = sol.m_path.weights.sum(axis=1)
     print(f"mass drift along the path: {np.abs(masses - 1.0).max():.2e}")

@@ -103,7 +103,14 @@ def read_manifest(path):
 # ---------------------------------------------------------------------------
 # subcommand bodies (shared between the CLI and reproduce): each takes the
 # params and the loaded instance and returns ({filename: writer(path)},
-# measured, exit code, lines to print)
+# measured, timings, exit code, lines to print)
+
+_PHASES = ("backward_s", "forward_s", "d1_s")  # of each fictitious-play iteration
+
+
+def _phase_seconds(history):
+    """{phase: seconds of each iteration} of one fictitious-play solve."""
+    return {p: [round(h[p], 4) for h in history] for p in _PHASES}
 
 
 def _instance(params):
@@ -143,7 +150,7 @@ def _run_verify(params, inst):
         ok = False
     measured = {"min_gap": gap, "witness_node": witness, "passed": bool(ok)}
     writers = {"verify.txt": _text(lambda: "".join(line + "\n" for line in lines))}
-    return writers, measured, (EXIT_OK if ok else EXIT_ASSUMPTION), lines
+    return writers, measured, {}, (EXIT_OK if ok else EXIT_ASSUMPTION), lines
 
 
 def _run_ergodic(params, inst):
@@ -162,10 +169,13 @@ def _run_ergodic(params, inst):
         "mather_node": sol.mather_node,
         "mather_x": g.points[sol.mather_node].tolist(),
         "horizon_used": sol.horizon_used,
+        "weak_kam_changes": [d["change"] for d in sol.doublings],
         "residuals": {k: float(v) for k, v in sol.residuals.items()},
     }
+    timings = {"weak_kam_s": [round(d["seconds"], 4) for d in sol.doublings]}
     lines = [f"lambda = {sol.lam!r}", f"mather node x = {measured['mather_x']!r}"]
-    return {"ubar.csv": _text(ubar_csv), "mbar.csv": sol.m_bar.to_csv}, measured, EXIT_OK, lines
+    writers = {"ubar.csv": _text(ubar_csv), "mbar.csv": sol.m_bar.to_csv}
+    return writers, measured, timings, EXIT_OK, lines
 
 
 def _run_horizon(params, inst):
@@ -174,13 +184,15 @@ def _run_horizon(params, inst):
     measured = {
         "converged": sol.converged,
         "iterations": sol.iterations,
-        "final_residual": sol.residuals[-1] if sol.residuals else None,
+        "final_residual": sol.residuals[-1],
+        "gaps": sol.residuals,
         **{k: float(v) for k, v in sol.diagnostics.items()},
     }
     lines = [f"converged = {sol.converged} after {sol.iterations} iterations",
              f"final residual = {measured['final_residual']!r}"]
     code = EXIT_OK if sol.converged else EXIT_NO_CONVERGENCE
-    return {"u.csv": sol.u.to_csv, "mpath.csv": sol.m_path.to_csv}, measured, code, lines
+    writers = {"u.csv": sol.u.to_csv, "mpath.csv": sol.m_path.to_csv}
+    return writers, measured, _phase_seconds(sol.history), code, lines
 
 
 def _run_converge(params, inst):
@@ -222,12 +234,16 @@ def _run_converge(params, inst):
         "C_hat_u": rep.C_hat_u,
         "C_hat_F": rep.C_hat_F,
         "all_converged": all_converged,
+        "gaps": [s.residuals for s in sols.values()],  # one list per T, as in T_list
     }
+    per_solve = [_phase_seconds(s.history) for s in sols.values()]
+    timings = {p: [t[p] for t in per_solve] for p in _PHASES}
     lines = [f"T={T!r}: e_u={eu!r} e_F={ef!r}" for T, eu, ef in
              zip(rep.T_list, rep.e_u, rep.e_F)]
     lines.append(f"slope(e_u) = {rep.rate_u['slope']:.3f}, "
                  f"slope(e_F) = {rep.rate_F['slope']:.3f}")
-    return writers, measured, (EXIT_OK if all_converged else EXIT_NO_CONVERGENCE), lines
+    code = EXIT_OK if all_converged else EXIT_NO_CONVERGENCE
+    return writers, measured, timings, code, lines
 
 
 _RUNS = {"verify": _run_verify, "ergodic": _run_ergodic,
@@ -268,6 +284,28 @@ def _parser():
     return p
 
 
+def _is_number(val):
+    return isinstance(val, (int, float)) and not isinstance(val, bool)
+
+
+# what each numeric param must be, on the command line and in a manifest; a
+# NaN, infinite or negative tolerance can never be met (NaN fails both tests)
+_PARAM_RULES = {
+    "T": (_is_number, "a number"),
+    "T_list": (lambda v: isinstance(v, list) and v and all(map(_is_number, v)),
+               "a non-empty list of numbers"),
+    "tol": (lambda v: _is_number(v) and math.isfinite(v) and v >= 0, "a finite number >= 0"),
+    "R": (lambda v: _is_number(v) and math.isfinite(v) and v > 0, "a finite radius > 0"),
+}
+
+
+def _check_params(params, prefix):
+    """ValueError naming the first param that breaks its rule, as prefix + key."""
+    for key, (ok, what) in _PARAM_RULES.items():
+        if key in params and not ok(params[key]):
+            raise ValueError(f"{prefix}{key} must be {what}, got {params[key]!r}")
+
+
 def _collect_params(args, needs_T=False, T_is_list=False):
     if not args.instance and not args.config:
         raise ValueError("pass --instance or --config")
@@ -280,16 +318,12 @@ def _collect_params(args, needs_T=False, T_is_list=False):
         val = getattr(args, key)
         if val is not None:
             params[key] = val
-    # a NaN, infinite or negative tolerance can never be met (NaN fails both tests)
-    if "tol" in params and not (math.isfinite(params["tol"]) and params["tol"] >= 0):
-        raise ValueError(f"--tol must be a finite number >= 0, got {params['tol']}")
-    if "R" in params and not (math.isfinite(params["R"]) and params["R"] > 0):
-        raise ValueError(f"--R must be a finite radius > 0, got {params['R']}")
     if needs_T:
         if T_is_list:
             params["T_list"] = [float(s) for s in str(args.T).split(",")]
         else:
             params["T"] = float(args.T)
+    _check_params(params, "--")
     return params
 
 
@@ -301,8 +335,8 @@ def _dispatch(command, params, out_dir):
     """
     inst = _instance(params)
     t0 = time.perf_counter()
-    writers, measured, code, lines = _RUNS[command](params, inst)
-    timings = {"seconds": round(time.perf_counter() - t0, 3)}
+    writers, measured, timings, code, lines = _RUNS[command](params, inst)
+    timings = {"seconds": round(time.perf_counter() - t0, 3), **timings}
     outputs = []
     if out_dir:
         for fname, writer in writers.items():
@@ -332,6 +366,7 @@ def _cmd_reproduce(manifest_path):
         raise ValueError("manifest: config.params and outputs must be JSON objects")
     for key in ("instance", *_PARAMS_READ.get(command, ())):
         _manifest_field(manifest, f"config.params.{key}")
+    _check_params(params, "manifest: config.params.")
     doc = params.get("document")
     if doc is not None and _config_hash(doc) != params.get("document_sha256"):
         raise ValueError("manifest: the embedded instance document does not match "

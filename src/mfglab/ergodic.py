@@ -9,6 +9,7 @@ value function is recovered as the long-horizon limit of the backward solve.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -79,6 +80,7 @@ class ErgodicSolution:
     iterations: int
     horizon_used: float
     residuals: dict = field(default_factory=dict)
+    doublings: list = field(default_factory=list)  # see weak_kam_solution
 
 
 def weak_kam_solution(L, coupling, grid, m_bar, lam, tol=1e-6, horizon_cap=128.0):
@@ -86,21 +88,25 @@ def weak_kam_solution(L, coupling, grid, m_bar, lam, tol=1e-6, horizon_cap=128.0
 
     Runs the backward solve for the frozen cost L + F(., m_bar) + lam,
     doubling the accumulated horizon (semigroup restarts from the previous
-    slice) until the sup-norm change between doublings is below tol.  Raises
-    NoStabilization past horizon_cap.
+    slice) until the sup-norm change between doublings is below tol.
+    Returns (w, total horizon, doublings), one {"change", "seconds"} dict
+    per doubling.  Raises NoStabilization past horizon_cap.
     """
     Fbar = coupling.values_on(grid, m_bar) + lam
     w = np.zeros(grid.n_points)
     T_inc = max(1.0, 64 * grid.dt)
     total = 0.0
+    doublings = []
     while total < horizon_cap:
+        t0 = time.perf_counter()
         vf = solve_backward(L, Fbar, w, grid, T_inc)
         w_new = vf.values[0]
         total += T_inc
         change = float(np.abs(w_new - w).max())
         w = w_new
+        doublings.append({"change": change, "seconds": time.perf_counter() - t0})
         if change <= tol:
-            return w, total
+            return w, total, doublings
         T_inc = total  # doubling
     raise NoStabilization(f"no weak-KAM stabilization below horizon {horizon_cap}")
 
@@ -149,7 +155,7 @@ def solve_ergodic(L, coupling, grid, m_start=None, tol=1e-6):
     w[node] = 1.0
     m_bar = GridMeasure(grid, w)
     lam = critical_value(L, coupling, grid, m_bar)
-    u_bar, horizon = weak_kam_solution(L, coupling, grid, m_bar, lam, tol=tol)
+    u_bar, horizon, doublings = weak_kam_solution(L, coupling, grid, m_bar, lam, tol=tol)
     u_bar = u_bar - u_bar[node]
     residuals = {
         "fixed_point_gap": wasserstein1(
@@ -157,7 +163,8 @@ def solve_ergodic(L, coupling, grid, m_start=None, tol=1e-6):
         ),
         "second_equation": verify_second_equation(L, coupling, grid, m_bar, u_bar),
     }
-    return ErgodicSolution(grid, lam, u_bar, m_bar, int(node), iters, horizon, residuals)
+    return ErgodicSolution(grid, lam, u_bar, m_bar, int(node), iters, horizon, residuals,
+                           doublings)
 
 
 def _feedback_at(L, coupling, grid, m_bar, u_bar, node):

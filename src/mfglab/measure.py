@@ -129,7 +129,8 @@ def sup_d1(grid, rows1, rows2):
     nodes), on all rows at once.  2-D: one transport LP for all
     rows together (see _d1_lp), so a fictitious-play iteration makes a
     single HiGHS solve; it is exact only to HiGHS's default primal
-    feasibility tolerance of 1e-7, so a mass below it may be rounded away.
+    feasibility tolerance of 1e-7 relative to each row's mass, so a node
+    holding less may be rounded away.
     """
     if grid.dim == 1:
         c = np.cumsum(rows1 - rows2, axis=1)[:, :-1]
@@ -149,9 +150,14 @@ def _d1_lp(grid, diffs):
     are 0 without an LP.  Entries within SUPPORT_EPS of 0 count as neither
     part, and each part may hold at most LP_SUPPORT_CAP nodes per row.
 
-    The value is exact only to HiGHS's default primal feasibility tolerance
-    of 1e-7: a mass below it may be rounded away, which moves d_1 by up to
-    that mass times the distance it should travel.
+    Each part of a row is scaled to unit mass, and the block's value is
+    scaled back by the mean of the two masses.  HiGHS's primal feasibility
+    tolerance (1e-7) is absolute: unscaled, it declared infeasible a row
+    whose parts hold 0.0295 each, and the rounding in a difference of two
+    nearly equal paths can leave the parts of a small row unequal by more
+    than 1e-7 of their mass.  The value is exact only to that tolerance
+    relative to the row's mass: a node holding less may be rounded away,
+    which moves d_1 by up to its mass times the distance it should travel.
     """
     pts = grid.coordinates()
     out = np.zeros(len(diffs))
@@ -166,12 +172,14 @@ def _d1_lp(grid, diffs):
         if not len(src) or not len(dst):
             continue
         p, q = len(src), len(dst)
+        supply, demand = d[src], -d[dst]
         ij = np.arange(p * q)  # variable (i, j) of the block is i * q + j
         costs.append(np.sqrt(((pts[src, None] - pts[None, dst]) ** 2).sum(axis=2)).ravel())
         rows += [ncon + ij // q, ncon + p + ij % q]  # supply row i, demand row j
         cols += [nvar + ij] * 2
-        rhs += [d[src], -d[dst]]
-        blocks.append((k, slice(nvar, nvar + p * q)))
+        rhs += [supply / supply.sum(), demand / demand.sum()]
+        mass = (supply.sum() + demand.sum()) / 2
+        blocks.append((k, slice(nvar, nvar + p * q), mass))
         nvar += p * q
         ncon += p + q
     if not blocks:
@@ -182,8 +190,8 @@ def _d1_lp(grid, diffs):
     res = linprog(cost, A_eq=A, b_eq=np.concatenate(rhs), bounds=(0, None), method="highs")
     if not res.success:
         raise TransportLPFailed(f"transport LP failed: {res.message}")
-    for k, s in blocks:
-        out[k] = cost[s] @ res.x[s]
+    for k, s, mass in blocks:
+        out[k] = mass * (cost[s] @ res.x[s])
     return out
 
 

@@ -1,14 +1,22 @@
 """Finite-horizon mean field game solver.
 
-Fictitious play on the measure path: solve the backward HJ equation against
-the frozen path, push the initial measure through the optimal flow, average,
-repeat.  Stopping is on the sup-over-time d_1 distance between successive
-paths.  Failure to converge is a flag, not an exception; broken standing
-assumptions raise before any iteration runs.
+Fictitious play on the measure path W_k: solve the backward HJ equation
+against W_k, push the initial measure through the optimal flow to get the
+best response BR(W_k), and stop once the best-response gap
+gap_k = sup_t d_1(BR(W_k)(t), W_k(t)) is at most the tolerance.  The pair
+returned is (u_k, W_k), the value that answers W_k and W_k itself, so its
+gap is the one certified.  Otherwise W_{k+1} = (1 - theta_k) W_k +
+theta_k BR(W_k): the default schedule takes Picard steps (theta = 1) while
+the gap falls and, from the first iteration whose gap does not, the 1/(k+1)
+averaging of fictitious play, which has a convergence proof (Cardaliaguet &
+Hadikhanloo, ESAIM:COCV 2017) where Picard iteration can cycle.  Failure to
+converge is a flag, not an exception; broken standing assumptions raise
+before any iteration runs.
 """
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,17 +28,27 @@ from .model import check_F4_gap, check_strict_tonelli
 from .transport import measure_path, trace_optimal_flow
 
 MAX_ITERS = 60  # fictitious-play iterations before giving up unconverged
+PICARD_FIRST = "picard-first"
 
 
 @dataclass
 class MFGParams:
     tol: float = 1e-4
-    averaging: object = "fictitious"  # or a fixed theta in (0, 1]
+    averaging: object = PICARD_FIRST  # or a fixed theta in (0, 1]
     check_assumptions: bool = True
 
-    def theta(self, k):
-        if self.averaging == "fictitious":
-            return 1.0 / (k + 1.0)
+    def theta(self, gaps):
+        """Weight of BR(W_k) in W_{k+1}, given the gaps of iterations 0..k.
+
+        PICARD_FIRST gives 1 while each gap is below the one before it, and
+        1/(k+1) from the first gap that is not, for the rest of the solve.
+        A fixed theta applies from k = 1: the first update always replaces
+        the initial guess.
+        """
+        k = len(gaps) - 1
+        if self.averaging == PICARD_FIRST:
+            falling = all(b < a for a, b in zip(gaps, gaps[1:]))
+            return 1.0 if falling else 1.0 / (k + 1.0)
         th = float(self.averaging)
         if not 0 < th <= 1:
             raise ValueError("fixed averaging weight must lie in (0, 1]")
@@ -39,13 +57,29 @@ class MFGParams:
 
 @dataclass
 class MFGSolution:
+    """The returned pair (u, m_path), the best response to m_path, and the run.
+
+    history holds one dict per iteration k: "theta" (the schedule's weight
+    of BR(W_k), unused on the iteration that stops), "gap", and the seconds
+    spent in "backward_s" (coupling along W_k plus the backward solve),
+    "forward_s" (flow trace plus deposit) and "d1_s" (the gap).
+    """
+
     u: object  # ValueField
     m_path: MeasurePath
-    bundle: object
+    bundle: object  # optimal trajectories against m_path
     converged: bool
-    iterations: int
-    residuals: list
+    history: list
     diagnostics: dict = field(default_factory=dict)
+
+    @property
+    def iterations(self):
+        return len(self.history)
+
+    @property
+    def residuals(self):
+        """Best-response gap of each iteration; the last one is m_path's."""
+        return [h["gap"] for h in self.history]
 
 
 def default_probes(coupling, grid):
@@ -73,11 +107,15 @@ def _check_standing_assumptions(L, coupling, grid, m0, uf):
 
 
 def solve_finite_horizon(L, coupling, m0, uf, grid, T, params=None):
-    """Fixed point of the best-response map by damped fictitious play.
+    """Fixed point of the best-response map by fictitious play.
 
-    Returns the last (value field, measure path) pair with the convergence
-    flag and residual history.  m_path(0) equals m0 exactly and the value
-    table ends at the terminal datum exactly.
+    Iteration k measures gap_k = sup_d1(BR(W_k), W_k), where BR(W_k) is the
+    measure path of the optimal flow against W_k, and stops when gap_k <=
+    params.tol.  It returns (u_k, W_k) with the flag, the history and
+    diagnostics, so residuals[-1] is the gap of the returned path; past
+    MAX_ITERS it returns the last pair unconverged.  The step to W_{k+1} is
+    set by params.theta (module docstring).  m_path(0) equals m0 exactly
+    and the value table ends at the terminal datum exactly.
     """
     params = params or MFGParams()
     if not isinstance(uf, TerminalDatum):
@@ -91,24 +129,24 @@ def solve_finite_horizon(L, coupling, m0, uf, grid, T, params=None):
         f_nodes = coupling.separable[0](grid.points)
 
     W = np.tile(m0.weights, (K + 1, 1))
-    residuals = []
-    converged = False
-    vf = None
-    bundle = None
-    it = 0
-    for it in range(MAX_ITERS):
+    gaps, history = [], []
+    while True:
+        t0 = time.perf_counter()
         F = coupling.path_values(grid, W, f_nodes)
         vf = solve_backward(L, F, uf, grid, T)
+        t1 = time.perf_counter()
         bundle = trace_optimal_flow(vf, m0)
-        new_path = measure_path(bundle)
-        theta = params.theta(it)
-        W_next = (1.0 - theta) * W + theta * new_path.weights
-        res = sup_d1(grid, W_next, W)
-        residuals.append(res)
-        W = W_next
-        if res <= params.tol:
-            converged = True
+        best = measure_path(bundle).weights
+        t2 = time.perf_counter()
+        gaps.append(sup_d1(grid, best, W))
+        t3 = time.perf_counter()
+        theta = params.theta(gaps)
+        history.append({"theta": theta, "gap": gaps[-1], "backward_s": t1 - t0,
+                        "forward_s": t2 - t1, "d1_s": t3 - t2})
+        if gaps[-1] <= params.tol or len(gaps) == MAX_ITERS:
             break
+        W = (1.0 - theta) * W + theta * best
+    converged = gaps[-1] <= params.tol
 
     path = MeasurePath(grid, vf.times, W, validate=False)
     radii = grid.radii()
@@ -121,7 +159,7 @@ def solve_finite_horizon(L, coupling, m0, uf, grid, T, params=None):
         "time_lipschitz": time_lipschitz_estimate(vf),
         "mass_drift": float(np.abs(W.sum(axis=1) - 1.0).max()),
     }
-    return MFGSolution(vf, path, bundle, converged, it + 1, residuals, diagnostics)
+    return MFGSolution(vf, path, bundle, converged, history, diagnostics)
 
 
 # ---------------------------------------------------------------------------

@@ -175,6 +175,16 @@ def test_old_manifest_reproduces(tmp_path, args, old_params):
     (lambda m: m["config"]["params"].pop("T"), "missing key config.params.T"),
     (lambda m: m["config"].update(subcommand="converge"), "missing key config.params.T_list"),
     (lambda m: m["config"].update(subcommand=["horizon"]), "unknown subcommand ['horizon']"),
+    (lambda m: m["config"]["params"].update(T="abc"), "config.params.T must be a number, got 'abc'"),
+    (lambda m: m["config"].update(subcommand="converge", params={"instance": "RI-1", "T_list": 3}),
+     "config.params.T_list must be a non-empty list of numbers, got 3"),
+    (lambda m: m["config"].update(subcommand="converge",
+                                  params={"instance": "RI-1", "T_list": [2.0, "4"]}),
+     "config.params.T_list must be a non-empty list of numbers, got [2.0, '4']"),
+    (lambda m: m["config"]["params"].update(tol="x"),
+     "config.params.tol must be a finite number >= 0, got 'x'"),
+    (lambda m: m["config"]["params"].update(R=-1.0),
+     "config.params.R must be a finite radius > 0, got -1.0"),
 ])
 def test_malformed_manifest_is_config_error(tmp_path, monkeypatch, capsys, edit, message):
     def no_solve(*args, **kwargs):

@@ -56,6 +56,15 @@ def test_residuals_vanish(ergodic_sol):
     assert sol.residuals["second_equation"] <= 1e-10
 
 
+def test_doublings_record_the_stopping_change(ri1, ergodic_sol):
+    sol, _ = ergodic_sol
+    changes = [d["change"] for d in sol.doublings]
+    assert changes[-1] <= 1e-6 < min(changes[:-1])
+    first = max(1.0, 64 * ri1.grid.dt)
+    assert sol.horizon_used == pytest.approx(first * 2 ** (len(changes) - 1))
+    assert all(d["seconds"] >= 0.0 for d in sol.doublings)
+
+
 def test_corrected_value_matches_quadrature(ri1, ergodic_sol):
     sol, _ = ergodic_sol
     g = ri1.grid

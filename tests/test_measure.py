@@ -7,6 +7,7 @@ import pytest
 
 import mfglab as M
 from mfglab import errors
+from mfglab.measure import _d1_lp
 
 
 def grid1d(dx=0.025, lo=-2.0, hi=2.0):
@@ -175,6 +176,60 @@ def test_wasserstein_2d_support_cap():
     a = M.GridMeasure(g2, w)
     with pytest.raises(errors.SupportTooLarge):
         M.wasserstein1(a, M.GridMeasure.dirac(g2, (0.0, 0.0)))
+
+
+# One row of a fictitious-play gap on bench/ri2.json refined to dx = dt = 0.1
+# (61x61 nodes, v_max 3, 31 velocities): 60 sources, 9 sinks, each part of
+# mass 0.0294983, smallest entry 9.4e-8.  HiGHS called its transport LP
+# infeasible until blocks were scaled to unit mass.
+FAILING_ROW = {  # node index -> mu - nu
+    1612: 9.674981103554697e-08, 1613: 6.0983340891920325e-06, 1614: 9.365381708248219e-08,
+    1618: 9.365381708248219e-08, 1619: 6.098334089190691e-06, 1620: 9.674981103554703e-08,
+    1673: 6.0983340891920325e-06, 1674: 0.000855303775857982, 1675: 0.0009978903998600144,
+    1676: 0.0004185618780294014, 1677: 0.0003193214955504505, 1678: 0.0004185618780293988,
+    1679: 0.000997890399860011, 1680: 0.0008553037758579872, 1681: 6.098334089194204e-06,
+    1734: 9.365381708248213e-08, 1735: 0.000997890399860018, 1736: 0.00206838000664716,
+    1737: 0.00038561704977037314, 1738: 0.0005149566493349855, 1739: 0.0003856170497703697,
+    1740: 0.0020683800066471567, 1741: 0.0009978903998600248, 1742: 9.365381708300205e-08,
+    1796: 0.00041856187802940224, 1797: 0.0003856170497703766, 1798: -0.002677547020499757,
+    1799: -0.0032840239319805384, 1800: -0.0026775470204997674, 1801: 0.0003856170497703766,
+    1802: 0.0004185618780294092, 1857: 0.0003193214955504505, 1858: 0.0005149566493349786,
+    1859: -0.0032840239319805384, 1860: -0.005652041423413717, 1861: -0.0032840239319805453,
+    1862: 0.0005149566493349786, 1863: 0.0003193214955504609, 1918: 0.0004185618780293979,
+    1919: 0.00038561704977037314, 1920: -0.0026775470204997674,
+    1921: -0.0032840239319805453, 1922: -0.002677547020499778, 1923: 0.0003856170497703662,
+    1924: 0.00041856187802940745, 1978: 9.365381708248213e-08, 1979: 0.0009978903998600092,
+    1980: 0.00206838000664716, 1981: 0.00038561704977037314, 1982: 0.0005149566493349786,
+    1983: 0.0003856170497703662, 1984: 0.0020683800066471497, 1985: 0.000997890399860023,
+    1986: 9.365381708300205e-08, 2039: 6.098334089190691e-06, 2040: 0.0008553037758579881,
+    2041: 0.000997890399860023, 2042: 0.0004185618780294092, 2043: 0.0003193214955504609,
+    2044: 0.00041856187802940745, 2045: 0.000997890399860023, 2046: 0.0008553037758579924,
+    2047: 6.098334089194157e-06, 2100: 9.674981103554697e-08, 2101: 6.0983340891941976e-06,
+    2102: 9.365381708300205e-08, 2106: 9.365381708300205e-08, 2107: 6.098334089194157e-06,
+    2108: 9.674981103558991e-08
+}
+
+
+def test_d1_lp_solves_a_row_with_small_total_mass():
+    g = M.GridSpec((-3.0, -3.0), (3.0, 3.0), (61, 61), 0.1, 3.0, 31)
+    row = np.zeros(g.n_points)
+    row[list(FAILING_ROW)] = list(FAILING_ROW.values())
+    assert _d1_lp(g, row[None])[0] == pytest.approx(0.0065651676269311, rel=1e-12)
+
+
+def test_d1_lp_solves_a_row_whose_parts_differ_by_rounding():
+    # a row of W_{k+1} - W_k late in a theta = 0.5 solve on a 9x9 grid: its
+    # parts hold 2.0489e-10 each but differ by 4e-17, which is 2e-7 of that
+    # mass; one sink, so the plan is forced and d_1 has a closed form
+    g = grid2d(dx=0.5)
+    row = np.zeros(g.n_points)
+    edge, corner = 4.6566125955216364e-11, 4.656611901632246e-12
+    row[[31, 39, 41, 49]] = edge
+    row[[30, 32, 48, 50]] = corner
+    row[40] = -2.0489099306075786e-10
+    src = np.flatnonzero(row > 0)
+    want = row[src] @ np.linalg.norm(g.points[src] - g.points[40], axis=1)
+    assert _d1_lp(g, row[None])[0] == pytest.approx(want, rel=1e-6)
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import mfglab as M
-from mfglab import errors
+from mfglab import errors, mfg
 
 
 def grid1d(dx, lo=-4.0, hi=4.0, v_max=4.0):
@@ -45,11 +45,29 @@ def flat_coupling():
 
 def test_theta_schedules():
     p = M.MFGParams()
-    assert p.theta(0) == 1.0
-    assert p.theta(3) == pytest.approx(0.25)
+    assert p.averaging == "picard-first"
+    assert p.theta([0.5]) == 1.0
+    assert p.theta([0.5, 0.1, 0.01]) == 1.0  # Picard while the gap falls
+    assert p.theta([0.5, 0.5]) == 0.5  # then 1/(k+1) from a gap that does not fall
+    assert p.theta([0.5, 0.6, 0.1, 0.01]) == 0.25  # for the rest of the solve
     fixed = M.MFGParams(averaging=0.5)
-    assert fixed.theta(0) == 1.0  # first update always replaces the guess
-    assert fixed.theta(7) == 0.5
+    assert fixed.theta([1.0]) == 1.0  # first update always replaces the guess
+    assert fixed.theta([1.0] * 8) == 0.5
+    assert fixed.theta([1.0, 0.1]) == 0.5
+
+
+def test_schedule_falls_back_to_averaging_after_the_gap_rises(monkeypatch):
+    gaps = [0.5, 0.1, 0.2, 0.05, 0.01, 0.0]
+    feed = iter(gaps)
+    monkeypatch.setattr(mfg, "sup_d1", lambda grid, rows1, rows2: next(feed))
+    g = grid1d(0.04)
+    m0 = M.GridMeasure.uniform_on(g, -1.0, 1.0)
+    sol = M.solve_finite_horizon(M.quadratic_kinetic(), decoupled_coupling(),
+                                 m0, zero_terminal(), g, 2.0)
+    assert sol.converged and sol.residuals == gaps
+    assert [h["theta"] for h in sol.history] == [1.0, 1.0, 1 / 3, 1 / 4, 1 / 5, 1 / 6]
+    for h in sol.history:
+        assert min(h["backward_s"], h["forward_s"], h["d1_s"]) >= 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,8 @@ exact on affine functions; the backward step's departure values agree with
 interp_grid at every x + dt v, past the box too.  The 2-D d_1 is symmetric,
 obeys the triangle inequality, agrees with the 1-D CDF formula on data laid
 along an axis, and matches a full-support transport LP per row, also as the
-stopping residual of a 2-D fixed point.  The Legendre transform of the
+stopping residual of a 2-D fixed point, and the pair the solver returns is
+within its tolerance of its own best response.  The Legendre transform of the
 kinetic Lagrangian |v|^2/2 is |p|^2/2, attained at v = p.
 """
 
@@ -167,8 +168,8 @@ def reference_d1(m1, m2):
     s2 = m2.support()
     a = m1.weights[s1]
     b = m2.weights[s2]
-    p = m1.grid.points[s1]
-    q = m2.grid.points[s2]
+    p = m1.grid.coordinates()[s1]
+    q = m2.grid.coordinates()[s2]
     cost = np.sqrt(((p[:, None, :] - q[None, :, :]) ** 2).sum(axis=2)).ravel()
     ni, nj = len(s1), len(s2)
     rows, cols, vals = [], [], []
@@ -242,15 +243,19 @@ def test_sup_d1_2d_matches_full_support_lp_per_row(data):
     assert sup_d1(grid, rows1, rows2) == pytest.approx(max(want), rel=1e-12, abs=1e-14)
 
 
-def test_2d_fixed_point_stops_where_the_reference_lp_stops():
-    inst = M.from_config({
+def small_2d():
+    return M.from_config({
         "name": "small-2d",
         "coupling": {"kind": "separable", "f": "neg_gaussian_2d", "G": "two_plus_tanh",
                      "K0": [[-1.0, -1.0], [1.0, 1.0]], "delta0": 0.1, "lip2": 0.86},
         "grid": {"lo": [-2.0, -2.0], "hi": [2.0, 2.0], "dx": 0.5, "dt": 0.5,
                  "v_max": 2.0, "v_nodes": 9},
     })
-    params = M.MFGParams(tol=5e-4)
+
+
+def test_2d_fixed_point_stops_where_the_reference_lp_stops():
+    inst = small_2d()
+    params = M.MFGParams(tol=5e-4, averaging=0.5)
 
     def solve():
         return M.solve_finite_horizon(inst.L, inst.coupling, inst.m0, inst.uf,
@@ -259,10 +264,26 @@ def test_2d_fixed_point_stops_where_the_reference_lp_stops():
     with mock.patch.object(mfg, "sup_d1", reference_sup_d1):
         want = solve()
     got = solve()
-    assert want.converged and want.iterations == 16
+    assert want.converged and want.iterations == 10
     assert got.iterations == want.iterations
     np.testing.assert_allclose(got.residuals, want.residuals, rtol=1e-12, atol=0)
     np.testing.assert_array_equal(got.m_path.weights, want.m_path.weights)
+
+
+@pytest.mark.parametrize("name, T, tol", [("RI-1", 2.0, 1e-4), ("RI-1", 4.0, 1e-4),
+                                          ("small-2d", 2.0, 5e-4)])
+def test_returned_pair_is_within_tol_of_its_best_response(ri1_coarse, name, T, tol):
+    # the gap is recomputed from the returned path alone: one more backward
+    # solve, one more forward trace, and the full-support reference LP
+    inst = ri1_coarse if name == "RI-1" else small_2d()
+    g = inst.grid
+    sol = M.solve_finite_horizon(inst.L, inst.coupling, inst.m0, inst.uf, g, T,
+                                 M.MFGParams(tol=tol))
+    assert sol.converged
+    vf = M.solve_backward(inst.L, inst.coupling.path_values(g, sol.m_path.weights),
+                          inst.uf, g, T)
+    best = M.measure_path(M.trace_optimal_flow(vf, inst.m0)).weights
+    assert reference_sup_d1(g, best, sol.m_path.weights) <= tol
 
 
 @SETTINGS
