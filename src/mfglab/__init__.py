@@ -45,7 +45,6 @@ from .measure import (
     wasserstein1,
 )
 from .mfg import (
-    MFGParams,
     MFGSolution,
     SpaceTimeBump,
     default_probes,

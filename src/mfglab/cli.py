@@ -28,7 +28,7 @@ from .analysis import convergence_metrics
 from .ergodic import solve_ergodic
 from .errors import AssumptionFailure, MFGLabError, Mismatch, NoStabilization
 from .instances import load_instance
-from .mfg import MFGParams, default_probes, solve_finite_horizon
+from .mfg import default_probes, solve_finite_horizon
 from .model import check_F4_gap, check_F5, check_strict_tonelli
 
 EXIT_OK = 0
@@ -180,7 +180,7 @@ def _run_ergodic(params, inst):
 
 def _run_horizon(params, inst):
     sol = solve_finite_horizon(inst.L, inst.coupling, inst.m0, inst.uf, inst.grid,
-                               params["T"], MFGParams(tol=params.get("tol", 1e-4)))
+                               params["T"], tol=params.get("tol", 1e-4))
     measured = {
         "converged": sol.converged,
         "iterations": sol.iterations,
@@ -200,10 +200,12 @@ def _run_converge(params, inst):
     R = params.get("R", 3.0)
     for T in T_list:  # reject a bad horizon before any solve
         inst.grid.time_steps(T)
+    if len(set(T_list)) < 2:  # a rate needs two horizons
+        raise ValueError(f"converge needs at least two distinct horizons, got {T_list!r}")
     erg = solve_ergodic(inst.L, inst.coupling, inst.grid, tol=params.get("tol", 1e-6))
-    mfg_params = MFGParams(tol=params.get("tol", 1e-4))
+    tol = params.get("tol", 1e-4)
     sols = {T: solve_finite_horizon(inst.L, inst.coupling, inst.m0, inst.uf, inst.grid,
-                                    T, mfg_params)
+                                    T, tol)
             for T in T_list}
     all_converged = all(s.converged for s in sols.values())
     rep = convergence_metrics(sols, erg, inst.coupling, R)
@@ -272,8 +274,7 @@ def _parser():
         sp.add_argument("--tol", type=float, default=None)
         sp.add_argument("--R", type=float, default=None)
         sp.add_argument("--out", default=None, help="output directory")
-        sp.add_argument("--threads", type=int, default=1,
-                        help="recorded in the manifest and otherwise ignored")
+        sp.add_argument("--threads", type=int, default=1, help="accepted and ignored")
 
     common(sub.add_parser("verify", help="run the assumption checks"))
     common(sub.add_parser("ergodic", help="solve the stationary system"))
@@ -309,7 +310,7 @@ def _check_params(params, prefix):
 def _collect_params(args, needs_T=False, T_is_list=False):
     if not args.instance and not args.config:
         raise ValueError("pass --instance or --config")
-    params = {"instance": args.config or args.instance, "threads": args.threads}
+    params = {"instance": args.config or args.instance}
     if args.config:
         with open(args.config) as fh:
             params["document"] = json.load(fh)

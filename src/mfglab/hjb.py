@@ -117,19 +117,15 @@ class ValueField:
 
 
 def _as_path_values(F_path, grid, K):
-    """Normalize the coupling term to an array of node rows per time index."""
+    """The coupling term as (K+1, N) node rows: None is zero, one row holds at every time."""
     if F_path is None:
         return np.zeros((K + 1, grid.n_points))
-    if callable(F_path):
-        rows = [np.broadcast_to(np.asarray(F_path(grid.points, k * grid.dt), dtype=float),
-                                (grid.n_points,))
-                for k in range(K + 1)]
-        return np.array(rows)
     F = np.asarray(F_path, dtype=float)
     if F.shape == (grid.n_points,):
         return np.broadcast_to(F, (K + 1, grid.n_points)).copy()
     if F.shape != (K + 1, grid.n_points):
-        raise ValueError(f"F_path shape {F.shape} does not match (K+1, N)")
+        raise ValueError(f"F_path shape {F.shape} does not match "
+                         f"(K+1, N) = {(K + 1, grid.n_points)}")
     return F
 
 

@@ -46,12 +46,11 @@ PROFILES = {
     "neg_gaussian_2d": lambda p: -np.exp(-(np.asarray(p, dtype=float) ** 2).sum(axis=-1)),
 }
 
-# scalar shaping functions G with their derivatives
+# scalar shaping functions G
 SHAPES = {
-    "two_plus_tanh": (lambda s: 2.0 + np.tanh(s), lambda s: 1.0 / np.cosh(s) ** 2),
-    "two_minus_tanh": (lambda s: 2.0 - np.tanh(s), lambda s: -1.0 / np.cosh(s) ** 2),
-    "constant_one": (lambda s: np.ones_like(np.asarray(s, dtype=float)),
-                     lambda s: np.zeros_like(np.asarray(s, dtype=float))),
+    "two_plus_tanh": lambda s: 2.0 + np.tanh(s),
+    "two_minus_tanh": lambda s: 2.0 - np.tanh(s),
+    "constant_one": lambda s: np.ones_like(np.asarray(s, dtype=float)),
 }
 
 
@@ -133,12 +132,12 @@ def _build_coupling(cfg):
     if kind != "separable":
         raise ValueError(f"unknown coupling kind {kind!r}")
     f = _pick(PROFILES, cfg, "f", "coupling")
-    G, Gp = _pick(SHAPES, cfg, "G", "coupling")
+    G = _pick(SHAPES, cfg, "G", "coupling")
     K0 = _require(cfg, "K0", "coupling")
     if not isinstance(K0, list) or len(K0) != 2:
         raise ValueError(f"coupling: 'K0' must be a pair [lo, hi], got {K0!r}")
     K0_lo, K0_hi = (_per_axis(b, "coupling", "K0") for b in K0)
-    return separable_coupling(f, G, Gp, K0_lo, K0_hi,
+    return separable_coupling(f, G, K0_lo, K0_hi,
                               _number(_require(cfg, "delta0", "coupling"), "coupling", "delta0"),
                               _number(_require(cfg, "lip2", "coupling"), "coupling", "lip2"),
                               name=f"{cfg['f']}*{cfg['G']}")

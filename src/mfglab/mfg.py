@@ -6,12 +6,12 @@ best response BR(W_k), and stop once the best-response gap
 gap_k = sup_t d_1(BR(W_k)(t), W_k(t)) is at most the tolerance.  The pair
 returned is (u_k, W_k), the value that answers W_k and W_k itself, so its
 gap is the one certified.  Otherwise W_{k+1} = (1 - theta_k) W_k +
-theta_k BR(W_k): the default schedule takes Picard steps (theta = 1) while
-the gap falls and, from the first iteration whose gap does not, the 1/(k+1)
-averaging of fictitious play, which has a convergence proof (Cardaliaguet &
-Hadikhanloo, ESAIM:COCV 2017) where Picard iteration can cycle.  Failure to
-converge is a flag, not an exception; broken standing assumptions raise
-before any iteration runs.
+theta_k BR(W_k), with theta_k = theta(gaps): Picard steps (theta = 1)
+while the gap falls and, from the first iteration whose gap does not, the
+1/(k+1) weights of fictitious play, which have a convergence proof
+(Cardaliaguet & Hadikhanloo, ESAIM:COCV 2017) where Picard iteration can
+cycle.  Failure to converge is a flag, not an exception; broken standing
+assumptions raise before any iteration runs.
 """
 
 from __future__ import annotations
@@ -28,31 +28,16 @@ from .model import check_F4_gap, check_strict_tonelli
 from .transport import measure_path, trace_optimal_flow
 
 MAX_ITERS = 60  # fictitious-play iterations before giving up unconverged
-PICARD_FIRST = "picard-first"
 
 
-@dataclass
-class MFGParams:
-    tol: float = 1e-4
-    averaging: object = PICARD_FIRST  # or a fixed theta in (0, 1]
-    check_assumptions: bool = True
+def theta(gaps):
+    """Weight of BR(W_k) in W_{k+1}, given the gaps of iterations 0..k.
 
-    def theta(self, gaps):
-        """Weight of BR(W_k) in W_{k+1}, given the gaps of iterations 0..k.
-
-        PICARD_FIRST gives 1 while each gap is below the one before it, and
-        1/(k+1) from the first gap that is not, for the rest of the solve.
-        A fixed theta applies from k = 1: the first update always replaces
-        the initial guess.
-        """
-        k = len(gaps) - 1
-        if self.averaging == PICARD_FIRST:
-            falling = all(b < a for a, b in zip(gaps, gaps[1:]))
-            return 1.0 if falling else 1.0 / (k + 1.0)
-        th = float(self.averaging)
-        if not 0 < th <= 1:
-            raise ValueError("fixed averaging weight must lie in (0, 1]")
-        return th if k > 0 else 1.0
+    1 while each gap is below the one before it, and 1/(k+1) from the first
+    gap that is not, for the rest of the solve.
+    """
+    falling = all(b < a for a, b in zip(gaps, gaps[1:]))
+    return 1.0 if falling else 1.0 / len(gaps)
 
 
 @dataclass
@@ -106,33 +91,27 @@ def _check_standing_assumptions(L, coupling, grid, m0, uf):
     uf.validate(grid)
 
 
-def solve_finite_horizon(L, coupling, m0, uf, grid, T, params=None):
+def solve_finite_horizon(L, coupling, m0, uf, grid, T, tol=1e-4):
     """Fixed point of the best-response map by fictitious play.
 
     Iteration k measures gap_k = sup_d1(BR(W_k), W_k), where BR(W_k) is the
     measure path of the optimal flow against W_k, and stops when gap_k <=
-    params.tol.  It returns (u_k, W_k) with the flag, the history and
-    diagnostics, so residuals[-1] is the gap of the returned path; past
-    MAX_ITERS it returns the last pair unconverged.  The step to W_{k+1} is
-    set by params.theta (module docstring).  m_path(0) equals m0 exactly
-    and the value table ends at the terminal datum exactly.
+    tol.  It returns (u_k, W_k) with the flag, the history and diagnostics,
+    so residuals[-1] is the gap of the returned path; past MAX_ITERS it
+    returns the last pair unconverged.  The step to W_{k+1} has weight
+    theta(gaps) (module docstring).  m_path(0) equals m0 exactly and the
+    value table ends at the terminal datum exactly.
     """
-    params = params or MFGParams()
     if not isinstance(uf, TerminalDatum):
         raise TypeError("uf must be a TerminalDatum")
-    if params.check_assumptions:
-        _check_standing_assumptions(L, coupling, grid, m0, uf)
+    _check_standing_assumptions(L, coupling, grid, m0, uf)
 
     K = grid.time_steps(T)
-    f_nodes = None
-    if coupling.separable is not None:
-        f_nodes = coupling.separable[0](grid.points)
-
     W = np.tile(m0.weights, (K + 1, 1))
     gaps, history = [], []
     while True:
         t0 = time.perf_counter()
-        F = coupling.path_values(grid, W, f_nodes)
+        F = coupling.path_values(grid, W)
         vf = solve_backward(L, F, uf, grid, T)
         t1 = time.perf_counter()
         bundle = trace_optimal_flow(vf, m0)
@@ -140,13 +119,13 @@ def solve_finite_horizon(L, coupling, m0, uf, grid, T, params=None):
         t2 = time.perf_counter()
         gaps.append(sup_d1(grid, best, W))
         t3 = time.perf_counter()
-        theta = params.theta(gaps)
-        history.append({"theta": theta, "gap": gaps[-1], "backward_s": t1 - t0,
+        th = theta(gaps)
+        history.append({"theta": th, "gap": gaps[-1], "backward_s": t1 - t0,
                         "forward_s": t2 - t1, "d1_s": t3 - t2})
-        if gaps[-1] <= params.tol or len(gaps) == MAX_ITERS:
+        if gaps[-1] <= tol or len(gaps) == MAX_ITERS:
             break
-        W = (1.0 - theta) * W + theta * best
-    converged = gaps[-1] <= params.tol
+        W = (1.0 - th) * W + th * best
+    converged = gaps[-1] <= tol
 
     path = MeasurePath(grid, vf.times, W, validate=False)
     radii = grid.radii()

@@ -246,8 +246,8 @@ class Coupling:
 
     K0 is a closed sub-box strictly inside the state box; delta0 the declared
     confinement gap; lip2 the declared Lipschitz constant of m -> F(., m) in
-    d_1.  separable, when set, is (f callable, G callable, Gprime callable)
-    and eval is f(x) * G(integral of f dm).
+    d_1.  separable, when set, is (f callable, G callable) and eval is
+    f(x) * G(integral of f dm).
     """
 
     eval: callable
@@ -274,11 +274,11 @@ class Coupling:
         """F(., m) at every grid node."""
         return self.eval(grid.points, m)
 
-    def path_values(self, grid, weight_rows, f_nodes=None):
+    def path_values(self, grid, weight_rows):
         """F at all nodes for a stack of measures given as weight rows."""
         if self.separable is not None:
-            f, G, _ = self.separable
-            fn = f(grid.points) if f_nodes is None else f_nodes
+            f, G = self.separable
+            fn = f(grid.points)
             a = weight_rows @ fn
             return np.asarray(G(a))[:, None] * fn[None, :]
         from .measure import GridMeasure
@@ -289,12 +289,12 @@ class Coupling:
         return np.array(rows)
 
 
-def separable_coupling(f, G, Gprime, K0_lo, K0_hi, delta0, lip2, name="separable"):
+def separable_coupling(f, G, K0_lo, K0_hi, delta0, lip2, name="separable"):
     def ev(x, m):
         a = float(np.dot(m.weights, f(m.grid.points)))
         return f(x) * G(a)
 
-    return Coupling(ev, K0_lo, K0_hi, delta0, lip2, (f, G, Gprime), name)
+    return Coupling(ev, K0_lo, K0_hi, delta0, lip2, (f, G), name)
 
 
 @dataclass

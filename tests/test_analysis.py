@@ -130,7 +130,6 @@ def test_monotonicity_negative_control(ri1):
     g = ri1.grid
     anti = M.separable_coupling(lambda x: -np.exp(-np.asarray(x) ** 2),
                                 lambda s: 2.0 - np.tanh(s),
-                                lambda s: -1.0 / np.cosh(s) ** 2,
                                 (-1.0,), (1.0,), 0.36, 0.86, name="anti")
     r = M.monotonicity_check(anti, g,
                              M.GridMeasure.dirac(g, 0.0),

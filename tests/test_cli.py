@@ -142,7 +142,7 @@ def test_instance_manifest_records_no_document(tmp_path):
     out = str(tmp_path / "ver")
     assert run(["verify", "--instance", "RI-1", "--dx", "0.04", "--dt", "0.04",
                 "--out", out]) == 0
-    assert set(manifest_of(out)["config"]["params"]) == {"instance", "threads", "dx", "dt"}
+    assert set(manifest_of(out)["config"]["params"]) == {"instance", "dx", "dt"}
 
 
 def write_canonical(path, manifest):
@@ -323,6 +323,18 @@ def test_bad_radius_is_rejected_before_any_solve(tmp_path, capsys, monkeypatch, 
     assert run(["converge", "--instance", "RI-1", "--T", "2,4", "--R", radius,
                 "--out", str(tmp_path / "x")]) == 4
     assert f"--R must be a finite radius > 0, got {float(radius)}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("horizons", ["2", "2,2"])
+def test_single_horizon_is_rejected_before_any_solve(tmp_path, capsys, monkeypatch, horizons):
+    # a rate fit needs two distinct horizons
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a solver ran")
+
+    monkeypatch.setattr(cli, "solve_ergodic", no_solve)
+    assert run(["converge", "--instance", "RI-1", "--T", horizons, "--R", "3",
+                "--out", str(tmp_path / "x")]) == 4
+    assert "at least two distinct horizons" in capsys.readouterr().err
 
 
 def test_failed_transport_lp_is_solver_failure(tmp_path, capsys, monkeypatch):

@@ -131,7 +131,7 @@ def test_critical_value_rejects_boundary_minimum(ri1, ergodic_sol):
     sol, _ = ergodic_sol
     tilt = M.quadratic_kinetic(potential=lambda x: 0.1 * np.asarray(x, dtype=float),
                                C3=1.0)
-    flat = M.separable_coupling(ones_of, zeros_of, zeros_of, (-1.0,), (1.0,), 0.0, 0.0)
+    flat = M.separable_coupling(ones_of, zeros_of, (-1.0,), (1.0,), 0.0, 0.0)
     with pytest.raises(errors.MinOnBoundary):
         M.critical_value(tilt, flat, ri1.grid, sol.m_bar)
 

@@ -4,6 +4,8 @@ With L = v^2/2, no coupling term, and terminal datum x^2/2 the exact value is
 u(t, x) = x^2 / (2 (1 + T - t)), with optimal feedback v(t, x) = -x / (1 + T - t).
 """
 
+import re
+
 import numpy as np
 import pytest
 
@@ -179,6 +181,16 @@ def test_backward_step_ties_go_to_lowest_velocity(name):
     np.testing.assert_array_equal(vf.values, values)
     np.testing.assert_array_equal(vf.feedback, feedback)
     assert (vf.feedback == g.velocities[0]).all()
+
+
+@pytest.mark.parametrize("name", sorted(SMALL_GRIDS))
+def test_coupling_path_of_wrong_shape_is_rejected(name):
+    g, _ = SMALL_GRIDS[name]
+    K = g.time_steps(0.3)
+    F = np.zeros((K, g.n_points))  # one row short
+    want = f"F_path shape {F.shape} does not match (K+1, N) = {(K + 1, g.n_points)}"
+    with pytest.raises(ValueError, match=re.escape(want)):
+        M.solve_backward(M.quadratic_kinetic(), F, np.zeros(g.n_points), g, 0.3)
 
 
 def test_minimizer_on_boundary_detected_2d():

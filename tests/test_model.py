@@ -111,7 +111,6 @@ def test_coupling_profile_lipschitz_within_declared(ri1):
 def test_coupling_geometry_validation():
     c = M.separable_coupling(lambda x: -np.exp(-np.asarray(x) ** 2),
                              lambda s: 2.0 + np.tanh(s),
-                             lambda s: 1.0 / np.cosh(s) ** 2,
                              (-5.0,), (5.0,), 0.36, 0.86)
     with pytest.raises(ValueError):
         c.validate_geometry(grid1d())  # K0 not strictly inside the box
@@ -126,7 +125,6 @@ def test_confinement_gap_reference_instance(ri1):
 def test_confinement_gap_violation_raises(ri1):
     inflated = M.separable_coupling(lambda x: -np.exp(-np.asarray(x) ** 2),
                                     lambda s: 2.0 + np.tanh(s),
-                                    lambda s: 1.0 / np.cosh(s) ** 2,
                                     (-1.0,), (1.0,), 10.0, 0.86)
     with pytest.raises(errors.GapViolated):
         M.check_F4_gap(inflated, ri1.L, ri1.grid, M.default_probes(inflated, ri1.grid))

@@ -255,11 +255,12 @@ def small_2d():
 
 def test_2d_fixed_point_stops_where_the_reference_lp_stops():
     inst = small_2d()
-    params = M.MFGParams(tol=5e-4, averaging=0.5)
 
     def solve():
-        return M.solve_finite_horizon(inst.L, inst.coupling, inst.m0, inst.uf,
-                                      inst.grid, 2.0, params)
+        # theta = 0.5 from k = 1 takes more iterations than the default schedule
+        with mock.patch.object(mfg, "theta", lambda gaps: 0.5 if len(gaps) > 1 else 1.0):
+            return M.solve_finite_horizon(inst.L, inst.coupling, inst.m0, inst.uf,
+                                          inst.grid, 2.0, tol=5e-4)
 
     with mock.patch.object(mfg, "sup_d1", reference_sup_d1):
         want = solve()
@@ -277,8 +278,7 @@ def test_returned_pair_is_within_tol_of_its_best_response(ri1_coarse, name, T, t
     # solve, one more forward trace, and the full-support reference LP
     inst = ri1_coarse if name == "RI-1" else small_2d()
     g = inst.grid
-    sol = M.solve_finite_horizon(inst.L, inst.coupling, inst.m0, inst.uf, g, T,
-                                 M.MFGParams(tol=tol))
+    sol = M.solve_finite_horizon(inst.L, inst.coupling, inst.m0, inst.uf, g, T, tol=tol)
     assert sol.converged
     vf = M.solve_backward(inst.L, inst.coupling.path_values(g, sol.m_path.weights),
                           inst.uf, g, T)
