@@ -29,7 +29,7 @@ from .ergodic import solve_ergodic
 from .errors import AssumptionFailure, MFGLabError, Mismatch, NoStabilization
 from .instances import load_instance
 from .mfg import default_probes, solve_finite_horizon
-from .model import check_F4_gap, check_F5, check_strict_tonelli
+from .model import check_F4_gap, check_F5, check_strict_tonelli, repr_lines
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -158,11 +158,9 @@ def _run_ergodic(params, inst):
     sol = solve_ergodic(inst.L, inst.coupling, g, tol=params.get("tol", 1e-6))
 
     def ubar_csv():
-        names, coords = g.csv_columns()
-        rows = [",".join(["node_index", *names, "ubar"]) + "\n"]
-        for i, (c, u) in enumerate(zip(coords, sol.u_bar.tolist())):
-            rows.append(",".join([str(i), *c, repr(u)]) + "\n")
-        return "".join(rows)
+        names, heads = g.csv_node_heads()
+        return (",".join(["node_index", *names, "ubar"]) + "\n"
+                + repr_lines(heads, sol.u_bar.tolist(), "\n"))
 
     measured = {
         "lambda": sol.lam,
@@ -236,9 +234,9 @@ def _run_converge(params, inst):
         "C_hat_u": rep.C_hat_u,
         "C_hat_F": rep.C_hat_F,
         "all_converged": all_converged,
-        "gaps": [s.residuals for s in sols.values()],  # one list per T, as in T_list
+        "gaps": [sols[T].residuals for T in T_list],  # one list per T, as in T_list
     }
-    per_solve = [_phase_seconds(s.history) for s in sols.values()]
+    per_solve = [_phase_seconds(sols[T].history) for T in T_list]
     timings = {p: [t[p] for t in per_solve] for p in _PHASES}
     lines = [f"T={T!r}: e_u={eu!r} e_F={ef!r}" for T, eu, ef in
              zip(rep.T_list, rep.e_u, rep.e_F)]

@@ -23,14 +23,13 @@ afterwards, which is exact because F does not depend on v.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import MinimizerOnBoundary, NotLipschitz
-from .model import interp_grid
+from .model import interp_grid, repr_lines
 
 
 @dataclass
@@ -106,14 +105,11 @@ class ValueField:
                         axis=-1).reshape(np.shape(pts))
 
     def to_csv(self, path):
-        names, coords = self.grid.csv_columns()
+        names, heads = self.grid.csv_node_heads()
         with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["t", "node_index", *names, "u"])
+            fh.write(",".join(["t", "node_index", *names, "u"]) + "\r\n")
             for t, row in zip(self.times.tolist(), self.values):
-                ts = repr(t)
-                w.writerows([ts, i, *c, repr(u)]
-                            for i, (c, u) in enumerate(zip(coords, row.tolist())))
+                fh.write(repr_lines(heads, row.tolist(), "\r\n", lead=repr(t) + ","))
 
 
 def _as_path_values(F_path, grid, K):

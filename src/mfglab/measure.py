@@ -15,13 +15,11 @@ import csv
 import math
 
 import numpy as np
-from scipy import sparse
-from scipy.optimize import linprog
 
 from .errors import (EscapedBox, NotLipschitz, SupportTooLarge, TransportLPFailed,
                      UnsupportedDimension)
 from .hjb import _grid_lipschitz
-from .model import cell_corners
+from .model import cell_corners, repr_lines
 
 MASS_TOL = 1e-12
 SUPPORT_EPS = 1e-15
@@ -88,12 +86,10 @@ class GridMeasure:
     # serialization ------------------------------------------------------
 
     def to_csv(self, path):
-        names, coords = self.grid.csv_columns()
+        names, heads = self.grid.csv_node_heads()
         with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["node_index", *names, "weight"])
-            w.writerows([i, *c, repr(x)]
-                        for i, (c, x) in enumerate(zip(coords, self.weights.tolist())))
+            fh.write(",".join(["node_index", *names, "weight"]) + "\r\n")
+            fh.write(repr_lines(heads, self.weights.tolist(), "\r\n"))
 
     @classmethod
     def from_csv(cls, grid, path):
@@ -185,6 +181,11 @@ def _d1_lp(grid, diffs):
         ncon += p + q
     if not blocks:
         return out
+    # imported here: scipy.optimize and scipy.sparse are most of a cold start,
+    # and a 1-D run never reaches this LP
+    from scipy import sparse
+    from scipy.optimize import linprog
+
     cost = np.concatenate(costs)
     A = sparse.csr_matrix((np.ones(2 * nvar), (np.concatenate(rows), np.concatenate(cols))),
                           shape=(ncon, nvar))
@@ -298,14 +299,13 @@ class MeasurePath:
         return GridMeasure(self.grid, self.weights[k], validate=False)
 
     def to_csv(self, path):
-        names, coords = self.grid.csv_columns()
+        names, heads = self.grid.csv_node_heads()
         with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["t", "node_index", *names, "weight"])
+            fh.write(",".join(["t", "node_index", *names, "weight"]) + "\r\n")
             for t, row_w in zip(self.times.tolist(), self.weights):
-                ts = repr(t)
-                w.writerows([ts, i, *coords[i], repr(float(row_w[i]))]
-                            for i in np.flatnonzero(row_w > SUPPORT_EPS).tolist())
+                sup = np.flatnonzero(row_w > SUPPORT_EPS)
+                fh.write(repr_lines([heads[i] for i in sup.tolist()], row_w[sup].tolist(),
+                                    "\r\n", lead=repr(t) + ","))
 
     @classmethod
     def from_csv(cls, grid, path):

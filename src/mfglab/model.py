@@ -10,6 +10,7 @@ points rather than assumed.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,6 +35,20 @@ def _tensor_points(axes):
     mesh = np.meshgrid(*axes, indexing="ij")
     pts = np.stack([a.ravel() for a in mesh], axis=-1)
     return pts[:, 0] if len(axes) == 1 else pts
+
+
+def repr_lines(heads, values, end, lead=""):
+    """The text of the lines lead + heads[i] + repr(values[i]) + end.
+
+    values is a list of Python floats.  repr of the whole list formats each
+    float with float.__repr__ (the shortest round-trip form) in C, one call
+    per table slice instead of one per row; no float repr holds ", ", so the
+    split recovers them exactly.
+    """
+    if not values:
+        return ""
+    cells = map(operator.add, heads, repr(values)[1:-1].split(", "))
+    return lead + (end + lead).join(cells) + end
 
 
 class GridSpec:
@@ -85,6 +100,11 @@ class GridSpec:
         """Coordinate header names and, per point, the repr of each coordinate."""
         rows = self.coordinates(pts).tolist()
         return list(AXIS_NAMES[: self.dim]), [[repr(c) for c in row] for row in rows]
+
+    def csv_node_heads(self):
+        """Coordinate header names and, per node i, the row prefix "i,x," ("i,x,y," in 2-D)."""
+        names, coords = self.csv_columns()
+        return names, [",".join([str(i), *c, ""]) for i, c in enumerate(coords)]
 
     def radii(self):
         """Euclidean norm of every node (distance to the origin)."""

@@ -6,9 +6,10 @@ import subprocess
 import sys
 
 import pytest
+import scipy.optimize
 from scipy.optimize import OptimizeResult
 
-from mfglab import cli, measure
+from mfglab import cli
 from mfglab.cli import main
 
 
@@ -222,6 +223,20 @@ def test_converge_run_and_thread_determinism(tmp_path):
     assert fit["rate_F"]["slope"] < 0
 
 
+def test_converge_repeated_horizon_keeps_one_entry_per_T(tmp_path):
+    out = str(tmp_path / "rep")
+    assert run(["converge", "--instance", "RI-1", "--dx", "0.04", "--dt", "0.04",
+                "--T", "2,4,2", "--R", "3", "--out", out]) == 0
+    man = manifest_of(out)
+    assert man["config"]["params"]["T_list"] == [2.0, 4.0, 2.0]
+    gaps = man["measured"]["gaps"]
+    assert len(gaps) == 3 and gaps[0] == gaps[2] != gaps[1]
+    for phase in ("backward_s", "forward_s", "d1_s"):
+        assert len(man["timings"][phase]) == 3
+    report = (tmp_path / "rep" / "report.csv").read_bytes()
+    assert report.startswith(b"T,e_u,e_F,e_u_scaled,e_F_scaled\n") and b"\r" not in report
+
+
 # ---------------------------------------------------------------------------
 # failures map to documented exit codes
 
@@ -249,6 +264,32 @@ def test_assumption_failure_exit_code(tmp_path):
     cfg_path.write_text(json.dumps(cfg))
     assert run(["verify", "--config", str(cfg_path),
                 "--out", str(tmp_path / "v")]) == 2
+
+
+_COLD_START = """
+import sys
+from mfglab.cli import main
+assert main(["horizon", "--instance", "RI-1", "--T", "1", "--dx", "0.1", "--dt", "0.1"]) == 0
+print(sorted(m for m in ("scipy.optimize", "scipy.sparse") if m in sys.modules))
+import numpy as np
+import mfglab as M
+g = M.GridSpec([0.0, 0.0], [1.0, 1.0], [3, 3], 0.1, 1.0, 3)
+mu, nu = np.zeros(9), np.zeros(9)
+mu[0] = nu[8] = 1.0
+print(repr(M.wasserstein1(M.GridMeasure(g, mu), M.GridMeasure(g, nu))))
+"""
+
+
+def test_1d_run_never_imports_scipy():
+    # scipy.optimize and scipy.sparse take most of a cold start; only the 2-D d_1 LP needs them
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", _COLD_START], capture_output=True,
+                          text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    loaded, d1 = proc.stdout.splitlines()[-2:]
+    assert loaded == "[]"
+    assert float(d1) == pytest.approx(2 ** 0.5)  # corner to corner of the unit square
 
 
 def test_module_entry_point():
@@ -341,7 +382,8 @@ def test_failed_transport_lp_is_solver_failure(tmp_path, capsys, monkeypatch):
     def failed(*args, **kwargs):
         return OptimizeResult(success=False, status=2, message="The problem is infeasible.")
 
-    monkeypatch.setattr(measure, "linprog", failed)
+    # measure._d1_lp imports linprog when it builds the LP, so this is what it calls
+    monkeypatch.setattr(scipy.optimize, "linprog", failed)
     config = os.path.join(os.path.dirname(__file__), "..", "bench", "ri2.json")
     assert run(["horizon", "--config", config, "--T", "2", "--tol", "5e-4",
                 "--out", str(tmp_path / "x")]) == 5

@@ -8,9 +8,16 @@ obeys the triangle inequality, agrees with the 1-D CDF formula on data laid
 along an axis, and matches a full-support transport LP per row, also as the
 stopping residual of a 2-D fixed point, and the pair the solver returns is
 within its tolerance of its own best response.  The Legendre transform of the
-kinetic Lagrangian |v|^2/2 is |p|^2/2, attained at v = p.
+kinetic Lagrangian |v|^2/2 is |p|^2/2, attained at v = p.  The per-node CSV
+writers give the same bytes as a csv.writer of repr'd floats, special
+values included, each with its own line terminator.
 """
 
+import csv
+import math
+import os
+import tempfile
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -21,9 +28,9 @@ from scipy import sparse
 from scipy.optimize import linprog
 
 import mfglab as M
-from mfglab import mfg
+from mfglab import cli, mfg
 from mfglab.hjb import _departure_step, _grid_lipschitz
-from mfglab.measure import _d1_lp, deposit, sup_d1
+from mfglab.measure import SUPPORT_EPS, _d1_lp, deposit, sup_d1
 
 SETTINGS = settings(max_examples=40, deadline=None)
 finite = st.floats(-3.0, 3.0, allow_nan=False)
@@ -299,3 +306,67 @@ def test_legendre_of_kinetic_lagrangian_is_half_square(data, dim, v_max, half):
     sq = float(p @ p)
     assert abs(H - 0.5 * sq) <= 1e-12 * (1.0 + sq)
     np.testing.assert_allclose(np.atleast_1d(vstar), p, rtol=0, atol=1e-12 * (1.0 + sq))
+
+
+# ---------------------------------------------------------------------------
+# CSV tables: byte for byte what csv.writer (or a "\n" join) of repr'd floats gives
+
+SPECIAL = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1e-310, 1e16, -1e16, 1e-5,
+           1e-4, 0.1, 1 / 3, 2.5e-15, 123456789012345680.0]
+any_float = st.one_of(st.sampled_from(SPECIAL),
+                      st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True))
+
+
+def _ref_table(path, header, times, rows, coords, support_only):
+    """The csv.writer layout: [t,] node_index, coordinates, value; CRLF lines."""
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        for t, row in zip(times, rows):
+            lead = [] if t is None else [repr(t)]
+            for i, v in enumerate(row.tolist()):
+                if not support_only or v > SUPPORT_EPS:
+                    w.writerow([*lead, i, *coords[i], repr(v)])
+
+
+def _read(path):
+    with open(path, "rb") as fh:
+        return fh.read()
+
+
+@SETTINGS
+@given(data=st.data(), grid=grids())
+def test_csv_writers_match_the_csv_writer_reference(data, grid):
+    n = grid.n_points
+    times = np.array(data.draw(st.lists(any_float, min_size=1, max_size=3)))
+    values = np.array([data.draw(st.lists(any_float, min_size=n, max_size=n))
+                       for _ in times])
+    names = list("xy"[: grid.dim])
+    coords = [[repr(c) for c in row] for row in grid.coordinates().tolist()]
+    vf = M.ValueField(grid, times, values, None)
+    path = M.MeasurePath(grid, times, values, validate=False)
+    m = M.GridMeasure(grid, values[0], validate=False)
+    sol = SimpleNamespace(lam=0.0, mather_node=0, horizon_used=1.0, doublings=[],
+                          residuals={}, u_bar=values[-1], m_bar=m)
+    with mock.patch.object(cli, "solve_ergodic", lambda *a, **k: sol):
+        writers = cli._run_ergodic({}, SimpleNamespace(grid=grid, L=None, coupling=None))[0]
+    with tempfile.TemporaryDirectory() as tmp:
+        got, want = os.path.join(tmp, "got"), os.path.join(tmp, "want")
+        for write, header, ts, rows, support in (
+                (vf.to_csv, ["t", "node_index", *names, "u"], times.tolist(), values, False),
+                (path.to_csv, ["t", "node_index", *names, "weight"], times.tolist(), values,
+                 True),
+                (writers["mbar.csv"], ["node_index", *names, "weight"], [None], values[:1],
+                 False)):
+            write(got)
+            _ref_table(want, header, ts, rows, coords, support)
+            text = _read(got)
+            assert text == _read(want)
+            assert text.count(b"\n") == text.count(b"\r\n") == len(text.splitlines())
+        writers["ubar.csv"](got)
+        text = _read(got)
+        assert text.decode() == "".join(
+            ",".join(cells) + "\n" for cells in
+            [["node_index", *names, "ubar"]]
+            + [[str(i), *c, repr(u)] for i, (c, u) in enumerate(zip(coords, values[-1].tolist()))])
+        assert b"\r" not in text
