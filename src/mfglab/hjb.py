@@ -167,20 +167,42 @@ def _departure_step(grid):
     return step
 
 
+def bellman_step(L, grid):
+    """step(u, F, t) -> (T u, argmin velocity indices), built once per grid.
+
+    T u = min over grid velocities v of dt L(x, v) + Interp[u](x + dt v), plus
+    dt F (module docstring); ties go to the lowest index.  With check_boundary
+    a minimizer on the velocity-grid edge raises MinimizerOnBoundary at time t.
+    """
+    dt = grid.dt
+    V = grid.velocities
+    # node-major (N, nV): the argmin over velocities reads contiguous rows
+    dtL = dt * np.asarray(L.eval(grid.points[:, None], V[None]), dtype=float)
+    departure = _departure_step(grid)
+    edge = (np.abs(grid.coordinates(V)) == grid.v_max).any(axis=1)  # linspace ends exactly
+    arangeN = np.arange(grid.n_points)
+
+    def step(u, F, t, check_boundary=True):
+        cand = departure(u)
+        cand += dtL
+        jstar = cand.argmin(axis=1)
+        if check_boundary:
+            bad = edge[jstar]
+            if bad.any():
+                raise MinimizerOnBoundary(t, grid.points[bad.argmax()])
+        return cand[arangeN, jstar] + dt * F, jstar
+
+    return step
+
+
 def solve_backward(L, F_path, uf, grid, T, check_boundary=True):
     """Dynamic-programming solve of the backward HJ equation on [0, T].
 
     u(t_k, x) = min over grid velocities v of
-        dt * [L(x, v) + F(x, t_k)] + Interp[u(t_{k+1})](x + dt v).
+        dt * [L(x, v) + F(x, t_k)] + Interp[u(t_{k+1})](x + dt v),
 
-    Interpolation at the departure points x + dt v is a shift-invariant
-    stencil built here (``_departure_step``, a few KB, no N * nV operator):
-    a step costs N * W_d * nv multiply-adds per axis d, W_d about
-    2 v_max dt / dx_d, plus the precomputed dt * L.  F does not depend on v,
-    so dt * F is added after the minimization.
-
-    Returns a ValueField whose feedback rows hold the minimizing velocity
-    per (t_k, node); ties go to the lowest velocity index.  Raises
+    one ``bellman_step`` per time step.  Returns a ValueField whose feedback
+    rows hold the minimizing velocity per (t_k, node).  Raises
     MinimizerOnBoundary when a minimizer lands on the velocity-grid edge,
     signalling that v_max is too small for the data.
     """
@@ -188,27 +210,13 @@ def solve_backward(L, F_path, uf, grid, T, check_boundary=True):
     times = np.arange(K + 1) * grid.dt
     F = _as_path_values(F_path, grid, K)
     uT = uf.validate(grid) if isinstance(uf, TerminalDatum) else np.asarray(uf, dtype=float)
-    N = grid.n_points
-    dt = grid.dt
-    V = grid.velocities
-    # node-major (N, nV): the argmin over velocities reads contiguous rows
-    dtL = dt * np.asarray(L.eval(grid.points[:, None], V[None]), dtype=float)
-    departure = _departure_step(grid)
-    edge = (np.abs(grid.coordinates(V)) == grid.v_max).any(axis=1)  # linspace ends exactly
-    values = np.empty((K + 1, N))
+    step = bellman_step(L, grid)
+    values = np.empty((K + 1, grid.n_points))
     feedback = np.empty((K,) + grid.points.shape)
     values[K] = uT
-    arangeN = np.arange(N)
     for k in range(K - 1, -1, -1):
-        cand = departure(values[k + 1])
-        cand += dtL
-        jstar = cand.argmin(axis=1)
-        if check_boundary:
-            bad = edge[jstar]
-            if bad.any():
-                raise MinimizerOnBoundary(times[k], grid.points[bad.argmax()])
-        values[k] = cand[arangeN, jstar] + dt * F[k]
-        feedback[k] = V[jstar]
+        values[k], jstar = step(values[k + 1], F[k], times[k], check_boundary)
+        feedback[k] = grid.velocities[jstar]
     return ValueField(grid, times, values, feedback)
 
 

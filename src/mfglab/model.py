@@ -24,6 +24,7 @@ from .errors import (
 ARGMIN_TOL = 1e-10  # two node values within this are treated as tied minima
 HESSIAN_RTOL = 1e-3  # relative tolerance on finite-difference matrix bounds
 AXIS_NAMES = ("x", "y")  # coordinate column names in CSV outputs
+MAX_TABLE_CELLS = 2 ** 23  # (K+1) * N of one space-time table, 64 MiB of float64
 
 
 # ---------------------------------------------------------------------------
@@ -135,13 +136,16 @@ class GridSpec:
         return int(np.ravel_multi_index(idx, self.nodes))
 
     def time_steps(self, T):
-        """Number of uniform steps covering [0, T]; T must be a near-multiple of dt."""
+        """Steps K covering [0, T]: T a near-multiple of dt, (K+1) * N <= MAX_TABLE_CELLS."""
         steps = T / self.dt
         if not np.isfinite(steps):
             raise ValueError(f"T={T} is not a finite multiple of dt={self.dt}")
         K = int(round(steps))
         if K < 1 or abs(K * self.dt - T) > 1e-9 * max(1.0, T):
             raise ValueError(f"T={T} is not a multiple of dt={self.dt}")
+        if (K + 1) * self.n_points > MAX_TABLE_CELLS:
+            raise ValueError(f"T={T} needs a {K + 1} x {self.n_points} space-time table, "
+                             f"above the budget of {MAX_TABLE_CELLS} cells")
         return K
 
     def describe(self):

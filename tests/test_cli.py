@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 import scipy.optimize
@@ -68,6 +69,15 @@ def test_ergodic_run_and_manifest(tmp_path):
     assert sorted(man["outputs"].keys()) == ["mbar.csv", "ubar.csv"]
     assert man["measured"]["lambda"] == pytest.approx(1.2384058440442351, abs=1e-12)
     assert man["measured"]["mather_x"] == 0.0
+    measured = man["measured"]
+    assert measured["weak_kam_residual"] == 0.0
+    assert measured["horizon_used"] == measured["weak_kam_steps"] * 0.02
+    assert isinstance(man["timings"]["weak_kam_s"], float)
+
+
+def test_ergodic_runs_at_a_dt_that_does_not_divide_one(tmp_path):
+    assert run(["ergodic", "--instance", "RI-1", "--dt", "0.015",
+                "--out", str(tmp_path / "erg")]) == 0
 
 
 def test_manifest_is_canonical_json(tmp_path):
@@ -376,6 +386,20 @@ def test_single_horizon_is_rejected_before_any_solve(tmp_path, capsys, monkeypat
     assert run(["converge", "--instance", "RI-1", "--T", horizons, "--R", "3",
                 "--out", str(tmp_path / "x")]) == 4
     assert "at least two distinct horizons" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, horizons", [("horizon", "1e7"), ("converge", "2,1e7")])
+def test_oversized_horizon_is_rejected_before_any_table(tmp_path, capsys, command, horizons):
+    tracemalloc.start()
+    try:
+        code = run([command, "--instance", "RI-1", "--T", horizons,
+                    "--out", str(tmp_path / "x")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 4
+    assert "T=10000000.0 needs a 500000001 x 401 space-time table" in capsys.readouterr().err
+    assert peak < 16e6  # one RI-1 table of T = 2 is 0.3 MB; T = 1e7 would be 1.6 TB
 
 
 def test_failed_transport_lp_is_solver_failure(tmp_path, capsys, monkeypatch):

@@ -12,7 +12,7 @@ import pytest
 from scipy.integrate import quad
 
 import mfglab as M
-from mfglab import errors
+from mfglab import ergodic, errors
 
 LAMBDA_EXACT = 2.0 - np.tanh(1.0)
 
@@ -56,13 +56,18 @@ def test_residuals_vanish(ergodic_sol):
     assert sol.residuals["second_equation"] <= 1e-10
 
 
-def test_doublings_record_the_stopping_change(ri1, ergodic_sol):
+def test_weak_kam_stops_at_a_bitwise_fixed_point(ri1, ergodic_sol):
     sol, _ = ergodic_sol
-    changes = [d["change"] for d in sol.doublings]
-    assert changes[-1] <= 1e-6 < min(changes[:-1])
-    first = max(1.0, 64 * ri1.grid.dt)
-    assert sol.horizon_used == pytest.approx(first * 2 ** (len(changes) - 1))
-    assert all(d["seconds"] >= 0.0 for d in sol.doublings)
+    g = ri1.grid
+    w, horizon, steps, residual = M.weak_kam_solution(ri1.L, ri1.coupling, g,
+                                                      sol.m_bar, sol.lam)
+    F = ri1.coupling.values_on(g, sol.m_bar) + sol.lam
+    assert np.array_equal(M.solve_backward(ri1.L, F, w, g, g.dt).values[0], w)
+    assert residual == sol.weak_kam_residual == 0.0
+    assert horizon == steps * g.dt == sol.horizon_used
+    assert steps == sol.weak_kam_steps
+    assert np.array_equal(w - w[sol.mather_node], sol.u_bar)
+    assert sol.weak_kam_s >= 0.0
 
 
 def test_corrected_value_matches_quadrature(ri1, ergodic_sol):
@@ -147,15 +152,22 @@ def test_cycle_detected_for_flip_flop_well(ri1):
                         m_start=M.GridMeasure.dirac(g, 0.5))
 
 
-def test_weak_kam_needs_enough_horizon(ri1, ergodic_sol):
+def test_weak_kam_needs_enough_horizon(ri1, ergodic_sol, monkeypatch):
     sol, _ = ergodic_sol
+    monkeypatch.setattr(ergodic, "HORIZON_CAP", 1.0)
     with pytest.raises(errors.NoStabilization):
-        M.weak_kam_solution(ri1.L, ri1.coupling, ri1.grid, sol.m_bar, sol.lam,
-                            horizon_cap=1.0)
+        M.weak_kam_solution(ri1.L, ri1.coupling, ri1.grid, sol.m_bar, sol.lam)
+    # a capped run whose last residual is within tol returns that iterate
+    monkeypatch.setattr(ergodic, "HORIZON_CAP", 8.0)
+    w, horizon, steps, residual = M.weak_kam_solution(ri1.L, ri1.coupling, ri1.grid,
+                                                      sol.m_bar, sol.lam)
+    assert steps == np.ceil(8.0 / ri1.grid.dt)
+    assert 0.0 < residual <= 1e-6
 
 
-def test_weak_kam_rejects_wrong_multiplier(ri1, ergodic_sol):
+def test_weak_kam_rejects_wrong_multiplier(ri1, ergodic_sol, monkeypatch):
     sol, _ = ergodic_sol
+    monkeypatch.setattr(ergodic, "HORIZON_CAP", 16.0)
     with pytest.raises((errors.NoStabilization, errors.AssumptionFailure, ValueError)):
         M.weak_kam_solution(ri1.L, ri1.coupling, ri1.grid, sol.m_bar,
-                            sol.lam - 0.5, horizon_cap=16.0)
+                            sol.lam - 0.5)
