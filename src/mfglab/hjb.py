@@ -63,16 +63,16 @@ def zero_terminal():
 
 
 def _grid_lipschitz(grid, vals, mask=None):
-    """Max absolute slope over grid edges (optionally within a node mask)."""
-    vm = np.reshape(vals, grid.nodes)
+    """Max absolute slope over grid edges of node rows (..., N), optionally within a node mask."""
+    vm = np.reshape(vals, (-1,) + grid.nodes)
     mk = None if mask is None else np.reshape(mask, grid.nodes)
     best = 0.0
     for d, dx in enumerate(grid.dx):
-        va = np.moveaxis(vm, d, 0)
-        slopes = np.abs(va[1:] - va[:-1]) / dx
+        va = np.moveaxis(vm, d + 1, 1)
+        slopes = np.abs(va[:, 1:] - va[:, :-1]) / dx
         if mk is not None:
             ma = np.moveaxis(mk, d, 0)
-            slopes = slopes[ma[:-1] & ma[1:]]
+            slopes = slopes[:, ma[:-1] & ma[1:]]
         if slopes.size:
             best = max(best, float(slopes.max()))
     return best
@@ -281,12 +281,7 @@ def gradient(vf, k):
 
 def lipschitz_estimate(vf, R):
     """Largest grid-edge slope of u over all times, restricted to B_R."""
-    g = vf.grid
-    mask = g.ball_mask(R)
-    best = 0.0
-    for k in range(vf.values.shape[0]):
-        best = max(best, _grid_lipschitz(g, vf.values[k], mask))
-    return best
+    return _grid_lipschitz(vf.grid, vf.values, vf.grid.ball_mask(R))
 
 
 def time_lipschitz_estimate(vf):

@@ -68,10 +68,17 @@ class MFGSolution:
 
 
 def default_probes(coupling, grid):
-    """Probe measures living on K0: corner/center diracs plus a uniform."""
+    """Probe measures living on K0: corner/center diracs plus a uniform.
+
+    Raises ValueError when K0 does not sit strictly inside the box or holds
+    no grid node.
+    """
+    coupling.validate_geometry(grid)
+    idx = np.flatnonzero(coupling.K0_mask(grid))
+    if not idx.size:
+        K0 = [list(coupling.K0_lo), list(coupling.K0_hi)]
+        raise ValueError(f"K0 = {K0} holds no grid node")
     probes = []
-    mask = coupling.K0_mask(grid)
-    idx = np.flatnonzero(mask)
     for i in (idx[0], idx[len(idx) // 2], idx[-1]):
         w = np.zeros(grid.n_points)
         w[i] = 1.0
@@ -84,7 +91,6 @@ def _check_standing_assumptions(L, coupling, grid, m0, uf):
     rep = check_strict_tonelli(L, grid)
     if not rep.passed:
         raise AssumptionFailure(f"Tonelli bounds failed: {rep.violations[:3]}")
-    coupling.validate_geometry(grid)
     check_F4_gap(coupling, L, grid, default_probes(coupling, grid))
     if not coupling.K0_mask(grid)[m0.support()].all():
         raise AssumptionFailure("initial measure charges nodes outside K0")

@@ -206,10 +206,12 @@ def interp_grid(grid, values, pts):
 class LagrangianModel:
     """Running cost L(x, v) with declared Tonelli constants.
 
-    eval must broadcast over numpy arrays of positions and velocities.
-    C1 bounds the velocity Hessian from both sides (I/C1 <= D^2_vv L <= C1 I),
-    C2 bounds the mixed Hessian, C3 bounds data at v = 0.  alpha and beta are
-    the growth constants derived from them.
+    eval must broadcast over numpy arrays of positions and velocities: the
+    solver and check_strict_tonelli pass it all (x, v) pairs at once, as
+    (P, Q) arrays in 1-D and (P, Q, 2) arrays in 2-D.  C1 bounds the
+    velocity Hessian from both sides (I/C1 <= D^2_vv L <= C1 I), C2 bounds
+    the mixed Hessian, C3 bounds data at v = 0.  alpha and beta are the
+    growth constants derived from them.
     """
 
     eval: callable
@@ -400,102 +402,94 @@ def check_strict_tonelli(L, grid):
     Checks, at sampled (x, v): eigenvalues of D^2_vv L within [1/C1, C1],
     the mixed Hessian norm below C2 (1 + |v|), and the v=0 data bound C3;
     all with relative tolerance 1e-3.  Growth bounds with the derived
-    alpha, beta are flagged (not failed) when violated.
+    alpha, beta are flagged (not failed) when violated.  Each stencil
+    offset is one call of L.eval on all P x Q sample pairs, as (P, Q)
+    arrays in 1-D and (P, Q, 2) in 2-D; the step is h = 1e-4 (1 + |v|).
+    Entries are listed per sample x, then per sample v.
     """
-    shape = grid.velocities.shape[1:]  # () in 1-D, where L.eval gets scalars
-    E = list(np.eye(grid.dim).reshape((grid.dim,) + shape))
-    zero = np.zeros(shape)[()]
     per_x, per_v = (9, 7) if grid.dim == 1 else (4, 3)
     vm = 0.9 * grid.v_max
     xs = _samples(grid.lo, grid.hi, per_x)
     vs = _samples((-vm,) * grid.dim, (vm,) * grid.dim, per_v)
-    rep = TonelliReport(True, [], [], L.alpha, L.beta)
+    X, V = np.broadcast_arrays(grid.coordinates(xs)[:, None], grid.coordinates(vs)[None])
+    pairs = X.shape[:2]  # (P, Q)
+    shape = pairs + grid.points.shape[1:]
+
+    def ev(x, v):  # L at every sample pair; x, v are (P, Q, n) coordinates
+        return np.broadcast_to(L.eval(x.reshape(shape), v.reshape(shape)), pairs)
+
+    speed = np.sqrt((V**2).sum(axis=-1))
+    h = 1e-4 * (1.0 + speed)
+    E = [h[..., None] * e for e in np.eye(grid.dim)]  # the steps h e_i
+    Lc = ev(X, V)
+    up, down = [ev(X, V + d) for d in E], [ev(X, V - d) for d in E]
+    hvv = np.empty(pairs + (grid.dim, grid.dim))
+    hvx = np.empty_like(hvv)
+    for i, di in enumerate(E):
+        hvv[..., i, i] = (up[i] - 2 * Lc + down[i]) / h**2
+        for j, dj in enumerate(E):
+            if j < i:
+                hvv[..., i, j] = hvv[..., j, i] = (
+                    ev(X, V + di + dj) - ev(X, V + di - dj)
+                    - ev(X, V - di + dj) + ev(X, V - di - dj)) / (4 * h**2)
+            hvx[..., i, j] = (  # d/dv_i d/dx_j
+                ev(X + dj, V + di) - ev(X + dj, V - di)
+                - ev(X - dj, V + di) + ev(X - dj, V - di)) / (4 * h**2)
+    grad_v = _length([(u - d) / (2 * h) for u, d in zip(up, down)])
+    eig_lo, eig_hi = _eigen_range(hvv)
+    hvx_norm = np.sqrt(_eigen_range(np.swapaxes(hvx, -1, -2) @ hvx)[1])
+
+    Z, h0 = np.zeros_like(V), 1e-4  # the data at v = 0, where the step is h0
+    E0 = [h0 * e for e in np.eye(grid.dim)]
+    c3 = (np.abs(ev(X, Z))
+          + _length([(ev(X + d, Z) - ev(X - d, Z)) / (2 * h0) for d in E0])
+          + _length([(ev(X, Z + d) - ev(X, Z - d)) / (2 * h0) for d in E0]))
+
     rtol = HESSIAN_RTOL
-    for x in xs:
-        for v in vs:
-            eig = np.linalg.eigvalsh(_hess_vv(L, x, v, E))
-            lo_b, hi_b = 1.0 / L.C1, L.C1
-            if eig.min() < lo_b * (1 - rtol) or eig.max() > hi_b * (1 + rtol):
-                rep.violations.append(("vv_bounds", x, v, float(eig.min()), float(eig.max())))
-            hvx = float(np.linalg.norm(_hess_vx(L, x, v, E), 2))
-            bound = L.C2 * (1.0 + _norm(v))
-            if hvx > bound * (1 + rtol):
-                rep.violations.append(("vx_bound", x, v, hvx, bound))
-            val = abs(_ev(L, x, zero)) + _norm(_grad_x(L, x, zero, E)) + _norm(
-                _grad_v(L, x, zero, E))
-            if val > L.C3 * (1 + rtol):
-                rep.violations.append(("c3_bound", x, None, float(val), L.C3))
-            lv = _ev(L, x, v)
-            nv2 = _norm(v) ** 2
-            if not (nv2 / (4 * L.beta) - L.alpha <= lv + 1e-9 and lv <= 4 * L.beta * nv2 + L.alpha + 1e-9):
-                rep.growth_flags.append(("energy_growth", x, v, lv))
-            if _norm(_grad_v(L, x, v, E)) > L.alpha * (1 + _norm(v)) * (1 + rtol):
-                rep.growth_flags.append(("dv_growth", x, v))
+    bound = L.C2 * (1.0 + speed)
+    nv2 = speed**2
+    bad_vv = (eig_lo < (1.0 / L.C1) * (1 - rtol)) | (eig_hi > L.C1 * (1 + rtol))
+    bad_vx = hvx_norm > bound * (1 + rtol)
+    bad_c3 = c3 > L.C3 * (1 + rtol)
+    bad_energy = ~((nv2 / (4 * L.beta) - L.alpha <= Lc + 1e-9)
+                   & (Lc <= 4 * L.beta * nv2 + L.alpha + 1e-9))
+    bad_dv = grad_v > L.alpha * (1 + speed) * (1 + rtol)
+    rep = TonelliReport(True, [], [], L.alpha, L.beta)
+    for p, q in np.argwhere(bad_vv | bad_vx | bad_c3 | bad_energy | bad_dv):
+        x, v = xs[p], vs[q]
+        if bad_vv[p, q]:
+            rep.violations.append(("vv_bounds", x, v, float(eig_lo[p, q]), float(eig_hi[p, q])))
+        if bad_vx[p, q]:
+            rep.violations.append(("vx_bound", x, v, float(hvx_norm[p, q]), float(bound[p, q])))
+        if bad_c3[p, q]:
+            rep.violations.append(("c3_bound", x, None, float(c3[p, q]), L.C3))
+        if bad_energy[p, q]:
+            rep.growth_flags.append(("energy_growth", x, v, float(Lc[p, q])))
+        if bad_dv[p, q]:
+            rep.growth_flags.append(("dv_growth", x, v))
     rep.passed = not rep.violations
     return rep
 
 
 def _samples(lo, hi, per_axis):
     """Tensor grid of sample points over the box [lo, hi], in the grid's point shape."""
-    return list(_tensor_points([np.linspace(a, b, per_axis) for a, b in zip(lo, hi)]))
+    return _tensor_points([np.linspace(a, b, per_axis) for a, b in zip(lo, hi)])
 
 
-def _norm(v):
-    v = np.asarray(v, dtype=float)
-    return float(np.sqrt((v**2).sum()))
+def _length(components):
+    """Euclidean norm of a vector given as a list of its component arrays."""
+    return np.sqrt(sum(c**2 for c in components))
 
 
-def _ev(L, x, v):
-    return float(L.eval(x, v))
+def _eigen_range(S):
+    """Smallest and largest eigenvalue of symmetric n x n matrices S[..., :, :], n <= 2.
 
-
-def _fd_step(v):
-    return 1e-4 * (1.0 + _norm(v))
-
-
-# Finite differences along the unit directions E (scalars in 1-D).
-
-
-def _hess_vv(L, x, v, E):
-    h = _fd_step(v)
-    out = np.empty((len(E), len(E)))
-    for i, ei in enumerate(E):
-        for j, ej in enumerate(E):
-            if i == j:
-                out[i, j] = (_ev(L, x, v + h * ei) - 2 * _ev(L, x, v)
-                             + _ev(L, x, v - h * ei)) / h**2
-            else:
-                out[i, j] = (
-                    _ev(L, x, v + h * ei + h * ej)
-                    - _ev(L, x, v + h * ei - h * ej)
-                    - _ev(L, x, v - h * ei + h * ej)
-                    + _ev(L, x, v - h * ei - h * ej)
-                ) / (4 * h**2)
-    return 0.5 * (out + out.T)
-
-
-def _hess_vx(L, x, v, E):
-    h = _fd_step(v)
-    out = np.empty((len(E), len(E)))
-    for i, ei in enumerate(E):  # d/dv_i d/dx_j
-        for j, ej in enumerate(E):
-            out[i, j] = (
-                _ev(L, x + h * ej, v + h * ei)
-                - _ev(L, x + h * ej, v - h * ei)
-                - _ev(L, x - h * ej, v + h * ei)
-                + _ev(L, x - h * ej, v - h * ei)
-            ) / (4 * h**2)
-    return out
-
-
-def _grad_v(L, x, v, E):
-    h = _fd_step(v)
-    return np.array([(_ev(L, x, v + h * e) - _ev(L, x, v - h * e)) / (2 * h) for e in E])
-
-
-def _grad_x(L, x, v, E):
-    h = _fd_step(v)
-    return np.array([(_ev(L, x + h * e, v) - _ev(L, x - h * e, v)) / (2 * h) for e in E])
+    They are tr/n -+ |S - (tr/n) I|_F / sqrt(2), in closed form.
+    """
+    n = S.shape[-1]
+    mean = np.trace(S, axis1=-2, axis2=-1) / n
+    spread = np.sqrt(((S - mean[..., None, None] * np.eye(n)) ** 2).sum(axis=(-2, -1)) / 2)
+    return mean - spread, mean + spread
 
 
 def check_F4_gap(coupling, L, grid, probes):

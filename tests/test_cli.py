@@ -10,7 +10,7 @@ import pytest
 import scipy.optimize
 from scipy.optimize import OptimizeResult
 
-from mfglab import cli
+from mfglab import cli, mfg
 from mfglab.cli import main
 
 
@@ -470,3 +470,26 @@ def test_solver_failure_has_its_own_exit_code(tmp_path, capsys):
     assert run(["horizon", "--T", "1", "--config", str(cfg_path),
                 "--out", str(tmp_path / "hz")]) == 5
     assert "velocity-grid boundary" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, K0", [
+    (["verify"], [0.01, 0.03]),  # inside the box, between the nodes 0.0 and 0.04
+    (["horizon", "--T", "1"], [0.01, 0.03]),
+    (["verify"], [5.0, 6.0]),  # outside the box [-4, 4]
+], ids=["verify-between-nodes", "horizon-between-nodes", "verify-outside-box"])
+def test_K0_without_grid_nodes_is_config_error(tmp_path, capsys, monkeypatch, command, K0):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a solver ran")
+
+    monkeypatch.setattr(mfg, "solve_backward", no_solve)
+    cfg = {
+        "name": "empty-K0",
+        "coupling": dict(RI1_COUPLING, K0=K0),
+        "grid": {"lo": -4.0, "hi": 4.0, "dx": 0.04, "dt": 0.04,
+                 "v_max": 4.0, "v_nodes": 81},
+        "initial": {"kind": "dirac", "at": 0.0},
+    }
+    cfg_path = tmp_path / "empty_k0.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert run([*command, "--config", str(cfg_path), "--out", str(tmp_path / "x")]) == 4
+    assert "K0" in capsys.readouterr().err

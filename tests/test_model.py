@@ -1,5 +1,7 @@
 """Lagrangian models, the Legendre transform, and the standing-assumption checks."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -73,13 +75,81 @@ def test_tonelli_reference_instance(ri1):
     assert rep.beta == pytest.approx(ri1.L.C1 / 2 + ri1.L.C3)
 
 
-def test_tonelli_rejects_quartic():
-    # L = v^4 has L_vv = 12 v^2: zero at v = 0, unbounded at large v
-    L = M.LagrangianModel(lambda x, v: np.asarray(v, dtype=float) ** 4,
-                          C1=1.0, C2=1.0, C3=0.0)
-    rep = M.check_strict_tonelli(L, grid1d())
+def grid2d(nodes=25):
+    return M.GridSpec((-3.0, -3.0), (3.0, 3.0), (nodes, nodes), 0.25, 4.0, 17)
+
+
+def last_axis_sum(a):
+    """Sum over the coordinate axis of 2-D points; 1-D points pass unchanged."""
+    return a.sum(axis=-1) if a.ndim and a.shape[-1] == 2 else a
+
+
+# L = v^4 has L_vv = 12 v^2: zero at v = 0, unbounded at large v
+QUARTIC = M.LagrangianModel(lambda x, v: last_axis_sum(np.asarray(v) ** 4),
+                            C1=1.0, C2=1.0, C3=0.0)
+# the mixed Hessian of 0.9 x.v is 0.9 I, above C2 (1 + |v|) = 0.1 (1 + |v|)
+DRIFT = M.LagrangianModel(
+    lambda x, v: last_axis_sum(0.5 * np.asarray(v) ** 2 + 0.9 * np.asarray(x) * v),
+    C1=1.0, C2=0.1, C3=1.0)
+# |L(x, 0)| + |D_x L(x, 0)| is (1 + 2 sqrt 2) e^-2 = 0.52 at the samples x = (+-1, +-1)
+WELL = M.quadratic_kinetic(potential=lambda p: -np.exp(-last_axis_sum(np.asarray(p) ** 2)),
+                           C3=0.5)
+
+
+@pytest.mark.parametrize("L, grid, violations, flags", [
+    (QUARTIC, grid1d(), {"vv_bounds": 63}, {"energy_growth": 36, "dv_growth": 54}),
+    (QUARTIC, grid2d(), {"vv_bounds": 144}, {"energy_growth": 128, "dv_growth": 128}),
+    (DRIFT, grid1d(), {"vx_bound": 63, "c3_bound": 42}, {"energy_growth": 16, "dv_growth": 6}),
+    (DRIFT, grid2d(), {"vx_bound": 144, "c3_bound": 144},
+     {"energy_growth": 28, "dv_growth": 12}),
+    (WELL, grid2d(), {"c3_bound": 36}, {}),
+], ids=["quartic-1d", "quartic-2d", "drift-1d", "drift-2d", "well-2d"])
+def test_tonelli_report_kinds(L, grid, violations, flags):
+    rep = M.check_strict_tonelli(L, grid)
     assert not rep.passed
-    assert any(v[0] == "vv_bounds" for v in rep.violations)
+    assert Counter(v[0] for v in rep.violations) == violations
+    assert Counter(f[0] for f in rep.growth_flags) == flags
+    # entries run over the sample x, then the sample v, in the grid's point shape
+    for entries in (rep.violations, rep.growth_flags):
+        for e in entries:
+            assert np.shape(e[1]) == grid.points.shape[1:]
+        xs = [tuple(np.atleast_1d(e[1])) for e in entries]
+        assert xs == sorted(xs)
+
+
+def test_tonelli_entries_carry_the_finite_difference_values():
+    # sum v_i^4 has D^2_vv L = diag(12 v_i^2) up to the 2 h^2 of the stencil
+    for grid in (grid1d(), grid2d()):
+        for _, _, v, lo, hi in M.check_strict_tonelli(QUARTIC, grid).violations:
+            v2 = np.atleast_1d(v) ** 2
+            assert (lo, hi) == pytest.approx((12 * v2.min(), 12 * v2.max()), rel=1e-6, abs=1e-5)
+    # 0.9 x_0 v_1 has the mixed Hessian [[0, 0], [0.9, 0]], of spectral norm 0.9
+    shear = M.LagrangianModel(
+        lambda x, v: 0.5 * (np.asarray(v) ** 2).sum(axis=-1) + 0.9 * x[..., 0] * v[..., 1],
+        C1=1.0, C2=0.1, C3=1.0)
+    mixed = [e for e in M.check_strict_tonelli(shear, grid2d()).violations if e[0] == "vx_bound"]
+    assert len(mixed) == 144
+    for _, _, v, norm, bound in mixed:
+        assert norm == pytest.approx(0.9, rel=1e-6)
+        assert bound == pytest.approx(0.1 * (1 + np.hypot(*v)))
+
+
+def test_tonelli_check_calls_L_once_per_stencil_offset():
+    # the gate evaluates L on all sample pairs at once, whatever the grid size
+    calls = []
+
+    def kinetic(x, v):
+        calls.append(np.shape(v))
+        return 0.5 * (np.asarray(v) ** 2).sum(axis=-1)
+
+    L = M.LagrangianModel(kinetic, C1=1.0, C2=1.0, C3=1.0)
+    counts = []
+    for nodes in (5, 25):
+        calls.clear()
+        assert M.check_strict_tonelli(L, grid2d(nodes)).passed
+        counts.append(len(calls))
+        assert set(calls) == {(16, 9, 2)}  # 4 x 4 positions times 3 x 3 velocities
+    assert counts[0] == counts[1] <= 64
 
 
 def test_tonelli_rejects_undeclared_data_bound():
