@@ -57,13 +57,13 @@ from .model import (
     Coupling,
     GridSpec,
     LagrangianModel,
-    MeanFieldLagrangian,
     check_F4_gap,
     check_F5,
     check_strict_tonelli,
     interp_grid,
     legendre_transform,
     quadratic_kinetic,
+    rest_landscape,
     separable_coupling,
 )
 from .transport import (

@@ -2,8 +2,8 @@
 
 Subcommands: verify | ergodic | horizon | converge | reproduce.
 Exit codes: 0 success, 1 reproduce mismatch, 2 assumption failure,
-3 non-convergence, 4 I/O or configuration error, 5 solver failure (any
-other MFGLabError, such as MinimizerOnBoundary or EscapedBox).  Every run
+3 non-convergence, 4 I/O, configuration or usage error, 5 solver failure
+(any other MFGLabError, such as MinimizerOnBoundary or EscapedBox).  Every run
 writes a manifest.json that round-trips byte-identically and lists the
 SHA-256 of each CSV output; `mfg reproduce <manifest>` re-runs the same
 configuration and asserts the outputs are byte-identical.  A `--config` run
@@ -28,7 +28,7 @@ from .analysis import convergence_metrics
 from .ergodic import solve_ergodic
 from .errors import AssumptionFailure, MFGLabError, Mismatch, NoStabilization
 from .instances import load_instance
-from .mfg import default_probes, solve_finite_horizon
+from .mfg import check_standing_assumptions, default_probes, solve_finite_horizon
 from .model import check_F4_gap, check_F5, check_strict_tonelli, repr_lines
 
 EXIT_OK = 0
@@ -155,6 +155,7 @@ def _run_verify(params, inst):
 
 def _run_ergodic(params, inst):
     g = inst.grid
+    check_standing_assumptions(inst.L, inst.coupling, g)
     sol = solve_ergodic(inst.L, inst.coupling, g, tol=params.get("tol", 1e-6))
 
     def ubar_csv():
@@ -201,6 +202,7 @@ def _run_converge(params, inst):
         inst.grid.time_steps(T)
     if len(set(T_list)) < 2:  # a rate needs two horizons
         raise ValueError(f"converge needs at least two distinct horizons, got {T_list!r}")
+    check_standing_assumptions(inst.L, inst.coupling, inst.grid)
     erg = solve_ergodic(inst.L, inst.coupling, inst.grid, tol=params.get("tol", 1e-6))
     tol = params.get("tol", 1e-4)
     sols = {T: solve_finite_horizon(inst.L, inst.coupling, inst.m0, inst.uf, inst.grid,
@@ -262,23 +264,21 @@ def _parser():
                                 description="mean field game numerical laboratory")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, needs_T=False):
+    def common(sp, *reads, T=False):  # reads: which of tol and R the subcommand reads
         sp.add_argument("--instance", default=None, help="built-in name, e.g. RI-1")
         sp.add_argument("--config", default=None, help="path to a JSON instance document")
-        if needs_T:
+        if T:
             sp.add_argument("--T", required=True,
                             help="horizon (comma-separated list for converge)")
-        sp.add_argument("--dx", type=float, default=None)
-        sp.add_argument("--dt", type=float, default=None)
-        sp.add_argument("--tol", type=float, default=None)
-        sp.add_argument("--R", type=float, default=None)
+        for key in ("dx", "dt", *reads):
+            sp.add_argument(f"--{key}", type=float, default=None)
         sp.add_argument("--out", default=None, help="output directory")
         sp.add_argument("--threads", type=int, default=1, help="accepted and ignored")
 
     common(sub.add_parser("verify", help="run the assumption checks"))
-    common(sub.add_parser("ergodic", help="solve the stationary system"))
-    common(sub.add_parser("horizon", help="solve the finite-horizon system"), needs_T=True)
-    common(sub.add_parser("converge", help="long-time convergence study"), needs_T=True)
+    common(sub.add_parser("ergodic", help="solve the stationary system"), "tol")
+    common(sub.add_parser("horizon", help="solve the finite-horizon system"), "tol", T=True)
+    common(sub.add_parser("converge", help="long-time convergence study"), "tol", "R", T=True)
     rp = sub.add_parser("reproduce", help="re-run a manifest and compare outputs")
     rp.add_argument("manifest")
     return p
@@ -315,7 +315,7 @@ def _collect_params(args, needs_T=False, T_is_list=False):
             params["document"] = json.load(fh)
         params["document_sha256"] = _config_hash(params["document"])
     for key in ("dx", "dt", "tol", "R"):
-        val = getattr(args, key)
+        val = getattr(args, key, None)
         if val is not None:
             params[key] = val
     if needs_T:
@@ -393,7 +393,10 @@ def _cmd_reproduce(manifest_path):
 
 
 def main(argv=None):
-    args = _parser().parse_args(argv)
+    try:
+        args = _parser().parse_args(argv)
+    except SystemExit as e:  # argparse exits 0 after --help and 2 on a usage error
+        return EXIT_IO if e.code else EXIT_OK
     try:
         if args.command == "reproduce":
             files = _cmd_reproduce(args.manifest)

@@ -20,14 +20,10 @@ import numpy as np
 from .errors import CycleDetected, MinOnBoundary, NoStabilization, NotReversible
 from .hjb import bellman_step, solve_backward
 from .measure import GridMeasure, wasserstein1
-from .model import ARGMIN_TOL, MeanFieldLagrangian
+from .model import ARGMIN_TOL, rest_landscape
 
 MAX_DIRAC_ITERS = 25  # steps of the Dirac iteration before it counts as a cycle
 HORIZON_CAP = 128.0  # the weak-KAM loop takes at most ceil(HORIZON_CAP / dt) steps
-
-
-def _rest_landscape(L, coupling, grid, m):
-    return MeanFieldLagrangian(L, coupling, m).values_at_rest(grid)
 
 
 def _boundary_mask(grid):
@@ -45,7 +41,7 @@ def critical_value(L, coupling, grid, m):
     """
     if not L.reversible:
         raise NotReversible("critical value formula needs L(x, v) = L(x, -v)")
-    rest = _rest_landscape(L, coupling, grid, m)
+    rest = rest_landscape(L, coupling, grid, m)
     j = int(np.argmin(rest))
     if _boundary_mask(grid)[rest <= rest[j] + ARGMIN_TOL].any():
         raise MinOnBoundary(grid.points[j])
@@ -60,7 +56,7 @@ def mather_point(L, coupling, grid, m):
     """
     if not L.reversible:
         raise NotReversible("atomic minimizing measures need reversibility")
-    rest = _rest_landscape(L, coupling, grid, m)
+    rest = rest_landscape(L, coupling, grid, m)
     mask = coupling.K0_mask(grid)
     idx = np.flatnonzero(mask)
     vals = rest[idx]

@@ -111,8 +111,11 @@ def _build_grid(cfg):
     else:
         nodes = _per_axis(_require(cfg, "nodes", "grid"), "grid", "nodes", dtype=int)
     dt = _number(cfg.get("dt", cfg.get("dx", 0.02)), "grid", "dt")
+    v_nodes = _number(cfg.get("v_nodes", 161), "grid", "v_nodes", cast=int)
+    if v_nodes % 2 == 0:  # v = 0 must be a velocity node
+        raise ValueError(f"grid: 'v_nodes' must be odd, got {v_nodes!r}")
     return GridSpec(lo, hi, nodes, dt, _number(cfg.get("v_max", 4.0), "grid", "v_max"),
-                    _number(cfg.get("v_nodes", 161), "grid", "v_nodes", cast=int))
+                    v_nodes)
 
 
 def _build_lagrangian(cfg):
@@ -181,6 +184,7 @@ def from_config(cfg, dx=None, dt=None):
     L = _build_lagrangian(_section(cfg, "lagrangian"))
     coupling = _build_coupling(_section(cfg, "coupling", required=True))
     uf = _build_terminal(_section(cfg, "terminal"), grid)
+    coupling.validate_geometry(grid)
     m0 = _build_initial(_section(cfg, "initial"), grid, coupling)
     return Instance(cfg.get("name", "instance"), L, coupling, grid, uf, m0)
 

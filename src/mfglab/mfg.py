@@ -75,9 +75,6 @@ def default_probes(coupling, grid):
     """
     coupling.validate_geometry(grid)
     idx = np.flatnonzero(coupling.K0_mask(grid))
-    if not idx.size:
-        K0 = [list(coupling.K0_lo), list(coupling.K0_hi)]
-        raise ValueError(f"K0 = {K0} holds no grid node")
     probes = []
     for i in (idx[0], idx[len(idx) // 2], idx[-1]):
         w = np.zeros(grid.n_points)
@@ -87,11 +84,22 @@ def default_probes(coupling, grid):
     return probes
 
 
-def _check_standing_assumptions(L, coupling, grid, m0, uf):
+def check_standing_assumptions(L, coupling, grid):
+    """The checks every solve needs: Tonelli bounds, K0 geometry, confinement gap.
+
+    Raises AssumptionFailure (a GapViolated for the gap) or, for K0, a
+    ValueError.  solve_finite_horizon runs them itself, with the checks of
+    m0 and the terminal datum; solve_ergodic does not, so callers run them
+    before a stationary solve.
+    """
     rep = check_strict_tonelli(L, grid)
     if not rep.passed:
         raise AssumptionFailure(f"Tonelli bounds failed: {rep.violations[:3]}")
     check_F4_gap(coupling, L, grid, default_probes(coupling, grid))
+
+
+def _check_standing_assumptions(L, coupling, grid, m0, uf):
+    check_standing_assumptions(L, coupling, grid)
     if not coupling.K0_mask(grid)[m0.support()].all():
         raise AssumptionFailure("initial measure charges nodes outside K0")
     uf.validate(grid)

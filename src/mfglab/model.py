@@ -57,8 +57,9 @@ class GridSpec:
 
     lo, hi, nodes may be scalars (1-D) or length-2 sequences.  The velocity
     grid is linspace(-v_max, v_max, v_nodes) per axis; v_nodes should be odd
-    so that v = 0 is representable.  points and velocities are row-major
-    tensor grids of shape (N, n), except that in 1-D they are flat (N,).
+    so that v = 0 is representable, and an instance document must give an
+    odd count.  points and velocities are row-major tensor grids of shape
+    (N, n), except that in 1-D they are flat (N,).
     """
 
     def __init__(self, lo, hi, nodes, dt, v_max, v_nodes):
@@ -263,25 +264,24 @@ def _first_coord(x):
 
 
 # ---------------------------------------------------------------------------
-# measures live in measure.py; couplings only need integrate-against-f
+# couplings
 
 
 @dataclass
 class Coupling:
-    """Mean-field cost F(x, m) with the declared confinement data.
+    """Mean-field cost F(x, m) on the grid nodes, with the declared confinement data.
 
-    K0 is a closed sub-box strictly inside the state box; delta0 the declared
-    confinement gap; lip2 the declared Lipschitz constant of m -> F(., m) in
-    d_1.  separable, when set, is (f callable, G callable) and eval is
-    f(x) * G(integral of f dm).
+    values(grid, weight_rows) maps an (R, N) stack of measures, one weight
+    row each, to the (R, N) table of F(node, m_r).  K0 is a closed sub-box
+    strictly inside the state box; delta0 the declared confinement gap;
+    lip2 the declared Lipschitz constant of m -> F(., m) in d_1.
     """
 
-    eval: callable
+    values: callable
     K0_lo: tuple
     K0_hi: tuple
     delta0: float
     lip2: float
-    separable: tuple | None = None
     name: str = "coupling"
 
     def __post_init__(self):
@@ -289,55 +289,41 @@ class Coupling:
         self.K0_hi = tuple(float(a) for a in np.atleast_1d(self.K0_hi))
 
     def validate_geometry(self, grid):
-        for a, b, lo, hi in zip(self.K0_lo, self.K0_hi, grid.lo, grid.hi):
-            if not (lo < a < b < hi):
-                raise ValueError("K0 must sit strictly inside the box")
+        """ValueError naming K0 and the box unless K0 sits strictly inside it and holds a node."""
+        inside = all(lo < a < b < hi for a, b, lo, hi
+                     in zip(self.K0_lo, self.K0_hi, grid.lo, grid.hi))
+        if not (inside and self.K0_mask(grid).any()):
+            K0 = [list(self.K0_lo), list(self.K0_hi)]
+            box = [list(grid.lo), list(grid.hi)]
+            raise ValueError(f"K0 = {K0} must sit strictly inside the box {box} "
+                             f"and hold a grid node")
 
     def K0_mask(self, grid):
         return grid.in_box(grid.points, self.K0_lo, self.K0_hi)
 
     def values_on(self, grid, m):
-        """F(., m) at every grid node."""
-        return self.eval(grid.points, m)
+        """F(., m) at every grid node: the one-row case of path_values."""
+        return self.path_values(grid, m.weights[None, :])[0]
 
     def path_values(self, grid, weight_rows):
         """F at all nodes for a stack of measures given as weight rows."""
-        if self.separable is not None:
-            f, G = self.separable
-            fn = f(grid.points)
-            a = weight_rows @ fn
-            return np.asarray(G(a))[:, None] * fn[None, :]
-        from .measure import GridMeasure
-
-        rows = []
-        for w in weight_rows:
-            rows.append(self.eval(grid.points, GridMeasure(grid, w)))
-        return np.array(rows)
+        return self.values(grid, weight_rows)
 
 
 def separable_coupling(f, G, K0_lo, K0_hi, delta0, lip2, name="separable"):
-    def ev(x, m):
-        a = float(np.dot(m.weights, f(m.grid.points)))
-        return f(x) * G(a)
+    """F(x, m) = f(x) G(integral of f dm), for every measure of the stack at once."""
 
-    return Coupling(ev, K0_lo, K0_hi, delta0, lip2, (f, G), name)
+    def values(grid, weight_rows):
+        fn = f(grid.points)
+        return np.asarray(G(weight_rows @ fn))[:, None] * fn[None, :]
+
+    return Coupling(values, K0_lo, K0_hi, delta0, lip2, name)
 
 
-@dataclass
-class MeanFieldLagrangian:
-    """L_m(x, v) = L(x, v) + F(x, m) for a frozen measure m."""
-
-    base: LagrangianModel
-    coupling: Coupling
-    m: object  # GridMeasure
-
-    def eval(self, x, v):
-        return self.base.eval(x, v) + self.coupling.eval(x, self.m)
-
-    def values_at_rest(self, grid):
-        """L_m(x, 0) at every node; the landscape whose minima confine."""
-        base = self.base.eval(grid.points, np.zeros(grid.velocities.shape[1:]))
-        return np.broadcast_to(base, (grid.n_points,)) + self.coupling.values_on(grid, self.m)
+def rest_landscape(L, coupling, grid, m):
+    """L(x, 0) + F(x, m) at every node: the landscape whose minima confine."""
+    base = L.eval(grid.points, np.zeros(grid.velocities.shape[1:]))
+    return np.broadcast_to(base, (grid.n_points,)) + coupling.values_on(grid, m)
 
 
 # ---------------------------------------------------------------------------
@@ -405,7 +391,8 @@ def check_strict_tonelli(L, grid):
     alpha, beta are flagged (not failed) when violated.  Each stencil
     offset is one call of L.eval on all P x Q sample pairs, as (P, Q)
     arrays in 1-D and (P, Q, 2) in 2-D; the step is h = 1e-4 (1 + |v|).
-    Entries are listed per sample x, then per sample v.
+    Entries are listed per sample x, then per sample v; the v = 0 data
+    bound does not depend on v, so a c3_bound entry appears once per x.
     """
     per_x, per_v = (9, 7) if grid.dim == 1 else (4, 3)
     vm = 0.9 * grid.v_max
@@ -451,6 +438,7 @@ def check_strict_tonelli(L, grid):
     bad_vv = (eig_lo < (1.0 / L.C1) * (1 - rtol)) | (eig_hi > L.C1 * (1 + rtol))
     bad_vx = hvx_norm > bound * (1 + rtol)
     bad_c3 = c3 > L.C3 * (1 + rtol)
+    bad_c3[:, 1:] = False  # c3 does not depend on v: one entry per sample x
     bad_energy = ~((nv2 / (4 * L.beta) - L.alpha <= Lc + 1e-9)
                    & (Lc <= 4 * L.beta * nv2 + L.alpha + 1e-9))
     bad_dv = grad_v > L.alpha * (1 + speed) * (1 + rtol)
@@ -501,11 +489,9 @@ def check_F4_gap(coupling, L, grid, probes):
     """
     coupling.validate_geometry(grid)
     mask = coupling.K0_mask(grid)
-    if not mask.any() or mask.all():
-        raise ValueError("K0 mask degenerate on this grid")
     gaps = []
     for k, m in enumerate(probes):
-        rest = MeanFieldLagrangian(L, coupling, m).values_at_rest(grid)
+        rest = rest_landscape(L, coupling, grid, m)
         gap = float(rest[~mask].min() - rest[mask].min())
         if gap < coupling.delta0:
             raise GapViolated(f"probe[{k}]", gap, coupling.delta0)
@@ -523,7 +509,7 @@ def check_F5(coupling, L, grid, probes):
     idx_k0 = np.flatnonzero(mask)
     common = None
     for m in probes:
-        rest = MeanFieldLagrangian(L, coupling, m).values_at_rest(grid)[idx_k0]
+        rest = rest_landscape(L, coupling, grid, m)[idx_k0]
         mn = rest.min()
         argset = set(idx_k0[np.flatnonzero(rest <= mn + ARGMIN_TOL)].tolist())
         common = argset if common is None else (common & argset)

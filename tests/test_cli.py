@@ -164,6 +164,7 @@ def write_canonical(path, manifest):
 @pytest.mark.parametrize("args, old_params", [
     (["verify"], {"seed": 7}),
     (["converge", "--T", "2,4", "--R", "3.0"], {"seed": 0, "threads": 2}),
+    (["verify"], {"tol": 7.0, "R": 9.0}),  # flags verify accepted, but never read
 ])
 def test_old_manifest_reproduces(tmp_path, args, old_params):
     # manifests of earlier versions carry "seed", and "threads" that ran a pool
@@ -324,6 +325,7 @@ def test_module_entry_point():
     ("initial", {"kind": "dirac", "at": [0.0, 1.0]}, "at"),  # two coordinates in 1-D
     ("grid", {"dt": float("nan")}, "dt"),
     ("grid", {"v_max": float("inf")}, "v_max"),
+    ("grid", {"v_nodes": 80}, "v_nodes"),  # v = 0 is no velocity node
 ])
 def test_bad_instance_document_is_config_error(tmp_path, capsys, section, patch, key):
     cfg = {
@@ -472,24 +474,76 @@ def test_solver_failure_has_its_own_exit_code(tmp_path, capsys):
     assert "velocity-grid boundary" in capsys.readouterr().err
 
 
+def no_solve(*args, **kwargs):
+    raise AssertionError("a solver ran")
+
+
 @pytest.mark.parametrize("command, K0", [
     (["verify"], [0.01, 0.03]),  # inside the box, between the nodes 0.0 and 0.04
     (["horizon", "--T", "1"], [0.01, 0.03]),
     (["verify"], [5.0, 6.0]),  # outside the box [-4, 4]
-], ids=["verify-between-nodes", "horizon-between-nodes", "verify-outside-box"])
+    (["ergodic"], [5.0, 6.0]),
+    (["horizon", "--T", "1"], [5.0, 6.0]),
+    (["converge", "--T", "1,2"], [5.0, 6.0]),
+], ids=["verify-between-nodes", "horizon-between-nodes", "verify-outside-box",
+        "ergodic-outside-box", "horizon-outside-box", "converge-outside-box"])
 def test_K0_without_grid_nodes_is_config_error(tmp_path, capsys, monkeypatch, command, K0):
-    def no_solve(*args, **kwargs):
-        raise AssertionError("a solver ran")
-
+    # the initial measure uniform on K0 is built only after K0 is checked
     monkeypatch.setattr(mfg, "solve_backward", no_solve)
+    monkeypatch.setattr(cli, "solve_ergodic", no_solve)
     cfg = {
         "name": "empty-K0",
         "coupling": dict(RI1_COUPLING, K0=K0),
         "grid": {"lo": -4.0, "hi": 4.0, "dx": 0.04, "dt": 0.04,
                  "v_max": 4.0, "v_nodes": 81},
-        "initial": {"kind": "dirac", "at": 0.0},
+        "initial": {"kind": "uniform_K0"},
     }
     cfg_path = tmp_path / "empty_k0.json"
     cfg_path.write_text(json.dumps(cfg))
     assert run([*command, "--config", str(cfg_path), "--out", str(tmp_path / "x")]) == 4
-    assert "K0" in capsys.readouterr().err
+    K0_box = [[K0[0]], [K0[1]]]
+    assert f"K0 = {K0_box} must sit strictly inside the box [[-4.0], [4.0]]" \
+        in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [["ergodic"], ["converge", "--T", "2,4"]])
+@pytest.mark.parametrize("patch, failed", [
+    ({"lagrangian": {"kind": "kinetic_plus_potential", "potential": "neg_gaussian",
+                     "C3": 0.1}}, "Tonelli bounds failed"),
+    ({"coupling": dict(RI1_COUPLING, delta0=10.0)}, "confinement gap"),
+], ids=["tonelli", "gap"])
+def test_stationary_solve_checks_assumptions_first(tmp_path, capsys, monkeypatch,
+                                                   command, patch, failed):
+    monkeypatch.setattr(cli, "solve_ergodic", no_solve)
+    cfg = {"name": "bad-assumption", "coupling": RI1_COUPLING,
+           "grid": {"lo": -4.0, "hi": 4.0, "dx": 0.04, "dt": 0.04,
+                    "v_max": 4.0, "v_nodes": 81},
+           "initial": {"kind": "dirac", "at": 0.0}, **patch}
+    cfg_path = tmp_path / "bad.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert run([*command, "--config", str(cfg_path), "--out", str(tmp_path / "x")]) == 2
+    err = capsys.readouterr().err
+    assert failed in err
+    if "C3" in str(patch):  # the three c3_bound entries shown are three distinct x
+        for x in (-1.0, 0.0, 1.0):
+            assert f"('c3_bound', np.float64({x}), None" in err
+
+
+@pytest.mark.parametrize("args", [
+    ["verify", "--instance", "RI-1", "--tol", "7"],
+    ["verify", "--instance", "RI-1", "--R", "9"],
+    ["ergodic", "--instance", "RI-1", "--R", "9"],
+    ["horizon", "--instance", "RI-1", "--T", "2", "--R", "9"],
+    ["horizon", "--instance", "RI-1"],  # --T is required
+    ["nope"],
+])
+def test_usage_error_is_config_error(tmp_path, capsys, args):
+    assert run([*args, "--out", str(tmp_path / "x")]) == 4
+    assert "error:" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("command", [[], ["verify"], ["converge"]])
+def test_help_exits_0(capsys, command):
+    assert run([*command, "--help"]) == 0
+    assert "usage:" in capsys.readouterr().out

@@ -145,7 +145,7 @@ def test_cycle_detected_for_flip_flop_well(ri1):
     # the well bottom mirrors the measure's mean, so the Dirac iteration
     # alternates between two nodes and no common minimizer exists
     g = ri1.grid
-    flip = M.Coupling(lambda pts, m: -np.exp(-(pts + m.mean()) ** 2),
+    flip = M.Coupling(lambda grid, W: -np.exp(-(grid.points + (W @ grid.points)[:, None]) ** 2),
                       (-1.0,), (1.0,), 0.1, 1.0, name="flip-flop")
     with pytest.raises(errors.CycleDetected):
         M.solve_ergodic(M.quadratic_kinetic(), flip, g,

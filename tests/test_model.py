@@ -99,10 +99,10 @@ WELL = M.quadratic_kinetic(potential=lambda p: -np.exp(-last_axis_sum(np.asarray
 @pytest.mark.parametrize("L, grid, violations, flags", [
     (QUARTIC, grid1d(), {"vv_bounds": 63}, {"energy_growth": 36, "dv_growth": 54}),
     (QUARTIC, grid2d(), {"vv_bounds": 144}, {"energy_growth": 128, "dv_growth": 128}),
-    (DRIFT, grid1d(), {"vx_bound": 63, "c3_bound": 42}, {"energy_growth": 16, "dv_growth": 6}),
-    (DRIFT, grid2d(), {"vx_bound": 144, "c3_bound": 144},
+    (DRIFT, grid1d(), {"vx_bound": 63, "c3_bound": 6}, {"energy_growth": 16, "dv_growth": 6}),
+    (DRIFT, grid2d(), {"vx_bound": 144, "c3_bound": 16},
      {"energy_growth": 28, "dv_growth": 12}),
-    (WELL, grid2d(), {"c3_bound": 36}, {}),
+    (WELL, grid2d(), {"c3_bound": 4}, {}),
 ], ids=["quartic-1d", "quartic-2d", "drift-1d", "drift-2d", "well-2d"])
 def test_tonelli_report_kinds(L, grid, violations, flags):
     rep = M.check_strict_tonelli(L, grid)
@@ -115,6 +115,9 @@ def test_tonelli_report_kinds(L, grid, violations, flags):
             assert np.shape(e[1]) == grid.points.shape[1:]
         xs = [tuple(np.atleast_1d(e[1])) for e in entries]
         assert xs == sorted(xs)
+    # the v = 0 data bound does not depend on v: one c3_bound entry per sample x
+    c3_xs = [tuple(np.atleast_1d(e[1])) for e in rep.violations if e[0] == "c3_bound"]
+    assert len(c3_xs) == len(set(c3_xs))
 
 
 def test_tonelli_entries_carry_the_finite_difference_values():
@@ -209,7 +212,7 @@ def test_common_minimizer_reference_instance(ri1):
 
 def test_common_minimizer_fails_for_shifted_well(ri1):
     # non-separable well whose bottom tracks the measure's mean
-    shift = M.Coupling(lambda pts, m: -np.exp(-(pts - m.mean() / 2.0) ** 2),
+    shift = M.Coupling(lambda grid, W: -np.exp(-(grid.points - (W @ grid.points)[:, None] / 2.0) ** 2),
                        (-1.0,), (1.0,), 0.1, 1.0, name="shifted-well")
     ok, witness = M.check_F5(shift, M.quadratic_kinetic(), ri1.grid,
                              M.default_probes(shift, ri1.grid))
@@ -217,27 +220,36 @@ def test_common_minimizer_fails_for_shifted_well(ri1):
     assert witness is None
 
 
-def test_mean_field_lagrangian_is_sum(ri1):
-    g = ri1.grid
-    m = M.GridMeasure.dirac(g, 0.0)
-    Lm = M.MeanFieldLagrangian(ri1.L, ri1.coupling, m)
-    x, v = 0.52, -0.7
-    want = ri1.L.eval(np.asarray([x]), np.asarray([v]))[0] \
-        + ri1.coupling.values_on(g, m)[g.nearest_node(x)]
-    got = Lm.eval(np.asarray([x]), np.asarray([v]))[0]
-    # node value of F vs point value agree because x sits on the grid
-    assert got == pytest.approx(want, abs=1e-12)
+def well(p):
+    return -np.exp(-last_axis_sum(np.asarray(p, dtype=float) ** 2))
+
+
+@pytest.mark.parametrize("grid", [grid1d(dx=0.25, dt=0.25), grid2d()], ids=["1d", "2d"])
+def test_rest_landscape_is_L_at_rest_plus_F(grid):
+    # L(x, 0) = 0.3 sum_i cos(x_i) and F(x, m) = f(x) G(integral of f dm), node by node
+    L = M.quadratic_kinetic(potential=lambda p: last_axis_sum(0.3 * np.cos(p)), C3=0.6)
+    G = lambda s: 2.0 + np.tanh(s)
+    c = M.separable_coupling(well, G, (-1.0,) * grid.dim, (1.0,) * grid.dim, 0.1, 1.0)
+    for m in (M.GridMeasure.dirac(grid, (0.5,) * grid.dim),
+              M.GridMeasure(grid, np.full(grid.n_points, 1.0 / grid.n_points))):
+        mean_f = sum(w * well(x) for w, x in zip(m.weights, grid.points))
+        want = [0.3 * np.cos(x).sum() + well(x) * G(mean_f) for x in grid.points]
+        np.testing.assert_allclose(M.rest_landscape(L, c, grid, m), want, rtol=1e-13, atol=1e-15)
 
 
 def test_separable_path_values_match_per_measure(ri1):
     g = ri1.grid
+    f = lambda x: -np.exp(-np.asarray(x) ** 2)
+    G = lambda s: 2.0 + np.tanh(s)
     rng = np.random.default_rng(0)
     rows = rng.random((4, g.n_points))
     rows /= rows.sum(axis=1, keepdims=True)
     batch = ri1.coupling.path_values(g, rows)
-    for k in range(4):
-        one = ri1.coupling.values_on(g, M.GridMeasure(g, rows[k]))
+    for k in range(4):  # f(x) G(integral of f dm), one measure at a time
+        one = f(g.points) * G(np.dot(rows[k], f(g.points)))
         np.testing.assert_allclose(batch[k], one, atol=1e-14)
+        np.testing.assert_array_equal(ri1.coupling.values_on(g, M.GridMeasure(g, rows[k])),
+                                      batch[k])
 
 
 # ---------------------------------------------------------------------------

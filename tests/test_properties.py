@@ -381,7 +381,8 @@ def test_csv_writers_match_the_csv_writer_reference(data, grid):
     sol = SimpleNamespace(lam=0.0, mather_node=0, horizon_used=1.0, weak_kam_steps=1,
                           weak_kam_residual=0.0, weak_kam_s=0.0,
                           residuals={}, u_bar=values[-1], m_bar=m)
-    with mock.patch.object(cli, "solve_ergodic", lambda *a, **k: sol):
+    with mock.patch.object(cli, "solve_ergodic", lambda *a, **k: sol), \
+            mock.patch.object(cli, "check_standing_assumptions", lambda *a: None):
         writers = cli._run_ergodic({}, SimpleNamespace(grid=grid, L=None, coupling=None))[0]
     with tempfile.TemporaryDirectory() as tmp:
         got, want = os.path.join(tmp, "got"), os.path.join(tmp, "want")
