@@ -14,6 +14,9 @@ from mfglab import cli, mfg
 from mfglab.cli import main
 
 
+RI2 = os.path.join(os.path.dirname(__file__), "..", "bench", "ri2.json")
+
+
 def run(args):
     return main(list(args))
 
@@ -410,10 +413,32 @@ def test_failed_transport_lp_is_solver_failure(tmp_path, capsys, monkeypatch):
 
     # measure._d1_lp imports linprog when it builds the LP, so this is what it calls
     monkeypatch.setattr(scipy.optimize, "linprog", failed)
-    config = os.path.join(os.path.dirname(__file__), "..", "bench", "ri2.json")
-    assert run(["horizon", "--config", config, "--T", "2", "--tol", "5e-4",
+    assert run(["horizon", "--config", RI2, "--T", "2", "--tol", "5e-4",
                 "--out", str(tmp_path / "x")]) == 5
     assert "transport LP failed: The problem is infeasible." in capsys.readouterr().err
+
+
+# SHA-256 of every CSV these runs write, recorded from the 0.1.0 solver; the
+# bytes are the same with one or two BLAS threads
+PINNED_CSV = [
+    (["horizon", "--instance", "RI-1", "--dx", "0.04", "--dt", "0.04", "--T", "2"], {
+        "u.csv": "84f95ec205861430ebac5d9f9881a064da84b07ba8db72f4531cacb0facc958a",
+        "mpath.csv": "ace85ed67dc04587226cda68753d55c7f6f4afc06e91bd1b70c884a8733f6c77"}),
+    (["ergodic", "--config", RI2], {
+        "ubar.csv": "e1693d489dcf0cb2df51f13b7cdceb7f4e4869497bbf3a3c033d237c20692f55",
+        "mbar.csv": "96259e563b5402aecbb39214b343a8f2ac1b3c827a3a08d60caa860f45a567c3"}),
+    (["horizon", "--config", RI2, "--T", "2", "--tol", "5e-4"], {
+        "u.csv": "cddc9ae87a504ad43128cfa6602295f7d3163b176004bbcbb407166271f90ed7",
+        "mpath.csv": "4e91fb171d413d7aa8a6134473c6aae301aaeaed3ede8fa1253f2ecc84a39fc8"}),
+]
+
+
+@pytest.mark.parametrize("args, digests", PINNED_CSV, ids=["ri1-horizon", "ri2-ergodic",
+                                                           "ri2-horizon"])
+def test_outputs_keep_their_pinned_bytes(tmp_path, args, digests):
+    out = str(tmp_path / "out")
+    assert run([*args, "--out", out]) == 0
+    assert {name: cli._sha256(os.path.join(out, name)) for name in digests} == digests
 
 
 def test_zero_tolerance_is_accepted(tmp_path):
