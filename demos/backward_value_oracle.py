@@ -12,8 +12,7 @@ import mfglab as M
 
 
 def run(dx):
-    uf = M.TerminalDatum(lambda x: 0.5 * np.asarray(x, dtype=float) ** 2,
-                         lip=4.0, c0=0.0)
+    uf = M.TerminalDatum(lambda x: 0.5 * (x ** 2).sum(-1), lip=4.0, c0=0.0)
     L = M.quadratic_kinetic()
     n = int(round(8.0 / dx)) + 1
     g = M.GridSpec((-4.0,), (4.0,), (n,), dx, 4.0, 161)
@@ -22,9 +21,9 @@ def run(dx):
     mask = g.ball_mask(2.0)
     worst = 0.0
     for k, t in enumerate(vf.times):
-        exact = g.points[mask] ** 2 / (2.0 * (1.0 + T - t))
+        exact = (g.points[mask] ** 2).sum(axis=1) / (2.0 * (1.0 + T - t))
         worst = max(worst, float(np.abs(vf.values[k][mask] - exact).max()))
-    x = 1.0
+    x = np.array([1.0])
     dp = vf.values[0][g.nearest_node(x)]
     hl = M.hopf_lax_oracle(uf, 0.0, x, T, g)
     return dp, hl, worst

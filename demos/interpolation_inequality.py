@@ -17,7 +17,7 @@ def main():
     for k in (1, 2, 4, 8, 16):
         n = 16 * k + 1
         g = M.GridSpec((0.0,), (1.0,), (n,), 0.01, 1.0, 3)
-        f = np.maximum(1.0 / k - g.points, 0.0)
+        f = np.maximum(1.0 / k - g.axes[0], 0.0)
         lhs, rhs = M.interpolation_bound(g, f, 1.0)
         print(f"  k = {k:2d}: sup = {lhs:.6f}  bound = {rhs:.6f}  "
               f"bound/sup = {rhs / lhs:.12f}")

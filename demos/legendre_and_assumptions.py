@@ -6,6 +6,8 @@ and coercivity bounds, coupling geometry, the confinement gap over probe
 measures, and the common-minimizer search.
 """
 
+import numpy as np
+
 import mfglab as M
 from mfglab.instances import load_instance
 
@@ -16,7 +18,7 @@ def main():
 
     print("== Legendre transform on the velocity grid ==")
     for x, p in [(0.0, 0.0), (0.0, 1.0), (1.0, -0.5), (2.0, 2.0)]:
-        h, v = M.legendre_transform(L, x, p, g)
+        h, (v,) = M.legendre_transform(L, np.array([x]), p, g)
         exact = 0.5 * p * p
         print(f"  H({x:+.1f}, {p:+.1f}) = {h:.6f}   closed form {exact:.6f}   "
               f"maximizer v = {v:+.2f}")

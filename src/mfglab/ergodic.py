@@ -177,7 +177,7 @@ def verify_second_equation(L, coupling, grid, m_bar, u_bar):
                       else [[1.0, 0.0], [0.0, 1.0], [0.7, -0.7]])
     feedback = solve_backward(L, coupling.values_on(grid, m_bar), u_bar, grid, grid.dt,
                               check_boundary=False).feedback[0]
-    v = feedback.reshape(grid.n_points, -1)[m_bar.support()]
+    v = feedback[m_bar.support()]
     return float(np.abs(v @ np.transpose(test_gradients)).max())
 
 

@@ -34,7 +34,10 @@ from .model import interp_grid, repr_lines
 
 @dataclass
 class TerminalDatum:
-    """Final cost u_f with declared Lipschitz constant and lower bound -c0."""
+    """Final cost u_f with declared Lipschitz constant and lower bound -c0.
+
+    eval maps (N, n) points to their N values.
+    """
 
     eval: callable
     lip: float
@@ -59,7 +62,7 @@ class TerminalDatum:
 
 
 def zero_terminal():
-    return TerminalDatum(lambda pts: np.zeros(np.shape(pts)[0] if np.ndim(pts) else 1), 0.0, 0.0)
+    return TerminalDatum(lambda pts: np.zeros(np.shape(pts)[:-1]), 0.0, 0.0)
 
 
 def _grid_lipschitz(grid, vals, mask=None):
@@ -82,10 +85,9 @@ def _grid_lipschitz(grid, vals, mask=None):
 class ValueField:
     """Space-time value table with the stored optimal feedback.
 
-    values has shape (K+1, N); feedback has shape (K, N) (no minimization
-    happens at the final time) and holds the chosen grid velocity, or in
-    2-D two stacked components with shape (K, N, 2).  Feedback rows thus
-    have the shape of grid.points.
+    values has shape (K+1, N); feedback has shape (K, N, n) (no
+    minimization happens at the final time) and holds the chosen grid
+    velocity of every node.
     """
 
     grid: object
@@ -98,11 +100,9 @@ class ValueField:
         return float(self.times[-1])
 
     def velocity_at(self, k, pts):
-        """Feedback at arbitrary points, multilinear in space; shaped like pts."""
+        """Feedback at (..., n) points, multilinear in space; shaped like pts."""
         k = min(k, self.feedback.shape[0] - 1)
-        comps = self.feedback[k].reshape(self.grid.n_points, -1).T
-        return np.stack([interp_grid(self.grid, c, pts) for c in comps],
-                        axis=-1).reshape(np.shape(pts))
+        return np.stack([interp_grid(self.grid, c, pts) for c in self.feedback[k].T], axis=-1)
 
     def to_csv(self, path):
         names, heads = self.grid.csv_node_heads()
@@ -179,7 +179,7 @@ def bellman_step(L, grid):
     # node-major (N, nV): the argmin over velocities reads contiguous rows
     dtL = dt * np.asarray(L.eval(grid.points[:, None], V[None]), dtype=float)
     departure = _departure_step(grid)
-    edge = (np.abs(grid.coordinates(V)) == grid.v_max).any(axis=1)  # linspace ends exactly
+    edge = (np.abs(V) == grid.v_max).any(axis=1)  # linspace ends exactly
     arangeN = np.arange(grid.n_points)
 
     def step(u, F, t, check_boundary=True):
@@ -223,35 +223,28 @@ def solve_backward(L, F_path, uf, grid, T, check_boundary=True):
 def hopf_lax_oracle(uf, t, x, T, grid):
     """Direct Hopf-Lax value for L = |v|^2/2 and no coupling term.
 
-    inf over grid nodes y of |x - y|^2 / (2 (T - t)) + u_f(y), refined by
-    one quadratic fit around the discrete minimizer.  Independent of the
-    dynamic-programming route, so it serves as an oracle for it.
+    inf over grid nodes y of |x - y|^2 / (2 (T - t)) + u_f(y) at an (n,)
+    point x, in 1-D refined by one quadratic fit around the discrete
+    minimizer.  Independent of the dynamic-programming route, so it serves
+    as an oracle for it.
     """
     if T <= t:
         vals = uf.values_on(grid) if isinstance(uf, TerminalDatum) else uf
         return float(interp_grid(grid, vals, x))
     tau = T - t
     vals = uf.values_on(grid) if isinstance(uf, TerminalDatum) else np.asarray(uf, dtype=float)
-    if grid.dim == 1:
-        y = grid.points
-        obj = (x - y) ** 2 / (2 * tau) + vals
-        j = int(np.argmin(obj))
-        lo = max(j - 1, 0)
-        hi = min(j + 2, len(y))
-        if hi - lo == 3:
-            ys = y[lo:hi]
-            os_ = obj[lo:hi]
-            denom = os_[0] - 2 * os_[1] + os_[2]
-            if denom > 1e-300:
-                ystar = ys[1] - 0.5 * (ys[1] - ys[0]) * (os_[2] - os_[0]) / denom
-                cand = (x - ystar) ** 2 / (2 * tau) + float(
-                    interp_grid(grid, vals, ystar)
-                )
-                return float(min(obj[j], cand))
-        return float(obj[j])
-    y = grid.points
-    obj = ((x - y) ** 2).sum(axis=1) / (2 * tau) + vals
-    return float(obj.min())
+    obj = ((x - grid.points) ** 2).sum(axis=1) / (2 * tau) + vals
+    j = int(np.argmin(obj))
+    if grid.dim == 1 and 0 < j < grid.n_points - 1:
+        ys = grid.axes[0][j - 1 : j + 2]
+        os_ = obj[j - 1 : j + 2]
+        denom = os_[0] - 2 * os_[1] + os_[2]
+        if denom > 1e-300:
+            ystar = ys[1] - 0.5 * (ys[1] - ys[0]) * (os_[2] - os_[0]) / denom
+            cand = float(((x - ystar) ** 2).sum() / (2 * tau)
+                         + interp_grid(grid, vals, np.array([ystar])))
+            return float(min(obj[j], cand))
+    return float(obj[j])
 
 
 def gradient(vf, k):
@@ -264,7 +257,7 @@ def gradient(vf, k):
     """
     g = vf.grid
     um = vf.values[k].reshape(g.nodes)
-    v = vf.feedback[min(k, vf.feedback.shape[0] - 1)].reshape(g.n_points, -1)
+    v = vf.feedback[min(k, vf.feedback.shape[0] - 1)]
     dv = g.v_axis[1] - g.v_axis[0]
     out = np.empty((g.n_points, g.dim))
     for d, dx in enumerate(g.dx):
@@ -276,7 +269,7 @@ def gradient(vf, k):
         va = np.moveaxis(v[:, d].reshape(g.nodes), d, 0)
         sel = np.where(va > 0.5 * dv, fwd, np.where(va < -0.5 * dv, bwd, ctr))
         out[:, d] = np.moveaxis(sel, 0, d).ravel()
-    return out.reshape(g.points.shape)
+    return out
 
 
 def lipschitz_estimate(vf, R):
@@ -306,7 +299,7 @@ def hj_residual(vf, L, F_path, sample_ks=None):
         raise NotImplementedError("residual diagnostic is 1-D")
     dx = g.dx[0]
     V = g.v_axis
-    Lmat = np.asarray(L.eval(g.points[None, :], V[:, None]), dtype=float)
+    Lmat = np.asarray(L.eval(g.points[None, :], g.velocities[:, None]), dtype=float)
     worst = 0.0
     for k in sample_ks:
         u = vf.values[k]

@@ -39,12 +39,18 @@ class Instance:
     m0: GridMeasure
 
 
-# spatial profiles usable as the separable factor f or as potentials
+def _gaussian(x):
+    return np.exp(-(np.asarray(x, dtype=float) ** 2).sum(axis=-1))
+
+
+# spatial profiles usable as the separable factor f or as potentials: each maps
+# (..., n) points to one value per point, in any dimension; neg_gaussian_2d is
+# another name for neg_gaussian, kept for documents that use it
 PROFILES = {
-    "neg_gaussian": lambda x: -np.exp(-np.asarray(x, dtype=float) ** 2),
-    "gaussian": lambda x: np.exp(-np.asarray(x, dtype=float) ** 2),
-    "neg_gaussian_2d": lambda p: -np.exp(-(np.asarray(p, dtype=float) ** 2).sum(axis=-1)),
+    "neg_gaussian": lambda x: -_gaussian(x),
+    "gaussian": _gaussian,
 }
+PROFILES["neg_gaussian_2d"] = PROFILES["neg_gaussian"]
 
 # scalar shaping functions G
 SHAPES = {
@@ -151,7 +157,7 @@ def _build_terminal(cfg, grid):
     if kind == "zero":
         return zero_terminal()
     if kind == "half_square":
-        ev = lambda pts: 0.5 * (grid.coordinates(pts) ** 2).sum(axis=1)
+        ev = lambda pts: 0.5 * (pts ** 2).sum(axis=-1)
         lip = max(abs(a) for bounds in (grid.lo, grid.hi) for a in bounds)
         return TerminalDatum(ev, lip, 0.0)
     raise ValueError(f"unknown terminal kind {kind!r}")

@@ -94,7 +94,7 @@ class GridMeasure:
     @classmethod
     def from_csv(cls, grid, path):
         weights = np.zeros(grid.n_points)
-        coords = grid.coordinates()
+        coords = grid.points
         with open(path, newline="") as fh:
             r = csv.reader(fh)
             next(r)  # header
@@ -156,7 +156,7 @@ def _d1_lp(grid, diffs):
     relative to the row's mass: a node holding less may be rounded away,
     which moves d_1 by up to its mass times the distance it should travel.
     """
-    pts = grid.coordinates()
+    pts = grid.points
     out = np.zeros(len(diffs))
     blocks, costs, rows, cols, rhs = [], [], [], [], []
     nvar = ncon = 0
@@ -231,12 +231,12 @@ def duality_gap_check(m1, m2, witness):
 def deposit(grid, pts, masses):
     """Area-weight the point masses onto their 2^n neighboring nodes.
 
-    pts holds P points, shaped like grid.points rows, optionally behind
-    leading batch axes; each batch row of points gets its own weight row and
-    all rows share the P masses.
+    pts holds P points as (P, n) rows, optionally behind leading batch axes;
+    each batch row of points gets its own weight row and all rows share the
+    P masses.
     """
     masses = np.asarray(masses, dtype=float)
-    batch = np.shape(pts)[: np.ndim(pts) - grid.points.ndim]
+    batch = np.shape(pts)[:-2]
     rows = math.prod(batch)
     offset = np.repeat(np.arange(rows) * grid.n_points, len(masses))
     m = np.tile(masses, rows)
@@ -252,8 +252,8 @@ def deposit(grid, pts, masses):
 def pushforward(m, images):
     """Image measure of m under a node map, deposited back onto the grid.
 
-    images: array of image points aligned with m's support nodes (or a
-    callable applied to the support nodes).  Mass is conserved exactly up to
+    images: (S, n) image points aligned with m's S support nodes (or a
+    callable applied to their points).  Mass is conserved exactly up to
     float drift <= 1e-14, which is renormalized away; anything larger is an
     error.  Images outside the box raise EscapedBox.
     """

@@ -94,15 +94,16 @@ def check_standing_assumptions(L, coupling, grid):
     """
     rep = check_strict_tonelli(L, grid)
     if not rep.passed:
-        raise AssumptionFailure(f"Tonelli bounds failed: {rep.violations[:3]}")
+        shown = [f"{kind} at x={x.tolist()}" + ("" if v is None else f", v={v.tolist()}")
+                 for kind, x, v, *_ in rep.violations[:3]]
+        raise AssumptionFailure(f"Tonelli bounds failed: {'; '.join(shown)}")
     check_F4_gap(coupling, L, grid, default_probes(coupling, grid))
 
 
-def _check_standing_assumptions(L, coupling, grid, m0, uf):
+def _check_standing_assumptions(L, coupling, grid, m0):
     check_standing_assumptions(L, coupling, grid)
     if not coupling.K0_mask(grid)[m0.support()].all():
         raise AssumptionFailure("initial measure charges nodes outside K0")
-    uf.validate(grid)
 
 
 def solve_finite_horizon(L, coupling, m0, uf, grid, T, tol=1e-4):
@@ -118,7 +119,8 @@ def solve_finite_horizon(L, coupling, m0, uf, grid, T, tol=1e-4):
     """
     if not isinstance(uf, TerminalDatum):
         raise TypeError("uf must be a TerminalDatum")
-    _check_standing_assumptions(L, coupling, grid, m0, uf)
+    _check_standing_assumptions(L, coupling, grid, m0)
+    uT = uf.validate(grid)  # once: every backward solve starts from this row
 
     K = grid.time_steps(T)
     W = np.tile(m0.weights, (K + 1, 1))
@@ -126,7 +128,7 @@ def solve_finite_horizon(L, coupling, m0, uf, grid, T, tol=1e-4):
     while True:
         t0 = time.perf_counter()
         F = coupling.path_values(grid, W)
-        vf = solve_backward(L, F, uf, grid, T)
+        vf = solve_backward(L, F, uT, grid, T)
         t1 = time.perf_counter()
         bundle = trace_optimal_flow(vf, m0)
         best = measure_path(bundle).weights
@@ -162,8 +164,8 @@ def solve_finite_horizon(L, coupling, m0, uf, grid, T, tol=1e-4):
 class SpaceTimeBump:
     """C-infinity bump psi(t, x) = chi(t) * phi(x), compactly supported.
 
-    phi is the product of one-dimensional bumps over the axes; x has the
-    shape of grid points, and so does the spatial gradient dx.
+    phi is the product of one-dimensional bumps over the axes; x holds
+    (P, n) points, and the spatial gradient dx has the same shape.
     """
 
     def __init__(self, t_center, t_radius, x_center, x_radius, dim=1):
@@ -189,7 +191,7 @@ class SpaceTimeBump:
 
     def _xi(self, x):
         """Scaled offsets from the center, one column per axis."""
-        return ((np.asarray(x, dtype=float) - self.xc) / self.xr).reshape(-1, self.dim)
+        return (np.asarray(x, dtype=float) - self.xc) / self.xr
 
     def _time(self, t, bump):
         return bump(np.asarray((t - self.tc) / self.tr, dtype=float))
@@ -199,9 +201,9 @@ class SpaceTimeBump:
         xi = self._xi(x)
         for d in range(self.dim):
             if d == deriv_axis:
-                lead = lead * (self._bump_prime(xi[:, d]) / self.xr)
+                lead = lead * (self._bump_prime(xi[..., d]) / self.xr)
             else:
-                lead = lead * self._bump(xi[:, d])
+                lead = lead * self._bump(xi[..., d])
         return lead
 
     def eval(self, t, x):
@@ -212,7 +214,7 @@ class SpaceTimeBump:
 
     def dx(self, t, x):
         grad = np.stack([self._product(1.0, x, d) for d in range(self.dim)], axis=-1)
-        return (self._time(t, self._bump) * grad).reshape(np.shape(x))
+        return self._time(t, self._bump) * grad
 
 
 def default_test_functions(grid, T):
@@ -262,7 +264,7 @@ def kfp_residual(solution, test_functions=None):
             vstar = vf.velocity_at(k, pts)
             dpsi_t = psi.dt(t, pts)
             dpsi_x = psi.dx(t, pts)
-            integrand = dpsi_t + (dpsi_x * vstar).reshape(len(pts), -1).sum(axis=1)
+            integrand = dpsi_t + (dpsi_x * vstar).sum(axis=1)
             acc += dt * float(np.dot(w[sup], integrand))
         bdry = float(np.dot(path.weights[0], psi.eval(0.0, g.points))) - float(
             np.dot(path.weights[K], psi.eval(T, g.points))

@@ -32,10 +32,9 @@ MAX_TABLE_CELLS = 2 ** 23  # (K+1) * N of one space-time table, 64 MiB of float6
 
 
 def _tensor_points(axes):
-    """Row-major tensor product of 1-D axes: (N, n), or (N,) when n = 1."""
+    """Row-major tensor product of n 1-D axes, as (N, n) rows."""
     mesh = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([a.ravel() for a in mesh], axis=-1)
-    return pts[:, 0] if len(axes) == 1 else pts
+    return np.stack([a.ravel() for a in mesh], axis=-1)
 
 
 def repr_lines(heads, values, end, lead=""):
@@ -58,8 +57,8 @@ class GridSpec:
     lo, hi, nodes may be scalars (1-D) or length-2 sequences.  The velocity
     grid is linspace(-v_max, v_max, v_nodes) per axis; v_nodes should be odd
     so that v = 0 is representable, and an instance document must give an
-    odd count.  points and velocities are row-major tensor grids of shape
-    (N, n), except that in 1-D they are flat (N,).
+    odd count.  points (N, n) and velocities (nV, n) are row-major tensor
+    grids: a point or a velocity is a row of n coordinates, also when n = 1.
     """
 
     def __init__(self, lo, hi, nodes, dt, v_max, v_nodes):
@@ -94,23 +93,19 @@ class GridSpec:
         self.v_axis = np.linspace(-self.v_max, self.v_max, self.v_nodes)
         self.velocities = _tensor_points((self.v_axis,) * self.dim)
 
-    def coordinates(self, pts=None):
-        """Points or velocities (the nodes by default) as a (P, n) array."""
-        return np.reshape(self.points if pts is None else pts, (-1, self.dim))
-
-    def csv_columns(self, pts=None):
-        """Coordinate header names and, per point, the repr of each coordinate."""
-        rows = self.coordinates(pts).tolist()
+    def csv_columns(self, pts):
+        """Coordinate header names and, per point of a (..., n) array, each coordinate's repr."""
+        rows = np.reshape(pts, (-1, self.dim)).tolist()
         return list(AXIS_NAMES[: self.dim]), [[repr(c) for c in row] for row in rows]
 
     def csv_node_heads(self):
         """Coordinate header names and, per node i, the row prefix "i,x," ("i,x,y," in 2-D)."""
-        names, coords = self.csv_columns()
+        names, coords = self.csv_columns(self.points)
         return names, [",".join([str(i), *c, ""]) for i, c in enumerate(coords)]
 
     def radii(self):
         """Euclidean norm of every node (distance to the origin)."""
-        return np.sqrt((self.coordinates() ** 2).sum(axis=1))
+        return np.sqrt((self.points ** 2).sum(axis=1))
 
     def ball_mask(self, R):
         return self.radii() <= R + 1e-12
@@ -120,13 +115,12 @@ class GridSpec:
         return all(a <= -R and b >= R for a, b in zip(self.lo, self.hi))
 
     def in_box(self, pts, lo=None, hi=None):
-        """Which points lie in the closed box [lo, hi] (default: the grid's own)."""
+        """Which (..., n) points lie in the closed box [lo, hi] (default: the grid's own)."""
         lo = self.lo if lo is None else np.atleast_1d(lo)
         hi = self.hi if hi is None else np.atleast_1d(hi)
-        c = self.coordinates(pts)
         inside = True
         for d in range(self.dim):
-            inside = inside & (c[:, d] >= lo[d] - 1e-12) & (c[:, d] <= hi[d] + 1e-12)
+            inside = inside & (pts[..., d] >= lo[d] - 1e-12) & (pts[..., d] <= hi[d] + 1e-12)
         return inside
 
     def nearest_node(self, x):
@@ -170,7 +164,7 @@ def cell_corners(grid, pts, clamp):
     into the box; without it the weights of a point just outside the box
     extrapolate, which keeps the mass and first moment of a deposit exact.
     """
-    c = grid.coordinates(pts)
+    c = np.reshape(pts, (-1, grid.dim))
     strides = [math.prod(grid.nodes[d + 1 :]) for d in range(grid.dim)]
     base, frac = 0, []
     for d in range(grid.dim):
@@ -187,9 +181,9 @@ def cell_corners(grid, pts, clamp):
 
 
 def interp_grid(grid, values, pts):
-    """Clamped multilinear interpolation of node values at points."""
+    """Clamped multilinear interpolation of node values at (..., n) points."""
     if grid.dim == 1:  # np.interp is faster than the generic stencil
-        return np.interp(pts, grid.axes[0], values)
+        return np.interp(pts[..., 0], grid.axes[0], values)
     out = None
     for idx, weights in cell_corners(grid, pts, clamp=True):
         term = values[idx]
@@ -207,9 +201,10 @@ def interp_grid(grid, values, pts):
 class LagrangianModel:
     """Running cost L(x, v) with declared Tonelli constants.
 
-    eval must broadcast over numpy arrays of positions and velocities: the
-    solver and check_strict_tonelli pass it all (x, v) pairs at once, as
-    (P, Q) arrays in 1-D and (P, Q, 2) arrays in 2-D.  C1 bounds the
+    eval(x, v) takes numpy arrays whose last axis holds the n coordinates
+    of a position and of a velocity, broadcasts over the leading axes and
+    returns one value per pair: the solver and check_strict_tonelli pass it
+    all (x, v) pairs at once, as (P, Q, n) arrays.  C1 bounds the
     velocity Hessian from both sides (I/C1 <= D^2_vv L <= C1 I), C2 bounds
     the mixed Hessian, C3 bounds data at v = 0.  alpha and beta are the
     growth constants derived from them.
@@ -237,30 +232,16 @@ def quadratic_kinetic(potential=None, C1=1.0, C2=1.0, C3=None, name=None):
     if potential is None:
         def ev(x, v):
             # the x term only forces broadcasting against position arrays
-            return 0.5 * _sqnorm(v) + 0.0 * _first_coord(x)
+            return 0.5 * (v**2).sum(-1) + 0.0 * x[..., 0]
         c3 = 1.0 if C3 is None else C3
         return LagrangianModel(ev, C1, C2, c3, True, name or "kinetic")
 
     def ev(x, v):
-        return 0.5 * _sqnorm(v) + potential(x)
+        return 0.5 * (v**2).sum(-1) + potential(x)
 
     if C3 is None:
         raise ValueError("declare C3 when a potential is present")
     return LagrangianModel(ev, C1, C2, C3, True, name or "kinetic+potential")
-
-
-def _sqnorm(v):
-    v = np.asarray(v, dtype=float)
-    if v.ndim >= 1 and v.shape[-1] == 2:
-        return (v**2).sum(axis=-1)
-    return v**2
-
-
-def _first_coord(x):
-    x = np.asarray(x, dtype=float)
-    if x.ndim >= 1 and x.shape[-1] == 2:
-        return x[..., 0]
-    return x
 
 
 # ---------------------------------------------------------------------------
@@ -311,7 +292,10 @@ class Coupling:
 
 
 def separable_coupling(f, G, K0_lo, K0_hi, delta0, lip2, name="separable"):
-    """F(x, m) = f(x) G(integral of f dm), for every measure of the stack at once."""
+    """F(x, m) = f(x) G(integral of f dm), for every measure of the stack at once.
+
+    f maps the (N, n) grid points to their N values.
+    """
 
     def values(grid, weight_rows):
         fn = f(grid.points)
@@ -322,7 +306,7 @@ def separable_coupling(f, G, K0_lo, K0_hi, delta0, lip2, name="separable"):
 
 def rest_landscape(L, coupling, grid, m):
     """L(x, 0) + F(x, m) at every node: the landscape whose minima confine."""
-    base = L.eval(grid.points, np.zeros(grid.velocities.shape[1:]))
+    base = L.eval(grid.points, np.zeros(grid.dim))
     return np.broadcast_to(base, (grid.n_points,)) + coupling.values_on(grid, m)
 
 
@@ -335,10 +319,12 @@ def legendre_transform(L, x, p, grid):
 
     The max is taken over the velocity grid and refined by one quadratic fit
     per axis around the discrete maximizer.  Raises MaximizerOnBoundary when
-    the discrete maximizer sits on the grid edge.
+    the discrete maximizer sits on the grid edge.  x and p are (n,) arrays,
+    and so is the returned maximizing v.
     """
     V = grid.velocities
-    obj = grid.coordinates(V) @ np.atleast_1d(np.asarray(p, dtype=float)) - L.eval(x, V)
+    p = np.atleast_1d(np.asarray(p, dtype=float))
+    obj = V @ p - L.eval(x, V)
     j = int(np.argmax(obj))
     nv = grid.v_nodes
     jj = np.unravel_index(j, (nv,) * grid.dim)
@@ -350,10 +336,10 @@ def legendre_transform(L, x, p, grid):
         _quad_vertex(va[jd - 1 : jd + 2],
                      o[jj[:d] + (slice(jd - 1, jd + 2),) + jj[d + 1 :]])
         for d, jd in enumerate(jj)
-    ]).reshape(V.shape[1:])
+    ])
     cand = float(np.dot(p, vstar) - L.eval(x, vstar))
     if cand > obj[j]:
-        return cand, vstar[()]
+        return cand, vstar
     return float(obj[j]), V[j].copy()
 
 
@@ -389,21 +375,21 @@ def check_strict_tonelli(L, grid):
     the mixed Hessian norm below C2 (1 + |v|), and the v=0 data bound C3;
     all with relative tolerance 1e-3.  Growth bounds with the derived
     alpha, beta are flagged (not failed) when violated.  Each stencil
-    offset is one call of L.eval on all P x Q sample pairs, as (P, Q)
-    arrays in 1-D and (P, Q, 2) in 2-D; the step is h = 1e-4 (1 + |v|).
-    Entries are listed per sample x, then per sample v; the v = 0 data
-    bound does not depend on v, so a c3_bound entry appears once per x.
+    offset is one call of L.eval on all P x Q sample pairs, as (P, Q, n)
+    arrays; the step is h = 1e-4 (1 + |v|).  Entries are tuples (kind, x,
+    v, ...) with x and v (n,) arrays, listed per sample x, then per sample
+    v; the v = 0 data bound does not depend on v, so a c3_bound entry
+    appears once per x, with v = None.
     """
     per_x, per_v = (9, 7) if grid.dim == 1 else (4, 3)
     vm = 0.9 * grid.v_max
     xs = _samples(grid.lo, grid.hi, per_x)
     vs = _samples((-vm,) * grid.dim, (vm,) * grid.dim, per_v)
-    X, V = np.broadcast_arrays(grid.coordinates(xs)[:, None], grid.coordinates(vs)[None])
+    X, V = np.broadcast_arrays(xs[:, None], vs[None])
     pairs = X.shape[:2]  # (P, Q)
-    shape = pairs + grid.points.shape[1:]
 
-    def ev(x, v):  # L at every sample pair; x, v are (P, Q, n) coordinates
-        return np.broadcast_to(L.eval(x.reshape(shape), v.reshape(shape)), pairs)
+    def ev(x, v):  # L at every sample pair; x, v are (P, Q, n)
+        return np.broadcast_to(L.eval(x, v), pairs)
 
     speed = np.sqrt((V**2).sum(axis=-1))
     h = 1e-4 * (1.0 + speed)
@@ -460,7 +446,7 @@ def check_strict_tonelli(L, grid):
 
 
 def _samples(lo, hi, per_axis):
-    """Tensor grid of sample points over the box [lo, hi], in the grid's point shape."""
+    """Tensor grid of sample points over the box [lo, hi], as (P, n) rows."""
     return _tensor_points([np.linspace(a, b, per_axis) for a, b in zip(lo, hi)])
 
 

@@ -20,23 +20,27 @@ from .model import interp_grid
 
 @dataclass
 class TrajectoryBundle:
-    """One traced curve per support node of the initial measure."""
+    """One traced curve per support node of the initial measure.
+
+    Positions (C, K+1, n) and velocities (C, K, n) hold one n-vector per
+    curve and time.
+    """
 
     grid: object
     times: np.ndarray
     start_nodes: np.ndarray
-    positions: np.ndarray  # (C, K+1) or (C, K+1, 2)
-    velocities: np.ndarray  # (C, K) or (C, K, 2)
+    positions: np.ndarray
+    velocities: np.ndarray
     masses: np.ndarray  # (C,)
 
     def speeds(self):
-        return _norms(self.velocities)
+        return np.sqrt((self.velocities**2).sum(axis=-1))
 
     def max_speed(self):
         return float(self.speeds().max())
 
     def radii(self):
-        return _norms(self.positions)
+        return np.sqrt((self.positions**2).sum(axis=-1))
 
     def to_csv(self, path):
         g = self.grid
@@ -54,11 +58,6 @@ class TrajectoryBundle:
                             for k in range(Kp1))
 
 
-def _norms(a):
-    """Euclidean norm of every (curve, time) entry: abs in 1-D, over the last axis in 2-D."""
-    return np.sqrt((a**2).reshape(a.shape[:2] + (-1,)).sum(axis=-1))
-
-
 def trace_optimal_flow(vf, m0):
     """Forward-Euler curves through the stored optimal feedback.
 
@@ -70,8 +69,8 @@ def trace_optimal_flow(vf, m0):
     K = vf.feedback.shape[0]
     starts = m0.support()
     C = len(starts)
-    pos = np.empty((C, K + 1) + g.points.shape[1:])
-    vel = np.empty((C, K) + g.points.shape[1:])
+    pos = np.empty((C, K + 1, g.dim))
+    vel = np.empty((C, K, g.dim))
     pos[:, 0] = g.points[starts]
     for k in range(K):
         v = vf.velocity_at(k, pos[:, k])
@@ -137,9 +136,7 @@ def action_defect(bundle, vf, L, F_path, uf_values):
     for k in range(K):
         x = bundle.positions[:, k]
         v = bundle.velocities[:, k]
-        # a unit axis keeps a 1-D bundle of two curves from reading as one 2-D point
-        lag = np.asarray(L.eval(x[:, None], v[:, None]), dtype=float)[:, 0]
-        action += dt * (lag + interp_grid(g, F[k], x))
+        action += dt * (L.eval(x, v) + interp_grid(g, F[k], x))
     action += interp_grid(g, uf_values, bundle.positions[:, K])
     u0 = interp_grid(g, vf.values[0], bundle.positions[:, 0])
     return action - u0

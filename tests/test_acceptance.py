@@ -51,8 +51,7 @@ def test_criterion_01_stationary_pair(ri1, ergodic_sol):
 
 
 def test_criterion_02_value_oracle_agreement():
-    uf = M.TerminalDatum(lambda x: 0.5 * np.asarray(x, dtype=float) ** 2,
-                         lip=4.0, c0=0.0)
+    uf = M.TerminalDatum(lambda x: 0.5 * (x ** 2).sum(-1), lip=4.0, c0=0.0)
     L = M.quadratic_kinetic()
     T = 1.0
     errs = {}
@@ -177,7 +176,7 @@ def test_criterion_07_monotonicity_uniqueness(ri1, ergodic_sol):
         pair_min = min(pair_min, r.pairing)
         if r.cf_estimate is not None:
             cf_min = min(cf_min, r.cf_estimate)
-    f_l2sq = l2_norm(g, -np.exp(-g.points ** 2)) ** 2
+    f_l2sq = l2_norm(g, -np.exp(-g.axes[0] ** 2)) ** 2
     floor = (1.0 / np.cosh(1.0) ** 2) / f_l2sq
     sol0, _ = ergodic_sol
     others = [M.solve_ergodic(ri1.L, ri1.coupling, g, m_start=s) for s in
@@ -213,7 +212,7 @@ def test_criterion_08_interpolation_inequality():
     for k in (1, 2, 4, 8):
         nk = 16 * k + 1
         gk = M.GridSpec((0.0,), (1.0,), (nk,), 0.01, 1.0, 3)
-        f = np.maximum(1.0 / k - gk.points, 0.0)
+        f = np.maximum(1.0 / k - gk.axes[0], 0.0)
         lhs, rhs = M.interpolation_bound(gk, f, 1.0)
         ratios.append(rhs / lhs)
     tent_err = max(abs(r - 3.0 ** (1.0 / 6.0)) for r in ratios)

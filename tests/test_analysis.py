@@ -45,7 +45,7 @@ def test_rate_fit_floor_drops_points():
 def test_l2_norm_exact_for_linear():
     g = grid1d(1.0 / 16, 0.0, 1.0)
     # ||x||_2 on [0, 1] is 1/sqrt(3), exactly recovered for node values x
-    assert M.l2_norm(g, g.points) == pytest.approx(1.0 / np.sqrt(3.0), abs=1e-15)
+    assert M.l2_norm(g, g.axes[0]) == pytest.approx(1.0 / np.sqrt(3.0), abs=1e-15)
 
 
 def test_l2_norm_2d_constant():
@@ -68,7 +68,7 @@ def test_interpolation_tent_family_ratio():
     # so rhs/lhs = sqrt(3) * 3^{-1/3} = 3^{1/6} for every k
     for k in (1, 2, 4, 8):
         g = grid1d(1.0 / (16 * k), 0.0, 1.0)
-        f = np.maximum(1.0 / k - g.points, 0.0)
+        f = np.maximum(1.0 / k - g.axes[0], 0.0)
         lhs, rhs = M.interpolation_bound(g, f, 1.0)
         assert lhs == pytest.approx(1.0 / k, abs=1e-15)
         assert rhs / lhs == pytest.approx(3.0 ** (1.0 / 6.0), abs=1e-12)
@@ -93,7 +93,7 @@ def test_interpolation_random_lipschitz_family():
 def test_interpolation_rejects_undeclared_lipschitz():
     g = grid1d(0.02, -2.0, 2.0)
     with pytest.raises(errors.LipschitzExceeded):
-        M.interpolation_bound(g, 3.0 * g.points, 1.0)
+        M.interpolation_bound(g, 3.0 * g.axes[0], 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -128,7 +128,7 @@ def test_monotonicity_identical_measures(ri1):
 def test_monotonicity_negative_control(ri1):
     # decreasing shaping function G flips the sign of the pairing
     g = ri1.grid
-    anti = M.separable_coupling(lambda x: -np.exp(-np.asarray(x) ** 2),
+    anti = M.separable_coupling(lambda x: -np.exp(-(x ** 2).sum(-1)),
                                 lambda s: 2.0 - np.tanh(s),
                                 (-1.0,), (1.0,), 0.36, 0.86, name="anti")
     r = M.monotonicity_check(anti, g,

@@ -71,7 +71,7 @@ def test_ergodic_run_and_manifest(tmp_path):
                                   "outputs", "timings"]
     assert sorted(man["outputs"].keys()) == ["mbar.csv", "ubar.csv"]
     assert man["measured"]["lambda"] == pytest.approx(1.2384058440442351, abs=1e-12)
-    assert man["measured"]["mather_x"] == 0.0
+    assert man["measured"]["mather_x"] == [0.0]
     measured = man["measured"]
     assert measured["weak_kam_residual"] == 0.0
     assert measured["horizon_used"] == measured["weak_kam_steps"] * 0.02
@@ -441,6 +441,20 @@ def test_outputs_keep_their_pinned_bytes(tmp_path, args, digests):
     assert {name: cli._sha256(os.path.join(out, name)) for name in digests} == digests
 
 
+def test_a_profile_works_in_either_dimension(tmp_path):
+    # neg_gaussian sums over the coordinates; neg_gaussian_2d is another name for it
+    with open(RI2) as fh:
+        doc = json.load(fh)
+    doc["coupling"]["f"] = "neg_gaussian"
+    cfg_path = tmp_path / "ri2.json"
+    cfg_path.write_text(json.dumps(doc))
+    out = str(tmp_path / "erg")
+    assert run(["ergodic", "--config", str(cfg_path), "--out", out]) == 0
+    args, digests = PINNED_CSV[1]
+    assert args == ["ergodic", "--config", RI2]
+    assert {name: cli._sha256(os.path.join(out, name)) for name in digests} == digests
+
+
 def test_zero_tolerance_is_accepted(tmp_path):
     assert run(["ergodic", "--instance", "RI-1", "--tol", "0",
                 "--out", str(tmp_path / "erg")]) == 0
@@ -551,7 +565,7 @@ def test_stationary_solve_checks_assumptions_first(tmp_path, capsys, monkeypatch
     assert failed in err
     if "C3" in str(patch):  # the three c3_bound entries shown are three distinct x
         for x in (-1.0, 0.0, 1.0):
-            assert f"('c3_bound', np.float64({x}), None" in err
+            assert f"c3_bound at x=[{x}]" in err
 
 
 @pytest.mark.parametrize("args", [

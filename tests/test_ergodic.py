@@ -28,8 +28,8 @@ def zeros_of(s):
     return np.zeros_like(np.asarray(s, dtype=float))
 
 
-def ones_of(s):
-    return np.ones_like(np.asarray(s, dtype=float))
+def ones_of(pts):
+    return np.ones(len(pts))
 
 
 # ---------------------------------------------------------------------------
@@ -100,7 +100,7 @@ def test_second_equation_clean_and_perturbed(ri1, ergodic_sol):
     sol, _ = ergodic_sol
     r0 = M.verify_second_equation(ri1.L, ri1.coupling, ri1.grid, sol.m_bar, sol.u_bar)
     assert r0 <= 1e-10
-    tilted = sol.u_bar + 0.1 * np.sin(ri1.grid.points)
+    tilted = sol.u_bar + 0.1 * np.sin(ri1.grid.points[:, 0])
     r1 = M.verify_second_equation(ri1.L, ri1.coupling, ri1.grid, sol.m_bar, tilted)
     assert r1 >= 1e-2
 
@@ -126,7 +126,7 @@ def test_lambda_lipschitz_in_flat_metric(ri1):
 
 def test_critical_value_requires_reversibility(ri1, ergodic_sol):
     sol, _ = ergodic_sol
-    L_irrev = M.LagrangianModel(lambda x, v: 0.5 * np.asarray(v) ** 2 + np.asarray(v),
+    L_irrev = M.LagrangianModel(lambda x, v: (0.5 * v ** 2 + v).sum(-1),
                                 C1=1.0, C2=1.0, C3=1.0, reversible=False)
     with pytest.raises(errors.NotReversible):
         M.critical_value(L_irrev, ri1.coupling, ri1.grid, sol.m_bar)
@@ -134,8 +134,7 @@ def test_critical_value_requires_reversibility(ri1, ergodic_sol):
 
 def test_critical_value_rejects_boundary_minimum(ri1, ergodic_sol):
     sol, _ = ergodic_sol
-    tilt = M.quadratic_kinetic(potential=lambda x: 0.1 * np.asarray(x, dtype=float),
-                               C3=1.0)
+    tilt = M.quadratic_kinetic(potential=lambda x: 0.1 * x[..., 0], C3=1.0)
     flat = M.separable_coupling(ones_of, zeros_of, (-1.0,), (1.0,), 0.0, 0.0)
     with pytest.raises(errors.MinOnBoundary):
         M.critical_value(tilt, flat, ri1.grid, sol.m_bar)
@@ -145,8 +144,9 @@ def test_cycle_detected_for_flip_flop_well(ri1):
     # the well bottom mirrors the measure's mean, so the Dirac iteration
     # alternates between two nodes and no common minimizer exists
     g = ri1.grid
-    flip = M.Coupling(lambda grid, W: -np.exp(-(grid.points + (W @ grid.points)[:, None]) ** 2),
-                      (-1.0,), (1.0,), 0.1, 1.0, name="flip-flop")
+    flip = M.Coupling(
+        lambda grid, W: -np.exp(-((grid.points + (W @ grid.points)[:, None]) ** 2).sum(-1)),
+        (-1.0,), (1.0,), 0.1, 1.0, name="flip-flop")
     with pytest.raises(errors.CycleDetected):
         M.solve_ergodic(M.quadratic_kinetic(), flip, g,
                         m_start=M.GridMeasure.dirac(g, 0.5))

@@ -21,8 +21,7 @@ def grid1d(dx, lo=-4.0, hi=4.0, v_max=4.0):
 
 
 def quadratic_terminal():
-    return M.TerminalDatum(lambda x: 0.5 * np.asarray(x, dtype=float) ** 2,
-                           lip=4.0, c0=0.0)
+    return M.TerminalDatum(lambda x: 0.5 * (x ** 2).sum(-1), lip=4.0, c0=0.0)
 
 
 def solve_hl(dx, T=1.0):
@@ -35,7 +34,7 @@ def hl_error(g, vf, T=1.0, R=2.0):
     mask = g.ball_mask(R)
     worst = 0.0
     for k, t in enumerate(vf.times):
-        exact = g.points ** 2 / (2.0 * (1.0 + T - t))
+        exact = (g.points ** 2).sum(axis=1) / (2.0 * (1.0 + T - t))
         worst = max(worst, float(np.abs(vf.values[k] - exact)[mask].max()))
     return worst
 
@@ -53,21 +52,21 @@ def test_hopf_lax_error_bound_and_order():
 def test_hopf_lax_oracle_point_value():
     # min_y { (1 - y)^2/2 + y^2/2 } = 1/4 at y = 1/2
     g = grid1d(0.02)
-    val = M.hopf_lax_oracle(quadratic_terminal(), 0.0, 1.0, 1.0, g)
+    val = M.hopf_lax_oracle(quadratic_terminal(), 0.0, np.array([1.0]), 1.0, g)
     assert val == pytest.approx(0.25, abs=1e-10)
 
 
 def test_solver_agrees_with_oracle():
     g, vf = solve_hl(0.02)
     for x in (-1.5, 0.3, 1.0):
-        want = M.hopf_lax_oracle(quadratic_terminal(), 0.0, x, 1.0, g)
+        want = M.hopf_lax_oracle(quadratic_terminal(), 0.0, np.array([x]), 1.0, g)
         got = float(np.interp(x, g.axes[0], vf.values[0]))
         assert got == pytest.approx(want, abs=2.0 * (0.02 + 0.02))
 
 
 def test_terminal_slice_is_exact():
     g, vf = solve_hl(0.04)
-    np.testing.assert_allclose(vf.values[-1], g.points ** 2 / 2, atol=1e-14)
+    np.testing.assert_allclose(vf.values[-1], (g.points ** 2).sum(axis=1) / 2, atol=1e-14)
 
 
 def test_gradient_upwind():
@@ -88,8 +87,7 @@ def test_comparison_principle():
     g = grid1d(0.04)
     L = M.quadratic_kinetic()
     lo = quadratic_terminal()
-    hi = M.TerminalDatum(lambda x: 0.5 * np.asarray(x, dtype=float) ** 2 + 0.3,
-                         lip=4.0, c0=0.0)
+    hi = M.TerminalDatum(lambda x: 0.5 * (x ** 2).sum(-1) + 0.3, lip=4.0, c0=0.0)
     u_lo = M.solve_backward(L, None, lo, g, 1.0)
     u_hi = M.solve_backward(L, None, hi, g, 1.0)
     assert (u_hi.values >= u_lo.values - 1e-12).all()
@@ -101,7 +99,7 @@ def test_lipschitz_estimates_stable_in_horizon(ri1, ergodic_sol):
     erg, _ = ergodic_sol
     g = ri1.grid
     F = ri1.coupling.values_on(g, erg.m_bar)
-    uf = M.TerminalDatum(lambda x: np.zeros_like(np.asarray(x, dtype=float)), 0.0, 0.0)
+    uf = M.TerminalDatum(lambda x: np.zeros(len(x)), 0.0, 0.0)
     lips = []
     for T in (2.0, 4.0, 8.0):
         vf = M.solve_backward(ri1.L, F, uf, g, T)
@@ -119,7 +117,7 @@ def test_time_lipschitz_bounded():
 
 def test_minimizer_on_boundary_detected():
     g = grid1d(0.04, v_max=0.5)
-    steep = M.TerminalDatum(lambda x: 5.0 * np.asarray(x, dtype=float), lip=5.0, c0=20.0)
+    steep = M.TerminalDatum(lambda x: 5.0 * x[:, 0], lip=5.0, c0=20.0)
     with pytest.raises(errors.MinimizerOnBoundary):
         M.solve_backward(M.quadratic_kinetic(), None, steep, g, 1.0)
     # the check can be disabled for diagnostic runs
@@ -146,18 +144,17 @@ def backward_by_node(L, F, uT, g, T):
 
 
 SMALL_GRIDS = {
-    "1d": (M.GridSpec(-2.0, 2.0, 21, 0.1, 1.0, 9), PROFILES["gaussian"]),
-    "2d": (M.GridSpec((-2.0, -1.5), (2.0, 1.5), (9, 7), 0.1, 1.0, 5),
-           PROFILES["neg_gaussian_2d"]),
+    "1d": M.GridSpec(-2.0, 2.0, 21, 0.1, 1.0, 9),
+    "2d": M.GridSpec((-2.0, -1.5), (2.0, 1.5), (9, 7), 0.1, 1.0, 5),
 }
 
 
 @pytest.mark.parametrize("name", sorted(SMALL_GRIDS))
 def test_backward_step_matches_per_node_loop(name):
-    g, phi = SMALL_GRIDS[name]
+    g = SMALL_GRIDS[name]
     T = 0.5
-    c = g.coordinates()
-    L = M.quadratic_kinetic(potential=lambda x: 0.2 * phi(x), C3=1.0)
+    c = g.points
+    L = M.quadratic_kinetic(potential=lambda x: 0.2 * PROFILES["neg_gaussian"](x), C3=1.0)
     # irrational-looking coefficients: a candidate tie that only rounding
     # breaks would make either order of summation a valid answer
     uT = 0.113 * ((c - 0.317) ** 2).sum(axis=1) + c @ [0.0571, -0.0433][: g.dim]
@@ -171,7 +168,7 @@ def test_backward_step_matches_per_node_loop(name):
 
 @pytest.mark.parametrize("name", sorted(SMALL_GRIDS))
 def test_backward_step_ties_go_to_lowest_velocity(name):
-    g, _ = SMALL_GRIDS[name]
+    g = SMALL_GRIDS[name]
     kin = M.quadratic_kinetic()
     flat = M.LagrangianModel(lambda x, v: 0.0 * kin.eval(x, v), 1.0, 1.0, 1.0)
     uT = np.zeros(g.n_points)
@@ -185,7 +182,7 @@ def test_backward_step_ties_go_to_lowest_velocity(name):
 
 @pytest.mark.parametrize("name", sorted(SMALL_GRIDS))
 def test_coupling_path_of_wrong_shape_is_rejected(name):
-    g, _ = SMALL_GRIDS[name]
+    g = SMALL_GRIDS[name]
     K = g.time_steps(0.3)
     F = np.zeros((K, g.n_points))  # one row short
     want = f"F_path shape {F.shape} does not match (K+1, N) = {(K + 1, g.n_points)}"
@@ -196,19 +193,17 @@ def test_coupling_path_of_wrong_shape_is_rejected(name):
 def test_minimizer_on_boundary_detected_2d():
     g = M.GridSpec((-2.0, -2.0), (2.0, 2.0), (11, 11), 0.1, 0.5, 5)
     # steep along y only: the minimizer hits the edge in its second component
-    steep = M.TerminalDatum(lambda p: 5.0 * np.asarray(p, dtype=float)[:, 1],
-                            lip=5.0, c0=10.0)
+    steep = M.TerminalDatum(lambda p: 5.0 * p[:, 1], lip=5.0, c0=10.0)
     with pytest.raises(errors.MinimizerOnBoundary):
         M.solve_backward(M.quadratic_kinetic(), None, steep, g, 1.0)
 
 
 def test_terminal_datum_validation():
     g = grid1d(0.04)
-    bad_lip = M.TerminalDatum(lambda x: 2.0 * np.asarray(x, dtype=float), lip=0.5, c0=10.0)
+    bad_lip = M.TerminalDatum(lambda x: 2.0 * x[:, 0], lip=0.5, c0=10.0)
     with pytest.raises(errors.NotLipschitz):
         bad_lip.validate(g)
-    bad_floor = M.TerminalDatum(lambda x: -np.ones_like(np.asarray(x, dtype=float)),
-                                lip=0.0, c0=0.1)
+    bad_floor = M.TerminalDatum(lambda x: -np.ones(len(x)), lip=0.0, c0=0.1)
     with pytest.raises(ValueError):
         bad_floor.validate(g)
 

@@ -14,8 +14,7 @@ def grid1d(dx, lo=-4.0, hi=4.0, v_max=4.0):
 
 
 def zero_terminal():
-    return M.TerminalDatum(lambda x: np.zeros_like(np.asarray(x, dtype=float)),
-                           lip=0.0, c0=0.0)
+    return M.TerminalDatum(lambda x: np.zeros(len(x)), lip=0.0, c0=0.0)
 
 
 def ones_of(s):
@@ -24,14 +23,15 @@ def ones_of(s):
 
 def decoupled_coupling():
     """F(x, m) = -exp(-x^2), independent of the measure."""
-    return M.separable_coupling(lambda x: -np.exp(-np.asarray(x) ** 2),
+    return M.separable_coupling(lambda x: -np.exp(-(x ** 2).sum(-1)),
                                 ones_of, (-1.0,), (1.0,), 0.3, 0.9,
                                 name="decoupled")
 
 
 def flat_coupling():
     """F == 1 everywhere: no drift at all."""
-    return M.separable_coupling(ones_of, ones_of, (-1.0,), (1.0,), 0.0, 0.0, name="flat")
+    return M.separable_coupling(lambda x: np.ones(len(x)), ones_of, (-1.0,), (1.0,), 0.0, 0.0,
+                                name="flat")
 
 
 # ---------------------------------------------------------------------------
@@ -122,6 +122,17 @@ def test_assumption_gate_can_be_skipped(ri1, monkeypatch):
     np.testing.assert_allclose(sol.m_path.weights.sum(axis=1), 1.0, atol=1e-12)
 
 
+def test_terminal_datum_is_validated_once_per_solve(ri1_coarse, monkeypatch):
+    calls = []
+    validate = M.TerminalDatum.validate
+    monkeypatch.setattr(M.TerminalDatum, "validate",
+                        lambda self, grid: calls.append(grid) or validate(self, grid))
+    inst = ri1_coarse
+    sol = M.solve_finite_horizon(inst.L, inst.coupling, inst.m0, inst.uf, inst.grid, 2.0)
+    assert sol.iterations > 1
+    assert calls == [inst.grid]
+
+
 # ---------------------------------------------------------------------------
 # weak residual of the continuity equation
 
@@ -130,11 +141,11 @@ def test_bump_derivatives_match_finite_differences():
     bump = M.SpaceTimeBump(1.0, 0.8, 0.1, 1.5)
     rng = np.random.default_rng(2)
     ts = rng.uniform(0.3, 1.7, 5)
-    xs = rng.uniform(-1.2, 1.4, 5)
+    xs = rng.uniform(-1.2, 1.4, (5, 1))
     h = 1e-6
     for t in ts:
         dt_num = (bump.eval(t + h, xs) - bump.eval(t - h, xs)) / (2 * h)
-        dx_num = (bump.eval(t, xs + h) - bump.eval(t, xs - h)) / (2 * h)
+        dx_num = ((bump.eval(t, xs + h) - bump.eval(t, xs - h)) / (2 * h))[:, None]
         np.testing.assert_allclose(bump.dt(t, xs), dt_num, atol=1e-6)
         np.testing.assert_allclose(bump.dx(t, xs), dx_num, atol=1e-6)
 

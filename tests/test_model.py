@@ -23,33 +23,34 @@ def test_legendre_pure_kinetic():
     # sup_v (p v - v^2/2) = p^2/2, attained at v = p
     L = M.quadratic_kinetic()
     g = grid1d()
-    H, v = M.legendre_transform(L, 0.0, 1.0, g)
+    H, v = M.legendre_transform(L, np.zeros(1), 1.0, g)
     assert H == pytest.approx(0.5, abs=1e-10)
     assert v == pytest.approx(1.0, abs=1e-8)
 
 
 def test_legendre_with_potential():
     # L = v^2/2 + phi(x)  =>  H(x, p) = p^2/2 - phi(x)
-    L = M.quadratic_kinetic(potential=lambda x: -np.exp(-np.asarray(x) ** 2), C3=1.0)
+    L = M.quadratic_kinetic(potential=lambda x: -np.exp(-(x ** 2).sum(-1)), C3=1.0)
     g = grid1d()
-    H, _ = M.legendre_transform(L, 0.0, 1.0, g)
+    H, _ = M.legendre_transform(L, np.zeros(1), 1.0, g)
     assert H == pytest.approx(1.5, abs=1e-10)
 
 
 def test_legendre_matches_brute_force():
-    L = M.quadratic_kinetic(potential=lambda x: 0.3 * np.cos(np.asarray(x)), C3=0.3)
+    L = M.quadratic_kinetic(potential=lambda x: 0.3 * np.cos(x).sum(-1), C3=0.3)
     g = grid1d()
     for x, p in ((0.7, -1.3), (-2.1, 0.45), (1.0, 2.0)):
-        H, _ = M.legendre_transform(L, x, p, g)
-        brute = np.max(p * g.velocities - np.asarray(L.eval(np.full_like(g.velocities, x), g.velocities)))
+        H, _ = M.legendre_transform(L, np.array([x]), p, g)
+        brute = np.max(g.velocities @ [p] - L.eval(np.full_like(g.velocities, x), g.velocities))
         assert H >= brute - 1e-12  # refinement only improves the grid sup
         assert H == pytest.approx(brute, abs=1e-3)
 
 
 def test_legendre_reversible_symmetry():
-    L = M.quadratic_kinetic(potential=lambda x: -np.exp(-np.asarray(x) ** 2), C3=1.0)
+    L = M.quadratic_kinetic(potential=lambda x: -np.exp(-(x ** 2).sum(-1)), C3=1.0)
     g = grid1d()
-    for x in (-1.2, 0.0, 0.6):
+    for x in ([-1.2], [0.0], [0.6]):
+        x = np.array(x)
         Hp, _ = M.legendre_transform(L, x, 0.8, g)
         Hm, _ = M.legendre_transform(L, x, -0.8, g)
         assert Hp == pytest.approx(Hm, abs=1e-12)
@@ -59,7 +60,7 @@ def test_legendre_maximizer_on_boundary():
     g = grid1d(v_max=0.5)
     L = M.quadratic_kinetic()
     with pytest.raises(errors.MaximizerOnBoundary):
-        M.legendre_transform(L, 0.0, 3.0, g)  # wants v = 3 > v_max
+        M.legendre_transform(L, np.zeros(1), 3.0, g)  # wants v = 3 > v_max
 
 
 # ---------------------------------------------------------------------------
@@ -79,21 +80,13 @@ def grid2d(nodes=25):
     return M.GridSpec((-3.0, -3.0), (3.0, 3.0), (nodes, nodes), 0.25, 4.0, 17)
 
 
-def last_axis_sum(a):
-    """Sum over the coordinate axis of 2-D points; 1-D points pass unchanged."""
-    return a.sum(axis=-1) if a.ndim and a.shape[-1] == 2 else a
-
-
 # L = v^4 has L_vv = 12 v^2: zero at v = 0, unbounded at large v
-QUARTIC = M.LagrangianModel(lambda x, v: last_axis_sum(np.asarray(v) ** 4),
-                            C1=1.0, C2=1.0, C3=0.0)
+QUARTIC = M.LagrangianModel(lambda x, v: (v ** 4).sum(-1), C1=1.0, C2=1.0, C3=0.0)
 # the mixed Hessian of 0.9 x.v is 0.9 I, above C2 (1 + |v|) = 0.1 (1 + |v|)
-DRIFT = M.LagrangianModel(
-    lambda x, v: last_axis_sum(0.5 * np.asarray(v) ** 2 + 0.9 * np.asarray(x) * v),
-    C1=1.0, C2=0.1, C3=1.0)
+DRIFT = M.LagrangianModel(lambda x, v: (0.5 * v ** 2 + 0.9 * x * v).sum(-1),
+                          C1=1.0, C2=0.1, C3=1.0)
 # |L(x, 0)| + |D_x L(x, 0)| is (1 + 2 sqrt 2) e^-2 = 0.52 at the samples x = (+-1, +-1)
-WELL = M.quadratic_kinetic(potential=lambda p: -np.exp(-last_axis_sum(np.asarray(p) ** 2)),
-                           C3=0.5)
+WELL = M.quadratic_kinetic(potential=lambda p: -np.exp(-(p ** 2).sum(-1)), C3=0.5)
 
 
 @pytest.mark.parametrize("L, grid, violations, flags", [
@@ -157,13 +150,13 @@ def test_tonelli_check_calls_L_once_per_stencil_offset():
 
 def test_tonelli_rejects_undeclared_data_bound():
     # |L(x, 0)| reaches 1 but C3 claims 0.1
-    L = M.quadratic_kinetic(potential=lambda x: -np.exp(-np.asarray(x) ** 2), C3=0.1)
+    L = M.quadratic_kinetic(potential=lambda x: -np.exp(-(x ** 2).sum(-1)), C3=0.1)
     rep = M.check_strict_tonelli(L, grid1d())
     assert not rep.passed
 
 
 def test_growth_constants_formulas():
-    L = M.LagrangianModel(lambda x, v: 0.5 * np.asarray(v) ** 2, C1=2.0, C2=1.0, C3=0.7)
+    L = M.LagrangianModel(lambda x, v: 0.5 * (v ** 2).sum(-1), C1=2.0, C2=1.0, C3=0.7)
     assert L.alpha == pytest.approx(2.7)
     assert L.beta == pytest.approx(1.7)
 
@@ -175,14 +168,14 @@ def test_growth_constants_formulas():
 def test_coupling_profile_lipschitz_within_declared(ri1):
     # the separable factor is f(x) = -exp(-x^2); max |f'| = sqrt(2/e)
     g = ri1.grid
-    f = -np.exp(-g.points ** 2)
+    f = -np.exp(-g.axes[0] ** 2)
     slopes = np.abs(np.diff(f)) / g.dx[0]
     assert slopes.max() == pytest.approx(np.sqrt(2 / np.e), abs=1e-3)
     assert slopes.max() <= ri1.coupling.lip2
 
 
 def test_coupling_geometry_validation():
-    c = M.separable_coupling(lambda x: -np.exp(-np.asarray(x) ** 2),
+    c = M.separable_coupling(lambda x: -np.exp(-(x ** 2).sum(-1)),
                              lambda s: 2.0 + np.tanh(s),
                              (-5.0,), (5.0,), 0.36, 0.86)
     with pytest.raises(ValueError):
@@ -196,7 +189,7 @@ def test_confinement_gap_reference_instance(ri1):
 
 
 def test_confinement_gap_violation_raises(ri1):
-    inflated = M.separable_coupling(lambda x: -np.exp(-np.asarray(x) ** 2),
+    inflated = M.separable_coupling(lambda x: -np.exp(-(x ** 2).sum(-1)),
                                     lambda s: 2.0 + np.tanh(s),
                                     (-1.0,), (1.0,), 10.0, 0.86)
     with pytest.raises(errors.GapViolated):
@@ -212,8 +205,9 @@ def test_common_minimizer_reference_instance(ri1):
 
 def test_common_minimizer_fails_for_shifted_well(ri1):
     # non-separable well whose bottom tracks the measure's mean
-    shift = M.Coupling(lambda grid, W: -np.exp(-(grid.points - (W @ grid.points)[:, None] / 2.0) ** 2),
-                       (-1.0,), (1.0,), 0.1, 1.0, name="shifted-well")
+    shift = M.Coupling(
+        lambda grid, W: -np.exp(-((grid.points - (W @ grid.points)[:, None] / 2.0) ** 2).sum(-1)),
+        (-1.0,), (1.0,), 0.1, 1.0, name="shifted-well")
     ok, witness = M.check_F5(shift, M.quadratic_kinetic(), ri1.grid,
                              M.default_probes(shift, ri1.grid))
     assert not ok
@@ -221,13 +215,13 @@ def test_common_minimizer_fails_for_shifted_well(ri1):
 
 
 def well(p):
-    return -np.exp(-last_axis_sum(np.asarray(p, dtype=float) ** 2))
+    return -np.exp(-(p ** 2).sum(-1))
 
 
 @pytest.mark.parametrize("grid", [grid1d(dx=0.25, dt=0.25), grid2d()], ids=["1d", "2d"])
 def test_rest_landscape_is_L_at_rest_plus_F(grid):
     # L(x, 0) = 0.3 sum_i cos(x_i) and F(x, m) = f(x) G(integral of f dm), node by node
-    L = M.quadratic_kinetic(potential=lambda p: last_axis_sum(0.3 * np.cos(p)), C3=0.6)
+    L = M.quadratic_kinetic(potential=lambda p: 0.3 * np.cos(p).sum(-1), C3=0.6)
     G = lambda s: 2.0 + np.tanh(s)
     c = M.separable_coupling(well, G, (-1.0,) * grid.dim, (1.0,) * grid.dim, 0.1, 1.0)
     for m in (M.GridMeasure.dirac(grid, (0.5,) * grid.dim),
@@ -239,7 +233,7 @@ def test_rest_landscape_is_L_at_rest_plus_F(grid):
 
 def test_separable_path_values_match_per_measure(ri1):
     g = ri1.grid
-    f = lambda x: -np.exp(-np.asarray(x) ** 2)
+    f = lambda x: -np.exp(-(x ** 2).sum(-1))
     G = lambda s: 2.0 + np.tanh(s)
     rng = np.random.default_rng(0)
     rows = rng.random((4, g.n_points))
@@ -250,6 +244,50 @@ def test_separable_path_values_match_per_measure(ri1):
         np.testing.assert_allclose(batch[k], one, atol=1e-14)
         np.testing.assert_array_equal(ri1.coupling.values_on(g, M.GridMeasure(g, rows[k])),
                                       batch[k])
+
+
+# ---------------------------------------------------------------------------
+# the callable contract: a point or a velocity is a row of n coordinates
+
+
+@pytest.mark.parametrize("grid", [
+    M.GridSpec(-2.0, 2.0, 9, 0.25, 1.0, 5),
+    M.GridSpec((-2.0, -2.0), (2.0, 2.0), (9, 9), 0.25, 1.0, 5),
+], ids=["1d", "2d"])
+def test_callables_get_arrays_of_n_coordinates(grid):
+    seen = {}  # callable name -> shape of every array it was called with
+
+    def recorded(name, fn):
+        def call(*args):
+            seen.setdefault(name, []).extend(np.shape(a) for a in args)
+            return fn(*args)
+        return call
+
+    n = grid.dim
+    kin = M.quadratic_kinetic(recorded("potential", lambda x: 0.1 * np.cos(x).sum(-1)), C3=1.0)
+    L = M.LagrangianModel(recorded("lagrangian", kin.eval), kin.C1, kin.C2, kin.C3)
+    uf = M.TerminalDatum(recorded("terminal", lambda x: 0.1 * (x ** 2).sum(-1)), 1.0, 0.0)
+    f = recorded("profile", lambda x: -np.exp(-(x ** 2).sum(-1)))
+    coupling = M.separable_coupling(f, lambda s: 2.0 + np.tanh(s), (-1.0,) * n, (1.0,) * n,
+                                    0.1, 1.0)
+    m = M.GridMeasure.uniform_on(grid, (-1.0,) * n, (1.0,) * n)
+
+    M.hjb.bellman_step(L, grid)
+    M.check_strict_tonelli(L, grid)
+    M.rest_landscape(L, coupling, grid, m)
+    _, vstar = M.legendre_transform(L, grid.points[3], np.full(n, 0.2), grid)
+    vf = M.solve_backward(L, coupling.values_on(grid, m), uf, grid, 0.5)  # validates uf
+    bundle = M.trace_optimal_flow(vf, m)
+    M.action_defect(bundle, vf, L, None, uf.values_on(grid))
+
+    assert sorted(seen) == ["lagrangian", "potential", "profile", "terminal"]
+    for name, shapes in seen.items():
+        assert all(s[-1:] == (n,) for s in shapes), (name, set(shapes))
+    C, K = len(m.support()), len(vf.times) - 1
+    assert vstar.shape == m.mean().shape == (n,)
+    assert vf.feedback.shape == (K, grid.n_points, n)
+    assert bundle.positions.shape == (C, K + 1, n)
+    assert bundle.velocities.shape == (C, K, n)
 
 
 # ---------------------------------------------------------------------------

@@ -67,12 +67,11 @@ def points_in(draw, grid, count, margin=0.0):
         w = margin * (b - a)
         u = draw(st.lists(st.floats(0.0, 1.0), min_size=count, max_size=count))
         cols.append(a - w + np.asarray(u) * (b - a + 2 * w))
-    pts = np.stack(cols, axis=-1)
-    return pts[:, 0] if grid.dim == 1 else pts
+    return np.stack(cols, axis=-1)
 
 
 def affine_on(grid, slope, offset, pts):
-    return grid.coordinates(pts) @ np.asarray(slope[: grid.dim]) + offset
+    return np.reshape(pts, (-1, grid.dim)) @ np.asarray(slope[: grid.dim]) + offset
 
 
 @SETTINGS
@@ -86,7 +85,7 @@ def test_deposit_keeps_mass_and_first_moment(data):
     w = deposit(grid, pts, masses)
     assert w.shape == (grid.n_points,)
     assert w.sum() == pytest.approx(masses.sum(), abs=1e-12)
-    np.testing.assert_allclose(w @ grid.coordinates(), masses @ grid.coordinates(pts),
+    np.testing.assert_allclose(w @ grid.points, masses @ pts,
                                atol=1e-10)
     # a batch of point sets deposits row by row, bit for bit
     batch = deposit(grid, np.stack([pts, pts[::-1]]), masses)
@@ -99,7 +98,7 @@ def test_interp_grid_exact_on_affine_with_clamping(data, slope, offset):
     grid = data.draw(grids())
     pts = points_in(data.draw, grid, 10, margin=0.5)  # some points outside the box
     values = affine_on(grid, slope, offset, grid.points)
-    clamped = np.clip(grid.coordinates(pts), grid.lo, grid.hi)
+    clamped = np.clip(pts, grid.lo, grid.hi)
     got = M.interp_grid(grid, values, pts)
     assert got.shape == (10,)
     np.testing.assert_allclose(got, affine_on(grid, slope, offset, clamped), atol=1e-10)
@@ -131,7 +130,7 @@ def test_departure_step_matches_interp_grid(grid, data, slope, offset):
     assert cand.shape == (size, len(grid.velocities))
     np.testing.assert_allclose(cand, M.interp_grid(grid, vals, pts), rtol=0,
                                atol=1e-13 * (1 + np.abs(vals).max()))
-    clamped = np.clip(grid.coordinates(pts), grid.lo, grid.hi)
+    clamped = np.clip(pts, grid.lo, grid.hi)
     affine = step(affine_on(grid, slope, offset, grid.points))
     np.testing.assert_allclose(affine.ravel(), affine_on(grid, slope, offset, clamped),
                                atol=1e-10)
@@ -207,8 +206,8 @@ def reference_d1(m1, m2):
     s2 = m2.support()
     a = m1.weights[s1]
     b = m2.weights[s2]
-    p = m1.grid.coordinates()[s1]
-    q = m2.grid.coordinates()[s2]
+    p = m1.grid.points[s1]
+    q = m2.grid.points[s2]
     cost = np.sqrt(((p[:, None, :] - q[None, :, :]) ** 2).sum(axis=2)).ravel()
     ni, nj = len(s1), len(s2)
     rows, cols, vals = [], [], []
@@ -374,7 +373,7 @@ def test_csv_writers_match_the_csv_writer_reference(data, grid):
     values = np.array([data.draw(st.lists(any_float, min_size=n, max_size=n))
                        for _ in times])
     names = list("xy"[: grid.dim])
-    coords = [[repr(c) for c in row] for row in grid.coordinates().tolist()]
+    coords = [[repr(c) for c in row] for row in grid.points.tolist()]
     vf = M.ValueField(grid, times, values, None)
     path = M.MeasurePath(grid, times, values, validate=False)
     m = M.GridMeasure(grid, values[0], validate=False)

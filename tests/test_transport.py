@@ -14,8 +14,7 @@ def grid1d(dx, lo=-4.0, hi=4.0, v_max=4.0):
 
 
 def quadratic_terminal():
-    return M.TerminalDatum(lambda x: 0.5 * np.asarray(x, dtype=float) ** 2,
-                           lip=4.0, c0=0.0)
+    return M.TerminalDatum(lambda x: 0.5 * (x ** 2).sum(-1), lip=4.0, c0=0.0)
 
 
 def hl_setup(dx, T=1.0):
@@ -30,7 +29,7 @@ def straight_bundle(g, x0, speed, T):
     times = np.arange(K + 1) * g.dt
     pos = x0 + speed * times
     return M.TrajectoryBundle(g, times, np.asarray([g.nearest_node(x0)]),
-                              pos[None, :], np.full((1, K), speed), np.asarray([1.0]))
+                              pos[None, :, None], np.full((1, K, 1), speed), np.asarray([1.0]))
 
 
 # ---------------------------------------------------------------------------
@@ -52,7 +51,7 @@ def test_trace_escaping_raises():
     K = g.time_steps(1.0)
     times = np.arange(K + 1) * g.dt
     values = np.zeros((K + 1, g.n_points))
-    feedback = np.full((K, g.n_points), 4.0)
+    feedback = np.full((K, g.n_points, 1), 4.0)
     vf = M.ValueField(g, times, values, feedback)
     with pytest.raises(errors.EscapedBox):
         M.trace_optimal_flow(vf, M.GridMeasure.dirac(g, 3.8))
