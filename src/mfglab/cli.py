@@ -113,6 +113,11 @@ def _phase_seconds(history):
     return {p: [round(h[p], 4) for h in history] for p in _PHASES}
 
 
+def _gaps_lo(sol):
+    """The sliced lower bound on the best-response gap of each iteration."""
+    return [h["gap_lo"] for h in sol.history]
+
+
 def _instance(params):
     """The embedded document of a --config run, else the built-in instance."""
     return load_instance(params.get("document", params["instance"]),
@@ -186,6 +191,7 @@ def _run_horizon(params, inst):
         "iterations": sol.iterations,
         "final_residual": sol.residuals[-1],
         "gaps": sol.residuals,
+        "gaps_lo": _gaps_lo(sol),
         **{k: float(v) for k, v in sol.diagnostics.items()},
     }
     lines = [f"converged = {sol.converged} after {sol.iterations} iterations",
@@ -238,6 +244,7 @@ def _run_converge(params, inst):
         "C_hat_F": rep.C_hat_F,
         "all_converged": all_converged,
         "gaps": [sols[T].residuals for T in T_list],  # one list per T, as in T_list
+        "gaps_lo": [_gaps_lo(sols[T]) for T in T_list],
     }
     per_solve = [_phase_seconds(sols[T].history) for T in T_list]
     timings = {p: [t[p] for t in per_solve] for p in _PHASES}

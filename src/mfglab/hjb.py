@@ -226,8 +226,9 @@ def hopf_lax_oracle(uf, t, x, T, grid):
     inf over grid nodes y of |x - y|^2 / (2 (T - t)) + u_f(y) at an (n,)
     point x, in 1-D refined by one quadratic fit around the discrete
     minimizer.  Independent of the dynamic-programming route, so it serves
-    as an oracle for it.
+    as an oracle for it.  Raises ValueError when x is not one (n,) point.
     """
+    x = grid.as_point(x)
     if T <= t:
         vals = uf.values_on(grid) if isinstance(uf, TerminalDatum) else uf
         return float(interp_grid(grid, vals, x))

@@ -3,15 +3,19 @@
 Fictitious play on the measure path W_k: solve the backward HJ equation
 against W_k, push the initial measure through the optimal flow to get the
 best response BR(W_k), and stop once the best-response gap
-gap_k = sup_t d_1(BR(W_k)(t), W_k(t)) is at most the tolerance.  The pair
-returned is (u_k, W_k), the value that answers W_k and W_k itself, so its
-gap is the one certified.  Otherwise W_{k+1} = (1 - theta_k) W_k +
-theta_k BR(W_k), with theta_k = theta(gaps): Picard steps (theta = 1)
-while the gap falls and, from the first iteration whose gap does not, the
-1/(k+1) weights of fictitious play, which have a convergence proof
-(Cardaliaguet & Hadikhanloo, ESAIM:COCV 2017) where Picard iteration can
-cycle.  Failure to converge is a flag, not an exception; broken standing
-assumptions raise before any iteration runs.
+gap_k = sup_t d_1(BR(W_k)(t), W_k(t)) is at most the tolerance.  Each
+iteration first takes the sliced lower bound gap_lo_k <= gap_k (exact in
+1-D); in 2-D the exact transport LP runs only when gap_lo_k <= tol, since
+above it the iteration cannot stop.  The pair returned is (u_k, W_k), the
+value that answers W_k and W_k itself, so its exact gap is the one
+certified.  Otherwise W_{k+1} = (1 - theta_k) W_k + theta_k BR(W_k), with
+theta_k = theta(gaps_lo), read from the bounds, which exist in every
+iteration: Picard steps (theta = 1) while the bound falls and, from the
+first iteration whose bound does not, the 1/(k+1) weights of fictitious
+play, which have a convergence proof (Cardaliaguet & Hadikhanloo,
+ESAIM:COCV 2017) where Picard iteration can cycle.  Failure to converge is
+a flag, not an exception; broken standing assumptions raise before any
+iteration runs.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ import numpy as np
 
 from .errors import AssumptionFailure
 from .hjb import TerminalDatum, lipschitz_estimate, solve_backward, time_lipschitz_estimate
-from .measure import GridMeasure, MeasurePath, sup_d1
+from .measure import GridMeasure, MeasurePath, sliced_d1, sup_d1
 from .model import check_F4_gap, check_strict_tonelli
 from .transport import measure_path, trace_optimal_flow
 
@@ -34,7 +38,8 @@ def theta(gaps):
     """Weight of BR(W_k) in W_{k+1}, given the gaps of iterations 0..k.
 
     1 while each gap is below the one before it, and 1/(k+1) from the first
-    gap that is not, for the rest of the solve.
+    gap that is not, for the rest of the solve.  solve_finite_horizon feeds
+    it the lower bounds gap_lo, the one sequence every iteration has.
     """
     falling = all(b < a for a, b in zip(gaps, gaps[1:]))
     return 1.0 if falling else 1.0 / len(gaps)
@@ -45,9 +50,14 @@ class MFGSolution:
     """The returned pair (u, m_path), the best response to m_path, and the run.
 
     history holds one dict per iteration k: "theta" (the schedule's weight
-    of BR(W_k), unused on the iteration that stops), "gap", and the seconds
-    spent in "backward_s" (coupling along W_k plus the backward solve),
-    "forward_s" (flow trace plus deposit) and "d1_s" (the gap).
+    of BR(W_k), read from the gap_lo values and unused on the iteration
+    that stops), "gap_lo", the sliced lower bound on the best-response gap
+    (computed every iteration), "gap", the exact gap, or None in 2-D where
+    gap_lo already exceeded the tolerance and no LP ran (in 1-D gap equals
+    gap_lo, which is exact there), and the seconds spent in "backward_s"
+    (coupling along W_k plus the backward solve), "forward_s" (flow trace
+    plus deposit) and "d1_s" (the bound and, where it ran, the exact gap).
+    A converged solve stopped on an exact gap <= tol.
     """
 
     u: object  # ValueField
@@ -63,7 +73,10 @@ class MFGSolution:
 
     @property
     def residuals(self):
-        """Best-response gap of each iteration; the last one is m_path's."""
+        """Exact best-response gap of each iteration, None where not computed.
+
+        The last one is m_path's, exact whenever the solve converged.
+        """
         return [h["gap"] for h in self.history]
 
 
@@ -109,13 +122,16 @@ def _check_standing_assumptions(L, coupling, grid, m0):
 def solve_finite_horizon(L, coupling, m0, uf, grid, T, tol=1e-4):
     """Fixed point of the best-response map by fictitious play.
 
-    Iteration k measures gap_k = sup_d1(BR(W_k), W_k), where BR(W_k) is the
-    measure path of the optimal flow against W_k, and stops when gap_k <=
-    tol.  It returns (u_k, W_k) with the flag, the history and diagnostics,
-    so residuals[-1] is the gap of the returned path; past MAX_ITERS it
-    returns the last pair unconverged.  The step to W_{k+1} has weight
-    theta(gaps) (module docstring).  m_path(0) equals m0 exactly and the
-    value table ends at the terminal datum exactly.
+    Iteration k bounds gap_k = sup_d1(BR(W_k), W_k) from below by
+    gap_lo_k = sliced_d1(BR(W_k), W_k), where BR(W_k) is the measure path of
+    the optimal flow against W_k.  If gap_lo_k > tol the iteration is not
+    done; otherwise gap_k is computed (in 1-D it is gap_lo_k) and the solve
+    stops when gap_k <= tol.  It returns (u_k, W_k) with the flag, the
+    history and diagnostics, so residuals[-1] is the exact gap of the
+    returned path whenever it converged; past MAX_ITERS it returns the last
+    pair unconverged.  The step to W_{k+1} has weight theta(gaps_lo)
+    (module docstring).  m_path(0) equals m0 exactly and the value table
+    ends at the terminal datum exactly.
     """
     if not isinstance(uf, TerminalDatum):
         raise TypeError("uf must be a TerminalDatum")
@@ -124,7 +140,7 @@ def solve_finite_horizon(L, coupling, m0, uf, grid, T, tol=1e-4):
 
     K = grid.time_steps(T)
     W = np.tile(m0.weights, (K + 1, 1))
-    gaps, history = [], []
+    gaps_lo, history = [], []
     while True:
         t0 = time.perf_counter()
         F = coupling.path_values(grid, W)
@@ -133,15 +149,22 @@ def solve_finite_horizon(L, coupling, m0, uf, grid, T, tol=1e-4):
         bundle = trace_optimal_flow(vf, m0)
         best = measure_path(bundle).weights
         t2 = time.perf_counter()
-        gaps.append(sup_d1(grid, best, W))
+        lo = sliced_d1(grid, best, W)
+        if grid.dim == 1:
+            gap = lo  # the bound is exact in 1-D
+        elif lo <= tol:
+            gap = sup_d1(grid, best, W)
+        else:
+            gap = None  # gap >= lo > tol: not done, and no LP needed
         t3 = time.perf_counter()
-        th = theta(gaps)
-        history.append({"theta": th, "gap": gaps[-1], "backward_s": t1 - t0,
+        gaps_lo.append(lo)
+        th = theta(gaps_lo)
+        history.append({"theta": th, "gap_lo": lo, "gap": gap, "backward_s": t1 - t0,
                         "forward_s": t2 - t1, "d1_s": t3 - t2})
-        if gaps[-1] <= tol or len(gaps) == MAX_ITERS:
+        converged = gap is not None and gap <= tol
+        if converged or len(history) == MAX_ITERS:
             break
         W = (1.0 - th) * W + th * best
-    converged = gaps[-1] <= tol
 
     path = MeasurePath(grid, vf.times, W, validate=False)
     radii = grid.radii()

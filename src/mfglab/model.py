@@ -123,6 +123,18 @@ class GridSpec:
             inside = inside & (pts[..., d] >= lo[d] - 1e-12) & (pts[..., d] <= hi[d] + 1e-12)
         return inside
 
+    def as_point(self, x):
+        """x as one point of the grid's space: a float array of shape (n,).
+
+        Raises ValueError naming that contract for any other shape, such as
+        a bare float on a 1-D grid.
+        """
+        p = np.asarray(x, dtype=float)
+        if p.shape != (self.dim,):
+            raise ValueError(f"a point on a {self.dim}-D grid is an array of shape "
+                             f"({self.dim},), got shape {p.shape}")
+        return p
+
     def nearest_node(self, x):
         """Flat index of the node closest to x."""
         x = np.atleast_1d(np.asarray(x, dtype=float))
@@ -319,9 +331,11 @@ def legendre_transform(L, x, p, grid):
 
     The max is taken over the velocity grid and refined by one quadratic fit
     per axis around the discrete maximizer.  Raises MaximizerOnBoundary when
-    the discrete maximizer sits on the grid edge.  x and p are (n,) arrays,
-    and so is the returned maximizing v.
+    the discrete maximizer sits on the grid edge, and ValueError when x is
+    not one (n,) point.  x and p are (n,) arrays, and so is the returned
+    maximizing v.
     """
+    x = grid.as_point(x)
     V = grid.velocities
     p = np.atleast_1d(np.asarray(p, dtype=float))
     obj = V @ p - L.eval(x, V)

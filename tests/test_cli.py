@@ -285,25 +285,30 @@ import sys
 from mfglab.cli import main
 assert main(["horizon", "--instance", "RI-1", "--T", "1", "--dx", "0.1", "--dt", "0.1"]) == 0
 print(sorted(m for m in ("scipy.optimize", "scipy.sparse") if m in sys.modules))
+assert main(["horizon", "--config", sys.argv[1], "--T", "2", "--tol", "5e-4"]) == 0
+print(sorted(m for m in ("scipy.optimize", "scipy.sparse") if m in sys.modules))
 import numpy as np
 import mfglab as M
 g = M.GridSpec([0.0, 0.0], [1.0, 1.0], [3, 3], 0.1, 1.0, 3)
 mu, nu = np.zeros(9), np.zeros(9)
 mu[0] = nu[8] = 1.0
 print(repr(M.wasserstein1(M.GridMeasure(g, mu), M.GridMeasure(g, nu))))
+print(sorted(m for m in ("scipy.optimize", "scipy.sparse") if m in sys.modules))
 """
 
 
 def test_1d_run_never_imports_scipy():
-    # scipy.optimize and scipy.sparse take most of a cold start; only the 2-D d_1 LP needs them
+    # scipy.optimize and scipy.sparse take most of a cold start; only the 2-D d_1 LP
+    # needs them, and the sliced bounds decide every stop of the 2-D horizon run
     src = os.path.join(os.path.dirname(__file__), "..", "src")
     env = dict(os.environ, PYTHONPATH=src)
-    proc = subprocess.run([sys.executable, "-c", _COLD_START], capture_output=True,
+    proc = subprocess.run([sys.executable, "-c", _COLD_START, RI2], capture_output=True,
                           text=True, env=env)
     assert proc.returncode == 0, proc.stderr
-    loaded, d1 = proc.stdout.splitlines()[-2:]
-    assert loaded == "[]"
-    assert float(d1) == pytest.approx(2 ** 0.5)  # corner to corner of the unit square
+    lines = proc.stdout.splitlines()
+    loaded = [line for line in lines if line.startswith("[")]  # after each run
+    assert loaded == ["[]", "[]", "['scipy.optimize', 'scipy.sparse']"]  # wasserstein1 is the LP
+    assert float(lines[-2]) == pytest.approx(2 ** 0.5)  # corner to corner of the unit square
 
 
 def test_module_entry_point():
@@ -413,7 +418,9 @@ def test_failed_transport_lp_is_solver_failure(tmp_path, capsys, monkeypatch):
 
     # measure._d1_lp imports linprog when it builds the LP, so this is what it calls
     monkeypatch.setattr(scipy.optimize, "linprog", failed)
-    assert run(["horizon", "--config", RI2, "--T", "2", "--tol", "5e-4",
+    # at tol 0.2 the sliced bound of iteration 1 (0.0727) cannot decide the
+    # stop, so the exact LP runs; at 5e-4 the bounds decide every iteration
+    assert run(["horizon", "--config", RI2, "--T", "2", "--tol", "0.2",
                 "--out", str(tmp_path / "x")]) == 5
     assert "transport LP failed: The problem is infeasible." in capsys.readouterr().err
 

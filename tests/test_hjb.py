@@ -56,6 +56,15 @@ def test_hopf_lax_oracle_point_value():
     assert val == pytest.approx(0.25, abs=1e-10)
 
 
+@pytest.mark.parametrize("dim, x", [(1, 1.0), (1, np.ones((1, 1))), (2, np.ones(1))])
+@pytest.mark.parametrize("t", [0.5, 1.0])  # before the horizon and at it
+def test_hopf_lax_oracle_names_the_point_shape(dim, x, t):
+    g = M.GridSpec((-1.0,) * dim, (1.0,) * dim, (5,) * dim, 0.5, 1.0, 5)
+    want = f"a point on a {dim}-D grid is an array of shape ({dim},), got shape {np.shape(x)}"
+    with pytest.raises(ValueError, match=re.escape(want)):
+        M.hopf_lax_oracle(quadratic_terminal(), t, x, 1.0, g)
+
+
 def test_solver_agrees_with_oracle():
     g, vf = solve_hl(0.02)
     for x in (-1.5, 0.3, 1.0):

@@ -1,10 +1,14 @@
 """Fictitious-play equilibrium loop: exactness, invariants, weak residuals."""
 
+import os
+
 import numpy as np
 import pytest
 
 import mfglab as M
 from mfglab import errors, mfg
+
+RI2 = os.path.join(os.path.dirname(__file__), "..", "bench", "ri2.json")
 
 
 def grid1d(dx, lo=-4.0, hi=4.0, v_max=4.0):
@@ -46,17 +50,36 @@ def test_theta_schedules():
 
 
 def test_schedule_falls_back_to_averaging_after_the_gap_rises(monkeypatch):
+    # in 1-D the sliced bound is the exact gap, so it is the one value fed
     gaps = [0.5, 0.1, 0.2, 0.05, 0.01, 0.0]
     feed = iter(gaps)
-    monkeypatch.setattr(mfg, "sup_d1", lambda grid, rows1, rows2: next(feed))
+    monkeypatch.setattr(mfg, "sliced_d1", lambda grid, rows1, rows2: next(feed))
     g = grid1d(0.04)
     m0 = M.GridMeasure.uniform_on(g, -1.0, 1.0)
     sol = M.solve_finite_horizon(M.quadratic_kinetic(), decoupled_coupling(),
                                  m0, zero_terminal(), g, 2.0)
     assert sol.converged and sol.residuals == gaps
+    assert [h["gap_lo"] for h in sol.history] == gaps
     assert [h["theta"] for h in sol.history] == [1.0, 1.0, 1 / 3, 1 / 4, 1 / 5, 1 / 6]
     for h in sol.history:
         assert min(h["backward_s"], h["forward_s"], h["d1_s"]) >= 0.0
+
+
+def test_2d_schedule_follows_the_bound_and_the_stop_the_exact_gap(monkeypatch):
+    # the bounds rise at k = 2 while the exact gaps fall throughout: theta
+    # follows the bounds, and only bounds <= tol ask for an exact gap
+    tol = 0.3
+    bounds = iter([0.6, 0.2, 0.25, 0.1])
+    exact = iter([0.45, 0.4, 0.05])
+    monkeypatch.setattr(mfg, "sliced_d1", lambda grid, rows1, rows2: next(bounds))
+    monkeypatch.setattr(mfg, "sup_d1", lambda grid, rows1, rows2: next(exact))
+    inst = M.load_instance(RI2)
+    sol = M.solve_finite_horizon(inst.L, inst.coupling, inst.m0, inst.uf, inst.grid,
+                                 2.0, tol=tol)
+    assert sol.converged and sol.iterations == 4
+    assert [h["gap_lo"] for h in sol.history] == [0.6, 0.2, 0.25, 0.1]
+    assert sol.residuals == [None, 0.45, 0.4, 0.05]
+    assert [h["theta"] for h in sol.history] == [1.0, 1.0, 1 / 3, 1 / 4]
 
 
 # ---------------------------------------------------------------------------

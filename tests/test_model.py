@@ -1,5 +1,6 @@
 """Lagrangian models, the Legendre transform, and the standing-assumption checks."""
 
+import re
 from collections import Counter
 
 import numpy as np
@@ -61,6 +62,15 @@ def test_legendre_maximizer_on_boundary():
     L = M.quadratic_kinetic()
     with pytest.raises(errors.MaximizerOnBoundary):
         M.legendre_transform(L, np.zeros(1), 3.0, g)  # wants v = 3 > v_max
+
+
+@pytest.mark.parametrize("dim, x", [(1, 0.0), (1, np.zeros((1, 1))), (2, np.zeros(1)),
+                                    (2, np.zeros(3))])
+def test_legendre_names_the_point_shape(dim, x):
+    g = M.GridSpec((-1.0,) * dim, (1.0,) * dim, (5,) * dim, 0.5, 1.0, 5)
+    want = f"a point on a {dim}-D grid is an array of shape ({dim},), got shape {np.shape(x)}"
+    with pytest.raises(ValueError, match=re.escape(want)):
+        M.legendre_transform(M.quadratic_kinetic(), x, np.full(dim, 0.5), g)
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,9 @@ values agree with interp_grid at every x + dt v, past the box too.  The 2-D d_1 
 obeys the triangle inequality, agrees with the 1-D CDF formula on data laid
 along an axis, and matches a full-support transport LP per row, also as the
 stopping residual of a 2-D fixed point, and the pair the solver returns is
-within its tolerance of its own best response.  The Legendre transform of the
+within its tolerance of its own best response.  The sliced bound lies
+between 0 and that LP, and is exact in 1-D and on data along one row of
+nodes.  The Legendre transform of the
 kinetic Lagrangian |v|^2/2 is |p|^2/2, attained at v = p.  The per-node CSV
 writers give the same bytes as a csv.writer of repr'd floats, special
 values included, each with its own line terminator.
@@ -31,7 +33,7 @@ from scipy.optimize import linprog
 import mfglab as M
 from mfglab import cli, mfg
 from mfglab.hjb import _departure_step, _grid_lipschitz
-from mfglab.measure import SUPPORT_EPS, _d1_lp, deposit, sup_d1
+from mfglab.measure import SUPPORT_EPS, _d1_lp, deposit, sliced_d1, sup_d1
 
 SETTINGS = settings(max_examples=40, deadline=None)
 finite = st.floats(-3.0, 3.0, allow_nan=False)
@@ -281,6 +283,53 @@ def test_sup_d1_2d_matches_full_support_lp_per_row(data):
     assert sup_d1(grid, rows1, rows2) == pytest.approx(max(want), rel=1e-12, abs=1e-14)
 
 
+@SETTINGS
+@given(data=st.data())
+def test_sliced_d1_is_a_lower_bound_on_the_full_support_lp(data):
+    grid = data.draw(grids(dims=(2,), max_nodes=6))
+    count = data.draw(st.integers(1, 3))
+    rows1 = np.array([weights(data.draw, grid.n_points) for _ in range(count)])
+    rows2 = np.array([weights(data.draw, grid.n_points) for _ in range(count)])
+    lo = sliced_d1(grid, rows1, rows2)
+    assert 0.0 <= lo <= reference_sup_d1(grid, rows1, rows2) + 1e-12
+
+
+@SETTINGS
+@given(data=st.data())
+def test_sliced_d1_is_exact_in_1d(data):
+    grid = data.draw(grids(dims=(1,)))
+    count = data.draw(st.integers(1, 3))
+    rows1 = np.array([weights(data.draw, grid.n_points) for _ in range(count)])
+    rows2 = np.array([weights(data.draw, grid.n_points) for _ in range(count)])
+    lo = sliced_d1(grid, rows1, rows2)
+    assert lo == sup_d1(grid, rows1, rows2)
+    cdf = np.abs(np.cumsum(rows1 - rows2, axis=1)[:, :-1]).sum(axis=1).max() * grid.dx[0]
+    assert lo == pytest.approx(cdf, rel=1e-12, abs=1e-14)
+
+
+@SETTINGS
+@given(data=st.data())
+def test_sliced_d1_is_exact_on_one_row_of_nodes(data):
+    line = data.draw(grids(dims=(1,)))
+    n = line.nodes[0]
+    axis = data.draw(st.integers(0, 1))
+    other = data.draw(st.integers(2, 5))
+    nodes = (n, other) if axis == 0 else (other, n)
+    lo = (line.lo[0], -1.0) if axis == 0 else (-1.0, line.lo[0])
+    hi = (line.hi[0], 1.0) if axis == 0 else (1.0, line.hi[0])
+    plane = M.GridSpec(lo, hi, nodes, 0.1, 1.0, 3)
+    at = data.draw(st.integers(0, other - 1))  # the row of nodes the data lies on
+
+    def lift(w):
+        out = np.zeros(nodes)
+        out[(slice(None), at) if axis == 0 else (at, slice(None))] = w
+        return out.ravel()[None]
+
+    w1, w2 = weights(data.draw, n), weights(data.draw, n)
+    want = sup_d1(line, w1[None], w2[None])
+    assert sliced_d1(plane, lift(w1), lift(w2)) == pytest.approx(want, rel=1e-12, abs=1e-14)
+
+
 def small_2d():
     return M.from_config({
         "name": "small-2d",
@@ -300,13 +349,25 @@ def test_2d_fixed_point_stops_where_the_reference_lp_stops():
             return M.solve_finite_horizon(inst.L, inst.coupling, inst.m0, inst.uf,
                                           inst.grid, 2.0, tol=5e-4)
 
-    with mock.patch.object(mfg, "sup_d1", reference_sup_d1):
+    exact = []  # the reference LP's gap of every iteration, bound or no bound
+
+    def bound(grid, rows1, rows2):
+        exact.append(reference_sup_d1(grid, rows1, rows2))
+        return sliced_d1(grid, rows1, rows2)
+
+    with mock.patch.object(mfg, "sup_d1", reference_sup_d1), \
+            mock.patch.object(mfg, "sliced_d1", bound):
         want = solve()
     got = solve()
     assert want.converged and want.iterations == 10
     assert got.iterations == want.iterations
-    np.testing.assert_allclose(got.residuals, want.residuals, rtol=1e-12, atol=0)
     np.testing.assert_array_equal(got.m_path.weights, want.m_path.weights)
+    assert [h["gap_lo"] for h in got.history] == [h["gap_lo"] for h in want.history]
+    for h, ref in zip(got.history, exact):
+        assert h["gap_lo"] <= ref + 1e-12
+        if h["gap"] is not None:
+            assert h["gap"] == pytest.approx(ref, rel=1e-12, abs=0)
+    assert got.residuals[-1] <= 5e-4
 
 
 @pytest.mark.parametrize("name, T, tol", [("RI-1", 2.0, 1e-4), ("RI-1", 4.0, 1e-4),
