@@ -29,7 +29,6 @@ from .ergodic import (
 from .hjb import (
     TerminalDatum,
     ValueField,
-    gradient,
     hopf_lax_oracle,
     lipschitz_estimate,
     solve_backward,
@@ -39,7 +38,6 @@ from .instances import Instance, from_config, load_instance
 from .measure import (
     GridMeasure,
     MeasurePath,
-    duality_gap_check,
     kantorovich_potential_1d,
     pushforward,
     wasserstein1,
@@ -69,7 +67,6 @@ from .model import (
 from .transport import (
     TrajectoryBundle,
     action_defect,
-    energy_on_window,
     measure_path,
     occupation_time_outside,
     trace_optimal_flow,

@@ -184,6 +184,7 @@ def _run_ergodic(params, inst):
 
 
 def _run_horizon(params, inst):
+    check_standing_assumptions(inst.L, inst.coupling, inst.grid, inst.m0)
     sol = solve_finite_horizon(inst.L, inst.coupling, inst.m0, inst.uf, inst.grid,
                                params["T"], tol=params.get("tol", 1e-4))
     measured = {
@@ -208,7 +209,7 @@ def _run_converge(params, inst):
         inst.grid.time_steps(T)
     if len(set(T_list)) < 2:  # a rate needs two horizons
         raise ValueError(f"converge needs at least two distinct horizons, got {T_list!r}")
-    check_standing_assumptions(inst.L, inst.coupling, inst.grid)
+    check_standing_assumptions(inst.L, inst.coupling, inst.grid, inst.m0)
     erg = solve_ergodic(inst.L, inst.coupling, inst.grid, tol=params.get("tol", 1e-6))
     tol = params.get("tol", 1e-4)
     sols = {T: solve_finite_horizon(inst.L, inst.coupling, inst.m0, inst.uf, inst.grid,

@@ -20,7 +20,7 @@ import numpy as np
 from .errors import CycleDetected, MinOnBoundary, NoStabilization, NotReversible
 from .hjb import bellman_step, solve_backward
 from .measure import GridMeasure, wasserstein1
-from .model import ARGMIN_TOL, rest_landscape
+from .model import ARGMIN_TOL, check_F5, rest_landscape
 
 MAX_DIRAC_ITERS = 25  # steps of the Dirac iteration before it counts as a cycle
 HORIZON_CAP = 128.0  # the weak-KAM loop takes at most ceil(HORIZON_CAP / dt) steps
@@ -140,7 +140,6 @@ def solve_ergodic(L, coupling, grid, m_start=None, tol=1e-6):
 
     node, iters = iterate(m_start)
     if node is None:
-        from .model import check_F5
         ok, witness = check_F5(coupling, L, grid,
                                [m_start, GridMeasure.dirac(grid, grid.points[0])])
         if ok and witness is not None:

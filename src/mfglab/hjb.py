@@ -229,11 +229,10 @@ def hopf_lax_oracle(uf, t, x, T, grid):
     as an oracle for it.  Raises ValueError when x is not one (n,) point.
     """
     x = grid.as_point(x)
+    vals = uf.values_on(grid) if isinstance(uf, TerminalDatum) else np.asarray(uf, dtype=float)
     if T <= t:
-        vals = uf.values_on(grid) if isinstance(uf, TerminalDatum) else uf
         return float(interp_grid(grid, vals, x))
     tau = T - t
-    vals = uf.values_on(grid) if isinstance(uf, TerminalDatum) else np.asarray(uf, dtype=float)
     obj = ((x - grid.points) ** 2).sum(axis=1) / (2 * tau) + vals
     j = int(np.argmin(obj))
     if grid.dim == 1 and 0 < j < grid.n_points - 1:
@@ -248,31 +247,6 @@ def hopf_lax_oracle(uf, t, x, T, grid):
     return float(obj[j])
 
 
-def gradient(vf, k):
-    """Spatial gradient of the value at time index k, upwinded by feedback.
-
-    Where the stored feedback is positive the scheme looked to the right,
-    so a forward difference follows the characteristic; negative feedback
-    takes the backward difference; near-zero feedback uses the central one.
-    Boundary nodes take the available one-sided difference.
-    """
-    g = vf.grid
-    um = vf.values[k].reshape(g.nodes)
-    v = vf.feedback[min(k, vf.feedback.shape[0] - 1)]
-    dv = g.v_axis[1] - g.v_axis[0]
-    out = np.empty((g.n_points, g.dim))
-    for d, dx in enumerate(g.dx):
-        ua = np.moveaxis(um, d, 0)
-        diff = (ua[1:] - ua[:-1]) / dx
-        fwd = np.concatenate([diff, diff[-1:]])
-        bwd = np.concatenate([diff[:1], diff])
-        ctr = 0.5 * (fwd + bwd)
-        va = np.moveaxis(v[:, d].reshape(g.nodes), d, 0)
-        sel = np.where(va > 0.5 * dv, fwd, np.where(va < -0.5 * dv, bwd, ctr))
-        out[:, d] = np.moveaxis(sel, 0, d).ravel()
-    return out
-
-
 def lipschitz_estimate(vf, R):
     """Largest grid-edge slope of u over all times, restricted to B_R."""
     return _grid_lipschitz(vf.grid, vf.values, vf.grid.ball_mask(R))
@@ -282,35 +256,3 @@ def time_lipschitz_estimate(vf):
     """Max |u(t+dt) - u(t)| / dt over the table; reported, never asserted."""
     du = np.abs(np.diff(vf.values, axis=0)).max()
     return float(du / vf.grid.dt)
-
-
-def hj_residual(vf, L, F_path, sample_ks=None):
-    """Sup of |-du/dt + H(x, Du) - F| over smooth interior nodes.
-
-    H is evaluated by brute-force Legendre max over the velocity grid.
-    Nodes where forward and backward differences disagree by more than
-    10 dx are treated as kinks and skipped, as are box boundary nodes.
-    """
-    g = vf.grid
-    K = vf.values.shape[0] - 1
-    F = _as_path_values(F_path, g, K)
-    if sample_ks is None:
-        sample_ks = range(K)
-    if g.dim != 1:
-        raise NotImplementedError("residual diagnostic is 1-D")
-    dx = g.dx[0]
-    V = g.v_axis
-    Lmat = np.asarray(L.eval(g.points[None, :], g.velocities[:, None]), dtype=float)
-    worst = 0.0
-    for k in sample_ks:
-        u = vf.values[k]
-        dudt = (vf.values[k + 1] - u) / g.dt
-        fwd = (u[2:] - u[1:-1]) / dx
-        bwd = (u[1:-1] - u[:-2]) / dx
-        smooth = np.abs(fwd - bwd) <= 10.0 * dx
-        p = 0.5 * (fwd + bwd)
-        H = (p[None, :] * V[:, None] - Lmat[:, 1:-1]).max(axis=0)
-        res = np.abs(-dudt[1:-1] + H - F[k][1:-1])
-        if smooth.any():
-            worst = max(worst, float(res[smooth].max()))
-    return worst

@@ -17,14 +17,11 @@ returns there.
 
 from __future__ import annotations
 
-import csv
 import math
 
 import numpy as np
 
-from .errors import (EscapedBox, NotLipschitz, SupportTooLarge, TransportLPFailed,
-                     UnsupportedDimension)
-from .hjb import _grid_lipschitz
+from .errors import EscapedBox, SupportTooLarge, TransportLPFailed, UnsupportedDimension
 from .model import cell_corners, repr_lines
 
 MASS_TOL = 1e-12
@@ -72,23 +69,8 @@ class GridMeasure:
     def support(self):
         return np.flatnonzero(self.weights > SUPPORT_EPS)
 
-    def support_radius(self):
-        r = self.grid.radii()
-        return float(r[self.support()].max())
-
-    def integrate(self, values_or_callable):
-        v = values_or_callable
-        if callable(v):
-            v = v(self.grid.points)
-        return float(np.dot(self.weights, np.asarray(v, dtype=float)))
-
     def mean(self):
         return np.dot(self.weights, self.grid.points)
-
-    def cdf(self):
-        if self.grid.dim != 1:
-            raise UnsupportedDimension("cdf is 1-D only")
-        return np.cumsum(self.weights)
 
     # serialization ------------------------------------------------------
 
@@ -97,22 +79,6 @@ class GridMeasure:
         with open(path, "w", newline="") as fh:
             fh.write(",".join(["node_index", *names, "weight"]) + "\r\n")
             fh.write(repr_lines(heads, self.weights.tolist(), "\r\n"))
-
-    @classmethod
-    def from_csv(cls, grid, path):
-        weights = np.zeros(grid.n_points)
-        coords = grid.points
-        with open(path, newline="") as fh:
-            r = csv.reader(fh)
-            next(r)  # header
-            for row in r:
-                i = int(row[0])
-                weights[i] = float(row[-1])
-                # node coordinates must match the grid they claim to live on
-                got = np.array(row[1 : 1 + grid.dim], dtype=float)
-                if np.abs(got - coords[i]).max() > 1e-9:
-                    raise ValueError(f"node {i} coordinate mismatch in {path}")
-        return cls(grid, weights)
 
 
 # ---------------------------------------------------------------------------
@@ -244,19 +210,6 @@ def kantorovich_potential_1d(m1, m2):
     return phi
 
 
-def duality_gap_check(m1, m2, witness):
-    """d_1(m1, m2) - (int w dm1 - int w dm2) for a 1-Lipschitz witness.
-
-    Raises NotLipschitz when the witness violates the grid-edge Lipschitz
-    bound.  The gap is nonnegative up to float error for any valid witness.
-    """
-    w = np.asarray(witness, dtype=float)
-    if _grid_lipschitz(m1.grid, w) > 1 + 1e-9 + 1e-12:
-        raise NotLipschitz("witness exceeds slope 1 on a grid edge")
-    pairing = float(np.dot(w, m1.weights - m2.weights))
-    return wasserstein1(m1, m2) - pairing
-
-
 # ---------------------------------------------------------------------------
 # pushforward
 
@@ -325,12 +278,6 @@ class MeasurePath:
             for k in range(len(self.times)):
                 GridMeasure(grid, self.weights[k])
 
-    def __len__(self):
-        return len(self.times)
-
-    def measure(self, k):
-        return GridMeasure(self.grid, self.weights[k], validate=False)
-
     def to_csv(self, path):
         names, heads = self.grid.csv_node_heads()
         with open(path, "w", newline="") as fh:
@@ -339,15 +286,3 @@ class MeasurePath:
                 sup = np.flatnonzero(row_w > SUPPORT_EPS)
                 fh.write(repr_lines([heads[i] for i in sup.tolist()], row_w[sup].tolist(),
                                     "\r\n", lead=repr(t) + ","))
-
-    @classmethod
-    def from_csv(cls, grid, path):
-        rows = {}
-        with open(path, newline="") as fh:
-            r = csv.reader(fh)
-            next(r)
-            for row in r:
-                t = float(row[0])
-                rows.setdefault(t, np.zeros(grid.n_points))[int(row[1])] = float(row[-1])
-        times = sorted(rows)
-        return cls(grid, times, np.array([rows[t] for t in times]))

@@ -14,8 +14,8 @@ iteration: Picard steps (theta = 1) while the bound falls and, from the
 first iteration whose bound does not, the 1/(k+1) weights of fictitious
 play, which have a convergence proof (Cardaliaguet & Hadikhanloo,
 ESAIM:COCV 2017) where Picard iteration can cycle.  Failure to converge is
-a flag, not an exception; broken standing assumptions raise before any
-iteration runs.
+a flag, not an exception.  The solver does not check the standing
+assumptions; check_standing_assumptions does, once per instance.
 """
 
 from __future__ import annotations
@@ -97,13 +97,12 @@ def default_probes(coupling, grid):
     return probes
 
 
-def check_standing_assumptions(L, coupling, grid):
-    """The checks every solve needs: Tonelli bounds, K0 geometry, confinement gap.
+def check_standing_assumptions(L, coupling, grid, m0=None):
+    """Tonelli bounds, K0 geometry, confinement gap and, given m0, m0 inside K0.
 
     Raises AssumptionFailure (a GapViolated for the gap) or, for K0, a
-    ValueError.  solve_finite_horizon runs them itself, with the checks of
-    m0 and the terminal datum; solve_ergodic does not, so callers run them
-    before a stationary solve.
+    ValueError.  Every solving command runs them once, before its first
+    solve; neither solve_finite_horizon nor solve_ergodic runs them.
     """
     rep = check_strict_tonelli(L, grid)
     if not rep.passed:
@@ -111,11 +110,7 @@ def check_standing_assumptions(L, coupling, grid):
                  for kind, x, v, *_ in rep.violations[:3]]
         raise AssumptionFailure(f"Tonelli bounds failed: {'; '.join(shown)}")
     check_F4_gap(coupling, L, grid, default_probes(coupling, grid))
-
-
-def _check_standing_assumptions(L, coupling, grid, m0):
-    check_standing_assumptions(L, coupling, grid)
-    if not coupling.K0_mask(grid)[m0.support()].all():
+    if m0 is not None and not coupling.K0_mask(grid)[m0.support()].all():
         raise AssumptionFailure("initial measure charges nodes outside K0")
 
 
@@ -135,7 +130,6 @@ def solve_finite_horizon(L, coupling, m0, uf, grid, T, tol=1e-4):
     """
     if not isinstance(uf, TerminalDatum):
         raise TypeError("uf must be a TerminalDatum")
-    _check_standing_assumptions(L, coupling, grid, m0)
     uT = uf.validate(grid)  # once: every backward solve starts from this row
 
     K = grid.time_steps(T)

@@ -93,15 +93,11 @@ class GridSpec:
         self.v_axis = np.linspace(-self.v_max, self.v_max, self.v_nodes)
         self.velocities = _tensor_points((self.v_axis,) * self.dim)
 
-    def csv_columns(self, pts):
-        """Coordinate header names and, per point of a (..., n) array, each coordinate's repr."""
-        rows = np.reshape(pts, (-1, self.dim)).tolist()
-        return list(AXIS_NAMES[: self.dim]), [[repr(c) for c in row] for row in rows]
-
     def csv_node_heads(self):
         """Coordinate header names and, per node i, the row prefix "i,x," ("i,x,y," in 2-D)."""
-        names, coords = self.csv_columns(self.points)
-        return names, [",".join([str(i), *c, ""]) for i, c in enumerate(coords)]
+        heads = [",".join([str(i), *map(repr, row), ""])
+                 for i, row in enumerate(self.points.tolist())]
+        return list(AXIS_NAMES[: self.dim]), heads
 
     def radii(self):
         """Euclidean norm of every node (distance to the origin)."""

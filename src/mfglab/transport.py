@@ -7,7 +7,6 @@ the coupled system consistently.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,21 +40,6 @@ class TrajectoryBundle:
 
     def radii(self):
         return np.sqrt((self.positions**2).sum(axis=-1))
-
-    def to_csv(self, path):
-        g = self.grid
-        names, pos = g.csv_columns(self.positions)
-        _, vel = g.csv_columns(self.velocities)
-        vnames = ["v"] if g.dim == 1 else ["v" + n for n in names]
-        C, Kp1 = self.positions.shape[:2]
-        K = Kp1 - 1
-        times = [repr(t) for t in self.times.tolist()]
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["curve", "t", *names, *vnames])
-            for c in range(C):
-                w.writerows([c, times[k], *pos[c * Kp1 + k], *vel[c * K + min(k, K - 1)]]
-                            for k in range(Kp1))
 
 
 def trace_optimal_flow(vf, m0):
@@ -107,18 +91,6 @@ def occupation_time_outside(bundle, R):
     dt = float(bundle.times[1] - bundle.times[0])
     per = (r > R).sum(axis=1) * dt
     return per, float(per.max())
-
-
-def energy_on_window(bundle, t, window):
-    """Max over curves of int |xi'|^2 ds over [t, t + window] (left rule)."""
-    dt = float(bundle.times[1] - bundle.times[0])
-    ks = np.flatnonzero(
-        (bundle.times[:-1] >= t - 1e-12) & (bundle.times[:-1] < t + window - 1e-12)
-    )
-    if len(ks) == 0:
-        return 0.0
-    sq = bundle.speeds()[:, ks] ** 2
-    return float(sq.sum(axis=1).max() * dt)
 
 
 def action_defect(bundle, vf, L, F_path, uf_values):

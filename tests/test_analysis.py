@@ -167,3 +167,15 @@ def test_convergence_report_rows(ri1, ergodic_sol, ladder):
     for T, eu, ef, eu_scaled, ef_scaled in rows:
         assert eu_scaled == pytest.approx(eu * T ** (1.0 / 3.0))
         assert ef_scaled == pytest.approx(ef * T ** (1.0 / 3.0))
+
+
+def test_e_u_is_the_terminal_gap_over_T(ri1, ergodic_sol, ladder):
+    # the sup of e_u sits at t = T, where u^T = u_f: e_u measures sup |u_f - u_bar|
+    # over B_3, not the finite-horizon solve
+    sol, _ = ergodic_sol
+    sols, _ = ladder
+    rep = M.convergence_metrics(sols, sol, ri1.coupling, 3.0)
+    mask = ri1.grid.ball_mask(3.0)
+    gap = np.abs(ri1.uf.values_on(ri1.grid) - sol.u_bar)[mask].max()
+    for T, eu in zip(rep.T_list, rep.e_u):
+        assert eu == pytest.approx(gap / T, rel=1e-12)

@@ -220,6 +220,16 @@ def test_malformed_manifest_is_config_error(tmp_path, monkeypatch, capsys, edit,
 # converge
 
 
+def test_converge_checks_the_standing_assumptions_once(monkeypatch):
+    calls = []
+    check = mfg.check_strict_tonelli
+    monkeypatch.setattr(mfg, "check_strict_tonelli",
+                        lambda *args: calls.append(args) or check(*args))
+    assert run(["converge", "--instance", "RI-1", "--T", "2,4",
+                "--dx", "0.04", "--dt", "0.04"]) == 0
+    assert len(calls) == 1
+
+
 def test_converge_run_and_thread_determinism(tmp_path):
     a = str(tmp_path / "a")
     b = str(tmp_path / "b")
@@ -285,6 +295,7 @@ import sys
 from mfglab.cli import main
 assert main(["horizon", "--instance", "RI-1", "--T", "1", "--dx", "0.1", "--dt", "0.1"]) == 0
 print(sorted(m for m in ("scipy.optimize", "scipy.sparse") if m in sys.modules))
+print("csv loaded:", "csv" in sys.modules)
 assert main(["horizon", "--config", sys.argv[1], "--T", "2", "--tol", "5e-4"]) == 0
 print(sorted(m for m in ("scipy.optimize", "scipy.sparse") if m in sys.modules))
 import numpy as np
@@ -308,6 +319,7 @@ def test_1d_run_never_imports_scipy():
     lines = proc.stdout.splitlines()
     loaded = [line for line in lines if line.startswith("[")]  # after each run
     assert loaded == ["[]", "[]", "['scipy.optimize', 'scipy.sparse']"]  # wasserstein1 is the LP
+    assert lines[lines.index("[]") + 1] == "csv loaded: False"  # writers format their own lines
     assert float(lines[-2]) == pytest.approx(2 ** 0.5)  # corner to corner of the unit square
 
 
@@ -552,7 +564,8 @@ def test_K0_without_grid_nodes_is_config_error(tmp_path, capsys, monkeypatch, co
         in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command", [["ergodic"], ["converge", "--T", "2,4"]])
+@pytest.mark.parametrize("command", [["ergodic"], ["converge", "--T", "2,4"],
+                                     ["horizon", "--T", "2"]])
 @pytest.mark.parametrize("patch, failed", [
     ({"lagrangian": {"kind": "kinetic_plus_potential", "potential": "neg_gaussian",
                      "C3": 0.1}}, "Tonelli bounds failed"),
@@ -561,6 +574,7 @@ def test_K0_without_grid_nodes_is_config_error(tmp_path, capsys, monkeypatch, co
 def test_stationary_solve_checks_assumptions_first(tmp_path, capsys, monkeypatch,
                                                    command, patch, failed):
     monkeypatch.setattr(cli, "solve_ergodic", no_solve)
+    monkeypatch.setattr(cli, "solve_finite_horizon", no_solve)
     cfg = {"name": "bad-assumption", "coupling": RI1_COUPLING,
            "grid": {"lo": -4.0, "hi": 4.0, "dx": 0.04, "dt": 0.04,
                     "v_max": 4.0, "v_nodes": 81},

@@ -35,6 +35,8 @@ from mfglab import cli, mfg
 from mfglab.hjb import _departure_step, _grid_lipschitz
 from mfglab.measure import SUPPORT_EPS, _d1_lp, deposit, sliced_d1, sup_d1
 
+from test_hjb import gradient
+
 SETTINGS = settings(max_examples=40, deadline=None)
 finite = st.floats(-3.0, 3.0, allow_nan=False)
 
@@ -187,7 +189,7 @@ def test_gradient_of_affine_is_its_slope(data, slope, offset):
     fb = data.draw(st.lists(st.sampled_from([-1.0, 0.0, 1.0]), min_size=size, max_size=size))
     vf = M.ValueField(grid, np.array([0.0, grid.dt]), np.stack([u, u]),
                       np.reshape(fb, (1,) + grid.points.shape))
-    got = M.gradient(vf, 0)
+    got = gradient(vf, 0)
     assert got.shape == grid.points.shape
     want = np.broadcast_to(slope[: grid.dim], (grid.n_points, grid.dim))
     np.testing.assert_allclose(got, want.reshape(grid.points.shape), atol=1e-9)

@@ -1,10 +1,11 @@
-"""Characteristic tracing, excursion times, window energy, action defect."""
+"""Characteristic tracing, excursion times, action defect."""
 
 import numpy as np
 import pytest
 
 import mfglab as M
 from mfglab import errors
+from mfglab.measure import sup_d1
 
 
 def grid1d(dx, lo=-4.0, hi=4.0, v_max=4.0):
@@ -66,13 +67,11 @@ def test_measure_path_mass_and_flat_continuity():
     # deposition keeps the path Lipschitz in the flat metric:
     # d1(m(t_k), m(t_{k+1})) <= max speed * dt, exactly
     vmax = b.max_speed()
-    for k in range(len(path.times) - 1):
-        d = M.wasserstein1(path.measure(k), path.measure(k + 1))
-        assert d <= vmax * g.dt + 1e-12
+    assert sup_d1(g, path.weights[:-1], path.weights[1:]) <= vmax * g.dt + 1e-12
 
 
 # ---------------------------------------------------------------------------
-# excursion time and window energy on a hand-built curve
+# excursion time on a hand-built curve
 
 
 def test_occupation_time_straight_curve():
@@ -89,14 +88,6 @@ def test_occupation_time_inside_is_zero():
     b = straight_bundle(g, 0.5, 0.0, 4.0)
     _, worst = M.occupation_time_outside(b, 1.0)
     assert worst == 0.0
-
-
-def test_energy_on_window_constant_speed():
-    # integrand |v|^2 = 1/4 over a window of length 2
-    g = grid1d(0.02)
-    b = straight_bundle(g, 2.0, -0.5, 4.0)
-    assert M.energy_on_window(b, 0.0, 2.0) == pytest.approx(0.5, abs=1e-9)
-    assert M.energy_on_window(b, 1.0, 2.0) == pytest.approx(0.5, abs=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -131,13 +122,3 @@ def test_action_defect_of_two_curves_is_per_curve():
     together = defects([18, 22])
     assert together.shape == (2,)
     np.testing.assert_array_equal(together, [defects([18])[0], defects([22])[0]])
-
-
-def test_bundle_csv(tmp_path):
-    g, vf = hl_setup(0.04)
-    b = M.trace_optimal_flow(vf, M.GridMeasure.dirac(g, 1.0))
-    p = tmp_path / "curves.csv"
-    b.to_csv(p)
-    lines = p.read_text().strip().splitlines()
-    assert lines[0].startswith("curve")
-    assert len(lines) == 1 + b.positions.shape[0] * len(b.times)
