@@ -17,7 +17,7 @@ def run(dx):
     n = int(round(8.0 / dx)) + 1
     g = M.GridSpec((-4.0,), (4.0,), (n,), dx, 4.0, 161)
     T = 1.0
-    vf = M.solve_backward(L, None, uf, g, T)
+    vf = M.solve_backward(M.BellmanStep(L, g), None, uf, T)
     mask = g.ball_mask(2.0)
     worst = 0.0
     for k, t in enumerate(vf.times):

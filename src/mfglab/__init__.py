@@ -27,6 +27,7 @@ from .ergodic import (
     weak_kam_solution,
 )
 from .hjb import (
+    BellmanStep,
     TerminalDatum,
     ValueField,
     hopf_lax_oracle,

@@ -175,6 +175,8 @@ def _run_ergodic(params, inst):
         "horizon_used": sol.horizon_used,
         "weak_kam_steps": sol.weak_kam_steps,
         "weak_kam_residual": sol.weak_kam_residual,
+        "policy_evaluations": sol.policy_evaluations,
+        "evaluation_sweeps": sol.evaluation_sweeps,
         "residuals": {k: float(v) for k, v in sol.residuals.items()},
     }
     timings = {"weak_kam_s": round(sol.weak_kam_s, 4)}
@@ -210,7 +212,7 @@ def _run_converge(params, inst):
     if len(set(T_list)) < 2:  # a rate needs two horizons
         raise ValueError(f"converge needs at least two distinct horizons, got {T_list!r}")
     check_standing_assumptions(inst.L, inst.coupling, inst.grid, inst.m0)
-    erg = solve_ergodic(inst.L, inst.coupling, inst.grid, tol=params.get("tol", 1e-6))
+    erg = solve_ergodic(inst.L, inst.coupling, inst.grid)  # --tol is the best-response gap
     tol = params.get("tol", 1e-4)
     sols = {T: solve_finite_horizon(inst.L, inst.coupling, inst.m0, inst.uf, inst.grid,
                                     T, tol)

@@ -167,56 +167,59 @@ def _departure_step(grid):
     return step
 
 
-def bellman_step(L, grid):
-    """step(u, F, t) -> (T u, argmin velocity indices), built once per grid.
+class BellmanStep:
+    """The one-step Bellman map of L on a grid, built once per solve.
 
+    step(u, F, t) -> (T u, argmin velocity indices), where
     T u = min over grid velocities v of dt L(x, v) + Interp[u](x + dt v), plus
     dt F (module docstring); ties go to the lowest index.  With check_boundary
     a minimizer on the velocity-grid edge raises MinimizerOnBoundary at time t.
+    Building it evaluates dtL, the (N, nV) table of dt L(x, v), and allocates
+    the departure buffers every call reuses.
     """
-    dt = grid.dt
-    V = grid.velocities
-    # node-major (N, nV): the argmin over velocities reads contiguous rows
-    dtL = dt * np.asarray(L.eval(grid.points[:, None], V[None]), dtype=float)
-    departure = _departure_step(grid)
-    edge = (np.abs(V) == grid.v_max).any(axis=1)  # linspace ends exactly
-    arangeN = np.arange(grid.n_points)
 
-    def step(u, F, t, check_boundary=True):
-        cand = departure(u)
-        cand += dtL
+    def __init__(self, L, grid):
+        self.grid = grid
+        V = grid.velocities
+        # node-major (N, nV): the argmin over velocities reads contiguous rows
+        self.dtL = grid.dt * np.asarray(L.eval(grid.points[:, None], V[None]), dtype=float)
+        self._departure = _departure_step(grid)
+        self._edge = (np.abs(V) == grid.v_max).any(axis=1)  # linspace ends exactly
+        self._rows = np.arange(grid.n_points)
+
+    def __call__(self, u, F, t, check_boundary=True):
+        cand = self._departure(u)
+        cand += self.dtL
         jstar = cand.argmin(axis=1)
         if check_boundary:
-            bad = edge[jstar]
+            bad = self._edge[jstar]
             if bad.any():
-                raise MinimizerOnBoundary(t, grid.points[bad.argmax()])
-        return cand[arangeN, jstar] + dt * F, jstar
-
-    return step
+                raise MinimizerOnBoundary(t, self.grid.points[bad.argmax()])
+        return cand[self._rows, jstar] + self.grid.dt * F, jstar
 
 
-def solve_backward(L, F_path, uf, grid, T, check_boundary=True):
+def solve_backward(step, F_path, uf, T, check_boundary=True):
     """Dynamic-programming solve of the backward HJ equation on [0, T].
 
     u(t_k, x) = min over grid velocities v of
         dt * [L(x, v) + F(x, t_k)] + Interp[u(t_{k+1})](x + dt v),
 
-    one ``bellman_step`` per time step.  Returns a ValueField whose feedback
-    rows hold the minimizing velocity per (t_k, node).  Raises
-    MinimizerOnBoundary when a minimizer lands on the velocity-grid edge,
-    signalling that v_max is too small for the data.
+    one call of step, the BellmanStep of L on its grid, per time step.
+    Returns a ValueField whose feedback rows hold the minimizing velocity per
+    (t_k, node).  Raises MinimizerOnBoundary when a minimizer lands on the
+    velocity-grid edge, signalling that v_max is too small for the data.
     """
+    grid = step.grid
     K = grid.time_steps(T)
     times = np.arange(K + 1) * grid.dt
     F = _as_path_values(F_path, grid, K)
     uT = uf.validate(grid) if isinstance(uf, TerminalDatum) else np.asarray(uf, dtype=float)
-    step = bellman_step(L, grid)
     values = np.empty((K + 1, grid.n_points))
     feedback = np.empty((K,) + grid.points.shape)
     values[K] = uT
     for k in range(K - 1, -1, -1):
         values[k], jstar = step(values[k + 1], F[k], times[k], check_boundary)
-        feedback[k] = grid.velocities[jstar]
+        np.take(grid.velocities, jstar, axis=0, out=feedback[k])
     return ValueField(grid, times, values, feedback)
 
 

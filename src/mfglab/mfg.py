@@ -26,7 +26,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import AssumptionFailure
-from .hjb import TerminalDatum, lipschitz_estimate, solve_backward, time_lipschitz_estimate
+from .hjb import (BellmanStep, TerminalDatum, lipschitz_estimate, solve_backward,
+                  time_lipschitz_estimate)
 from .measure import GridMeasure, MeasurePath, sliced_d1, sup_d1
 from .model import check_F4_gap, check_strict_tonelli
 from .transport import measure_path, trace_optimal_flow
@@ -133,12 +134,14 @@ def solve_finite_horizon(L, coupling, m0, uf, grid, T, tol=1e-4):
     uT = uf.validate(grid)  # once: every backward solve starts from this row
 
     K = grid.time_steps(T)
+    step = BellmanStep(L, grid)  # once: every backward solve applies it
     W = np.tile(m0.weights, (K + 1, 1))
     gaps_lo, history = [], []
     while True:
         t0 = time.perf_counter()
-        F = coupling.path_values(grid, W)
-        vf = solve_backward(L, F, uT, grid, T)
+        # the coupling table is freed when the backward solve returns: memory
+        # peaks in the forward trace, where the step's buffers stay alive
+        vf = solve_backward(step, coupling.path_values(grid, W), uT, T)
         t1 = time.perf_counter()
         bundle = trace_optimal_flow(vf, m0)
         best = measure_path(bundle).weights

@@ -59,7 +59,7 @@ def test_criterion_02_value_oracle_agreement():
         n = int(round(8.0 / dx)) + 1
         vn = int(round(8.0 / dx)) + 1
         g = M.GridSpec((-4.0,), (4.0,), (n,), dx, 4.0, vn)
-        vf = M.solve_backward(L, None, uf, g, T)
+        vf = M.solve_backward(M.BellmanStep(L, g), None, uf, T)
         mask = g.ball_mask(2.0)
         worst = 0.0
         for k, t in enumerate(vf.times):
@@ -255,11 +255,11 @@ def test_criterion_10_weak_residuals(ri1, ri1_coarse, ergodic_sol, ladder):
                                         ri1_coarse.grid, 4.0)
     coarse_kfp = M.kfp_residual(coarse_sol)
     erg_fine, _ = ergodic_sol
-    fine_2nd = M.verify_second_equation(ri1.L, ri1.coupling, ri1.grid,
+    fine_2nd = M.verify_second_equation(M.BellmanStep(ri1.L, ri1.grid), ri1.coupling,
                                         erg_fine.m_bar, erg_fine.u_bar)
     erg_coarse = M.solve_ergodic(ri1_coarse.L, ri1_coarse.coupling, ri1_coarse.grid)
-    coarse_2nd = M.verify_second_equation(ri1_coarse.L, ri1_coarse.coupling,
-                                          ri1_coarse.grid, erg_coarse.m_bar,
+    coarse_2nd = M.verify_second_equation(M.BellmanStep(ri1_coarse.L, ri1_coarse.grid),
+                                          ri1_coarse.coupling, erg_coarse.m_bar,
                                           erg_coarse.u_bar)
 
     def refines(coarse, fine):

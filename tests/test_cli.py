@@ -10,7 +10,7 @@ import pytest
 import scipy.optimize
 from scipy.optimize import OptimizeResult
 
-from mfglab import cli, mfg
+from mfglab import cli, ergodic, mfg
 from mfglab.cli import main
 
 
@@ -75,6 +75,7 @@ def test_ergodic_run_and_manifest(tmp_path):
     measured = man["measured"]
     assert measured["weak_kam_residual"] == 0.0
     assert measured["horizon_used"] == measured["weak_kam_steps"] * 0.02
+    assert measured["policy_evaluations"] == 1 and measured["evaluation_sweeps"] > 0
     assert isinstance(man["timings"]["weak_kam_s"], float)
 
 
@@ -228,6 +229,15 @@ def test_converge_checks_the_standing_assumptions_once(monkeypatch):
     assert run(["converge", "--instance", "RI-1", "--T", "2,4",
                 "--dx", "0.04", "--dt", "0.04"]) == 0
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("tol", ["1e-2", "0.1"])
+def test_converge_tol_does_not_loosen_the_stationary_solve(monkeypatch, tol):
+    # capped at 100 steps on this grid, the weak-KAM residual stops at 0.0495: above
+    # the ergodic default 1e-6, so converge exits 3 whatever its best-response --tol
+    monkeypatch.setattr(ergodic, "HORIZON_CAP", 4.0)
+    assert run(["converge", "--instance", "RI-1", "--T", "2,4",
+                "--dx", "0.04", "--dt", "0.04", "--tol", tol]) == 3
 
 
 def test_converge_run_and_thread_determinism(tmp_path):
@@ -438,7 +448,9 @@ def test_failed_transport_lp_is_solver_failure(tmp_path, capsys, monkeypatch):
 
 
 # SHA-256 of every CSV these runs write, recorded from the 0.1.0 solver; the
-# bytes are the same with one or two BLAS threads
+# bytes are the same with one or two BLAS threads.  The RI-1 ergodic pair was
+# recorded from the weak-KAM loop by modified policy iteration: its ubar.csv
+# differs in last digits from the one plain value iteration wrote
 PINNED_CSV = [
     (["horizon", "--instance", "RI-1", "--dx", "0.04", "--dt", "0.04", "--T", "2"], {
         "u.csv": "84f95ec205861430ebac5d9f9881a064da84b07ba8db72f4531cacb0facc958a",
@@ -449,11 +461,14 @@ PINNED_CSV = [
     (["horizon", "--config", RI2, "--T", "2", "--tol", "5e-4"], {
         "u.csv": "cddc9ae87a504ad43128cfa6602295f7d3163b176004bbcbb407166271f90ed7",
         "mpath.csv": "4e91fb171d413d7aa8a6134473c6aae301aaeaed3ede8fa1253f2ecc84a39fc8"}),
+    (["ergodic", "--instance", "RI-1", "--dx", "0.04", "--dt", "0.04"], {
+        "ubar.csv": "3231bf608d505b4d77551c728e55f00cc617b678a32a9f15ad8865e680ad307a",
+        "mbar.csv": "8a2745d877f31e92b6f52153e9ff01b264be0dbec506074cb23695a4d7df9619"}),
 ]
 
 
 @pytest.mark.parametrize("args, digests", PINNED_CSV, ids=["ri1-horizon", "ri2-ergodic",
-                                                           "ri2-horizon"])
+                                                           "ri2-horizon", "ri1-ergodic"])
 def test_outputs_keep_their_pinned_bytes(tmp_path, args, digests):
     out = str(tmp_path / "out")
     assert run([*args, "--out", out]) == 0

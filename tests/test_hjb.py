@@ -26,8 +26,8 @@ def quadratic_terminal():
 
 def solve_hl(dx, T=1.0):
     g = grid1d(dx)
-    vf = M.solve_backward(M.quadratic_kinetic(), None, quadratic_terminal(), g, T)
-    return g, vf
+    step = M.BellmanStep(M.quadratic_kinetic(), g)
+    return g, M.solve_backward(step, None, quadratic_terminal(), T)
 
 
 def gradient(vf, k):
@@ -154,8 +154,9 @@ def test_comparison_principle():
     L = M.quadratic_kinetic()
     lo = quadratic_terminal()
     hi = M.TerminalDatum(lambda x: 0.5 * (x ** 2).sum(-1) + 0.3, lip=4.0, c0=0.0)
-    u_lo = M.solve_backward(L, None, lo, g, 1.0)
-    u_hi = M.solve_backward(L, None, hi, g, 1.0)
+    step = M.BellmanStep(L, g)
+    u_lo = M.solve_backward(step, None, lo, 1.0)
+    u_hi = M.solve_backward(step, None, hi, 1.0)
     assert (u_hi.values >= u_lo.values - 1e-12).all()
     np.testing.assert_allclose(u_hi.values - u_lo.values, 0.3, atol=1e-12)
 
@@ -168,7 +169,7 @@ def test_lipschitz_estimates_stable_in_horizon(ri1, ergodic_sol):
     uf = M.TerminalDatum(lambda x: np.zeros(len(x)), 0.0, 0.0)
     lips = []
     for T in (2.0, 4.0, 8.0):
-        vf = M.solve_backward(ri1.L, F, uf, g, T)
+        vf = M.solve_backward(M.BellmanStep(ri1.L, g), F, uf, T)
         lips.append(M.lipschitz_estimate(vf, 2.0))
     spread = (max(lips) - min(lips)) / max(lips)
     assert spread <= 0.05
@@ -184,11 +185,11 @@ def test_time_lipschitz_bounded():
 def test_minimizer_on_boundary_detected():
     g = grid1d(0.04, v_max=0.5)
     steep = M.TerminalDatum(lambda x: 5.0 * x[:, 0], lip=5.0, c0=20.0)
+    step = M.BellmanStep(M.quadratic_kinetic(), g)
     with pytest.raises(errors.MinimizerOnBoundary):
-        M.solve_backward(M.quadratic_kinetic(), None, steep, g, 1.0)
+        M.solve_backward(step, None, steep, 1.0)
     # the check can be disabled for diagnostic runs
-    vf = M.solve_backward(M.quadratic_kinetic(), None, steep, g, 1.0,
-                          check_boundary=False)
+    vf = M.solve_backward(step, None, steep, 1.0, check_boundary=False)
     assert np.isfinite(vf.values).all()
 
 
@@ -226,7 +227,7 @@ def test_backward_step_matches_per_node_loop(name):
     uT = 0.113 * ((c - 0.317) ** 2).sum(axis=1) + c @ [0.0571, -0.0433][: g.dim]
     ts = np.arange(g.time_steps(T) + 1) * g.dt
     F = 0.217 * np.sin(c[:, 0][None, :] + 3.1 * ts[:, None])  # varies in time
-    vf = M.solve_backward(L, F, uT, g, T)
+    vf = M.solve_backward(M.BellmanStep(L, g), F, uT, T)
     values, feedback = backward_by_node(L, F, uT, g, T)
     np.testing.assert_allclose(vf.values, values, rtol=0, atol=1e-12)
     np.testing.assert_array_equal(vf.feedback, feedback)
@@ -239,7 +240,7 @@ def test_backward_step_ties_go_to_lowest_velocity(name):
     flat = M.LagrangianModel(lambda x, v: 0.0 * kin.eval(x, v), 1.0, 1.0, 1.0)
     uT = np.zeros(g.n_points)
     F = np.zeros((g.time_steps(0.3) + 1, g.n_points))
-    vf = M.solve_backward(flat, F, uT, g, 0.3, check_boundary=False)
+    vf = M.solve_backward(M.BellmanStep(flat, g), F, uT, 0.3, check_boundary=False)
     values, feedback = backward_by_node(flat, F, uT, g, 0.3)
     np.testing.assert_array_equal(vf.values, values)
     np.testing.assert_array_equal(vf.feedback, feedback)
@@ -252,16 +253,18 @@ def test_coupling_path_of_wrong_shape_is_rejected(name):
     K = g.time_steps(0.3)
     F = np.zeros((K, g.n_points))  # one row short
     want = f"F_path shape {F.shape} does not match (K+1, N) = {(K + 1, g.n_points)}"
+    step = M.BellmanStep(M.quadratic_kinetic(), g)
     with pytest.raises(ValueError, match=re.escape(want)):
-        M.solve_backward(M.quadratic_kinetic(), F, np.zeros(g.n_points), g, 0.3)
+        M.solve_backward(step, F, np.zeros(g.n_points), 0.3)
 
 
 def test_minimizer_on_boundary_detected_2d():
     g = M.GridSpec((-2.0, -2.0), (2.0, 2.0), (11, 11), 0.1, 0.5, 5)
     # steep along y only: the minimizer hits the edge in its second component
     steep = M.TerminalDatum(lambda p: 5.0 * p[:, 1], lip=5.0, c0=10.0)
+    step = M.BellmanStep(M.quadratic_kinetic(), g)
     with pytest.raises(errors.MinimizerOnBoundary):
-        M.solve_backward(M.quadratic_kinetic(), None, steep, g, 1.0)
+        M.solve_backward(step, None, steep, 1.0)
 
 
 def test_terminal_datum_validation():

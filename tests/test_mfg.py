@@ -103,7 +103,8 @@ def test_decoupled_matches_single_backward_solve():
     sol = M.solve_finite_horizon(M.quadratic_kinetic(), coupling, m0,
                                  zero_terminal(), g, 2.0)
     F = coupling.values_on(g, m0)
-    vf = M.solve_backward(M.quadratic_kinetic(), F, zero_terminal(), g, 2.0)
+    vf = M.solve_backward(M.BellmanStep(M.quadratic_kinetic(), g), F, zero_terminal(),
+                          2.0)
     np.testing.assert_array_equal(sol.u.values, vf.values)
 
 

@@ -282,11 +282,11 @@ def test_callables_get_arrays_of_n_coordinates(grid):
                                     0.1, 1.0)
     m = M.GridMeasure.uniform_on(grid, (-1.0,) * n, (1.0,) * n)
 
-    M.hjb.bellman_step(L, grid)
     M.check_strict_tonelli(L, grid)
     M.rest_landscape(L, coupling, grid, m)
     _, vstar = M.legendre_transform(L, grid.points[3], np.full(n, 0.2), grid)
-    vf = M.solve_backward(L, coupling.values_on(grid, m), uf, grid, 0.5)  # validates uf
+    vf = M.solve_backward(M.BellmanStep(L, grid), coupling.values_on(grid, m), uf,
+                          0.5)  # validates uf
     bundle = M.trace_optimal_flow(vf, m)
     M.action_defect(bundle, vf, L, None, uf.values_on(grid))
 

@@ -381,8 +381,8 @@ def test_returned_pair_is_within_tol_of_its_best_response(ri1_coarse, name, T, t
     g = inst.grid
     sol = M.solve_finite_horizon(inst.L, inst.coupling, inst.m0, inst.uf, g, T, tol=tol)
     assert sol.converged
-    vf = M.solve_backward(inst.L, inst.coupling.path_values(g, sol.m_path.weights),
-                          inst.uf, g, T)
+    vf = M.solve_backward(M.BellmanStep(inst.L, g),
+                          inst.coupling.path_values(g, sol.m_path.weights), inst.uf, T)
     best = M.measure_path(M.trace_optimal_flow(vf, inst.m0)).weights
     assert reference_sup_d1(g, best, sol.m_path.weights) <= tol
 
@@ -441,8 +441,8 @@ def test_csv_writers_match_the_csv_writer_reference(data, grid):
     path = M.MeasurePath(grid, times, values, validate=False)
     m = M.GridMeasure(grid, values[0], validate=False)
     sol = SimpleNamespace(lam=0.0, mather_node=0, horizon_used=1.0, weak_kam_steps=1,
-                          weak_kam_residual=0.0, weak_kam_s=0.0,
-                          residuals={}, u_bar=values[-1], m_bar=m)
+                          weak_kam_residual=0.0, weak_kam_s=0.0, policy_evaluations=0,
+                          evaluation_sweeps=0, residuals={}, u_bar=values[-1], m_bar=m)
     with mock.patch.object(cli, "solve_ergodic", lambda *a, **k: sol), \
             mock.patch.object(cli, "check_standing_assumptions", lambda *a: None):
         writers = cli._run_ergodic({}, SimpleNamespace(grid=grid, L=None, coupling=None))[0]

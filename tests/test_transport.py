@@ -20,8 +20,8 @@ def quadratic_terminal():
 
 def hl_setup(dx, T=1.0):
     g = grid1d(dx)
-    vf = M.solve_backward(M.quadratic_kinetic(), None, quadratic_terminal(), g, T)
-    return g, vf
+    step = M.BellmanStep(M.quadratic_kinetic(), g)
+    return g, M.solve_backward(step, None, quadratic_terminal(), T)
 
 
 def straight_bundle(g, x0, speed, T):
@@ -110,7 +110,8 @@ def test_action_defect_small_and_first_order():
 def test_action_defect_of_two_curves_is_per_curve():
     # a 1-D bundle of exactly two curves must not be read as one 2-D point
     g = grid1d(0.1, lo=-2.0, hi=2.0)
-    vf = M.solve_backward(M.quadratic_kinetic(), None, quadratic_terminal(), g, 0.5)
+    step = M.BellmanStep(M.quadratic_kinetic(), g)
+    vf = M.solve_backward(step, None, quadratic_terminal(), 0.5)
     uf_vals = quadratic_terminal().values_on(g)
 
     def defects(nodes):
