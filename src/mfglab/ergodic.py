@@ -20,7 +20,7 @@ import numpy as np
 from .errors import CycleDetected, MinOnBoundary, NoStabilization, NotReversible
 from .hjb import BellmanStep, solve_backward
 from .measure import GridMeasure, wasserstein1
-from .model import ARGMIN_TOL, cell_corners, check_F5, rest_landscape
+from .model import ARGMIN_TOL, cell_corners, rest_landscape
 
 MAX_DIRAC_ITERS = 25  # steps of the Dirac iteration before it counts as a cycle
 HORIZON_CAP = 128.0  # weak-KAM: ceil(HORIZON_CAP / dt) Bellman steps at most, as many sweeps
@@ -184,54 +184,36 @@ def weak_kam_solution(L, coupling, grid, m_bar, lam, tol=1e-6, step=None, counts
 def solve_ergodic(L, coupling, grid, m_start=None, tol=1e-6):
     """Fixed point of m -> Dirac at the Mather point, then the weak-KAM limit.
 
-    The projection map is finite-state (node indices), so the iteration
-    either hits a fixed node or cycles; a cycle triggers one restart from
-    the common-minimizer witness and is fatal if it persists.  Returns an
+    From m_start (uniform on K0 by default) the Dirac iteration steps
+    m <- Dirac at mather_point(m) and stops when mather_point returns the
+    node of the Dirac it was given, a fixed point of the map.  After
+    MAX_DIRAC_ITERS steps without one it raises CycleDetected.  Returns an
     ErgodicSolution with lambda, u_bar (normalized to 0 at the Mather node),
-    m_bar and consistency residuals.
+    m_bar, the number of Dirac steps and residuals["second_equation"], the
+    stationarity check of verify_second_equation.
     """
-    if m_start is None:
-        m_start = GridMeasure.uniform_on(grid, coupling.K0_lo, coupling.K0_hi)
+    m = (GridMeasure.uniform_on(grid, coupling.K0_lo, coupling.K0_hi)
+         if m_start is None else m_start)
+    node = None
+    for iters in range(1, MAX_DIRAC_ITERS + 1):
+        nxt = mather_point(L, coupling, grid, m)
+        if nxt == node:
+            break
+        node = nxt
+        m = GridMeasure.dirac(grid, grid.points[node])
+    else:
+        raise CycleDetected("Dirac iteration cycled; no stationary node found")
 
-    def iterate(m0):
-        seen = []
-        m = m0
-        for it in range(MAX_DIRAC_ITERS):
-            node = mather_point(L, coupling, grid, m)
-            if seen and node == seen[-1]:
-                return node, it + 1
-            if node in seen:  # proper cycle
-                return None, it + 1
-            seen.append(node)
-            m = GridMeasure.dirac(grid, grid.points[node])
-        return None, MAX_DIRAC_ITERS
-
-    node, iters = iterate(m_start)
-    if node is None:
-        ok, witness = check_F5(coupling, L, grid,
-                               [m_start, GridMeasure.dirac(grid, grid.points[0])])
-        if ok and witness is not None:
-            node, iters2 = iterate(GridMeasure.dirac(grid, grid.points[witness]))
-            iters += iters2
-        if node is None:
-            raise CycleDetected("Dirac iteration cycled; no stationary node found")
-
-    m_bar = GridMeasure.dirac(grid, grid.points[node])
-    lam = critical_value(L, coupling, grid, m_bar)
+    lam = critical_value(L, coupling, grid, m)
     step = BellmanStep(L, grid)  # once: the weak-KAM loop and the stationarity check
     counts = {}
     t0 = time.perf_counter()
-    u_bar, horizon, steps, residual = weak_kam_solution(L, coupling, grid, m_bar, lam,
+    u_bar, horizon, steps, residual = weak_kam_solution(L, coupling, grid, m, lam,
                                                         tol=tol, step=step, counts=counts)
     seconds = time.perf_counter() - t0
     u_bar = u_bar - u_bar[node]
-    residuals = {
-        "fixed_point_gap": wasserstein1(
-            m_bar, GridMeasure.dirac(grid, grid.points[mather_point(L, coupling, grid, m_bar)])
-        ),
-        "second_equation": verify_second_equation(step, coupling, m_bar, u_bar),
-    }
-    return ErgodicSolution(grid, lam, u_bar, m_bar, int(node), iters, horizon, residuals,
+    residuals = {"second_equation": verify_second_equation(step, coupling, m, u_bar)}
+    return ErgodicSolution(grid, lam, u_bar, m, node, iters, horizon, residuals,
                            steps, residual, seconds, **counts)
 
 

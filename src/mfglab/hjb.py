@@ -95,13 +95,8 @@ class ValueField:
     values: np.ndarray
     feedback: np.ndarray
 
-    @property
-    def T(self):
-        return float(self.times[-1])
-
     def velocity_at(self, k, pts):
-        """Feedback at (..., n) points, multilinear in space; shaped like pts."""
-        k = min(k, self.feedback.shape[0] - 1)
+        """Feedback of step k < K at (..., n) points, multilinear in space; shaped like pts."""
         return np.stack([interp_grid(self.grid, c, pts) for c in self.feedback[k].T], axis=-1)
 
     def to_csv(self, path):

@@ -112,12 +112,9 @@ class GridSpec:
 
     def in_box(self, pts, lo=None, hi=None):
         """Which (..., n) points lie in the closed box [lo, hi] (default: the grid's own)."""
-        lo = self.lo if lo is None else np.atleast_1d(lo)
-        hi = self.hi if hi is None else np.atleast_1d(hi)
-        inside = True
-        for d in range(self.dim):
-            inside = inside & (pts[..., d] >= lo[d] - 1e-12) & (pts[..., d] <= hi[d] + 1e-12)
-        return inside
+        lo = np.asarray(self.lo if lo is None else lo, dtype=float)
+        hi = np.asarray(self.hi if hi is None else hi, dtype=float)
+        return ((pts >= lo - 1e-12) & (pts <= hi + 1e-12)).all(axis=-1)
 
     def as_point(self, x):
         """x as one point of the grid's space: a float array of shape (n,).
@@ -373,9 +370,6 @@ class TonelliReport:
     growth_flags: list = field(default_factory=list)
     alpha: float = 0.0
     beta: float = 0.0
-
-    def __bool__(self):
-        return self.passed
 
 
 def check_strict_tonelli(L, grid):

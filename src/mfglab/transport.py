@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import EscapedBox
 from .hjb import _as_path_values
-from .measure import MeasurePath, deposit
+from .measure import MASS_TOL, MeasurePath, deposit
 from .model import interp_grid
 
 
@@ -32,11 +32,8 @@ class TrajectoryBundle:
     velocities: np.ndarray
     masses: np.ndarray  # (C,)
 
-    def speeds(self):
-        return np.sqrt((self.velocities**2).sum(axis=-1))
-
     def max_speed(self):
-        return float(self.speeds().max())
+        return float(np.sqrt((self.velocities**2).sum(axis=-1)).max())
 
     def radii(self):
         return np.sqrt((self.positions**2).sum(axis=-1))
@@ -47,7 +44,8 @@ def trace_optimal_flow(vf, m0):
 
     One curve starts at each support node of m0.  Raises EscapedBox if a
     curve leaves the box, which the clamped scheme should prevent for
-    admissible data.
+    admissible data: it names the first curve out at the earliest step at
+    which any is.
     """
     g = vf.grid
     K = vf.feedback.shape[0]
@@ -57,14 +55,13 @@ def trace_optimal_flow(vf, m0):
     vel = np.empty((C, K, g.dim))
     pos[:, 0] = g.points[starts]
     for k in range(K):
-        v = vf.velocity_at(k, pos[:, k])
-        vel[:, k] = v
-        nxt = pos[:, k] + g.dt * v
-        inside = g.in_box(nxt)
-        if not inside.all():
-            c = int(np.flatnonzero(~inside)[0])
-            raise EscapedBox(int(starts[c]), float(vf.times[k + 1]), nxt[c])
-        pos[:, k + 1] = nxt
+        vel[:, k] = vf.velocity_at(k, pos[:, k])
+        pos[:, k + 1] = pos[:, k] + g.dt * vel[:, k]
+    out = ~g.in_box(pos[:, 1:])  # (C, K)
+    if out.any():
+        k = int(out.any(axis=0).argmax())
+        c = int(out[:, k].argmax())
+        raise EscapedBox(int(starts[c]), float(vf.times[k + 1]), pos[c, k + 1])
     masses = m0.weights[starts]
     return TrajectoryBundle(g, vf.times.copy(), starts, pos, vel, masses)
 
@@ -75,10 +72,10 @@ def measure_path(bundle):
     rows = deposit(g, np.swapaxes(bundle.positions, 0, 1), bundle.masses)
     s = rows.sum(axis=1)
     lost = np.abs(s - bundle.masses.sum())
-    if (lost > 1e-12).any():
-        k = int(np.argmax(lost > 1e-12))
+    if (lost > MASS_TOL).any():
+        k = int(np.argmax(lost > MASS_TOL))
         raise ValueError(f"deposition lost mass at step {k}: {lost[k]:.3e}")
-    return MeasurePath(g, bundle.times, rows / s[:, None], validate=False)
+    return MeasurePath(g, bundle.times, rows / s[:, None])
 
 
 def occupation_time_outside(bundle, R):

@@ -162,16 +162,18 @@ def test_terminal_datum_is_validated_once_per_solve(ri1_coarse, monkeypatch):
 
 
 def test_bump_derivatives_match_finite_differences():
-    bump = M.SpaceTimeBump(1.0, 0.8, 0.1, 1.5)
     rng = np.random.default_rng(2)
-    ts = rng.uniform(0.3, 1.7, 5)
-    xs = rng.uniform(-1.2, 1.4, (5, 1))
     h = 1e-6
-    for t in ts:
-        dt_num = (bump.eval(t + h, xs) - bump.eval(t - h, xs)) / (2 * h)
-        dx_num = ((bump.eval(t, xs + h) - bump.eval(t, xs - h)) / (2 * h))[:, None]
-        np.testing.assert_allclose(bump.dt(t, xs), dt_num, atol=1e-6)
-        np.testing.assert_allclose(bump.dx(t, xs), dx_num, atol=1e-6)
+    for bump in (M.SpaceTimeBump(1.0, 0.8, 0.1, 1.5),
+                 M.SpaceTimeBump(1.0, 0.8, (0.1, -0.2), 1.5, dim=2)):
+        ts = rng.uniform(0.3, 1.7, 5)
+        xs = rng.uniform(-1.2, 1.4, (5, bump.dim))
+        for t in ts:
+            dt_num = (bump.eval(t + h, xs) - bump.eval(t - h, xs)) / (2 * h)
+            dx_num = np.stack([(bump.eval(t, xs + e) - bump.eval(t, xs - e)) / (2 * h)
+                               for e in h * np.eye(bump.dim)], axis=-1)
+            np.testing.assert_allclose(bump.dt(t, xs), dt_num, atol=1e-6)
+            np.testing.assert_allclose(bump.dx(t, xs), dx_num, atol=1e-6)
 
 
 def test_default_test_functions_vanish_at_endpoints():
@@ -197,6 +199,40 @@ def test_kfp_residual_static_path_refines():
         res[dx] = M.kfp_residual(sol, M.default_test_functions(g, 2.0))
     assert res[0.02] <= 1e-3
     assert res[0.02] <= res[0.04] / 4.0  # at least second order here
+
+
+def kfp_residual_per_step(solution):
+    """Reference: the weak continuity residual summed one step at a time, the
+    feedback interpolated at the nodes m(t_k) charges."""
+    path, vf = solution.m_path, solution.u
+    g = path.grid
+    T = float(path.times[-1])
+    K = len(path.times) - 1
+    worst = 0.0
+    for psi in M.default_test_functions(g, T):
+        acc = 0.0
+        for k in range(K):
+            t = float(path.times[k])
+            w = path.weights[k]
+            sup = w > 1e-15
+            if not sup.any():
+                continue
+            pts = g.points[sup]
+            integrand = psi.dt(t, pts) + (psi.dx(t, pts) * vf.velocity_at(k, pts)).sum(axis=1)
+            acc += g.dt * float(np.dot(w[sup], integrand))
+        bdry = (float(np.dot(path.weights[0], psi.eval(0.0, g.points)))
+                - float(np.dot(path.weights[K], psi.eval(T, g.points))))
+        worst = max(worst, abs(acc + bdry))
+    return worst
+
+
+@pytest.mark.parametrize("source", ["ri1_coarse", "ri2"])
+def test_kfp_residual_matches_the_per_step_sum(source, request):
+    inst = M.load_instance(RI2) if source == "ri2" else request.getfixturevalue(source)
+    sol = M.solve_finite_horizon(inst.L, inst.coupling, inst.m0, inst.uf, inst.grid, 2.0)
+    want = kfp_residual_per_step(sol)
+    assert want > 0.0
+    assert M.kfp_residual(sol) == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
 def test_kfp_residual_equilibrium_magnitude(ladder):

@@ -438,7 +438,7 @@ def test_csv_writers_match_the_csv_writer_reference(data, grid):
     names = list("xy"[: grid.dim])
     coords = [[repr(c) for c in row] for row in grid.points.tolist()]
     vf = M.ValueField(grid, times, values, None)
-    path = M.MeasurePath(grid, times, values, validate=False)
+    path = M.MeasurePath(grid, times, values)
     m = M.GridMeasure(grid, values[0], validate=False)
     sol = SimpleNamespace(lam=0.0, mather_node=0, horizon_used=1.0, weak_kam_steps=1,
                           weak_kam_residual=0.0, weak_kam_s=0.0, policy_evaluations=0,

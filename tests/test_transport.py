@@ -48,14 +48,17 @@ def test_trace_endpoint_and_velocity():
 
 def test_trace_escaping_raises():
     g = grid1d(0.04, v_max=4.0)
-    # fabricate a value field whose feedback pushes hard to the right
+    # fabricate a value field whose feedback pushes hard away from the origin
     K = g.time_steps(1.0)
     times = np.arange(K + 1) * g.dt
     values = np.zeros((K + 1, g.n_points))
-    feedback = np.full((K, g.n_points, 1), 4.0)
+    feedback = np.where(g.points < 0.0, -4.0, 4.0)[None].repeat(K, axis=0)
     vf = M.ValueField(g, times, values, feedback)
-    with pytest.raises(errors.EscapedBox):
-        M.trace_optimal_flow(vf, M.GridMeasure.dirac(g, 3.8))
+    w = np.zeros(g.n_points)
+    w[[g.nearest_node(x) for x in (-3.7, 3.0, 3.8, 3.85)]] = 0.25
+    # curves 7, 195 and 196 all leave at the second step; 7 is named
+    with pytest.raises(errors.EscapedBox, match=r"curve 7 left the box at t=0\.08,"):
+        M.trace_optimal_flow(vf, M.GridMeasure(g, w))
 
 
 def test_measure_path_mass_and_flat_continuity():
