@@ -37,6 +37,7 @@ EXIT_ASSUMPTION = 2
 EXIT_NO_CONVERGENCE = 3
 EXIT_IO = 4
 EXIT_SOLVER = 5
+_CHUNK = 1 << 20  # bytes of each file that reproduce compares at a time
 
 
 def _atomic_write(path, writer):
@@ -67,6 +68,31 @@ def _sha256(path):
         for chunk in iter(lambda: fh.read(65536), b""):
             h.update(chunk)
     return h.hexdigest()
+
+
+def _lines(fh):
+    """The lines of a binary file as bytes.splitlines gives them, one read line at a time."""
+    return (line for piece in fh for line in piece.splitlines())
+
+
+def _check_same_bytes(fname, orig, fresh):
+    """Raise Mismatch unless the files orig and fresh hold the same bytes.
+
+    Both are read in _CHUNK pieces; only after a piece differs are they read
+    again from the start, line by line, to name the first differing line,
+    or the line after the shorter file's last as <eof>.
+    """
+    with open(orig, "rb") as fw, open(fresh, "rb") as fg:
+        while (want := fw.read(_CHUNK)) == fg.read(_CHUNK):
+            if not want:
+                return
+        fw.seek(0)
+        fg.seek(0)
+        n = 0
+        for n, (lw, lg) in enumerate(zip(_lines(fw), _lines(fg)), 1):
+            if lw != lg:
+                raise Mismatch(fname, n, lg[:80], lw[:80])
+        raise Mismatch(fname, n + 1, "<eof>", "<eof>")
 
 
 def _canonical_json(obj):
@@ -389,16 +415,7 @@ def _cmd_reproduce(manifest_path):
             fresh = os.path.join(tmp, fname)
             if not os.path.exists(orig):
                 raise FileNotFoundError(f"original output {fname} missing next to manifest")
-            with open(orig, "rb") as fh:
-                want = fh.read()
-            with open(fresh, "rb") as fh:
-                got = fh.read()
-            if want != got:
-                for n, (lw, lg) in enumerate(zip(want.splitlines(), got.splitlines()), 1):
-                    if lw != lg:
-                        raise Mismatch(fname, n, lg[:80], lw[:80])
-                raise Mismatch(fname, min(len(want.splitlines()),
-                                          len(got.splitlines())) + 1, "<eof>", "<eof>")
+            _check_same_bytes(fname, orig, fresh)
     return list(outputs)
 
 

@@ -97,7 +97,10 @@ class ValueField:
 
     def velocity_at(self, k, pts):
         """Feedback of step k < K at (..., n) points, multilinear in space; shaped like pts."""
-        return np.stack([interp_grid(self.grid, c, pts) for c in self.feedback[k].T], axis=-1)
+        g = self.grid
+        if g.dim == 1:  # one np.interp on the one feedback column
+            return np.interp(pts[..., :1], g.axes[0], self.feedback[k, :, 0])
+        return interp_grid(g, self.feedback[k], pts)
 
     def to_csv(self, path):
         names, heads = self.grid.csv_node_heads()

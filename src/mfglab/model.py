@@ -24,7 +24,7 @@ from .errors import (
 ARGMIN_TOL = 1e-10  # two node values within this are treated as tied minima
 HESSIAN_RTOL = 1e-3  # relative tolerance on finite-difference matrix bounds
 AXIS_NAMES = ("x", "y")  # coordinate column names in CSV outputs
-MAX_TABLE_CELLS = 2 ** 23  # (K+1) * N of one space-time table, 64 MiB of float64
+MAX_TABLE_CELLS = 2 ** 23  # cells of the largest array a solve allocates, 64 MiB of float64
 
 
 # ---------------------------------------------------------------------------
@@ -59,6 +59,8 @@ class GridSpec:
     so that v = 0 is representable, and an instance document must give an
     odd count.  points (N, n) and velocities (nV, n) are row-major tensor
     grids: a point or a velocity is a row of n coordinates, also when n = 1.
+    A grid whose solves would allocate an array over MAX_TABLE_CELLS raises
+    ValueError before any grid array is built.
     """
 
     def __init__(self, lo, hi, nodes, dt, v_max, v_nodes):
@@ -84,14 +86,47 @@ class GridSpec:
         self.dt = float(dt)
         self.v_max = float(v_max)
         self.v_nodes = int(v_nodes)
+        self.dx = tuple((b - a) / (n - 1) for a, b, n in zip(lo_t, hi_t, nodes_t))
+        self.n_points = math.prod(nodes_t)
+        self._check_budget()
         self.axes = tuple(
             np.linspace(a, b, n) for a, b, n in zip(lo_t, hi_t, nodes_t)
         )
-        self.dx = tuple((b - a) / (n - 1) for a, b, n in zip(lo_t, hi_t, nodes_t))
-        self.n_points = int(np.prod(nodes_t))
         self.points = _tensor_points(self.axes)
         self.v_axis = np.linspace(-self.v_max, self.v_max, self.v_nodes)
         self.velocities = _tensor_points((self.v_axis,) * self.dim)
+
+    def _check_budget(self):
+        """ValueError if an array every solve on this grid allocates would
+        exceed MAX_TABLE_CELLS: the N nodes, the (N, nV) Bellman candidates,
+        or the largest operand of a departure stage.  The message names the
+        array and the keys that drive it."""
+        N, nV = self.n_points, self.v_nodes ** self.dim
+        for what, cells, names in (
+                (f"{N} nodes", N, ("dx",)),
+                (f"{N} nodes x {nV} velocities", N * nV, ("dx", "v_nodes")),
+                ("a departure stage", self._departure_cells(), ("dx", "dt", "v_max"))):
+            if cells > MAX_TABLE_CELLS:
+                keys = {"dx": ",".join(f"{d:g}" for d in self.dx), "dt": f"{self.dt:g}",
+                        "v_max": f"{self.v_max:g}", "v_nodes": str(self.v_nodes)}
+                given = ", ".join(f"{k}={keys[k]}" for k in names)
+                raise ValueError(f"grid: the budget of {MAX_TABLE_CELLS} cells is too "
+                                 f"small for {what} ({given})")
+
+    def _departure_cells(self):
+        """Cells of the largest array of a stage of hjb._departure_step: the
+        contiguous copy of its windows or its (W, nv) weight matrix."""
+        if self.dt * self.v_max >= MAX_TABLE_CELLS * min(self.dx):  # W alone is over
+            return math.inf
+        reach = [self.dt * self.v_max / d for d in self.dx]  # cells one step crosses
+        width = [math.floor(r) - math.floor(-r) + 2 for r in reach]  # W per axis
+        shape = [n + w - 1 for n, w in zip(self.nodes, width)]  # the edge-padded values
+        largest = 0
+        for d, (n, w) in enumerate(zip(self.nodes, width)):
+            shape[d] = n
+            largest = max(largest, math.prod(shape) * self.v_nodes ** d * w,
+                          w * self.v_nodes)
+        return largest
 
     def csv_node_heads(self):
         """Coordinate header names and, per node i, the row prefix "i,x," ("i,x,y," in 2-D)."""
@@ -186,16 +221,22 @@ def cell_corners(grid, pts, clamp):
 
 
 def interp_grid(grid, values, pts):
-    """Clamped multilinear interpolation of node values at (..., n) points."""
+    """Clamped multilinear interpolation of node values at (..., n) points.
+
+    values holds one value per node, (N,), and the result is shaped
+    (...); in 2-D it may hold m columns, (N, m), all interpolated through
+    one stencil into (..., m).
+    """
     if grid.dim == 1:  # np.interp is faster than the generic stencil
         return np.interp(pts[..., 0], grid.axes[0], values)
+    cols = np.shape(values)[1:]
     out = None
     for idx, weights in cell_corners(grid, pts, clamp=True):
         term = values[idx]
         for w in weights:
-            term = term * w
+            term = term * w.reshape(w.shape + (1,) * len(cols))
         out = term if out is None else out + term
-    return out.reshape(np.shape(pts)[:-1])
+    return out.reshape(np.shape(pts)[:-1] + cols)
 
 
 # ---------------------------------------------------------------------------

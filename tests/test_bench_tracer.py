@@ -4,13 +4,15 @@ bench/tracer.py replaces module and class attributes by name; a refactor
 that unbinds one of them breaks the benchmark only when it runs.  One test
 installs the tracer on a fresh Patches/Tracer pair and undoes it; another
 reads the weak-KAM step count off a real solve's return value, the way the
-tracer does.
+tracer does.  A traced horizon --out plus reproduce pins that reproduce
+writes its fresh outputs as real files at the paths the tracer measures.
 """
 
 import importlib.util
 import os
 
 import mfglab as M
+from mfglab import cli
 
 TRACER = os.path.join(os.path.dirname(__file__), "..", "bench", "tracer.py")
 
@@ -44,3 +46,20 @@ def test_weak_kam_count_is_the_bellman_step_count(ri1_coarse):
     out = M.weak_kam_solution(*args)
     counts = load_tracer()._weak_kam_counts(args, {}, out)
     assert counts == {"ergodic.weak_kam_steps": out[2]} and out[2] == sol.weak_kam_steps
+
+
+def test_traced_reproduce_writes_real_files(tmp_path):
+    tracer = load_tracer()
+    patches, spans = tracer.Patches(), tracer.Tracer()
+    tracer.install(patches, spans)
+    out = str(tmp_path / "hz")
+    try:
+        spans.pass_id = 1
+        assert cli.main(["horizon", "--instance", "RI-1", "--dx", "0.04", "--dt", "0.04",
+                         "--T", "2", "--out", out]) == 0
+        spans.pass_id = 2
+        assert cli.main(["reproduce", os.path.join(out, "manifest.json")]) == 0
+    finally:
+        patches.restore()
+    for pass_id in (1, 2):
+        assert tracer.layer_metrics(spans, pass_id, 0.0)["cli.out_bytes"] > 0

@@ -12,6 +12,7 @@ from scipy.optimize import OptimizeResult
 
 from mfglab import cli, ergodic, mfg
 from mfglab.cli import main
+from mfglab.errors import Mismatch
 
 
 RI2 = os.path.join(os.path.dirname(__file__), "..", "bench", "ri2.json")
@@ -121,6 +122,71 @@ def test_reproduce_detects_tampering(tmp_path, capsys):
     assert "mismatch" in err
     assert "ubar.csv" in err
     assert "line" in err
+
+
+def whole_file_mismatch(fname, want, got):
+    """The Mismatch of the first differing line, with both files read whole: the reference."""
+    for n, (lw, lg) in enumerate(zip(want.splitlines(), got.splitlines()), 1):
+        if lw != lg:
+            return Mismatch(fname, n, lg[:80], lw[:80])
+    return Mismatch(fname, min(len(want.splitlines()), len(got.splitlines())) + 1,
+                    "<eof>", "<eof>")
+
+
+def edited(body, edit, newline):
+    """body with the first line that starts past the first chunk changed or cut off."""
+    start = body.index(newline, cli._CHUNK) + len(newline)
+    if edit == "tamper":
+        return body[:start] + b"9" + body[start + 1:]
+    return body[:start]
+
+
+@pytest.mark.parametrize("newline", [b"\n", b"\r\n"], ids=["lf", "crlf"])
+@pytest.mark.parametrize("edit", ["tamper", "truncate"])
+def test_chunked_compare_names_the_line_past_the_first_chunk(tmp_path, edit, newline):
+    want = b"".join(b"%d,%r,%r" % (i, i * 0.1, i * 1e-3) + newline for i in range(100_000))
+    assert len(want) > 2 * cli._CHUNK
+    got = edited(want, edit, newline)
+    orig, fresh = tmp_path / "orig.csv", tmp_path / "fresh.csv"
+    orig.write_bytes(want)
+    fresh.write_bytes(got)
+    with pytest.raises(Mismatch) as exc:
+        cli._check_same_bytes("out.csv", orig, fresh)
+    ref = whole_file_mismatch("out.csv", want, got)
+    assert str(exc.value) == str(ref)
+    assert exc.value.line_no == want[:cli._CHUNK].count(newline) + 2
+    assert ("<eof>" in str(exc.value)) == (edit == "truncate")
+
+
+def test_reproduce_names_a_tampered_line_past_the_first_chunk(tmp_path, capsys):
+    out = tmp_path / "hz"
+    assert run(["horizon", "--instance", "RI-1", "--T", "4", "--out", str(out)]) == 0
+    want = (out / "u.csv").read_bytes()
+    assert len(want) > 3 * cli._CHUNK
+    got = edited(want, "tamper", b"\r\n")
+    (out / "u.csv").write_bytes(got)
+    capsys.readouterr()
+    assert run(["reproduce", str(out / "manifest.json")]) == 1
+    # the re-run wrote want; the file next to the manifest now holds got
+    ref = whole_file_mismatch("u.csv", got, want)
+    assert capsys.readouterr().err == f"error: {ref}\n"
+
+
+def test_chunked_compare_holds_chunks_not_files(tmp_path):
+    body = b"0.12345678901234567,-3.9800000000000004\r\n" * 210_000
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    a.write_bytes(body)
+    b.write_bytes(body)
+    size = len(body)
+    del body
+    tracemalloc.start()
+    try:
+        cli._check_same_bytes("a.csv", a, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert size > 8 * cli._CHUNK
+    assert peak < 3 * cli._CHUNK  # one chunk of each file at a time
 
 
 def test_reproduce_missing_manifest(tmp_path):
@@ -432,6 +498,23 @@ def test_oversized_horizon_is_rejected_before_any_table(tmp_path, capsys, comman
     assert code == 4
     assert "T=10000000.0 needs a 500000001 x 401 space-time table" in capsys.readouterr().err
     assert peak < 16e6  # one RI-1 table of T = 2 is 0.3 MB; T = 1e7 would be 1.6 TB
+
+
+@pytest.mark.parametrize("override, given", [
+    (["--dx", "1e-7"], "80000001 nodes (dx=1e-07)"),
+    (["--dx", "1e-5"], "800001 nodes x 161 velocities (dx=1e-05, v_nodes=161)"),
+    (["--dt", "60"], "a departure stage (dx=0.02, dt=60, v_max=4)"),
+], ids=["nodes", "candidates", "departure"])
+def test_oversized_grid_is_rejected_before_any_array(capsys, override, given):
+    tracemalloc.start()
+    try:
+        code = run(["ergodic", "--instance", "RI-1", *override])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 4
+    assert f"budget of 8388608 cells is too small for {given}" in capsys.readouterr().err
+    assert peak < 16e6  # at --dx 1e-5 the window copy alone would be 95 GiB
 
 
 def test_failed_transport_lp_is_solver_failure(tmp_path, capsys, monkeypatch):

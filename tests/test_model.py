@@ -311,6 +311,20 @@ def test_grid_time_steps_requires_multiple():
         g.time_steps(1.03)
 
 
+def test_grid_budget_admits_the_61_document_and_bounds_each_array():
+    g = M.GridSpec((-3.0, -3.0), (3.0, 3.0), (61, 61), 0.1, 3.0, 31)
+    assert g.n_points * len(g.velocities) == 3_575_881
+    too_big = [  # GridSpec arguments, and the array and keys the error names
+        (((-3.0, -3.0), (3.0, 3.0), (61, 61), 0.1, 3.0, 101),
+         "3721 nodes x 10201 velocities (dx=0.1,0.1, v_nodes=101)"),
+        ((-1.0, 1.0, 3, 1.0, 10.0, 1_000_001),  # a 22 x 1000001 weight matrix
+         "a departure stage (dx=1, dt=1, v_max=10)"),
+    ]
+    for args, given in too_big:
+        with pytest.raises(ValueError, match=re.escape(given)):
+            M.GridSpec(*args)
+
+
 def test_grid_ball_and_nodes():
     g = grid1d()
     assert g.contains_ball(3.9)

@@ -3,8 +3,11 @@
 Deposit keeps mass and first moment, also over a batch of point sets;
 interpolation, the grid Lipschitz constant and the upwind gradient are
 exact on affine functions, and the Lipschitz estimate of a space-time
-table is the largest constant of its rows; the backward step's departure
-values agree with interp_grid at every x + dt v, past the box too.  The 2-D d_1 is symmetric,
+table is the largest constant of its rows; the feedback interpolates all
+its components through one stencil, bit for bit as interp_grid does each;
+the backward step's departure values agree with interp_grid at every
+x + dt v, past the box too, and its largest operand is the one the grid's
+size budget predicts.  The 2-D d_1 is symmetric,
 obeys the triangle inequality, agrees with the 1-D CDF formula on data laid
 along an axis, and matches a full-support transport LP per row, also as the
 stopping residual of a 2-D fixed point, and the pair the solver returns is
@@ -108,6 +111,19 @@ def test_interp_grid_exact_on_affine_with_clamping(data, slope, offset):
     np.testing.assert_allclose(got, affine_on(grid, slope, offset, clamped), atol=1e-10)
 
 
+@SETTINGS
+@given(data=st.data())
+def test_velocity_at_is_interp_grid_per_component(data):
+    grid = data.draw(grids())
+    pts = points_in(data.draw, grid, 10, margin=0.5)
+    size = grid.n_points * grid.dim
+    feedback = np.reshape(data.draw(st.lists(finite, min_size=size, max_size=size)),
+                          (1, grid.n_points, grid.dim))
+    vf = M.ValueField(grid, np.array([0.0, grid.dt]), np.zeros((2, grid.n_points)), feedback)
+    want = np.stack([M.interp_grid(grid, c, pts) for c in feedback[0].T], axis=-1)
+    np.testing.assert_array_equal(vf.velocity_at(0, pts), want)  # bit for bit
+
+
 @st.composite
 def step_grids(draw):
     """A grid with its own dt, v_max and v_nodes (even or odd).
@@ -132,6 +148,10 @@ def test_departure_step_matches_interp_grid(grid, data, slope, offset):
                                          max_size=size)))
     cand = step(vals)
     assert cand.shape == (size, len(grid.velocities))
+    # the grid's size budget predicts the largest operand a stage allocates
+    cells = dict(zip(step.__code__.co_freevars, (c.cell_contents for c in step.__closure__)))
+    assert grid._departure_cells() == max(max(rows.size, w.size)
+                                          for _, rows, w, _ in cells["stages"])
     np.testing.assert_allclose(cand, M.interp_grid(grid, vals, pts), rtol=0,
                                atol=1e-13 * (1 + np.abs(vals).max()))
     clamped = np.clip(pts, grid.lo, grid.hi)
