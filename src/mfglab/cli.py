@@ -29,7 +29,7 @@ from .ergodic import solve_ergodic
 from .errors import AssumptionFailure, MFGLabError, Mismatch, NoStabilization
 from .instances import load_instance
 from .mfg import check_standing_assumptions, default_probes, solve_finite_horizon
-from .model import check_F4_gap, check_F5, check_strict_tonelli, repr_lines
+from .model import check_F4_gap, check_F5, check_strict_tonelli, write_node_table
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -189,11 +189,6 @@ def _run_ergodic(params, inst):
     check_standing_assumptions(inst.L, inst.coupling, g)
     sol = solve_ergodic(inst.L, inst.coupling, g, tol=params.get("tol", 1e-6))
 
-    def ubar_csv():
-        names, heads = g.csv_node_heads()
-        return (",".join(["node_index", *names, "ubar"]) + "\n"
-                + repr_lines(heads, sol.u_bar.tolist(), "\n"))
-
     measured = {
         "lambda": sol.lam,
         "mather_node": sol.mather_node,
@@ -207,7 +202,8 @@ def _run_ergodic(params, inst):
     }
     timings = {"weak_kam_s": round(sol.weak_kam_s, 4)}
     lines = [f"lambda = {sol.lam!r}", f"mather node x = {measured['mather_x']!r}"]
-    writers = {"ubar.csv": _text(ubar_csv), "mbar.csv": sol.m_bar.to_csv}
+    writers = {"ubar.csv": lambda path: write_node_table(path, g, "ubar", [sol.u_bar], end="\n"),
+               "mbar.csv": sol.m_bar.to_csv}
     return writers, measured, timings, EXIT_OK, lines
 
 
@@ -285,10 +281,15 @@ def _run_converge(params, inst):
     return writers, measured, timings, code, lines
 
 
-_RUNS = {"verify": _run_verify, "ergodic": _run_ergodic,
-         "horizon": _run_horizon, "converge": _run_converge}
-# params each subcommand reads without a default, besides "instance"
-_PARAMS_READ = {"horizon": ("T",), "converge": ("T_list",)}
+# each subcommand's body, help line and the params it reads besides instance,
+# dx and dt; the horizon params are required and read from --T
+_COMMANDS = {
+    "verify": (_run_verify, "run the assumption checks", ()),
+    "ergodic": (_run_ergodic, "solve the stationary system", ("tol",)),
+    "horizon": (_run_horizon, "solve the finite-horizon system", ("T", "tol")),
+    "converge": (_run_converge, "long-time convergence study", ("T_list", "tol", "R")),
+}
+_HORIZONS = {"T": float, "T_list": lambda arg: [float(s) for s in arg.split(",")]}
 
 
 # ---------------------------------------------------------------------------
@@ -299,22 +300,17 @@ def _parser():
     p = argparse.ArgumentParser(prog="mfg",
                                 description="mean field game numerical laboratory")
     sub = p.add_subparsers(dest="command", required=True)
-
-    def common(sp, *reads, T=False):  # reads: which of tol and R the subcommand reads
+    for name, (_, help_line, reads) in _COMMANDS.items():
+        sp = sub.add_parser(name, help=help_line)
         sp.add_argument("--instance", default=None, help="built-in name, e.g. RI-1")
         sp.add_argument("--config", default=None, help="path to a JSON instance document")
-        if T:
+        if any(key in _HORIZONS for key in reads):
             sp.add_argument("--T", required=True,
                             help="horizon (comma-separated list for converge)")
-        for key in ("dx", "dt", *reads):
+        for key in ("dx", "dt", *(key for key in reads if key not in _HORIZONS)):
             sp.add_argument(f"--{key}", type=float, default=None)
         sp.add_argument("--out", default=None, help="output directory")
         sp.add_argument("--threads", type=int, default=1, help="accepted and ignored")
-
-    common(sub.add_parser("verify", help="run the assumption checks"))
-    common(sub.add_parser("ergodic", help="solve the stationary system"), "tol")
-    common(sub.add_parser("horizon", help="solve the finite-horizon system"), "tol", T=True)
-    common(sub.add_parser("converge", help="long-time convergence study"), "tol", "R", T=True)
     rp = sub.add_parser("reproduce", help="re-run a manifest and compare outputs")
     rp.add_argument("manifest")
     return p
@@ -342,7 +338,7 @@ def _check_params(params, prefix):
             raise ValueError(f"{prefix}{key} must be {what}, got {params[key]!r}")
 
 
-def _collect_params(args, needs_T=False, T_is_list=False):
+def _collect_params(args):
     if not args.instance and not args.config:
         raise ValueError("pass --instance or --config")
     params = {"instance": args.config or args.instance}
@@ -350,15 +346,11 @@ def _collect_params(args, needs_T=False, T_is_list=False):
         with open(args.config) as fh:
             params["document"] = json.load(fh)
         params["document_sha256"] = _config_hash(params["document"])
-    for key in ("dx", "dt", "tol", "R"):
-        val = getattr(args, key, None)
-        if val is not None:
-            params[key] = val
-    if needs_T:
-        if T_is_list:
-            params["T_list"] = [float(s) for s in str(args.T).split(",")]
-        else:
-            params["T"] = float(args.T)
+    for key in ("dx", "dt", *_COMMANDS[args.command][2]):
+        if key in _HORIZONS:
+            params[key] = _HORIZONS[key](args.T)
+        elif getattr(args, key) is not None:
+            params[key] = getattr(args, key)
     _check_params(params, "--")
     return params
 
@@ -371,7 +363,7 @@ def _dispatch(command, params, out_dir):
     """
     inst = _instance(params)
     t0 = time.perf_counter()
-    writers, measured, timings, code, lines = _RUNS[command](params, inst)
+    writers, measured, timings, code, lines = _COMMANDS[command][0](params, inst)
     timings = {"seconds": round(time.perf_counter() - t0, 3), **timings}
     outputs = []
     if out_dir:
@@ -396,11 +388,11 @@ def _cmd_reproduce(manifest_path):
     command = _manifest_field(manifest, "config.subcommand")
     params = _manifest_field(manifest, "config.params")
     outputs = _manifest_field(manifest, "outputs")
-    if not isinstance(command, str) or command not in _RUNS:
+    if not isinstance(command, str) or command not in _COMMANDS:
         raise ValueError(f"manifest: unknown subcommand {command!r}")
     if not isinstance(params, dict) or not isinstance(outputs, dict):
         raise ValueError("manifest: config.params and outputs must be JSON objects")
-    for key in ("instance", *_PARAMS_READ.get(command, ())):
+    for key in ("instance", *(key for key in _COMMANDS[command][2] if key in _HORIZONS)):
         _manifest_field(manifest, f"config.params.{key}")
     _check_params(params, "manifest: config.params.")
     doc = params.get("document")
@@ -429,8 +421,7 @@ def main(argv=None):
             files = _cmd_reproduce(args.manifest)
             print(f"reproduce: {len(files)} output(s) byte-identical")
             return EXIT_OK
-        needs_T = args.command in ("horizon", "converge")
-        params = _collect_params(args, needs_T, T_is_list=(args.command == "converge"))
+        params = _collect_params(args)
         out_dir = args.out
         if out_dir:
             os.makedirs(out_dir, exist_ok=True)

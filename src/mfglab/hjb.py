@@ -29,7 +29,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import MinimizerOnBoundary, NotLipschitz
-from .model import interp_grid, repr_lines
+from .model import interp_grid, write_node_table
 
 
 @dataclass
@@ -103,11 +103,7 @@ class ValueField:
         return interp_grid(g, self.feedback[k], pts)
 
     def to_csv(self, path):
-        names, heads = self.grid.csv_node_heads()
-        with open(path, "w", newline="") as fh:
-            fh.write(",".join(["t", "node_index", *names, "u"]) + "\r\n")
-            for t, row in zip(self.times.tolist(), self.values):
-                fh.write(repr_lines(heads, row.tolist(), "\r\n", lead=repr(t) + ","))
+        write_node_table(path, self.grid, "u", self.values, self.times)
 
 
 def _as_path_values(F_path, grid, K):

@@ -20,6 +20,7 @@ from small registries of named shapes, e.g.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -87,6 +88,17 @@ def _number(val, section, key, cast=float):
     return _convert(val, cast, section, key, "a number")
 
 
+def _bounded(val, section, key, op=">"):
+    """val as a finite number op 0 (op is ">" or ">="), or a ValueError naming the key:
+    a check compared with a NaN or infinite declared constant passes vacuously."""
+    def cast(v):
+        x = float(v)
+        if not (math.isfinite(x) and (x > 0 or op == ">=" and x == 0)):
+            raise ValueError
+        return x
+    return _convert(val, cast, section, key, f"a finite number {op} 0")
+
+
 def _per_axis(val, section, key, dtype=float):
     """val as a 1-D array with one entry per axis (a bare number is one axis)."""
     def cast(v):
@@ -110,10 +122,12 @@ def _build_grid(cfg):
     lo = _per_axis(cfg.get("lo", -4.0), "grid", "lo")
     hi = _per_axis(cfg.get("hi", 4.0), "grid", "hi")
     if "dx" in cfg:
-        dx = _number(cfg["dx"], "grid", "dx")
-        if not dx > 0:
-            raise ValueError(f"grid: 'dx' must be positive, got {dx!r}")
-        nodes = [int(round((b - a) / dx)) + 1 for a, b in zip(lo, hi)]
+        dx = _bounded(cfg["dx"], "grid", "dx")
+        steps = [(b - a) / dx for a, b in zip(lo.tolist(), hi.tolist())]
+        if not all(map(math.isfinite, steps)):
+            raise ValueError(f"grid: 'dx' = {dx!r} steps from 'lo' = {lo.tolist()!r} to "
+                             f"'hi' = {hi.tolist()!r} give no finite node count")
+        nodes = [int(round(k)) + 1 for k in steps]
     else:
         nodes = _per_axis(_require(cfg, "nodes", "grid"), "grid", "nodes", dtype=int)
     dt = _number(cfg.get("dt", cfg.get("dx", 0.02)), "grid", "dt")
@@ -131,7 +145,7 @@ def _build_lagrangian(cfg):
     if kind == "kinetic_plus_potential":
         phi = _pick(PROFILES, cfg, "potential", "lagrangian")
         return quadratic_kinetic(potential=phi,
-                                 C3=_number(cfg.get("C3", 3.0), "lagrangian", "C3"),
+                                 C3=_bounded(cfg.get("C3", 3.0), "lagrangian", "C3", ">="),
                                  name=f"kinetic+{cfg['potential']}")
     raise ValueError(f"unknown lagrangian kind {kind!r}")
 
@@ -146,10 +160,9 @@ def _build_coupling(cfg):
     if not isinstance(K0, list) or len(K0) != 2:
         raise ValueError(f"coupling: 'K0' must be a pair [lo, hi], got {K0!r}")
     K0_lo, K0_hi = (_per_axis(b, "coupling", "K0") for b in K0)
-    return separable_coupling(f, G, K0_lo, K0_hi,
-                              _number(_require(cfg, "delta0", "coupling"), "coupling", "delta0"),
-                              _number(_require(cfg, "lip2", "coupling"), "coupling", "lip2"),
-                              name=f"{cfg['f']}*{cfg['G']}")
+    delta0, lip2 = (_bounded(_require(cfg, key, "coupling"), "coupling", key, op)
+                    for key, op in (("delta0", ">"), ("lip2", ">=")))
+    return separable_coupling(f, G, K0_lo, K0_hi, delta0, lip2, name=f"{cfg['f']}*{cfg['G']}")
 
 
 def _build_terminal(cfg, grid):
@@ -169,8 +182,9 @@ def _build_initial(cfg, grid, coupling):
         return GridMeasure.uniform_on(grid, coupling.K0_lo, coupling.K0_hi)
     if kind == "dirac":
         at = _per_axis(_require(cfg, "at", "initial"), "initial", "at")
-        if len(at) != grid.dim:
-            raise ValueError(f"initial: 'at' needs {grid.dim} coordinate(s), got {len(at)}")
+        if len(at) != grid.dim or not np.isfinite(at).all():
+            raise ValueError(f"initial: 'at' needs {grid.dim} finite coordinate(s), "
+                             f"got {at.tolist()!r}")
         return GridMeasure.dirac(grid, at)
     raise ValueError(f"unknown initial kind {kind!r}")
 

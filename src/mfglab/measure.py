@@ -22,7 +22,7 @@ import math
 import numpy as np
 
 from .errors import EscapedBox, SupportTooLarge, TransportLPFailed, UnsupportedDimension
-from .model import cell_corners, repr_lines
+from .model import cell_corners, write_node_table
 
 MASS_TOL = 1e-12
 SUPPORT_EPS = 1e-15
@@ -75,10 +75,7 @@ class GridMeasure:
     # serialization ------------------------------------------------------
 
     def to_csv(self, path):
-        names, heads = self.grid.csv_node_heads()
-        with open(path, "w", newline="") as fh:
-            fh.write(",".join(["node_index", *names, "weight"]) + "\r\n")
-            fh.write(repr_lines(heads, self.weights.tolist(), "\r\n"))
+        write_node_table(path, self.grid, "weight", self.weights[None])
 
 
 # ---------------------------------------------------------------------------
@@ -276,10 +273,6 @@ class MeasurePath:
             raise ValueError("weight rows do not match times x nodes")
 
     def to_csv(self, path):
-        names, heads = self.grid.csv_node_heads()
-        with open(path, "w", newline="") as fh:
-            fh.write(",".join(["t", "node_index", *names, "weight"]) + "\r\n")
-            for t, row_w in zip(self.times.tolist(), self.weights):
-                sup = np.flatnonzero(row_w > SUPPORT_EPS)
-                fh.write(repr_lines([heads[i] for i in sup.tolist()], row_w[sup].tolist(),
-                                    "\r\n", lead=repr(t) + ","))
+        """Only the nodes of each row with weight > SUPPORT_EPS."""
+        write_node_table(path, self.grid, "weight", self.weights, self.times,
+                         keep=lambda w: w > SUPPORT_EPS)

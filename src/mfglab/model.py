@@ -37,20 +37,6 @@ def _tensor_points(axes):
     return np.stack([a.ravel() for a in mesh], axis=-1)
 
 
-def repr_lines(heads, values, end, lead=""):
-    """The text of the lines lead + heads[i] + repr(values[i]) + end.
-
-    values is a list of Python floats.  repr of the whole list formats each
-    float with float.__repr__ (the shortest round-trip form) in C, one call
-    per table slice instead of one per row; no float repr holds ", ", so the
-    split recovers them exactly.
-    """
-    if not values:
-        return ""
-    cells = map(operator.add, heads, repr(values)[1:-1].split(", "))
-    return lead + (end + lead).join(cells) + end
-
-
 class GridSpec:
     """Uniform box discretization plus the velocity grid and time step.
 
@@ -72,8 +58,8 @@ class GridSpec:
         if len(lo_t) not in (1, 2):
             raise UnsupportedDimension(f"dim {len(lo_t)} not supported")
         for a, b, n in zip(lo_t, hi_t, nodes_t):
-            if not (b > a and n >= 2):
-                raise ValueError("need hi > lo and at least two nodes per axis")
+            if not (0 < b - a < math.inf and n >= 2):
+                raise ValueError("grid: need finite lo < hi and at least two nodes per axis")
         for name, val in (("dt", dt), ("v_max", v_max)):
             if not (np.isfinite(val) and val > 0):
                 raise ValueError(f"grid: need a finite {name} > 0, got {name}={val!r}")
@@ -128,12 +114,6 @@ class GridSpec:
                           w * self.v_nodes)
         return largest
 
-    def csv_node_heads(self):
-        """Coordinate header names and, per node i, the row prefix "i,x," ("i,x,y," in 2-D)."""
-        heads = [",".join([str(i), *map(repr, row), ""])
-                 for i, row in enumerate(self.points.tolist())]
-        return list(AXIS_NAMES[: self.dim]), heads
-
     def radii(self):
         """Euclidean norm of every node (distance to the origin)."""
         return np.sqrt((self.points ** 2).sum(axis=1))
@@ -164,9 +144,9 @@ class GridSpec:
         return p
 
     def nearest_node(self, x):
-        """Flat index of the node closest to x."""
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        idx = [min(max(int(round((x[d] - self.lo[d]) / self.dx[d])), 0), self.nodes[d] - 1)
+        """Flat index of the node closest to x; a coordinate past the box picks its edge."""
+        x = np.atleast_1d(np.asarray(x, dtype=float)).tolist()
+        idx = [int(round(min(max((x[d] - self.lo[d]) / self.dx[d], 0.0), self.nodes[d] - 1)))
                for d in range(self.dim)]
         return int(np.ravel_multi_index(idx, self.nodes))
 
@@ -194,6 +174,29 @@ class GridSpec:
             "v_max": self.v_max,
             "v_nodes": self.v_nodes,
         }
+
+
+def write_node_table(path, grid, column, rows, times=None, end="\r\n", keep=None):
+    """Write the node table path, one row of N node values at a time.
+
+    The header is [t,]node_index,x[,y],<column>, and node i of the row at
+    time t is the line [t,]i,<coordinates of i>,v, every number as repr
+    gives it; times=None writes one row without the t column.  keep(row)
+    masks the nodes written, and a row it keeps none of writes no line.
+    """
+    heads = np.array([",".join([str(i), *map(repr, p), ""])
+                      for i, p in enumerate(grid.points.tolist())], dtype=object)
+    names = ["node_index", *AXIS_NAMES[: grid.dim], column]
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(names if times is None else ["t", *names]) + end)
+        for t, row in zip([None] if times is None else times.tolist(), rows):
+            pick = slice(None) if keep is None else keep(row)
+            if vals := row[pick].tolist():
+                # repr of the list formats each float in C; no float repr
+                # holds ", ", so the split recovers them exactly
+                lead = "" if t is None else repr(t) + ","
+                cells = map(operator.add, heads[pick], repr(vals)[1:-1].split(", "))
+                fh.write(lead + (end + lead).join(cells) + end)
 
 
 def cell_corners(grid, pts, clamp):
@@ -466,9 +469,10 @@ def check_strict_tonelli(L, grid):
     rtol = HESSIAN_RTOL
     bound = L.C2 * (1.0 + speed)
     nv2 = speed**2
-    bad_vv = (eig_lo < (1.0 / L.C1) * (1 - rtol)) | (eig_hi > L.C1 * (1 + rtol))
-    bad_vx = hvx_norm > bound * (1 + rtol)
-    bad_c3 = c3 > L.C3 * (1 + rtol)
+    # each bound is written so that a NaN constant or sample fails it
+    bad_vv = ~((eig_lo >= (1.0 / L.C1) * (1 - rtol)) & (eig_hi <= L.C1 * (1 + rtol)))
+    bad_vx = ~(hvx_norm <= bound * (1 + rtol))
+    bad_c3 = ~(c3 <= L.C3 * (1 + rtol))
     bad_c3[:, 1:] = False  # c3 does not depend on v: one entry per sample x
     bad_energy = ~((nv2 / (4 * L.beta) - L.alpha <= Lc + 1e-9)
                    & (Lc <= 4 * L.beta * nv2 + L.alpha + 1e-9))
@@ -524,7 +528,7 @@ def check_F4_gap(coupling, L, grid, probes):
     for k, m in enumerate(probes):
         rest = rest_landscape(L, coupling, grid, m)
         gap = float(rest[~mask].min() - rest[mask].min())
-        if gap < coupling.delta0:
+        if not gap >= coupling.delta0:  # a NaN delta0 fails too
             raise GapViolated(f"probe[{k}]", gap, coupling.delta0)
         gaps.append(gap)
     return min(gaps)

@@ -1,18 +1,25 @@
 """Command-line front end: exit codes, manifests, byte-level reproduction."""
 
+import contextlib
+import io
 import json
+import math
 import os
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 
 import pytest
 import scipy.optimize
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import OptimizeResult
 
 from mfglab import cli, ergodic, mfg
 from mfglab.cli import main
 from mfglab.errors import Mismatch
+from mfglab.instances import BUILTIN
 
 
 RI2 = os.path.join(os.path.dirname(__file__), "..", "bench", "ri2.json")
@@ -422,6 +429,28 @@ def test_module_entry_point():
     ("grid", {"dt": float("nan")}, "dt"),
     ("grid", {"v_max": float("inf")}, "v_max"),
     ("grid", {"v_nodes": 80}, "v_nodes"),  # v = 0 is no velocity node
+    ("grid", {"lo": -1e308}, "lo"),  # a node count past any float
+    ("grid", {"lo": 1e308}, "lo"),
+    ("grid", {"hi": 1e308}, "hi"),
+    ("grid", {"hi": -1e308}, "hi"),
+    ("grid", {"lo": -math.inf}, "lo"),
+    ("grid", {"lo": math.inf}, "lo"),
+    ("grid", {"hi": math.inf}, "hi"),
+    ("grid", {"hi": -math.inf}, "hi"),
+    ("grid", {"dx": 5e-324}, "dx"),
+    ("grid", {"nodes": 41, "dx": None, "lo": -1e308, "hi": 1e308}, "lo"),  # no float spans it
+    ("initial", {"kind": "dirac", "at": math.inf}, "at"),
+    ("initial", {"kind": "dirac", "at": math.nan}, "at"),
+    ("coupling", {"delta0": math.nan}, "delta0"),  # would pass every gap check
+    ("coupling", {"delta0": -math.inf}, "delta0"),
+    ("coupling", {"delta0": 0}, "delta0"),
+    ("coupling", {"lip2": math.nan}, "lip2"),
+    ("coupling", {"lip2": math.inf}, "lip2"),
+    ("coupling", {"lip2": -1}, "lip2"),
+    ("lagrangian", {"kind": "kinetic_plus_potential", "potential": "gaussian",
+                    "C3": math.nan}, "C3"),
+    ("lagrangian", {"kind": "kinetic_plus_potential", "potential": "gaussian",
+                    "C3": math.inf}, "C3"),
 ])
 def test_bad_instance_document_is_config_error(tmp_path, capsys, section, patch, key):
     cfg = {
@@ -705,3 +734,73 @@ def test_usage_error_is_config_error(tmp_path, capsys, args):
 def test_help_exits_0(capsys, command):
     assert run([*command, "--help"]) == 0
     assert "usage:" in capsys.readouterr().out
+
+
+def test_a_far_dirac_point_starts_at_the_edge_node(tmp_path):
+    cfg = json.loads(json.dumps(BUILTIN["RI-1"]))
+    cfg["initial"] = {"kind": "dirac", "at": 1e308}
+    cfg_path = tmp_path / "far.json"
+    cfg_path.write_text(json.dumps(cfg))
+    out = str(tmp_path / "far")
+    assert run(["verify", "--config", str(cfg_path), "--dx", "0.1", "--out", out]) == 2
+    with open(os.path.join(out, "verify.txt")) as fh:
+        assert "initial_measure_in_K0: FAIL" in fh.read()
+
+
+# ---------------------------------------------------------------------------
+# fuzz: one document key or one number flag changed, any accepted input ends
+# in a documented exit code
+
+MISSING = object()
+FUZZ_VALUES = [MISSING, "x", [1.0], {}, True, None, 0, -1, 1e308,
+               math.nan, math.inf, -math.inf]
+FUZZ_DOCS = {"RI-1": {**BUILTIN["RI-1"],
+                      "grid": {**BUILTIN["RI-1"]["grid"], "dx": 0.1, "dt": 0.1,
+                               "v_nodes": 41}}}
+with open(RI2) as _fh:
+    FUZZ_DOCS["ri2"] = json.load(_fh)
+FUZZ_T = {"RI-1": "0.4", "ri2": "0.5"}  # two or more steps of each document's dt
+
+
+def _key_paths(doc, prefix=()):
+    for key, val in doc.items():
+        yield prefix + (key,)
+        if isinstance(val, dict):
+            yield from _key_paths(val, prefix + (key,))
+
+
+FUZZ_KEYS = sorted(_key_paths(FUZZ_DOCS["RI-1"]))
+assert FUZZ_KEYS == sorted(_key_paths(FUZZ_DOCS["ri2"]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(doc_name=st.sampled_from(sorted(FUZZ_DOCS)),
+       command=st.sampled_from(["verify", "ergodic", "horizon"]),
+       target=st.sampled_from(FUZZ_KEYS + ["dx", "dt", "tol", "R", "T"]),
+       value=st.sampled_from(FUZZ_VALUES))
+def test_fuzzed_input_ends_in_a_documented_exit_code(doc_name, command, target, value):
+    doc = json.loads(json.dumps(FUZZ_DOCS[doc_name]))
+    flags = {"T": FUZZ_T[doc_name]} if command == "horizon" else {}
+    if isinstance(target, tuple):  # a document key
+        *path, key = target
+        section = doc
+        for k in path:
+            section = section[k]
+        if value is MISSING:
+            del section[key]
+        else:
+            section[key] = value
+    elif value is MISSING:
+        flags.pop(target, None)
+    else:
+        flags[target] = json.dumps(value)
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg_path = os.path.join(tmp, "doc.json")
+        with open(cfg_path, "w") as fh:
+            json.dump(doc, fh)
+        args = [command, "--config", cfg_path, "--out", os.path.join(tmp, "out"),
+                *(f"--{k}={v}" for k, v in flags.items())]
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            code = run(args)
+    assert code in (0, 2, 3, 4, 5), (args, doc)

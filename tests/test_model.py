@@ -97,6 +97,8 @@ DRIFT = M.LagrangianModel(lambda x, v: (0.5 * v ** 2 + 0.9 * x * v).sum(-1),
                           C1=1.0, C2=0.1, C3=1.0)
 # |L(x, 0)| + |D_x L(x, 0)| is (1 + 2 sqrt 2) e^-2 = 0.52 at the samples x = (+-1, +-1)
 WELL = M.quadratic_kinetic(potential=lambda p: -np.exp(-(p ** 2).sum(-1)), C3=0.5)
+# a NaN C3 fails the data bound at every sample x, and the growth bounds built on it
+NAN_C3 = M.LagrangianModel(lambda x, v: 0.5 * (v ** 2).sum(-1), C1=1.0, C2=1.0, C3=np.nan)
 
 
 @pytest.mark.parametrize("L, grid, violations, flags", [
@@ -106,7 +108,8 @@ WELL = M.quadratic_kinetic(potential=lambda p: -np.exp(-(p ** 2).sum(-1)), C3=0.
     (DRIFT, grid2d(), {"vx_bound": 144, "c3_bound": 16},
      {"energy_growth": 28, "dv_growth": 12}),
     (WELL, grid2d(), {"c3_bound": 4}, {}),
-], ids=["quartic-1d", "quartic-2d", "drift-1d", "drift-2d", "well-2d"])
+    (NAN_C3, grid1d(), {"c3_bound": 9}, {"energy_growth": 63}),
+], ids=["quartic-1d", "quartic-2d", "drift-1d", "drift-2d", "well-2d", "nan-c3-1d"])
 def test_tonelli_report_kinds(L, grid, violations, flags):
     rep = M.check_strict_tonelli(L, grid)
     assert not rep.passed
@@ -204,6 +207,13 @@ def test_confinement_gap_violation_raises(ri1):
                                     (-1.0,), (1.0,), 10.0, 0.86)
     with pytest.raises(errors.GapViolated):
         M.check_F4_gap(inflated, ri1.L, ri1.grid, M.default_probes(inflated, ri1.grid))
+
+
+def test_confinement_gap_fails_a_nan_delta0(ri1):
+    c = ri1.coupling
+    nan_gap = M.Coupling(c.values, c.K0_lo, c.K0_hi, float("nan"), c.lip2)
+    with pytest.raises(errors.GapViolated):
+        M.check_F4_gap(nan_gap, ri1.L, ri1.grid, M.default_probes(nan_gap, ri1.grid))
 
 
 def test_common_minimizer_reference_instance(ri1):

@@ -28,7 +28,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import sparse
 from scipy.optimize import linprog
@@ -448,8 +448,20 @@ def _read(path):
         return fh.read()
 
 
+class Draws:
+    """Stands in for st.data() in an @example: each draw returns the next value given."""
+
+    def __init__(self, *values):
+        self.values = iter(values)
+
+    def draw(self, strategy):
+        return next(self.values)
+
+
 @SETTINGS
 @given(data=st.data(), grid=grids())
+@example(data=Draws([0.0, 0.5, 1.0], [1.0, 2.0, 3.0], [0.0, -1.0, SUPPORT_EPS], [0.5, 0.0, 0.5]),
+         grid=M.GridSpec(0.0, 1.0, 3, 0.5, 1.0, 3))  # a path row with no node in the support
 def test_csv_writers_match_the_csv_writer_reference(data, grid):
     n = grid.n_points
     times = np.array(data.draw(st.lists(any_float, min_size=1, max_size=3)))
