@@ -187,16 +187,14 @@ def _run_verify(params, inst):
 def _run_ergodic(params, inst):
     g = inst.grid
     check_standing_assumptions(inst.L, inst.coupling, g)
-    sol = solve_ergodic(inst.L, inst.coupling, g, tol=params.get("tol", 1e-6))
+    sol = solve_ergodic(inst.L, inst.coupling, g)
 
     measured = {
         "lambda": sol.lam,
         "mather_node": sol.mather_node,
         "mather_x": g.points[sol.mather_node].tolist(),
-        "horizon_used": sol.horizon_used,
         "weak_kam_steps": sol.weak_kam_steps,
         "weak_kam_residual": sol.weak_kam_residual,
-        "policy_evaluations": sol.policy_evaluations,
         "evaluation_sweeps": sol.evaluation_sweeps,
         "residuals": {k: float(v) for k, v in sol.residuals.items()},
     }
@@ -234,7 +232,7 @@ def _run_converge(params, inst):
     if len(set(T_list)) < 2:  # a rate needs two horizons
         raise ValueError(f"converge needs at least two distinct horizons, got {T_list!r}")
     check_standing_assumptions(inst.L, inst.coupling, inst.grid, inst.m0)
-    erg = solve_ergodic(inst.L, inst.coupling, inst.grid)  # --tol is the best-response gap
+    erg = solve_ergodic(inst.L, inst.coupling, inst.grid)
     tol = params.get("tol", 1e-4)
     sols = {T: solve_finite_horizon(inst.L, inst.coupling, inst.m0, inst.uf, inst.grid,
                                     T, tol)
@@ -285,7 +283,7 @@ def _run_converge(params, inst):
 # dx and dt; the horizon params are required and read from --T
 _COMMANDS = {
     "verify": (_run_verify, "run the assumption checks", ()),
-    "ergodic": (_run_ergodic, "solve the stationary system", ("tol",)),
+    "ergodic": (_run_ergodic, "solve the stationary system", ()),
     "horizon": (_run_horizon, "solve the finite-horizon system", ("T", "tol")),
     "converge": (_run_converge, "long-time convergence study", ("T_list", "tol", "R")),
 }

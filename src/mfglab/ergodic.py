@@ -7,7 +7,9 @@ fixed point of  m -> Dirac at the minimizer of L_m(., 0),  and the corrected
 value function is a weak-KAM solution of the frozen problem: on the grid, a
 fixed point w = T w of its one-step Bellman map T (Gomes, "Viscosity solution
 methods and the discrete Aubry-Mather problem", DCDS-A 2005; Fathi & Maderna,
-NoDEA 2007).
+NoDEA 2007).  Howard's policy iteration finds it, with no horizon and no
+tolerance: it stops when T picks the policy it evaluated, and w is then a
+fixed point of T within a few ulps of max |w|.
 """
 
 from __future__ import annotations
@@ -18,12 +20,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CycleDetected, MinOnBoundary, NoStabilization, NotReversible
-from .hjb import BellmanStep, solve_backward
+from .hjb import BellmanStep
+from .hjb import solve_backward  # noqa: F401  (bench/tracer.py wraps it here)
 from .measure import GridMeasure, wasserstein1
 from .model import ARGMIN_TOL, cell_corners, rest_landscape
 
 MAX_DIRAC_ITERS = 25  # steps of the Dirac iteration before it counts as a cycle
-HORIZON_CAP = 128.0  # weak-KAM: ceil(HORIZON_CAP / dt) Bellman steps at most, as many sweeps
 
 
 def _boundary_mask(grid):
@@ -72,11 +74,10 @@ def mather_point(L, coupling, grid, m):
 
 @dataclass
 class ErgodicSolution:
-    """Stationary pair; u_bar is 0 at the Mather node.  The weak-KAM loop took
-    weak_kam_steps Bellman steps (horizon_used = weak_kam_steps * dt),
-    policy_evaluations frozen-policy evaluations of evaluation_sweeps sweeps
-    in all, and weak_kam_s seconds, and ended at residual
-    ||T w - w||_inf = weak_kam_residual."""
+    """Stationary pair; u_bar is 0 at the Mather node.  Policy iteration
+    evaluated weak_kam_steps policies in evaluation_sweeps sweeps in all and
+    weak_kam_s seconds, and ended at residual ||T w - w||_inf =
+    weak_kam_residual."""
 
     grid: object
     lam: float
@@ -84,12 +85,10 @@ class ErgodicSolution:
     m_bar: GridMeasure
     mather_node: int
     iterations: int
-    horizon_used: float
     residuals: dict
     weak_kam_steps: int
     weak_kam_residual: float
     weak_kam_s: float
-    policy_evaluations: int
     evaluation_sweeps: int
 
 
@@ -106,83 +105,71 @@ def policy_transition(step, jstar):
     return step.dtL[np.arange(grid.n_points), jstar], np.array(idx), np.array(weights)
 
 
-def is_proper(idx, weights, node):
-    """Whether the policy chain (idx, weights) stops at node and every node reaches it.
-
-    node must move only to itself, and every other node must reach it along
-    corners of positive weight.  Only then is the evaluation of the policy a
-    stochastic shortest-path problem with a unique solution (Bertsekas &
-    Tsitsiklis, Math. Oper. Res. 1991); v = 0 everywhere, the policy of
-    w = 0, stays put and is not proper.
-    """
-    moves = weights > 0
-    if not (idx[moves[:, node], node] == node).all():
-        return False
-    reached = np.zeros(idx.shape[1], dtype=bool)
-    reached[node] = True
-    while True:
-        grown = (reached[idx] & moves).any(axis=0)
-        grown[node] = True
-        if np.array_equal(grown, reached):
-            return bool(reached.all())
-        reached = grown
-
-
-def weak_kam_solution(L, coupling, grid, m_bar, lam, tol=1e-6, step=None, counts=None):
+def weak_kam_solution(L, coupling, grid, m_bar, lam, step=None, counts=None):
     """Fixed point w = T w of the one-step Bellman map of L + F(., m_bar) + lam.
 
-    Modified policy iteration (Howard, Dynamic Programming and Markov
-    Processes, 1960; Puterman & Shin, Management Science 1978): from w = 0,
-    Bellman steps w <- T w (step, the BellmanStep of L on grid, built here
-    when None; w_n is the value at time -n dt).  When two consecutive steps
-    pick the same velocity per node and that policy is proper (is_proper,
-    toward the Mather node of m_bar), the policy is frozen and evaluated by
-    Jacobi sweeps w <- dt L(x, v_j) + Interp[w](x + dt v_j) + dt F, until a
-    sweep leaves w bitwise unchanged or after ceil(HORIZON_CAP / dt) sweeps;
-    each policy is evaluated at most once.  The Bellman steps run until
-    ||T w - w||_inf is exactly 0, or ceil(HORIZON_CAP / dt) steps, so w is a
-    bitwise fixed point of T.  A residual <= tol is no stop: on RI-1 the
-    value iterate at that residual is still 2.2e-5 from the fixed point.  A
-    last residual above tol raises NoStabilization.  Returns
+    Howard's policy iteration (Dynamic Programming and Markov Processes,
+    1960; Bertsekas & Tsitsiklis, Math. Oper. Res. 1991) with step, the
+    BellmanStep of L on grid (built here when None).  The first policy takes,
+    axis by axis, the velocity whose departure x + dt v lies nearest the
+    Mather node of m_bar.  A policy is evaluated by sweeps over its
+    policy_transition stencil with the self-loop solved,
+    w_i <- (dt L_i + dt F_i + sum_{j != i} p_ij w_j) / (1 - p_ii), from the
+    last w, until a sweep leaves w bitwise unchanged or after N sweeps (N
+    the node count); w
+    stays 0 where the rest cost L(x, 0) + F(x, m_bar) + lam is within
+    ARGMIN_TOL of 0.  On a policy without cycles this is one ordered pass,
+    a sweep per level.  One Bellman step improves the policy, and the loop
+    ends when it returns the policy it was given; the velocity edge is
+    checked on that policy only.  Raises NoStabilization when lam is not
+    the critical value (a rest cost below -ARGMIN_TOL, or above it at the
+    Mather node), when w is not finite, or after N policies.  Returns
     (w, steps * dt, steps, residual), w not normalized, steps counting
-    Bellman steps; counts, when given, receives "policy_evaluations" and
+    policies and residual ||T w - w||_inf; counts, when given, receives
     "evaluation_sweeps".
     """
     Fbar = coupling.values_on(grid, m_bar) + lam
     step = BellmanStep(L, grid) if step is None else step
-    dtF = grid.dt * Fbar
     node = int(m_bar.support()[0])
-    cap = int(np.ceil(HORIZON_CAP / grid.dt))
-    tried, policy, evaluations, sweeps = set(), None, 0, 0
-    w = np.zeros(grid.n_points)
-    for steps in range(1, cap + 1):
-        w_new, jstar = step(w, Fbar, -steps * grid.dt)
-        residual = float(np.abs(w_new - w).max())
-        w = w_new
-        if residual == 0.0:
+    rest = rest_landscape(L, coupling, grid, m_bar) + lam
+    if rest.min() < -ARGMIN_TOL or rest[node] > ARGMIN_TOL:
+        raise NoStabilization(f"lambda={lam!r} is not the critical value: the rest cost "
+                              f"L(x, 0) + F(x, m) + lambda reaches {rest.min():.6g}, and "
+                              f"is {rest[node]:.6g} at the Mather node")
+    free = np.abs(rest) > ARGMIN_TOL  # w = 0 on the other nodes
+    nearest = [np.abs(grid.points[:, d, None] + grid.dt * grid.v_axis
+                      - grid.points[node, d]).argmin(axis=1) for d in range(grid.dim)]
+    policy = np.ravel_multi_index(nearest, (grid.v_nodes,) * grid.dim)
+    w, sweeps = np.zeros(grid.n_points), 0
+    for steps in range(1, grid.n_points + 1):
+        cost, idx, weights = policy_transition(step, policy)
+        loop = idx == np.arange(grid.n_points)
+        cost = np.where(free, cost + grid.dt * Fbar, 0.0)
+        stay = np.where(free, 1.0 - (weights * loop).sum(axis=0), 1.0)
+        weights = np.where(free & ~loop, weights, 0.0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for _ in range(grid.n_points):
+                sweeps += 1
+                w_new = ((weights * w[idx]).sum(axis=0) + cost) / stay
+                if np.array_equal(w_new, w):
+                    break
+                w = w_new
+        if not np.isfinite(w).all():
+            raise NoStabilization(f"weak-KAM: policy {steps} has a non-finite value")
+        Tw, jstar = step(w, Fbar, 0.0, check_boundary=False)
+        if np.array_equal(jstar, policy):
             break
-        if np.array_equal(jstar, policy) and jstar.tobytes() not in tried:
-            tried.add(jstar.tobytes())
-            cost, idx, weights = policy_transition(step, jstar)
-            if is_proper(idx, weights, node):
-                evaluations += 1
-                for _ in range(cap):
-                    sweeps += 1
-                    w_new = ((weights * w[idx]).sum(axis=0) + cost) + dtF
-                    if np.array_equal(w_new, w):
-                        break
-                    w = w_new
         policy = jstar
+    else:
+        raise NoStabilization(f"weak-KAM: the policy still changed after {steps} policies")
+    step.check_edge(policy, 0.0)
     if counts is not None:
-        counts.update(policy_evaluations=evaluations, evaluation_sweeps=sweeps)
-    if not residual <= tol:  # also a nan residual
-        raise NoStabilization(f"weak-KAM residual {residual:.6g} above tol={tol} "
-                              f"after {steps} steps (horizon {HORIZON_CAP})")
-    return w, steps * grid.dt, steps, residual
+        counts.update(evaluation_sweeps=sweeps)
+    return w, steps * grid.dt, steps, float(np.abs(Tw - w).max())
 
 
-def solve_ergodic(L, coupling, grid, m_start=None, tol=1e-6):
-    """Fixed point of m -> Dirac at the Mather point, then the weak-KAM limit.
+def solve_ergodic(L, coupling, grid, m_start=None):
+    """Fixed point of m -> Dirac at the Mather point, then the weak-KAM solution.
 
     From m_start (uniform on K0 by default) the Dirac iteration steps
     m <- Dirac at mather_point(m) and stops when mather_point returns the
@@ -205,15 +192,15 @@ def solve_ergodic(L, coupling, grid, m_start=None, tol=1e-6):
         raise CycleDetected("Dirac iteration cycled; no stationary node found")
 
     lam = critical_value(L, coupling, grid, m)
-    step = BellmanStep(L, grid)  # once: the weak-KAM loop and the stationarity check
+    step = BellmanStep(L, grid)  # once: policy iteration and the stationarity check
     counts = {}
     t0 = time.perf_counter()
-    u_bar, horizon, steps, residual = weak_kam_solution(L, coupling, grid, m, lam,
-                                                        tol=tol, step=step, counts=counts)
+    u_bar, _, steps, residual = weak_kam_solution(L, coupling, grid, m, lam,
+                                                  step=step, counts=counts)
     seconds = time.perf_counter() - t0
     u_bar = u_bar - u_bar[node]
     residuals = {"second_equation": verify_second_equation(step, coupling, m, u_bar)}
-    return ErgodicSolution(grid, lam, u_bar, m, node, iters, horizon, residuals,
+    return ErgodicSolution(grid, lam, u_bar, m, node, iters, residuals,
                            steps, residual, seconds, **counts)
 
 
@@ -223,15 +210,14 @@ def verify_second_equation(step, coupling, m_bar, u_bar):
     For atomic m_bar the continuity equation reduces to
     <D f(x*), v*(x*)> = 0 for smooth test functions f; the residual is the
     max over a fixed gradient dictionary using, at the support nodes, the
-    feedback of one backward step of the frozen problem from u_bar (step is
+    feedback of one Bellman step of the frozen problem from u_bar (step is
     the BellmanStep of its Lagrangian on m_bar's grid).
     """
     grid = step.grid
     test_gradients = ([[1.0], [-0.7], [2.3]] if grid.dim == 1
                       else [[1.0, 0.0], [0.0, 1.0], [0.7, -0.7]])
-    feedback = solve_backward(step, coupling.values_on(grid, m_bar), u_bar, grid.dt,
-                              check_boundary=False).feedback[0]
-    v = feedback[m_bar.support()]
+    jstar = step(u_bar, coupling.values_on(grid, m_bar), 0.0, check_boundary=False)[1]
+    v = grid.velocities[jstar[m_bar.support()]]
     return float(np.abs(v @ np.transpose(test_gradients)).max())
 
 

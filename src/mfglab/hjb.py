@@ -167,7 +167,8 @@ class BellmanStep:
     step(u, F, t) -> (T u, argmin velocity indices), where
     T u = min over grid velocities v of dt L(x, v) + Interp[u](x + dt v), plus
     dt F (module docstring); ties go to the lowest index.  With check_boundary
-    a minimizer on the velocity-grid edge raises MinimizerOnBoundary at time t.
+    a minimizer on the velocity-grid edge raises MinimizerOnBoundary at time t
+    (check_edge).
     Building it evaluates dtL, the (N, nV) table of dt L(x, v), and allocates
     the departure buffers every call reuses.
     """
@@ -186,10 +187,14 @@ class BellmanStep:
         cand += self.dtL
         jstar = cand.argmin(axis=1)
         if check_boundary:
-            bad = self._edge[jstar]
-            if bad.any():
-                raise MinimizerOnBoundary(t, self.grid.points[bad.argmax()])
+            self.check_edge(jstar, t)
         return cand[self._rows, jstar] + self.grid.dt * F, jstar
+
+    def check_edge(self, jstar, t):
+        """MinimizerOnBoundary at time t if jstar picks a velocity on the grid edge."""
+        bad = self._edge[jstar]
+        if bad.any():
+            raise MinimizerOnBoundary(t, self.grid.points[bad.argmax()])
 
 
 def solve_backward(step, F_path, uf, T, check_boundary=True):

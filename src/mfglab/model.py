@@ -45,8 +45,10 @@ class GridSpec:
     so that v = 0 is representable, and an instance document must give an
     odd count.  points (N, n) and velocities (nV, n) are row-major tensor
     grids: a point or a velocity is a row of n coordinates, also when n = 1.
-    A grid whose solves would allocate an array over MAX_TABLE_CELLS raises
-    ValueError before any grid array is built.
+    A grid whose solves would allocate an array over MAX_TABLE_CELLS, or
+    whose smallest nonzero departure step dt * 2 v_max / (v_nodes - 1) adds
+    nothing to a box-edge coordinate in floating point, raises ValueError
+    before any grid array is built.
     """
 
     def __init__(self, lo, hi, nodes, dt, v_max, v_nodes):
@@ -74,6 +76,12 @@ class GridSpec:
         self.v_nodes = int(v_nodes)
         self.dx = tuple((b - a) / (n - 1) for a, b, n in zip(lo_t, hi_t, nodes_t))
         self.n_points = math.prod(nodes_t)
+        shift = self.dt * 2 * self.v_max / (self.v_nodes - 1)  # the smallest nonzero dt |v|
+        edges = [max(abs(a), abs(b)) for a, b in zip(lo_t, hi_t)]
+        if any(e + shift == e for e in edges):
+            raise ValueError(f"grid: a departure step dt * 2 v_max / (v_nodes - 1) = "
+                             f"{shift:g} is lost to rounding at the box edge (dt={self.dt:g}, "
+                             f"v_max={self.v_max:g}, v_nodes={self.v_nodes})")
         self._check_budget()
         self.axes = tuple(
             np.linspace(a, b, n) for a, b, n in zip(lo_t, hi_t, nodes_t)

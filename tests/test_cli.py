@@ -12,11 +12,11 @@ import tracemalloc
 
 import pytest
 import scipy.optimize
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import OptimizeResult
 
-from mfglab import cli, ergodic, mfg
+from mfglab import cli, mfg
 from mfglab.cli import main
 from mfglab.errors import Mismatch
 from mfglab.instances import BUILTIN
@@ -81,15 +81,35 @@ def test_ergodic_run_and_manifest(tmp_path):
     assert man["measured"]["lambda"] == pytest.approx(1.2384058440442351, abs=1e-12)
     assert man["measured"]["mather_x"] == [0.0]
     measured = man["measured"]
-    assert measured["weak_kam_residual"] == 0.0
-    assert measured["horizon_used"] == measured["weak_kam_steps"] * 0.02
-    assert measured["policy_evaluations"] == 1 and measured["evaluation_sweeps"] > 0
+    assert sorted(measured) == ["evaluation_sweeps", "lambda", "mather_node", "mather_x",
+                                "residuals", "weak_kam_residual", "weak_kam_steps"]
+    assert measured["weak_kam_residual"] <= 16 * math.ulp(5.3)  # 16 ulps of max |ubar|
+    assert measured["evaluation_sweeps"] >= measured["weak_kam_steps"] > 0
     assert isinstance(man["timings"]["weak_kam_s"], float)
 
 
 def test_ergodic_runs_at_a_dt_that_does_not_divide_one(tmp_path):
     assert run(["ergodic", "--instance", "RI-1", "--dt", "0.015",
                 "--out", str(tmp_path / "erg")]) == 0
+
+
+@pytest.mark.parametrize("dt", ["0.005", "0.001"])
+def test_ergodic_runs_at_a_small_dt(dt):
+    # value iteration passed through an edge velocity on its way to ubar
+    assert run(["ergodic", "--instance", "RI-1", "--dx", "0.1", "--dt", dt]) == 0
+
+
+def test_ergodic_runs_with_the_origin_off_the_grid(tmp_path):
+    # the rest landscape has two tied minima, at the nodes -0.1 and 0.1
+    doc = json.loads(json.dumps(BUILTIN["RI-1"]))
+    doc["grid"].update(lo=-3.5, hi=3.5, dx=0.2, dt=0.078)
+    cfg_path = tmp_path / "off.json"
+    cfg_path.write_text(json.dumps(doc))
+    out = str(tmp_path / "erg")
+    assert run(["ergodic", "--config", str(cfg_path), "--out", out]) == 0
+    with open(os.path.join(out, "ubar.csv")) as fh:
+        top = max(abs(float(line.split(",")[-1])) for line in list(fh)[1:])
+    assert manifest_of(out)["measured"]["weak_kam_residual"] <= 16 * math.ulp(top)
 
 
 def test_manifest_is_canonical_json(tmp_path):
@@ -304,15 +324,6 @@ def test_converge_checks_the_standing_assumptions_once(monkeypatch):
     assert len(calls) == 1
 
 
-@pytest.mark.parametrize("tol", ["1e-2", "0.1"])
-def test_converge_tol_does_not_loosen_the_stationary_solve(monkeypatch, tol):
-    # capped at 100 steps on this grid, the weak-KAM residual stops at 0.0495: above
-    # the ergodic default 1e-6, so converge exits 3 whatever its best-response --tol
-    monkeypatch.setattr(ergodic, "HORIZON_CAP", 4.0)
-    assert run(["converge", "--instance", "RI-1", "--T", "2,4",
-                "--dx", "0.04", "--dt", "0.04", "--tol", tol]) == 3
-
-
 def test_converge_run_and_thread_determinism(tmp_path):
     a = str(tmp_path / "a")
     b = str(tmp_path / "b")
@@ -484,8 +495,10 @@ def test_bad_instance_document_is_config_error(tmp_path, capsys, section, patch,
     (["horizon", "--T", "2", "--dt", "nan"], "dt=nan"),
     (["horizon", "--T", "2", "--tol", "nan"], "got nan"),
     (["horizon", "--T", "2", "--tol", "-1"], "got -1.0"),
-    (["ergodic", "--tol", "nan"], "got nan"),
-    (["ergodic", "--tol", "inf"], "got inf"),
+    (["converge", "--T", "2,4", "--tol", "nan"], "got nan"),
+    (["horizon", "--T", "2", "--tol", "inf"], "got inf"),
+    # the smallest nonzero departure step, dt / 20, is lost to rounding at x = 4
+    (["ergodic", "--dt", "1e-300"], "(dt=1e-300, v_max=4, v_nodes=161)"),
 ])
 def test_bad_number_flag_is_config_error(tmp_path, capsys, args, value):
     assert run([*args, "--instance", "RI-1", "--out", str(tmp_path / "x")]) == 4
@@ -560,21 +573,21 @@ def test_failed_transport_lp_is_solver_failure(tmp_path, capsys, monkeypatch):
 
 
 # SHA-256 of every CSV these runs write, recorded from the 0.1.0 solver; the
-# bytes are the same with one or two BLAS threads.  The RI-1 ergodic pair was
-# recorded from the weak-KAM loop by modified policy iteration: its ubar.csv
-# differs in last digits from the one plain value iteration wrote
+# bytes are the same with one or two BLAS threads.  The two ergodic pairs were
+# recorded from the weak-KAM solve by Howard's policy iteration: their ubar.csv
+# differs in last digits from the one value iteration wrote
 PINNED_CSV = [
     (["horizon", "--instance", "RI-1", "--dx", "0.04", "--dt", "0.04", "--T", "2"], {
         "u.csv": "84f95ec205861430ebac5d9f9881a064da84b07ba8db72f4531cacb0facc958a",
         "mpath.csv": "ace85ed67dc04587226cda68753d55c7f6f4afc06e91bd1b70c884a8733f6c77"}),
     (["ergodic", "--config", RI2], {
-        "ubar.csv": "e1693d489dcf0cb2df51f13b7cdceb7f4e4869497bbf3a3c033d237c20692f55",
+        "ubar.csv": "c37cc372b99320746efe366027d3502a232d33da3cb96ea21b1eba0398c7bf39",
         "mbar.csv": "96259e563b5402aecbb39214b343a8f2ac1b3c827a3a08d60caa860f45a567c3"}),
     (["horizon", "--config", RI2, "--T", "2", "--tol", "5e-4"], {
         "u.csv": "cddc9ae87a504ad43128cfa6602295f7d3163b176004bbcbb407166271f90ed7",
         "mpath.csv": "4e91fb171d413d7aa8a6134473c6aae301aaeaed3ede8fa1253f2ecc84a39fc8"}),
     (["ergodic", "--instance", "RI-1", "--dx", "0.04", "--dt", "0.04"], {
-        "ubar.csv": "3231bf608d505b4d77551c728e55f00cc617b678a32a9f15ad8865e680ad307a",
+        "ubar.csv": "e7000250a705e4c62cee0556645807968a234ce8966ea47b1627a6cf45ff0604",
         "mbar.csv": "8a2745d877f31e92b6f52153e9ff01b264be0dbec506074cb23695a4d7df9619"}),
 ]
 
@@ -599,11 +612,6 @@ def test_a_profile_works_in_either_dimension(tmp_path):
     args, digests = PINNED_CSV[1]
     assert args == ["ergodic", "--config", RI2]
     assert {name: cli._sha256(os.path.join(out, name)) for name in digests} == digests
-
-
-def test_zero_tolerance_is_accepted(tmp_path):
-    assert run(["ergodic", "--instance", "RI-1", "--tol", "0",
-                "--out", str(tmp_path / "erg")]) == 0
 
 
 def test_ergodic_2d_writes_and_reproduces(tmp_path):
@@ -752,7 +760,7 @@ def test_a_far_dirac_point_starts_at_the_edge_node(tmp_path):
 # in a documented exit code
 
 MISSING = object()
-FUZZ_VALUES = [MISSING, "x", [1.0], {}, True, None, 0, -1, 1e308,
+FUZZ_VALUES = [MISSING, "x", [1.0], {}, True, None, 0, -1, 1e308, 1e-300,
                math.nan, math.inf, -math.inf]
 FUZZ_DOCS = {"RI-1": {**BUILTIN["RI-1"],
                       "grid": {**BUILTIN["RI-1"]["grid"], "dx": 0.1, "dt": 0.1,
@@ -774,6 +782,7 @@ assert FUZZ_KEYS == sorted(_key_paths(FUZZ_DOCS["ri2"]))
 
 
 @settings(max_examples=300, deadline=None)
+@example(doc_name="RI-1", command="ergodic", target="dt", value=1e-300)
 @given(doc_name=st.sampled_from(sorted(FUZZ_DOCS)),
        command=st.sampled_from(["verify", "ergodic", "horizon"]),
        target=st.sampled_from(FUZZ_KEYS + ["dx", "dt", "tol", "R", "T"]),

@@ -6,7 +6,7 @@ point is the Dirac at the origin, so lambda = -min_x G(-1) f(x) = 2 - tanh(1)
 exactly, and the corrected value function solves (u')^2 / 2 = lambda (1 - e^{-x^2}),
 which integrates to u(x) = int_0^x sqrt(2 lambda (1 - e^{-s^2})) ds.
 
-The weak-KAM solve runs modified policy iteration; value_iteration, the
+The weak-KAM solve runs Howard's policy iteration; value_iteration, the
 plain w <- T w from 0, is its reference.
 """
 
@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 import mfglab as M
-from mfglab import ergodic, errors
+from mfglab import errors
 from mfglab.instances import BUILTIN
 
 RI2 = os.path.join(os.path.dirname(__file__), "..", "bench", "ri2.json")
@@ -37,11 +37,11 @@ def ubar_oracle(x):
 
 def value_iteration(L, coupling, grid, m_bar, lam):
     """w <- T w from w = 0 until ||T w - w||_inf is exactly 0, or
-    ceil(HORIZON_CAP / dt) steps: (w, steps, last residual)."""
+    ceil(128 / dt) steps: (w, steps, last residual)."""
     Fbar = coupling.values_on(grid, m_bar) + lam
     step = M.BellmanStep(L, grid)
     w = np.zeros(grid.n_points)
-    for steps in range(1, int(np.ceil(ergodic.HORIZON_CAP / grid.dt)) + 1):
+    for steps in range(1, int(np.ceil(128.0 / grid.dt)) + 1):
         w_new = step(w, Fbar, -steps * grid.dt)[0]
         residual = float(np.abs(w_new - w).max())
         w = w_new
@@ -82,64 +82,44 @@ def test_residuals_vanish(ri1, ergodic_sol):
     assert sol.residuals["second_equation"] <= 1e-10
 
 
+def bellman_residual(inst, sol, w):
+    """||T w - w||_inf and the bound it must meet, 16 ulps of max |w|."""
+    F = inst.coupling.values_on(inst.grid, sol.m_bar) + sol.lam
+    Tw = M.BellmanStep(inst.L, inst.grid)(w, F, 0.0)[0]
+    return float(np.abs(Tw - w).max()), 16 * np.spacing(np.abs(w).max())
+
+
 def test_weak_kam_stops_at_a_bitwise_fixed_point(ri1, ergodic_sol):
+    # the policy repeats bit for bit; w is a fixed point of T within a few ulps
     sol, _ = ergodic_sol
     g = ri1.grid
     w, horizon, steps, residual = M.weak_kam_solution(ri1.L, ri1.coupling, g,
                                                       sol.m_bar, sol.lam)
-    F = ri1.coupling.values_on(g, sol.m_bar) + sol.lam
-    step = M.BellmanStep(ri1.L, g)
-    assert np.array_equal(M.solve_backward(step, F, w, g.dt).values[0], w)
-    assert residual == sol.weak_kam_residual == 0.0
-    assert horizon == steps * g.dt == sol.horizon_used
+    got, bound = bellman_residual(ri1, sol, w)
+    assert residual == sol.weak_kam_residual == got <= bound
+    assert horizon == steps * g.dt
     assert steps == sol.weak_kam_steps
     assert np.array_equal(w - w[sol.mather_node], sol.u_bar)
     assert sol.weak_kam_s >= 0.0
-
-
-def is_fixed_point(inst, sol, w):
-    F = inst.coupling.values_on(inst.grid, sol.m_bar) + sol.lam
-    return np.array_equal(M.BellmanStep(inst.L, inst.grid)(w, F, 0.0)[0], w)
 
 
 def test_weak_kam_is_value_iteration_on_ri2():
     inst = M.load_instance(RI2)
     sol = M.solve_ergodic(inst.L, inst.coupling, inst.grid)
     w, _, steps, _ = M.weak_kam_solution(inst.L, inst.coupling, inst.grid, sol.m_bar, sol.lam)
-    w_vi, steps_vi, _ = value_iteration(inst.L, inst.coupling, inst.grid, sol.m_bar, sol.lam)
-    assert np.array_equal(w, w_vi)
-    assert sol.policy_evaluations == 1 and sol.evaluation_sweeps > 0
-    assert steps == sol.weak_kam_steps <= steps_vi // 2
-
-
-def test_improper_policies_take_the_bellman_path(ri1_coarse, monkeypatch):
-    inst = ri1_coarse
-    sol = M.solve_ergodic(inst.L, inst.coupling, inst.grid)
-    assert sol.policy_evaluations == 1
-    monkeypatch.setattr(ergodic, "is_proper", lambda idx, weights, node: False)
-    counts = {}
-    w, _, steps, residual = M.weak_kam_solution(inst.L, inst.coupling, inst.grid, sol.m_bar,
-                                                sol.lam, counts=counts)
-    w_vi, steps_vi, residual_vi = value_iteration(inst.L, inst.coupling, inst.grid,
-                                                  sol.m_bar, sol.lam)
-    assert np.array_equal(w, w_vi) and steps == steps_vi and residual == residual_vi == 0.0
-    assert counts == {"policy_evaluations": 0, "evaluation_sweeps": 0}
-
-
-def test_zero_velocity_policy_is_not_proper(ri1_coarse):
-    g = ri1_coarse.grid
-    step = M.BellmanStep(ri1_coarse.L, g)
-    rest = np.flatnonzero((g.velocities == 0.0).all(axis=1))[0]
-    _, idx, weights = ergodic.policy_transition(step, np.full(g.n_points, rest))
-    assert not ergodic.is_proper(idx, weights, g.nearest_node(0.0))
+    w_vi, _, _ = value_iteration(inst.L, inst.coupling, inst.grid, sol.m_bar, sol.lam)
+    assert np.abs(w - w_vi).max() <= 1e-14 * np.abs(w_vi).max()
+    assert steps == sol.weak_kam_steps and sol.evaluation_sweeps > 0
 
 
 @st.composite
 def mutated_instances(draw):
     """RI-1 or bench/ri2.json on another grid.
 
-    The origin stays a node, dt stays near dx and the velocity step at most
-    0.5, as in both documents.
+    dt stays near dx and the velocity step at most 0.5, as in both
+    documents.  The origin is a node, or in about 30% of draws it lies
+    halfway between two nodes per axis, so the rest landscape has 2^n tied
+    minima.
     """
     if draw(st.booleans()):
         doc = json.loads(json.dumps(BUILTIN["RI-1"]))
@@ -148,7 +128,7 @@ def mutated_instances(draw):
         with open(RI2) as fh:
             doc = json.load(fh)
         dim, dx, half, most = 2, draw(st.floats(0.25, 0.6)), draw(st.floats(2.0, 3.0)), 12
-    half = dx * round(half / dx)
+    half = dx * (round(half / dx) + 0.5 * (draw(st.integers(0, 9)) < 3))
     v_max = draw(st.floats(3.0, 5.0))
     doc["grid"].update(lo=[-half] * dim, hi=[half] * dim, dx=dx,
                        dt=dx * draw(st.floats(0.5, 1.5)), v_max=v_max,
@@ -159,16 +139,15 @@ def mutated_instances(draw):
 @settings(max_examples=30, deadline=None)
 @given(inst=mutated_instances())
 def test_weak_kam_is_a_fixed_point_within_rounding_of_value_iteration(inst):
-    # where value iteration reaches a bitwise fixed point; on about 4% of these
-    # grids it flips a last bit until the cap instead, and so does the solve
     sol = M.solve_ergodic(inst.L, inst.coupling, inst.grid)
     args = (inst.L, inst.coupling, inst.grid, sol.m_bar, sol.lam)
+    w, _, _, residual = M.weak_kam_solution(*args)
+    got, bound = bellman_residual(inst, sol, w)
+    assert residual == got <= bound
+    # against value iteration where it reaches a bitwise fixed point: on about
+    # 96% of these grids with the origin a node and 55% with it off the grid
     w_vi, _, residual_vi = value_iteration(*args)
     assume(residual_vi == 0.0)
-    w, _, _, residual = M.weak_kam_solution(*args)
-    assert residual == 0.0 and is_fixed_point(inst, sol, w)
-    # T has more than one bitwise fixed point; over 964 generated grids the two
-    # were at most 9.8e-15 apart (8.8 ulps of max |w|)
     assert np.abs(w - w_vi).max() <= 1e-14 * np.abs(w_vi).max()
 
 
@@ -255,22 +234,8 @@ def test_cycle_detected_for_flip_flop_well(ri1):
                         m_start=M.GridMeasure.dirac(g, 0.5))
 
 
-def test_weak_kam_needs_enough_horizon(ri1, ergodic_sol, monkeypatch):
+def test_weak_kam_rejects_wrong_multiplier(ri1, ergodic_sol):
     sol, _ = ergodic_sol
-    monkeypatch.setattr(ergodic, "HORIZON_CAP", 1.0)
-    with pytest.raises(errors.NoStabilization):
-        M.weak_kam_solution(ri1.L, ri1.coupling, ri1.grid, sol.m_bar, sol.lam)
-    # a capped run whose last residual is within tol returns that iterate
-    monkeypatch.setattr(ergodic, "HORIZON_CAP", 8.0)
-    w, horizon, steps, residual = M.weak_kam_solution(ri1.L, ri1.coupling, ri1.grid,
-                                                      sol.m_bar, sol.lam)
-    assert steps == np.ceil(8.0 / ri1.grid.dt)
-    assert 0.0 < residual <= 1e-6
-
-
-def test_weak_kam_rejects_wrong_multiplier(ri1, ergodic_sol, monkeypatch):
-    sol, _ = ergodic_sol
-    monkeypatch.setattr(ergodic, "HORIZON_CAP", 16.0)
     with pytest.raises((errors.NoStabilization, errors.AssumptionFailure, ValueError)):
         M.weak_kam_solution(ri1.L, ri1.coupling, ri1.grid, sol.m_bar,
                             sol.lam - 0.5)

@@ -335,6 +335,16 @@ def test_grid_budget_admits_the_61_document_and_bounds_each_array():
             M.GridSpec(*args)
 
 
+def test_grid_rejects_a_departure_step_lost_at_the_box_edge():
+    # the smallest nonzero departure step dt * 2 v_max / (v_nodes - 1) is dt / 20
+    # here, and half an ulp of the edge coordinate 4 is 4.4e-16
+    M.GridSpec(-4.0, 4.0, 81, 1e-14, 4.0, 161)
+    for args in ((-4.0, 4.0, 81, 1e-15, 4.0, 161),
+                 ((-1.0, -1e3), (1.0, 1e3), (3, 3), 1e-12, 4.0, 161)):  # lost on axis 1 only
+        with pytest.raises(ValueError, match=re.escape(f"(dt={args[3]:g}, v_max=4, v_nodes=161)")):
+            M.GridSpec(*args)
+
+
 def test_grid_ball_and_nodes():
     g = grid1d()
     assert g.contains_ball(3.9)

@@ -472,9 +472,9 @@ def test_csv_writers_match_the_csv_writer_reference(data, grid):
     vf = M.ValueField(grid, times, values, None)
     path = M.MeasurePath(grid, times, values)
     m = M.GridMeasure(grid, values[0], validate=False)
-    sol = SimpleNamespace(lam=0.0, mather_node=0, horizon_used=1.0, weak_kam_steps=1,
-                          weak_kam_residual=0.0, weak_kam_s=0.0, policy_evaluations=0,
-                          evaluation_sweeps=0, residuals={}, u_bar=values[-1], m_bar=m)
+    sol = SimpleNamespace(lam=0.0, mather_node=0, weak_kam_steps=1, weak_kam_residual=0.0,
+                          weak_kam_s=0.0, evaluation_sweeps=0, residuals={}, u_bar=values[-1],
+                          m_bar=m)
     with mock.patch.object(cli, "solve_ergodic", lambda *a, **k: sol), \
             mock.patch.object(cli, "check_standing_assumptions", lambda *a: None):
         writers = cli._run_ergodic({}, SimpleNamespace(grid=grid, L=None, coupling=None))[0]
