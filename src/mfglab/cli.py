@@ -196,6 +196,8 @@ def _run_ergodic(params, inst):
         "weak_kam_steps": sol.weak_kam_steps,
         "weak_kam_residual": sol.weak_kam_residual,
         "evaluation_sweeps": sol.evaluation_sweeps,
+        "policy_sweeps": sol.policy_sweeps,
+        "policy_changes": sol.policy_changes,
         "residuals": {k: float(v) for k, v in sol.residuals.items()},
     }
     timings = {"weak_kam_s": round(sol.weak_kam_s, 4)}

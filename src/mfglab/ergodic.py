@@ -8,8 +8,8 @@ value function is a weak-KAM solution of the frozen problem: on the grid, a
 fixed point w = T w of its one-step Bellman map T (Gomes, "Viscosity solution
 methods and the discrete Aubry-Mather problem", DCDS-A 2005; Fathi & Maderna,
 NoDEA 2007).  Howard's policy iteration finds it, with no horizon and no
-tolerance: it stops when T picks the policy it evaluated, and w is then a
-fixed point of T within a few ulps of max |w|.
+tolerance: it stops when T improves no node of the policy it evaluated, and
+w is then a fixed point of T within a few ulps of max |w|.
 """
 
 from __future__ import annotations
@@ -20,10 +20,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CycleDetected, MinOnBoundary, NoStabilization, NotReversible
-from .hjb import BellmanStep
-from .hjb import solve_backward  # noqa: F401  (bench/tracer.py wraps it here)
+from .hjb import BellmanStep, solve_backward  # noqa: F401  (bench/tracer.py wraps the solve)
 from .measure import GridMeasure, wasserstein1
-from .model import ARGMIN_TOL, cell_corners, rest_landscape
+from .model import ARGMIN_TOL, rest_landscape
 
 MAX_DIRAC_ITERS = 25  # steps of the Dirac iteration before it counts as a cycle
 
@@ -77,7 +76,8 @@ class ErgodicSolution:
     """Stationary pair; u_bar is 0 at the Mather node.  Policy iteration
     evaluated weak_kam_steps policies in evaluation_sweeps sweeps in all and
     weak_kam_s seconds, and ended at residual ||T w - w||_inf =
-    weak_kam_residual."""
+    weak_kam_residual; per policy, policy_sweeps holds the sweeps of its
+    evaluation and policy_changes the nodes its improvement changed."""
 
     grid: object
     lam: float
@@ -90,43 +90,31 @@ class ErgodicSolution:
     weak_kam_residual: float
     weak_kam_s: float
     evaluation_sweeps: int
-
-
-def policy_transition(step, jstar):
-    """Frozen policy j: per node dt L(x, v_j) and the departure cell of x + dt v_j.
-
-    Returns (cost (N,), corner node indices (2^n, N), corner weights (2^n, N)),
-    the clamped multilinear stencil of ``model.cell_corners``.
-    """
-    grid = step.grid
-    departure = grid.points + grid.dt * grid.velocities[jstar]
-    idx, weights = zip(*((i, np.prod(w, axis=0))
-                         for i, w in cell_corners(grid, departure, clamp=True)))
-    return step.dtL[np.arange(grid.n_points), jstar], np.array(idx), np.array(weights)
+    policy_sweeps: list
+    policy_changes: list
 
 
 def weak_kam_solution(L, coupling, grid, m_bar, lam, step=None, counts=None):
     """Fixed point w = T w of the one-step Bellman map of L + F(., m_bar) + lam.
 
-    Howard's policy iteration (Dynamic Programming and Markov Processes,
-    1960; Bertsekas & Tsitsiklis, Math. Oper. Res. 1991) with step, the
-    BellmanStep of L on grid (built here when None).  The first policy takes,
-    axis by axis, the velocity whose departure x + dt v lies nearest the
-    Mather node of m_bar.  A policy is evaluated by sweeps over its
-    policy_transition stencil with the self-loop solved,
+    Howard's policy iteration (Dynamic Programming and Markov Processes, 1960;
+    Bertsekas & Tsitsiklis, Math. Oper. Res. 1991) with step, the BellmanStep
+    of L on grid (built here when None).  The first policy takes, axis by axis,
+    the velocity whose departure lies nearest the Mather node of m_bar in cells
+    (step.shifts).  A policy is evaluated on its step.transition stencil by
+    sweeps with the self-loop solved,
     w_i <- (dt L_i + dt F_i + sum_{j != i} p_ij w_j) / (1 - p_ii), from the
-    last w, until a sweep leaves w bitwise unchanged or after N sweeps (N
-    the node count); w
-    stays 0 where the rest cost L(x, 0) + F(x, m_bar) + lam is within
-    ARGMIN_TOL of 0.  On a policy without cycles this is one ordered pass,
-    a sweep per level.  One Bellman step improves the policy, and the loop
-    ends when it returns the policy it was given; the velocity edge is
-    checked on that policy only.  Raises NoStabilization when lam is not
-    the critical value (a rest cost below -ARGMIN_TOL, or above it at the
-    Mather node), when w is not finite, or after N policies.  Returns
-    (w, steps * dt, steps, residual), w not normalized, steps counting
-    policies and residual ||T w - w||_inf; counts, when given, receives
-    "evaluation_sweeps".
+    last w until a sweep leaves w bitwise unchanged or after N sweeps (N the
+    node count); w stays 0 where the rest cost L(x, 0) + F(x, m_bar) + lam is
+    within ARGMIN_TOL of 0.  One Bellman step improves the policy only where
+    T gains, (T w)_i < w_i - 4 ulps of max |w|, so that velocities tied within
+    rounding do not alternate; the loop ends when no node changes, and the
+    velocity edge is checked on that policy only.  Raises NoStabilization when
+    lam is not the critical value (a rest cost below -ARGMIN_TOL, or above it
+    at the Mather node), when w is not finite, or after N policies.  Returns
+    (w, steps * dt, steps, ||T w - w||_inf), w not normalized, steps counting
+    policies; counts, when given, receives "evaluation_sweeps" and, per
+    policy, "policy_sweeps" and "policy_changes".
     """
     Fbar = coupling.values_on(grid, m_bar) + lam
     step = BellmanStep(L, grid) if step is None else step
@@ -137,34 +125,37 @@ def weak_kam_solution(L, coupling, grid, m_bar, lam, step=None, counts=None):
                               f"L(x, 0) + F(x, m) + lambda reaches {rest.min():.6g}, and "
                               f"is {rest[node]:.6g} at the Mather node")
     free = np.abs(rest) > ARGMIN_TOL  # w = 0 on the other nodes
-    nearest = [np.abs(grid.points[:, d, None] + grid.dt * grid.v_axis
-                      - grid.points[node, d]).argmin(axis=1) for d in range(grid.dim)]
+    cells = zip(np.unravel_index(np.arange(grid.n_points), grid.nodes),
+                np.unravel_index(node, grid.nodes), step.shifts)
+    nearest = [np.abs(i[:, None] - at + m + a).argmin(axis=1) for i, at, (m, a) in cells]
     policy = np.ravel_multi_index(nearest, (grid.v_nodes,) * grid.dim)
-    w, sweeps = np.zeros(grid.n_points), 0
+    w, sweeps, changes = np.zeros(grid.n_points), [], []
     for steps in range(1, grid.n_points + 1):
-        cost, idx, weights = policy_transition(step, policy)
+        cost, idx, weights = step.transition(policy)
         loop = idx == np.arange(grid.n_points)
         cost = np.where(free, cost + grid.dt * Fbar, 0.0)
         stay = np.where(free, 1.0 - (weights * loop).sum(axis=0), 1.0)
         weights = np.where(free & ~loop, weights, 0.0)
         with np.errstate(divide="ignore", invalid="ignore"):
-            for _ in range(grid.n_points):
-                sweeps += 1
+            for sweep in range(1, grid.n_points + 1):
                 w_new = ((weights * w[idx]).sum(axis=0) + cost) / stay
                 if np.array_equal(w_new, w):
                     break
                 w = w_new
+        sweeps.append(sweep)
         if not np.isfinite(w).all():
             raise NoStabilization(f"weak-KAM: policy {steps} has a non-finite value")
         Tw, jstar = step(w, Fbar, 0.0, check_boundary=False)
-        if np.array_equal(jstar, policy):
+        jstar = np.where(Tw < w - 4 * np.spacing(np.abs(w).max()), jstar, policy)
+        changes.append(int(np.count_nonzero(jstar != policy)))
+        if not changes[-1]:
             break
         policy = jstar
     else:
         raise NoStabilization(f"weak-KAM: the policy still changed after {steps} policies")
     step.check_edge(policy, 0.0)
     if counts is not None:
-        counts.update(evaluation_sweeps=sweeps)
+        counts.update(evaluation_sweeps=sum(sweeps), policy_sweeps=sweeps, policy_changes=changes)
     return w, steps * grid.dt, steps, float(np.abs(Tw - w).max())
 
 

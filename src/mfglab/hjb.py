@@ -97,10 +97,7 @@ class ValueField:
 
     def velocity_at(self, k, pts):
         """Feedback of step k < K at (..., n) points, multilinear in space; shaped like pts."""
-        g = self.grid
-        if g.dim == 1:  # one np.interp on the one feedback column
-            return np.interp(pts[..., :1], g.axes[0], self.feedback[k, :, 0])
-        return interp_grid(g, self.feedback[k], pts)
+        return interp_grid(self.grid, self.feedback[k], pts)
 
     def to_csv(self, path):
         write_node_table(path, self.grid, "u", self.values, self.times)
@@ -119,28 +116,31 @@ def _as_path_values(F_path, grid, K):
     return F
 
 
-def _departure_step(grid):
+def _shift_table(grid):
+    """Per axis, floor m_j and fraction a_j of dt v_j / dx: x + dt v_j is a_j past node i + m_j."""
+    shifts = [grid.dt * grid.v_axis / dx for dx in grid.dx]
+    return [(np.floor(s).astype(int), s - np.floor(s)) for s in shifts]
+
+
+def _departure_step(grid, shifts):
     """Function u -> (N, nV) array of Interp[u](grid.points[i] + dt * velocities[j]).
 
-    Per axis d the shift s_j = dt * v_j / dx_d has floor m_j and fraction
-    a_j; a (W_d, nv) matrix puts 1 - a_j at row m_j - min m and a_j below
-    it, W_d = max m - min m + 2.  Stage d contracts axis d of the
-    edge-padded values with it and appends the velocity axis, so the last
-    stage is node-major with row-major velocities.  Buffers are allocated
-    once: each call overwrites the array the previous call returned.
+    Per axis d, with (m, a) its entry of shifts, a (W_d, nv) matrix puts 1 - a_j
+    at row m_j - min m and a_j below it, W_d = max m - min m + 2.  Stage d
+    contracts axis d of the edge-padded values with it and appends the velocity
+    axis, so the last stage is node-major with row-major velocities.  Buffers
+    are allocated once: each call overwrites the array the previous call returned.
     """
     nv = grid.v_nodes
     weights, cells = [], []
-    for n, dx in zip(grid.nodes, grid.dx):
-        s = grid.dt * grid.v_axis / dx
-        m = np.floor(s)
-        row = (m - m.min()).astype(int)
+    for n, (m, a) in zip(grid.nodes, shifts):
+        row = m - m.min()
         w = np.zeros((row.max() + 2, nv))
-        w[row, np.arange(nv)] = 1 - (s - m)
-        w[row + 1, np.arange(nv)] = s - m
+        w[row, np.arange(nv)] = 1 - a
+        w[row + 1, np.arange(nv)] = a
         weights.append(w)
         # node of each padded cell, -min m below the axis and max m + 1 above it
-        cells.append(np.clip(np.arange(int(m.min()), n + int(m.max()) + 1), 0, n - 1))
+        cells.append(np.clip(np.arange(m.min(), n + m.max() + 1), 0, n - 1))
     source = np.ravel_multi_index(np.ix_(*cells), grid.nodes)  # edge padding = clamp
     padded = out = np.empty(source.shape)
     stages = []
@@ -168,9 +168,9 @@ class BellmanStep:
     T u = min over grid velocities v of dt L(x, v) + Interp[u](x + dt v), plus
     dt F (module docstring); ties go to the lowest index.  With check_boundary
     a minimizer on the velocity-grid edge raises MinimizerOnBoundary at time t
-    (check_edge).
-    Building it evaluates dtL, the (N, nV) table of dt L(x, v), and allocates
-    the departure buffers every call reuses.
+    (check_edge).  Building it evaluates dtL, the (N, nV) table of dt L(x, v),
+    and shifts, the one stencil of every x + dt v that the step and transition
+    read (_shift_table), and allocates the departure buffers every call reuses.
     """
 
     def __init__(self, L, grid):
@@ -178,9 +178,23 @@ class BellmanStep:
         V = grid.velocities
         # node-major (N, nV): the argmin over velocities reads contiguous rows
         self.dtL = grid.dt * np.asarray(L.eval(grid.points[:, None], V[None]), dtype=float)
-        self._departure = _departure_step(grid)
+        self.shifts = _shift_table(grid)
+        self._departure = _departure_step(grid, self.shifts)
         self._edge = (np.abs(V) == grid.v_max).any(axis=1)  # linspace ends exactly
         self._rows = np.arange(grid.n_points)
+
+    def transition(self, policy):
+        """(dt L, nodes, weights) of a policy, one velocity index per node: nodes
+        and weights (2^n, N) are the corners of each departure cell, read off
+        shifts and clamped as the edge padding clamps, and their weights."""
+        g, N = self.grid, self.grid.n_points
+        nodes, weights = np.zeros((1, N), dtype=int), np.ones((1, N))
+        for i, j, n, (m, a) in zip(np.unravel_index(self._rows, g.nodes), np.unravel_index(
+                policy, (g.v_nodes,) * g.dim), g.nodes, self.shifts):
+            corner = np.clip([i + m[j], i + m[j] + 1], 0, n - 1)[:, None]
+            nodes = (nodes * n + corner).reshape(-1, N)  # axis 0 varies fastest
+            weights = (weights * np.stack([1 - a[j], a[j]])[:, None]).reshape(-1, N)
+        return self.dtL[self._rows, policy], nodes, weights
 
     def __call__(self, u, F, t, check_boundary=True):
         cand = self._departure(u)

@@ -235,12 +235,12 @@ def interp_grid(grid, values, pts):
     """Clamped multilinear interpolation of node values at (..., n) points.
 
     values holds one value per node, (N,), and the result is shaped
-    (...); in 2-D it may hold m columns, (N, m), all interpolated through
-    one stencil into (..., m).
+    (...); it may hold m columns, (N, m), all interpolated through one
+    stencil into (..., m), where m = 1 in 1-D.
     """
-    if grid.dim == 1:  # np.interp is faster than the generic stencil
-        return np.interp(pts[..., 0], grid.axes[0], values)
     cols = np.shape(values)[1:]
+    if grid.dim == 1:  # one np.interp is faster than the generic stencil
+        return np.interp(pts[..., :1] if cols else pts[..., 0], grid.axes[0], np.ravel(values))
     out = None
     for idx, weights in cell_corners(grid, pts, clamp=True):
         term = values[idx]
@@ -397,7 +397,7 @@ def legendre_transform(L, x, p, grid):
         for d, jd in enumerate(jj)
     ])
     cand = float(np.dot(p, vstar) - L.eval(x, vstar))
-    if cand > obj[j]:
+    if cand >= obj[j]:  # on a tie the refined vertex, the exact maximizer of a quadratic L
         return cand, vstar
     return float(obj[j]), V[j].copy()
 

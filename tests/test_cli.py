@@ -82,7 +82,8 @@ def test_ergodic_run_and_manifest(tmp_path):
     assert man["measured"]["mather_x"] == [0.0]
     measured = man["measured"]
     assert sorted(measured) == ["evaluation_sweeps", "lambda", "mather_node", "mather_x",
-                                "residuals", "weak_kam_residual", "weak_kam_steps"]
+                                "policy_changes", "policy_sweeps", "residuals",
+                                "weak_kam_residual", "weak_kam_steps"]
     assert measured["weak_kam_residual"] <= 16 * math.ulp(5.3)  # 16 ulps of max |ubar|
     assert measured["evaluation_sweeps"] >= measured["weak_kam_steps"] > 0
     assert isinstance(man["timings"]["weak_kam_s"], float)
@@ -93,9 +94,10 @@ def test_ergodic_runs_at_a_dt_that_does_not_divide_one(tmp_path):
                 "--out", str(tmp_path / "erg")]) == 0
 
 
-@pytest.mark.parametrize("dt", ["0.005", "0.001"])
+@pytest.mark.parametrize("dt", ["0.005", "0.001", "1e-11", "1e-14"])
 def test_ergodic_runs_at_a_small_dt(dt):
-    # value iteration passed through an edge velocity on its way to ubar
+    # value iteration passed through an edge velocity on its way to ubar; at
+    # a tiny dt the policy alternated between velocities that tie within rounding
     assert run(["ergodic", "--instance", "RI-1", "--dx", "0.1", "--dt", dt]) == 0
 
 
@@ -587,7 +589,7 @@ PINNED_CSV = [
         "u.csv": "cddc9ae87a504ad43128cfa6602295f7d3163b176004bbcbb407166271f90ed7",
         "mpath.csv": "4e91fb171d413d7aa8a6134473c6aae301aaeaed3ede8fa1253f2ecc84a39fc8"}),
     (["ergodic", "--instance", "RI-1", "--dx", "0.04", "--dt", "0.04"], {
-        "ubar.csv": "e7000250a705e4c62cee0556645807968a234ce8966ea47b1627a6cf45ff0604",
+        "ubar.csv": "c4523c2d11d5ebce20d7a806122509c227693ca60aa48a582b3cdf36b178c500",
         "mbar.csv": "8a2745d877f31e92b6f52153e9ff01b264be0dbec506074cb23695a4d7df9619"}),
 ]
 

@@ -103,6 +103,14 @@ def test_weak_kam_stops_at_a_bitwise_fixed_point(ri1, ergodic_sol):
     assert sol.weak_kam_s >= 0.0
 
 
+def test_policy_record_adds_up_to_the_totals(ri1_coarse):
+    inst = ri1_coarse
+    sol = M.solve_ergodic(inst.L, inst.coupling, inst.grid)
+    assert len(sol.policy_sweeps) == len(sol.policy_changes) == sol.weak_kam_steps
+    assert sum(sol.policy_sweeps) == sol.evaluation_sweeps
+    assert sol.policy_changes[-1] == 0 and min(sol.policy_changes[:-1]) > 0
+
+
 def test_weak_kam_is_value_iteration_on_ri2():
     inst = M.load_instance(RI2)
     sol = M.solve_ergodic(inst.L, inst.coupling, inst.grid)

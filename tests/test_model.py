@@ -57,6 +57,16 @@ def test_legendre_reversible_symmetry():
         assert Hp == pytest.approx(Hm, abs=1e-12)
 
 
+def test_legendre_prefers_the_refined_vertex_on_a_tie():
+    # the vertex ties the grid velocity (4.396..., 0) in H, which is 5.9e-10 off p
+    g = M.GridSpec([-1.0, -1.0], [1.0, 1.0], [3, 3], 0.1, 4.945548304054752, 37)
+    p = np.array([4.396042936937556, 5.885881954918945e-10])
+    H, v = M.legendre_transform(M.quadratic_kinetic(), np.zeros(2), p, g)
+    sq = float(p @ p)
+    assert abs(H - 0.5 * sq) <= 1e-12 * (1.0 + sq)
+    np.testing.assert_allclose(v, p, rtol=0, atol=1e-12 * (1.0 + sq))
+
+
 def test_legendre_maximizer_on_boundary():
     g = grid1d(v_max=0.5)
     L = M.quadratic_kinetic()

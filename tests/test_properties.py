@@ -7,7 +7,8 @@ table is the largest constant of its rows; the feedback interpolates all
 its components through one stencil, bit for bit as interp_grid does each;
 the backward step's departure values agree with interp_grid at every
 x + dt v, past the box too, and its largest operand is the one the grid's
-size budget predicts.  The 2-D d_1 is symmetric,
+size budget predicts; a frozen policy's transition stencil gives the
+step's own candidate of that policy.  The 2-D d_1 is symmetric,
 obeys the triangle inequality, agrees with the 1-D CDF formula on data laid
 along an axis, and matches a full-support transport LP per row, also as the
 stopping residual of a 2-D fixed point, and the pair the solver returns is
@@ -35,7 +36,7 @@ from scipy.optimize import linprog
 
 import mfglab as M
 from mfglab import cli, mfg
-from mfglab.hjb import _departure_step, _grid_lipschitz
+from mfglab.hjb import _departure_step, _grid_lipschitz, _shift_table
 from mfglab.measure import SUPPORT_EPS, _d1_lp, deposit, sliced_d1, sup_d1
 
 from test_hjb import gradient
@@ -141,7 +142,7 @@ def step_grids(draw):
 @given(grid=step_grids(), data=st.data(), slope=st.lists(finite, min_size=2, max_size=2),
        offset=finite)
 def test_departure_step_matches_interp_grid(grid, data, slope, offset):
-    step = _departure_step(grid)
+    step = _departure_step(grid, _shift_table(grid))
     pts = grid.points[:, None] + grid.dt * grid.velocities[None]  # every x + dt v
     size = grid.n_points
     vals = np.asarray(data.draw(st.lists(st.floats(-1e3, 1e3), min_size=size,
@@ -158,6 +159,23 @@ def test_departure_step_matches_interp_grid(grid, data, slope, offset):
     affine = step(affine_on(grid, slope, offset, grid.points))
     np.testing.assert_allclose(affine.ravel(), affine_on(grid, slope, offset, clamped),
                                atol=1e-10)
+
+
+@SETTINGS
+@given(grid=step_grids(), data=st.data())
+def test_policy_transition_is_the_steps_own_stencil(grid, data):
+    step = M.BellmanStep(M.quadratic_kinetic(), grid)
+    N, rows = grid.n_points, np.arange(grid.n_points)
+    policy = np.asarray(data.draw(st.lists(st.integers(0, len(grid.velocities) - 1),
+                                           min_size=N, max_size=N)))
+    u = np.asarray(data.draw(st.lists(st.floats(-1e3, 1e3), min_size=N, max_size=N)))
+    cost, nodes, weights = step.transition(policy)
+    assert nodes.shape == weights.shape == (2 ** grid.dim, N)
+    assert nodes.min() >= 0 and nodes.max() < N and weights.min() >= 0.0
+    np.testing.assert_array_equal(cost, step.dtL[rows, policy])
+    want = (step._departure(u) + step.dtL)[rows, policy]  # the step's own candidate
+    np.testing.assert_allclose((weights * u[nodes]).sum(axis=0) + cost, want, rtol=0,
+                               atol=1e-15 * (1 + np.abs(u).max()))
 
 
 @SETTINGS
@@ -473,8 +491,8 @@ def test_csv_writers_match_the_csv_writer_reference(data, grid):
     path = M.MeasurePath(grid, times, values)
     m = M.GridMeasure(grid, values[0], validate=False)
     sol = SimpleNamespace(lam=0.0, mather_node=0, weak_kam_steps=1, weak_kam_residual=0.0,
-                          weak_kam_s=0.0, evaluation_sweeps=0, residuals={}, u_bar=values[-1],
-                          m_bar=m)
+                          weak_kam_s=0.0, evaluation_sweeps=0, policy_sweeps=[0],
+                          policy_changes=[0], residuals={}, u_bar=values[-1], m_bar=m)
     with mock.patch.object(cli, "solve_ergodic", lambda *a, **k: sol), \
             mock.patch.object(cli, "check_standing_assumptions", lambda *a: None):
         writers = cli._run_ergodic({}, SimpleNamespace(grid=grid, L=None, coupling=None))[0]
