@@ -7,7 +7,16 @@ stationary solution on a ball B_R:
              |(u^T(t, x) - u_bar(x)) / T + lambda (1 - t/T)|
     e_F(T) = (1/T) int_0^T sup over B_R of |F(., m^T(s)) - F(., m_bar)| ds
 
-Both should decay at least like T^(-1/(n+2)).
+Both should decay at least like T^(-1/(n+2)).  The sup of e_u can sit at
+t = T, where u^T is the terminal datum and not the solve (t_sup, the t/T of
+that sup, says where), so the turnpike is read in the middle of the
+horizon, t in [T/4, 3T/4], with x* the Mather node:
+
+    E_mid(T) = sup over those t and x in B_R of
+               |u^T(t, x) - u^T(t, x*) - (u_bar(x) - u_bar(x*))|
+    D_mid(T) = sup over those t of sum_x m^T(t, x) |x - x*|
+
+m_bar is the Dirac at x*, so D_mid is the d_1 distance to it, with no LP.
 """
 
 from __future__ import annotations
@@ -31,6 +40,9 @@ class ConvergenceReport:
     C_hat_u: float = 0.0
     C_hat_F: float = 0.0
     n: int = 1
+    E_mid: list = field(default_factory=list)
+    D_mid: list = field(default_factory=list)
+    t_sup: list = field(default_factory=list)
 
     def rows(self):
         p = 1.0 / (self.n + 2.0)
@@ -39,7 +51,7 @@ class ConvergenceReport:
 
 
 def convergence_metrics(solutions, ergodic_solution, coupling, R):
-    """Errors e_u(T), e_F(T) for a ladder of finite-horizon solutions.
+    """Errors e_u(T), e_F(T) and the turnpike for a ladder of finite-horizon solutions.
 
     solutions: mapping T -> MFGSolution on the same grid as the ergodic
     solution.  Raises RadiusTooSmall unless R exceeds every measured
@@ -51,8 +63,11 @@ def convergence_metrics(solutions, ergodic_solution, coupling, R):
         raise RadiusTooSmall(f"B_{R} does not fit the box")
     mask = grid.ball_mask(R)
     Fbar = coupling.values_on(grid, erg.m_bar)
+    star = erg.mather_node
+    ubar_rel = erg.u_bar[mask] - erg.u_bar[star]
+    dist = np.linalg.norm(grid.points - grid.points[star], axis=1)  # |x - x*|
     T_list = sorted(solutions)
-    e_u, e_F = [], []
+    e_u, e_F, E_mid, D_mid, t_sup = [], [], [], [], []
     for T in T_list:
         sol = solutions[T]
         if sol.diagnostics.get("measured_R1", 0.0) > R:
@@ -62,13 +77,20 @@ def convergence_metrics(solutions, ergodic_solution, coupling, R):
         vf = sol.u
         times = vf.times
         w_ref = erg.u_bar[None, mask] - erg.lam * (T - times)[:, None]
-        diff = np.abs(vf.values[:, mask] - w_ref) / T
+        diff = np.abs(vf.values[:, mask] - w_ref).max(axis=1) / T
         e_u.append(float(diff.max()))
+        t_sup.append(float(times[diff.argmax()] / T))
         F = coupling.path_values(grid, sol.m_path.weights)
         sup_t = np.abs(F[:, mask] - Fbar[None, mask]).max(axis=1)
         e_F.append(float(sup_t[:-1].sum() * grid.dt / T))
+        K = len(times) - 1
+        mid = slice(-(-K // 4), 3 * K // 4 + 1)  # t = kT/K in [T/4, 3T/4]
+        u_mid = vf.values[mid]
+        E_mid.append(float(np.abs(u_mid[:, mask] - u_mid[:, [star]] - ubar_rel).max()))
+        D_mid.append(float((sol.m_path.weights[mid] @ dist).max()))
     p = 1.0 / (grid.dim + 2.0)
-    rep = ConvergenceReport(R, T_list, e_u, e_F, n=grid.dim)
+    rep = ConvergenceReport(R, T_list, e_u, e_F, n=grid.dim, E_mid=E_mid, D_mid=D_mid,
+                            t_sup=t_sup)
     rep.C_hat_u = float(max(e * T**p for e, T in zip(e_u, T_list)))
     rep.C_hat_F = float(max(e * T**p for e, T in zip(e_F, T_list)))
     rep.rate_u = rate_fit(T_list, e_u)

@@ -236,9 +236,11 @@ def _run_converge(params, inst):
     check_standing_assumptions(inst.L, inst.coupling, inst.grid, inst.m0)
     erg = solve_ergodic(inst.L, inst.coupling, inst.grid)
     tol = params.get("tol", 1e-4)
-    sols = {T: solve_finite_horizon(inst.L, inst.coupling, inst.m0, inst.uf, inst.grid,
-                                    T, tol)
-            for T in T_list}
+    sols, start = {}, None
+    for T in sorted(set(T_list)):  # each distinct horizon once, started from the last path
+        sols[T] = solve_finite_horizon(inst.L, inst.coupling, inst.m0, inst.uf, inst.grid,
+                                       T, tol, start=start)
+        start = sols[T].m_path.weights
     all_converged = all(s.converged for s in sols.values())
     rep = convergence_metrics(sols, erg, inst.coupling, R)
 
@@ -263,6 +265,9 @@ def _run_converge(params, inst):
         "lambda": erg.lam,
         "e_u": rep.e_u,
         "e_F": rep.e_F,
+        "E_mid": rep.E_mid,
+        "D_mid": rep.D_mid,
+        "t_sup": rep.t_sup,
         "rate_u": rep.rate_u,
         "rate_F": rep.rate_F,
         "C_hat_u": rep.C_hat_u,

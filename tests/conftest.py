@@ -32,12 +32,17 @@ def ergodic_sol(ri1):
 
 @pytest.fixture(scope="session")
 def ladder(ri1):
-    """(solutions dict, seconds) for the doubling horizons T in {2,...,32}."""
+    """(solutions dict, seconds) for the doubling horizons T in {2,...,32}.
+
+    Each horizon starts from the path solved at the one before it, as
+    `mfg converge` solves its ladder.
+    """
     t0 = time.perf_counter()
-    sols = {}
+    sols, start = {}, None
     for T in (2.0, 4.0, 8.0, 16.0, 32.0):
         sols[T] = M.solve_finite_horizon(ri1.L, ri1.coupling, ri1.m0, ri1.uf,
-                                         ri1.grid, T)
+                                         ri1.grid, T, start=start)
+        start = sols[T].m_path.weights
     return sols, time.perf_counter() - t0
 
 

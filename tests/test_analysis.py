@@ -179,3 +179,21 @@ def test_e_u_is_the_terminal_gap_over_T(ri1, ergodic_sol, ladder):
     gap = np.abs(ri1.uf.values_on(ri1.grid) - sol.u_bar)[mask].max()
     for T, eu in zip(rep.T_list, rep.e_u):
         assert eu == pytest.approx(gap / T, rel=1e-12)
+    assert rep.t_sup == [1.0] * len(rep.T_list)
+
+
+def test_turnpike_tightens_at_every_doubling(ri1, ergodic_sol, ladder):
+    # in the middle of the horizon the pair is near-stationary, and nearer
+    # the longer the horizon, far faster than the T^(-1/3) envelope of e_u
+    sol, _ = ergodic_sol
+    sols, _ = ladder
+    rep = M.convergence_metrics(sols, sol, ri1.coupling, 3.0)
+    late = slice(rep.T_list.index(8.0), None)
+    for series in (rep.E_mid[late], rep.D_mid[late]):
+        assert all(b < a for a, b in zip(series, series[1:]))
+    # m_bar is the Dirac at the Mather node: D_mid is the exact d_1 distance to it
+    T = 8.0
+    K = len(sols[T].m_path.times) - 1
+    rows = sols[T].m_path.weights[-(-K // 4):3 * K // 4 + 1]
+    d1 = max(M.wasserstein1(M.GridMeasure(ri1.grid, w), sol.m_bar) for w in rows)
+    assert rep.D_mid[rep.T_list.index(T)] == pytest.approx(d1, rel=1e-9)

@@ -343,10 +343,15 @@ def test_converge_run_and_thread_determinism(tmp_path):
     assert fit["rate_F"]["slope"] < 0
 
 
-def test_converge_repeated_horizon_keeps_one_entry_per_T(tmp_path):
+def test_converge_repeated_horizon_keeps_one_entry_per_T(tmp_path, monkeypatch):
+    calls = []
+    solve = cli.solve_finite_horizon
+    monkeypatch.setattr(cli, "solve_finite_horizon",
+                        lambda *args, **kw: calls.append(args[5]) or solve(*args, **kw))
     out = str(tmp_path / "rep")
     assert run(["converge", "--instance", "RI-1", "--dx", "0.04", "--dt", "0.04",
                 "--T", "2,4,2", "--R", "3", "--out", out]) == 0
+    assert calls == [2.0, 4.0]  # each distinct horizon once, in increasing order
     man = manifest_of(out)
     assert man["config"]["params"]["T_list"] == [2.0, 4.0, 2.0]
     gaps = man["measured"]["gaps"]
@@ -355,6 +360,20 @@ def test_converge_repeated_horizon_keeps_one_entry_per_T(tmp_path):
         assert len(man["timings"][phase]) == 3
     report = (tmp_path / "rep" / "report.csv").read_bytes()
     assert report.startswith(b"T,e_u,e_F,e_u_scaled,e_F_scaled\n") and b"\r" not in report
+
+
+def test_converge_outputs_do_not_depend_on_the_order_of_T(tmp_path):
+    args = ["converge", "--instance", "RI-1", "--dx", "0.04", "--dt", "0.04", "--R", "3"]
+    dirs = {order: str(tmp_path / order.replace(",", "-")) for order in ("2,4,8", "8,2,4")}
+    for order, out in dirs.items():
+        assert run([*args, "--T", order, "--out", out]) == 0
+    for name in ("report.csv", "eu.dat", "ef.dat", "fit.json"):
+        a, b = (open(os.path.join(out, name), "rb").read() for out in dirs.values())
+        assert a == b, name
+    man = manifest_of(dirs["8,2,4"])
+    # per-T lists follow the order given; the turnpike lists are per sorted T
+    assert [len(g) for g in man["measured"]["gaps"]] == [2, 3, 3]
+    assert all(len(man["measured"][key]) == 3 for key in ("E_mid", "D_mid", "t_sup"))
 
 
 # ---------------------------------------------------------------------------
@@ -591,11 +610,17 @@ PINNED_CSV = [
     (["ergodic", "--instance", "RI-1", "--dx", "0.04", "--dt", "0.04"], {
         "ubar.csv": "c4523c2d11d5ebce20d7a806122509c227693ca60aa48a582b3cdf36b178c500",
         "mbar.csv": "8a2745d877f31e92b6f52153e9ff01b264be0dbec506074cb23695a4d7df9619"}),
+    (["converge", "--instance", "RI-1", "--T", "2,4,8", "--R", "3"], {
+        "report.csv": "4246beff9e6bd17043f65600ad809e7806f6ec0491f99d18726c647850d9ea00",
+        "eu.dat": "52eafc2caea8cbbbdcf37d3017065e3dd1ead34e3bdd889b15290c00be0051e0",
+        "ef.dat": "ab52c3c0762238f267cf7c4370c0115fa5e90327d45bf0805fa6d27b50f6e9b2",
+        "fit.json": "a9345af03f4dfe25e98a1278d417281fc71f250d9b104d44f331a8a89154a60b"}),
 ]
 
 
 @pytest.mark.parametrize("args, digests", PINNED_CSV, ids=["ri1-horizon", "ri2-ergodic",
-                                                           "ri2-horizon", "ri1-ergodic"])
+                                                           "ri2-horizon", "ri1-ergodic",
+                                                           "ri1-converge"])
 def test_outputs_keep_their_pinned_bytes(tmp_path, args, digests):
     out = str(tmp_path / "out")
     assert run([*args, "--out", out]) == 0

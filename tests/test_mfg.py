@@ -127,6 +127,56 @@ def test_initial_and_terminal_slices(ri1, ladder):
     np.testing.assert_allclose(sol.u.values[-1], ri1.uf.values_on(ri1.grid), atol=1e-14)
 
 
+# ---------------------------------------------------------------------------
+# warm start from a shorter horizon's path
+
+
+def test_stretched_start_repeats_the_middle_row():
+    g = grid1d(0.5)
+    m0 = M.GridMeasure.uniform_on(g, -1.0, 1.0)
+    rng = np.random.default_rng(0)
+    start = rng.random((6, g.n_points))  # K' = 5, h = 2
+    W = mfg.stretched_start(start, m0, 9)
+    assert W.shape == (10, g.n_points)
+    np.testing.assert_array_equal(W[0], m0.weights)
+    np.testing.assert_array_equal(W[1:3], start[1:3])
+    np.testing.assert_array_equal(W[3:7], np.tile(start[2], (4, 1)))
+    np.testing.assert_array_equal(W[7:], start[3:])
+    # a start of K + 1 rows is taken as it is, row 0 set to m0
+    np.testing.assert_array_equal(mfg.stretched_start(start, m0, 5)[1:], start[1:])
+
+
+@pytest.mark.parametrize("shape", [(11, 17), (3, 16), (17,), (0, 17)],
+                         ids=["too-long", "too-narrow", "one-row-1d", "empty"])
+def test_stretched_start_rejects_a_misshaped_path(shape):
+    g = grid1d(0.5)
+    assert g.n_points == 17
+    m0 = M.GridMeasure.uniform_on(g, -1.0, 1.0)
+    with pytest.raises(ValueError, match="start must hold"):
+        mfg.stretched_start(np.zeros(shape), m0, 9)
+    with pytest.raises(ValueError, match="start must hold"):
+        M.solve_finite_horizon(M.quadratic_kinetic(), decoupled_coupling(), m0,
+                               zero_terminal(), g, 9 * g.dt, start=np.zeros(shape))
+
+
+def test_warm_start_from_half_the_horizon(ri1_coarse):
+    inst = ri1_coarse
+    tol = 1e-4
+
+    def solve(T, start=None):
+        return M.solve_finite_horizon(inst.L, inst.coupling, inst.m0, inst.uf,
+                                      inst.grid, T, tol, start=start)
+
+    half = solve(4.0)
+    cold, warm = solve(8.0), solve(8.0, half.m_path.weights)
+    assert cold.iterations == 4 and warm.iterations == 2
+    assert warm.converged and warm.residuals[-1] <= tol
+    np.testing.assert_allclose(warm.m_path.weights[0], inst.m0.weights, atol=1e-14)
+    # a one-row start stretches to the constant path m0: the cold start
+    np.testing.assert_array_equal(solve(4.0, inst.m0.weights[None]).m_path.weights,
+                                  half.m_path.weights)
+
+
 def test_assumption_gate_rejects_stray_initial_mass(ri1):
     g = ri1.grid
     outside = M.GridMeasure.dirac(g, 2.5)
