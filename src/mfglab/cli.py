@@ -233,6 +233,9 @@ def _run_converge(params, inst):
         inst.grid.time_steps(T)
     if len(set(T_list)) < 2:  # a rate needs two horizons
         raise ValueError(f"converge needs at least two distinct horizons, got {T_list!r}")
+    if not inst.grid.contains_ball(R):  # the errors are measured on B_R
+        raise ValueError(f"R={R!r}: the ball B_R does not fit the box "
+                         f"lo={list(inst.grid.lo)}, hi={list(inst.grid.hi)}")
     check_standing_assumptions(inst.L, inst.coupling, inst.grid, inst.m0)
     erg = solve_ergodic(inst.L, inst.coupling, inst.grid)
     tol = params.get("tol", 1e-4)

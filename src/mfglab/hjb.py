@@ -104,12 +104,10 @@ class ValueField:
 
 
 def _as_path_values(F_path, grid, K):
-    """The coupling term as (K+1, N) node rows: None is zero, one row holds at every time."""
-    if F_path is None:
-        return np.zeros((K + 1, grid.n_points))
-    F = np.asarray(F_path, dtype=float)
+    """The coupling term as read-only (K+1, N) rows: None is zero, one row holds at all times."""
+    F = np.zeros(grid.n_points) if F_path is None else np.asarray(F_path, dtype=float)
     if F.shape == (grid.n_points,):
-        return np.broadcast_to(F, (K + 1, grid.n_points)).copy()
+        return np.broadcast_to(F, (K + 1, grid.n_points))
     if F.shape != (K + 1, grid.n_points):
         raise ValueError(f"F_path shape {F.shape} does not match "
                          f"(K+1, N) = {(K + 1, grid.n_points)}")
@@ -164,12 +162,12 @@ def _departure_step(grid, shifts):
 class BellmanStep:
     """The one-step Bellman map of L on a grid, built once per solve.
 
-    step(u, F, t) -> (T u, argmin velocity indices), where
-    T u = min over grid velocities v of dt L(x, v) + Interp[u](x + dt v), plus
-    dt F (module docstring); ties go to the lowest index.  With check_boundary
-    a minimizer on the velocity-grid edge raises MinimizerOnBoundary at time t
-    (check_edge).  Building it evaluates dtL, the (N, nV) table of dt L(x, v),
-    and shifts, the one stencil of every x + dt v that the step and transition
+    step(u, F) -> (T u, policy), where T u = min over grid velocities v of
+    dt L(x, v) + Interp[u](x + dt v), plus dt F (module docstring), and policy
+    holds the argmin velocity index per node; ties go to the lowest index.  The
+    step checks nothing: each solve passes the policies it keeps to check_edge
+    once.  Building it evaluates dtL, the (N, nV) table of dt L(x, v), and
+    shifts, the one stencil of every x + dt v that the step and transition
     read (_shift_table), and allocates the departure buffers every call reuses.
     """
 
@@ -196,19 +194,20 @@ class BellmanStep:
             weights = (weights * np.stack([1 - a[j], a[j]])[:, None]).reshape(-1, N)
         return self.dtL[self._rows, policy], nodes, weights
 
-    def __call__(self, u, F, t, check_boundary=True):
+    def __call__(self, u, F):
         cand = self._departure(u)
         cand += self.dtL
-        jstar = cand.argmin(axis=1)
-        if check_boundary:
-            self.check_edge(jstar, t)
-        return cand[self._rows, jstar] + self.grid.dt * F, jstar
+        policy = cand.argmin(axis=1)
+        return cand[self._rows, policy] + self.grid.dt * F, policy
 
-    def check_edge(self, jstar, t):
-        """MinimizerOnBoundary at time t if jstar picks a velocity on the grid edge."""
-        bad = self._edge[jstar]
+    def check_edge(self, policy, times):
+        """MinimizerOnBoundary if policy, one row of velocity indices per entry of
+        times, picks a velocity on the grid edge: it names the latest such time
+        and the first such node in that row."""
+        bad = self._edge[policy]
         if bad.any():
-            raise MinimizerOnBoundary(t, self.grid.points[bad.argmax()])
+            k = np.argmax(np.where(bad.any(axis=1), times, -np.inf))
+            raise MinimizerOnBoundary(times[k], self.grid.points[bad[k].argmax()])
 
 
 def solve_backward(step, F_path, uf, T, check_boundary=True):
@@ -217,10 +216,12 @@ def solve_backward(step, F_path, uf, T, check_boundary=True):
     u(t_k, x) = min over grid velocities v of
         dt * [L(x, v) + F(x, t_k)] + Interp[u(t_{k+1})](x + dt v),
 
-    one call of step, the BellmanStep of L on its grid, per time step.
-    Returns a ValueField whose feedback rows hold the minimizing velocity per
-    (t_k, node).  Raises MinimizerOnBoundary when a minimizer lands on the
-    velocity-grid edge, signalling that v_max is too small for the data.
+    one call of step, the BellmanStep of L on its grid, per time step.  The
+    argmins fill one (K, N) policy table of uint8 (up to 256 velocities) or
+    wider indices, and the returned ValueField's feedback is its velocities.
+    With check_boundary that table is checked once, after the last step:
+    MinimizerOnBoundary (BellmanStep.check_edge) names the latest time with
+    an edge velocity, a sign that v_max is too small for the data.
     """
     grid = step.grid
     K = grid.time_steps(T)
@@ -228,12 +229,13 @@ def solve_backward(step, F_path, uf, T, check_boundary=True):
     F = _as_path_values(F_path, grid, K)
     uT = uf.validate(grid) if isinstance(uf, TerminalDatum) else np.asarray(uf, dtype=float)
     values = np.empty((K + 1, grid.n_points))
-    feedback = np.empty((K,) + grid.points.shape)
+    policy = np.empty((K, grid.n_points), dtype=np.min_scalar_type(len(grid.velocities) - 1))
     values[K] = uT
     for k in range(K - 1, -1, -1):
-        values[k], jstar = step(values[k + 1], F[k], times[k], check_boundary)
-        np.take(grid.velocities, jstar, axis=0, out=feedback[k])
-    return ValueField(grid, times, values, feedback)
+        values[k], policy[k] = step(values[k + 1], F[k])
+    if check_boundary:
+        step.check_edge(policy, times[:K])
+    return ValueField(grid, times, values, grid.velocities[policy])
 
 
 def hopf_lax_oracle(uf, t, x, T, grid):

@@ -439,8 +439,9 @@ def test_1d_run_never_imports_scipy():
 
 
 def test_module_entry_point():
+    env = dict(os.environ, PYTHONPATH=os.path.join(os.path.dirname(__file__), "..", "src"))
     proc = subprocess.run([sys.executable, "-m", "mfglab.cli", "--help"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     for word in ("verify", "ergodic", "horizon", "converge", "reproduce"):
         assert word in proc.stdout
@@ -547,6 +548,19 @@ def test_single_horizon_is_rejected_before_any_solve(tmp_path, capsys, monkeypat
     assert run(["converge", "--instance", "RI-1", "--T", horizons, "--R", "3",
                 "--out", str(tmp_path / "x")]) == 4
     assert "at least two distinct horizons" in capsys.readouterr().err
+
+
+def test_ball_outside_the_box_is_rejected_before_any_solve(tmp_path, capsys, monkeypatch):
+    # B_R must fit the box, which R and the grid settle without a solve
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a solver ran")
+
+    monkeypatch.setattr(cli, "solve_ergodic", no_solve)
+    monkeypatch.setattr(cli, "solve_finite_horizon", no_solve)
+    assert run(["converge", "--instance", "RI-1", "--T", "2,4,8", "--R", "5",
+                "--out", str(tmp_path / "x")]) == 4
+    want = "R=5.0: the ball B_R does not fit the box lo=[-4.0], hi=[4.0]"
+    assert want in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command, horizons", [("horizon", "1e7"), ("converge", "2,1e7")])

@@ -42,7 +42,7 @@ def value_iteration(L, coupling, grid, m_bar, lam):
     step = M.BellmanStep(L, grid)
     w = np.zeros(grid.n_points)
     for steps in range(1, int(np.ceil(128.0 / grid.dt)) + 1):
-        w_new = step(w, Fbar, -steps * grid.dt)[0]
+        w_new = step(w, Fbar)[0]
         residual = float(np.abs(w_new - w).max())
         w = w_new
         if residual == 0.0:
@@ -85,7 +85,7 @@ def test_residuals_vanish(ri1, ergodic_sol):
 def bellman_residual(inst, sol, w):
     """||T w - w||_inf and the bound it must meet, 16 ulps of max |w|."""
     F = inst.coupling.values_on(inst.grid, sol.m_bar) + sol.lam
-    Tw = M.BellmanStep(inst.L, inst.grid)(w, F, 0.0)[0]
+    Tw = M.BellmanStep(inst.L, inst.grid)(w, F)[0]
     return float(np.abs(Tw - w).max()), 16 * np.spacing(np.abs(w).max())
 
 

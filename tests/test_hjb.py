@@ -267,6 +267,28 @@ def test_minimizer_on_boundary_detected_2d():
         M.solve_backward(step, None, steep, 1.0)
 
 
+EDGE_GRIDS = {
+    "1d": (M.GridSpec(-2.0, 2.0, 101, 0.04, 0.5, 11), "0.96", "0.04", "[-1.96]"),
+    "2d": (M.GridSpec((-2.0, -2.0), (2.0, 2.0), (21, 21), 0.1, 0.5, 5), "0.9", "0.1",
+           "[-1.8 -2. ]"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EDGE_GRIDS))
+def test_edge_error_names_the_latest_time_and_its_first_node(name):
+    # an edge velocity at every step names t = T - dt; one confined to the
+    # first rows (F steep on rows 0..2 only) names the latest of them, t_1
+    g, late, early, node = EDGE_GRIDS[name]
+    step = M.BellmanStep(M.quadratic_kinetic(), g)
+    steep = M.TerminalDatum(lambda p: 5.0 * p[:, 0], lip=5.0, c0=20.0)
+    F = np.zeros((g.time_steps(1.0) + 1, g.n_points))
+    F[:3] = 40.0 * g.points[:, 0]
+    for F_path, uf, t in ((None, steep, late), (F, hjb.zero_terminal(), early)):
+        want = f"optimal velocity on velocity-grid boundary at t={t}, x={node}"
+        with pytest.raises(errors.MinimizerOnBoundary, match=f"^{re.escape(want)}$"):
+            M.solve_backward(step, F_path, uf, 1.0)
+
+
 def test_terminal_datum_validation():
     g = grid1d(0.04)
     bad_lip = M.TerminalDatum(lambda x: 2.0 * x[:, 0], lip=0.5, c0=10.0)
