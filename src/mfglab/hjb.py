@@ -18,7 +18,11 @@ stencil, see Falcone & Ferretti, Semi-Lagrangian Approximation Schemes for
 Linear and Hamilton-Jacobi Equations, SIAM 2013).  Edge padding reproduces
 the clamp to the box.  A step is one small matrix product per axis plus the
 precomputed dt * L, a minimization over velocities, and dt * F(x, t_k) added
-afterwards, which is exact because F does not depend on v.
+afterwards, which is exact because F does not depend on v.  When dt * L is one
+row repeated over the last product's rows, as for an L of v alone in 1-D, that
+product returns it too and the step makes no pass of its own to add it.  An L
+of x, or a 2-D kinetic L (the last product's rows carry the first velocity
+coordinate), keeps the add (_departure_step).
 """
 
 from __future__ import annotations
@@ -120,16 +124,30 @@ def _shift_table(grid):
     return [(np.floor(s).astype(int), s - np.floor(s)) for s in shifts]
 
 
-def _departure_step(grid, shifts):
-    """Function u -> (N, nV) array of Interp[u](grid.points[i] + dt * velocities[j]).
+def _departure_step(grid, shifts, dtL=None):
+    """Function u -> (N, nV) array of Interp[u](grid.points[i] + dt * velocities[j])
+    plus dtL[i, j] (dtL None adds nothing).
 
     Per axis d, with (m, a) its entry of shifts, a (W_d, nv) matrix puts 1 - a_j
     at row m_j - min m and a_j below it, W_d = max m - min m + 2.  Stage d
     contracts axis d of the edge-padded values with it and appends the velocity
-    axis, so the last stage is node-major with row-major velocities.  Buffers
-    are allocated once: each call overwrites the array the previous call returned.
+    axis, so the last stage is node-major with row-major velocities: a row of
+    its product is a node and every velocity index but the last.  When every
+    row of dtL.reshape(-1, nv) is one row c, as for an L of v alone in 1-D, c
+    goes under the last weight matrix as one more row and that stage's window
+    copy gets a column of ones, so the product returns interpolation plus dt L
+    with no pass of its own.  Any other dtL (an L that depends on x, or on the
+    first velocity coordinate in 2-D) is added after the product.  The fold
+    sums in another order only in BLAS's remainder columns, by about
+    eps * (max |u| + max |dtL|) at most.
+    Buffers are allocated once: each call overwrites the array the previous
+    call returned.
     """
     nv = grid.v_nodes
+    costs = None if dtL is None else dtL.reshape(-1, nv)
+    # column 0 first: an L of x or a 2-D kinetic L differs there, at 1/nv of the cost
+    fold = (costs is not None and (costs[:, 0] == costs[0, 0]).all()
+            and (costs == costs[0]).all())
     weights, cells = [], []
     for n, (m, a) in zip(grid.nodes, shifts):
         row = m - m.min()
@@ -144,16 +162,23 @@ def _departure_step(grid, shifts):
     stages = []
     for d, w in enumerate(weights):
         win = sliding_window_view(out, len(w), axis=d)
-        rows = np.empty(win.shape)  # contiguous copy of the windows, a GEMM operand
+        if fold and d == grid.dim - 1:
+            w = np.vstack([w, costs[0]])  # meets the column of ones: + dt L
+        rows = np.empty(win.shape[:-1] + (len(w),))  # contiguous windows, a GEMM operand
+        rows[..., win.shape[-1]:] = 1  # the column of ones, if any
         out = np.empty(win.shape[:-1] + (nv,))
-        stages.append((win, rows, w, out.reshape(-1, nv)))
+        stages.append((win, rows[..., :win.shape[-1]], rows.reshape(-1, len(w)), w,
+                       out.reshape(-1, nv)))
     cand = out.reshape(grid.n_points, -1)
+    add = None if fold else dtL
 
     def step(u):
         np.take(u, source, out=padded)
-        for win, rows, w, res in stages:
-            np.copyto(rows, win)
-            np.matmul(rows.reshape(-1, len(w)), w, out=res)
+        for win, dest, rows, w, res in stages:
+            np.copyto(dest, win)
+            np.matmul(rows, w, out=res)
+        if add is not None:
+            np.add(cand, add, out=cand)
         return cand
 
     return step
@@ -169,6 +194,9 @@ class BellmanStep:
     once.  Building it evaluates dtL, the (N, nV) table of dt L(x, v), and
     shifts, the one stencil of every x + dt v that the step and transition
     read (_shift_table), and allocates the departure buffers every call reuses.
+    The departure product returns Interp[u] + dt L: with L of v alone in 1-D
+    dtL is folded into its weights, otherwise it is added after the product
+    (_departure_step); transition and the stationary solve read dtL itself.
     """
 
     def __init__(self, L, grid):
@@ -177,7 +205,7 @@ class BellmanStep:
         # node-major (N, nV): the argmin over velocities reads contiguous rows
         self.dtL = grid.dt * np.asarray(L.eval(grid.points[:, None], V[None]), dtype=float)
         self.shifts = _shift_table(grid)
-        self._departure = _departure_step(grid, self.shifts)
+        self._departure = _departure_step(grid, self.shifts, self.dtL)  # Interp[u] + dt L
         self._edge = (np.abs(V) == grid.v_max).any(axis=1)  # linspace ends exactly
         self._rows = np.arange(grid.n_points)
 
@@ -196,7 +224,6 @@ class BellmanStep:
 
     def __call__(self, u, F):
         cand = self._departure(u)
-        cand += self.dtL
         policy = cand.argmin(axis=1)
         return cand[self._rows, policy] + self.grid.dt * F, policy
 

@@ -109,12 +109,14 @@ class GridSpec:
 
     def _departure_cells(self):
         """Cells of the largest array of a stage of hjb._departure_step: the
-        contiguous copy of its windows or its (W, nv) weight matrix."""
+        contiguous copy of its windows or its (W, nv) weight matrix, the last
+        stage's counted with the row and column that fold dt L in."""
         if self.dt * self.v_max >= MAX_TABLE_CELLS * min(self.dx):  # W alone is over
             return math.inf
         reach = [self.dt * self.v_max / d for d in self.dx]  # cells one step crosses
         width = [math.floor(r) - math.floor(-r) + 2 for r in reach]  # W per axis
         shape = [n + w - 1 for n, w in zip(self.nodes, width)]  # the edge-padded values
+        width[-1] += 1  # the last window copy's column of ones, its matrix's row of dt L
         largest = 0
         for d, (n, w) in enumerate(zip(self.nodes, width)):
             shape[d] = n
@@ -165,7 +167,7 @@ class GridSpec:
             raise ValueError(f"T={T} is not a finite multiple of dt={self.dt}")
         K = int(round(steps))
         if K < 1 or abs(K * self.dt - T) > 1e-9 * max(1.0, T):
-            raise ValueError(f"T={T} is not a multiple of dt={self.dt}")
+            raise ValueError(f"T={T} must be a positive multiple of dt={self.dt}")
         if (K + 1) * self.n_points > MAX_TABLE_CELLS:
             raise ValueError(f"T={T} needs a {K + 1} x {self.n_points} space-time table, "
                              f"above the budget of {MAX_TABLE_CELLS} cells")

@@ -563,6 +563,15 @@ def test_ball_outside_the_box_is_rejected_before_any_solve(tmp_path, capsys, mon
     assert want in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("T", ["0", "-1", "0.01"])
+def test_horizon_below_one_step_names_a_positive_multiple(tmp_path, capsys, T):
+    code = run(["horizon", "--instance", "RI-1", "--dx", "0.1", "--dt", "0.1", "--T", T,
+                "--out", str(tmp_path / "x")])
+    assert code == 4
+    want = f"T={float(T)} must be a positive multiple of dt=0.1"
+    assert want in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command, horizons", [("horizon", "1e7"), ("converge", "2,1e7")])
 def test_oversized_horizon_is_rejected_before_any_table(tmp_path, capsys, command, horizons):
     tracemalloc.start()

@@ -216,12 +216,16 @@ SMALL_GRIDS = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(SMALL_GRIDS))
-def test_backward_step_matches_per_node_loop(name):
+# a kinetic L of v alone folds dt L into the 1-D step's product (hjb._departure_step)
+@pytest.mark.parametrize("name, kinetic", [("1d", False), ("2d", False), ("1d", True),
+                                           ("2d", True)],
+                         ids=["1d", "2d", "1d-kinetic", "2d-kinetic"])
+def test_backward_step_matches_per_node_loop(name, kinetic):
     g = SMALL_GRIDS[name]
     T = 0.5
     c = g.points
-    L = M.quadratic_kinetic(potential=lambda x: 0.2 * PROFILES["neg_gaussian"](x), C3=1.0)
+    L = M.quadratic_kinetic() if kinetic else M.quadratic_kinetic(
+        potential=lambda x: 0.2 * PROFILES["neg_gaussian"](x), C3=1.0)
     # irrational-looking coefficients: a candidate tie that only rounding
     # breaks would make either order of summation a valid answer
     uT = 0.113 * ((c - 0.317) ** 2).sum(axis=1) + c @ [0.0571, -0.0433][: g.dim]

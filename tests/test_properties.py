@@ -7,7 +7,9 @@ table is the largest constant of its rows; the feedback interpolates all
 its components through one stencil, bit for bit as interp_grid does each;
 the backward step's departure values agree with interp_grid at every
 x + dt v, past the box too, and its largest operand is the one the grid's
-size budget predicts; a frozen policy's transition stencil gives the
+size budget predicts; dt L folded into its last product matches dt L added
+after it, within float64 rounding, and is folded for an L of v alone in 1-D
+only; a frozen policy's transition stencil gives the
 step's own candidate of that policy.  The 2-D d_1 is symmetric,
 obeys the triangle inequality, agrees with the 1-D CDF formula on data laid
 along an axis, and matches a full-support transport LP per row, also as the
@@ -138,6 +140,20 @@ def step_grids(draw):
     return M.GridSpec(g.lo, g.hi, g.nodes, dt, reach / dt, draw(st.integers(3, 12)))
 
 
+def departure_stages(step):
+    """The (windows, their copy, GEMM operand, weights, product) of each stage of
+    a _departure_step, read from its closure."""
+    cells = dict(zip(step.__code__.co_freevars, (c.cell_contents for c in step.__closure__)))
+    return cells["stages"]
+
+
+def folds_cost(step):
+    """Whether a _departure_step's last product returns dt L: its weight matrix has
+    one row more than its window is wide."""
+    win, _, _, w, _ = departure_stages(step)[-1]
+    return len(w) == win.shape[-1] + 1
+
+
 @SETTINGS
 @given(grid=step_grids(), data=st.data(), slope=st.lists(finite, min_size=2, max_size=2),
        offset=finite)
@@ -149,12 +165,15 @@ def test_departure_step_matches_interp_grid(grid, data, slope, offset):
                                          max_size=size)))
     cand = step(vals)
     assert cand.shape == (size, len(grid.velocities))
-    # the grid's size budget predicts the largest operand a stage allocates
-    cells = dict(zip(step.__code__.co_freevars, (c.cell_contents for c in step.__closure__)))
+    # the grid's size budget predicts the largest operand a stage allocates,
+    # with dt L folded in (any table of one repeated row folds, here 0)
+    folded = _departure_step(grid, _shift_table(grid), np.zeros(cand.shape))
+    assert folds_cost(folded) and not folds_cost(step)
     assert grid._departure_cells() == max(max(rows.size, w.size)
-                                          for _, rows, w, _ in cells["stages"])
-    np.testing.assert_allclose(cand, M.interp_grid(grid, vals, pts), rtol=0,
-                               atol=1e-13 * (1 + np.abs(vals).max()))
+                                          for _, _, rows, w, _ in departure_stages(folded))
+    for got in (cand, folded(vals)):
+        np.testing.assert_allclose(got, M.interp_grid(grid, vals, pts), rtol=0,
+                                   atol=1e-13 * (1 + np.abs(vals).max()))
     clamped = np.clip(pts, grid.lo, grid.hi)
     affine = step(affine_on(grid, slope, offset, grid.points))
     np.testing.assert_allclose(affine.ravel(), affine_on(grid, slope, offset, clamped),
@@ -173,9 +192,28 @@ def test_policy_transition_is_the_steps_own_stencil(grid, data):
     assert nodes.shape == weights.shape == (2 ** grid.dim, N)
     assert nodes.min() >= 0 and nodes.max() < N and weights.min() >= 0.0
     np.testing.assert_array_equal(cost, step.dtL[rows, policy])
-    want = (step._departure(u) + step.dtL)[rows, policy]  # the step's own candidate
+    # the step's own candidate with dt L added after the product; the folded
+    # sum is within rounding of it (test_folded_cost_matches_the_added_one)
+    want = (_departure_step(grid, step.shifts)(u) + step.dtL)[rows, policy]
     np.testing.assert_allclose((weights * u[nodes]).sum(axis=0) + cost, want, rtol=0,
                                atol=1e-15 * (1 + np.abs(u).max()))
+
+
+@SETTINGS
+@given(grid=step_grids(), data=st.data())
+def test_folded_cost_matches_the_added_one(grid, data):
+    N = grid.n_points
+    u = np.asarray(data.draw(st.lists(st.floats(-1e3, 1e3), min_size=N, max_size=N)))
+    tilted = M.quadratic_kinetic(potential=lambda x: 0.3 * x[..., 0], C3=1.0)
+    # dt L folds only when it is one row of the last product: v alone in 1-D
+    for L, folds in ((M.quadratic_kinetic(), grid.dim == 1), (tilted, False)):
+        step = M.BellmanStep(L, grid)
+        assert folds_cost(step._departure) == folds
+        # the fold sums in another order in BLAS's remainder columns: a bound
+        # from float64 rounding, not bit equality
+        tol = 8 * np.finfo(float).eps * (np.abs(u).max() + np.abs(step.dtL).max())
+        want = _departure_step(grid, step.shifts)(u) + step.dtL
+        np.testing.assert_allclose(step._departure(u), want, rtol=0, atol=tol)
 
 
 @SETTINGS
