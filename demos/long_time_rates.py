@@ -1,7 +1,8 @@
 """Long-horizon behavior of the finite-horizon equilibria.
 
 Solves the system on a ladder of horizons, each started from the path
-solved at the one before it, measures the distance of the
+solved at the one before it and stretched through the stationary measure,
+as `mfg converge` solves its ladder, measures the distance of the
 time-averaged value u(0, x)/T + lambda-corrected profile and of the flight
 of the coupling from their stationary counterparts on a fixed ball, and
 fits the decay rate against T.  In dimension one the predicted envelope is
@@ -22,8 +23,8 @@ def main():
 
     sols, start = {}, None
     for T in (2.0, 4.0, 8.0, 16.0):  # each started from the path of the one before
-        sols[T] = M.solve_finite_horizon(inst.L, inst.coupling, inst.m0,
-                                         inst.uf, inst.grid, T, start=start)
+        sols[T] = M.solve_finite_horizon(inst.L, inst.coupling, inst.m0, inst.uf, inst.grid,
+                                         T, start=start, middle=erg.m_bar.weights)
         start = sols[T].m_path.weights
         print(f"  T = {T:5.1f}: converged in {sols[T].iterations} iterations")
 

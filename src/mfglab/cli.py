@@ -241,8 +241,9 @@ def _run_converge(params, inst):
     tol = params.get("tol", 1e-4)
     sols, start = {}, None
     for T in sorted(set(T_list)):  # each distinct horizon once, started from the last path
+        # stretched through m_bar, where the turnpike puts the middle of a long horizon
         sols[T] = solve_finite_horizon(inst.L, inst.coupling, inst.m0, inst.uf, inst.grid,
-                                       T, tol, start=start)
+                                       T, tol, start=start, middle=erg.m_bar.weights)
         start = sols[T].m_path.weights
     all_converged = all(s.converged for s in sols.values())
     rep = convergence_metrics(sols, erg, inst.coupling, R)

@@ -20,11 +20,14 @@ assumptions; check_standing_assumptions does, once per instance.
 The first iterate W_0 is the constant path m0, or, given start (the weights
 of a path solved on the same grid at a horizon of K' <= K steps), that path
 stretched in the middle: with h = K' // 2, rows 0..h of start, K - K' copies
-of row h, then rows h+1..K' of start, and row 0 set to m0.  By the turnpike
-(Porretta, Minimax Theory Appl. 2018) the middle of a long horizon is near
-the stationary pair, so a path solved at T, stretched, is close to the path
-at 2T; solving a ladder of horizons in increasing order, each started from
-the one before it, takes fewer iterations than starting each from m0.
+of a middle row, then rows h+1..K' of start, and row 0 set to m0.  The
+middle row is row h of start unless the caller passes one; `mfg converge`
+passes the stationary measure m_bar, which it solves before its ladder.  By
+the turnpike (Porretta, Minimax Theory Appl. 2018) the middle of a long
+horizon is near the stationary pair, so a path solved at T, stretched
+through m_bar, is close to the path at 2T; solving a ladder of horizons in
+increasing order, each started from the one before it, takes fewer
+iterations than starting each from m0.
 """
 
 from __future__ import annotations
@@ -124,25 +127,35 @@ def check_standing_assumptions(L, coupling, grid, m0=None):
         raise AssumptionFailure("initial measure charges nodes outside K0")
 
 
-def stretched_start(start, m0, K):
+def stretched_start(start, m0, K, middle=None):
     """The first iterate of a K-step solve started from the path start.
 
     start holds K' + 1 rows of weights with K' <= K; with h = K' // 2 the
-    result is rows 0..h of start, K - K' copies of row h and rows h+1..K'
-    of start, with row 0 set to m0.  ValueError for any other shape.
+    result is rows 0..h of start, K - K' copies of middle (row h of start
+    by default) and rows h+1..K' of start, with row 0 set to m0.
+    ValueError for any other shape of start, or a middle that is not one
+    row of m0's width.
     """
     start = np.asarray(start, dtype=float)
-    if start.ndim != 2 or start.shape[1] != m0.weights.size or not 1 <= len(start) <= K + 1:
-        raise ValueError(f"start must hold 1 to {K + 1} rows of {m0.weights.size} weights, "
+    n = m0.weights.size
+    if start.ndim != 2 or start.shape[1] != n or not 1 <= len(start) <= K + 1:
+        raise ValueError(f"start must hold 1 to {K + 1} rows of {n} weights, "
                          f"got shape {start.shape}")
     Kp = len(start) - 1
     h = Kp // 2
-    W = start[np.r_[0:h + 1, np.full(K - Kp, h), h + 1:Kp + 1]]
+    middle = start[h] if middle is None else np.asarray(middle, dtype=float)
+    if middle.shape != (n,):
+        raise ValueError(f"middle must be one row of {n} weights, got shape {middle.shape}")
+    tail = h + 1 + K - Kp  # the first row after the inserted ones
+    W = np.empty((K + 1, n))
+    W[:h + 1] = start[:h + 1]
+    W[h + 1:tail] = middle
+    W[tail:] = start[h + 1:]
     W[0] = m0.weights
     return W
 
 
-def solve_finite_horizon(L, coupling, m0, uf, grid, T, tol=1e-4, start=None):
+def solve_finite_horizon(L, coupling, m0, uf, grid, T, tol=1e-4, start=None, middle=None):
     """Fixed point of the best-response map by fictitious play.
 
     Iteration k bounds gap_k = sup_d1(BR(W_k), W_k) from below by
@@ -153,9 +166,11 @@ def solve_finite_horizon(L, coupling, m0, uf, grid, T, tol=1e-4, start=None):
     history and diagnostics, so residuals[-1] is the exact gap of the
     returned path whenever it converged; past MAX_ITERS it returns the last
     pair unconverged.  The step to W_{k+1} has weight theta(gaps_lo)
-    (module docstring).  W_0 is stretched_start(start), with start the
-    one row m0 by default: m0 at every time.  m_path(0) equals m0 up to the rounding of the deposit's
-    normalization and the value table ends at the terminal datum exactly.
+    (module docstring).  W_0 is stretched_start(start, middle): start
+    stretched through K - K' copies of middle (row h of start by default).
+    Without a start W_0 is m0 at every time, whatever middle is.  m_path(0)
+    equals m0 up to the rounding of the deposit's normalization and the
+    value table ends at the terminal datum exactly.
     """
     if not isinstance(uf, TerminalDatum):
         raise TypeError("uf must be a TerminalDatum")
@@ -163,7 +178,9 @@ def solve_finite_horizon(L, coupling, m0, uf, grid, T, tol=1e-4, start=None):
 
     K = grid.time_steps(T)
     step = BellmanStep(L, grid)  # once: every backward solve applies it
-    W = stretched_start(m0.weights[None] if start is None else start, m0, K)
+    if start is None:  # the constant path m0: a cold solve
+        start, middle = m0.weights[None], None
+    W = stretched_start(start, m0, K, middle)
     gaps_lo, history = [], []
     while True:
         t0 = time.perf_counter()

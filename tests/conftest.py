@@ -31,17 +31,19 @@ def ergodic_sol(ri1):
 
 
 @pytest.fixture(scope="session")
-def ladder(ri1):
+def ladder(ri1, ergodic_sol):
     """(solutions dict, seconds) for the doubling horizons T in {2,...,32}.
 
-    Each horizon starts from the path solved at the one before it, as
-    `mfg converge` solves its ladder.
+    Each horizon starts from the path solved at the one before it, stretched
+    through the stationary measure m_bar, as `mfg converge` solves its
+    ladder.  The seconds exclude the stationary solve.
     """
+    m_bar = ergodic_sol[0].m_bar.weights
     t0 = time.perf_counter()
     sols, start = {}, None
     for T in (2.0, 4.0, 8.0, 16.0, 32.0):
         sols[T] = M.solve_finite_horizon(ri1.L, ri1.coupling, ri1.m0, ri1.uf,
-                                         ri1.grid, T, start=start)
+                                         ri1.grid, T, start=start, middle=m_bar)
         start = sols[T].m_path.weights
     return sols, time.perf_counter() - t0
 

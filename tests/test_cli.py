@@ -372,7 +372,7 @@ def test_converge_outputs_do_not_depend_on_the_order_of_T(tmp_path):
         assert a == b, name
     man = manifest_of(dirs["8,2,4"])
     # per-T lists follow the order given; the turnpike lists are per sorted T
-    assert [len(g) for g in man["measured"]["gaps"]] == [2, 3, 3]
+    assert [len(g) for g in man["measured"]["gaps"]] == [2, 3, 2]
     assert all(len(man["measured"][key]) == 3 for key in ("E_mid", "D_mid", "t_sup"))
 
 
@@ -648,6 +648,8 @@ def test_outputs_keep_their_pinned_bytes(tmp_path, args, digests):
     out = str(tmp_path / "out")
     assert run([*args, "--out", out]) == 0
     assert {name: cli._sha256(os.path.join(out, name)) for name in digests} == digests
+    if args[0] == "converge":  # iterations per T of the ladder stretched through m_bar
+        assert [len(g) for g in manifest_of(out)["measured"]["gaps"]] == [4, 2, 2]
 
 
 def test_a_profile_works_in_either_dimension(tmp_path):

@@ -146,6 +146,35 @@ def test_stretched_start_repeats_the_middle_row():
     np.testing.assert_array_equal(mfg.stretched_start(start, m0, 5)[1:], start[1:])
 
 
+def test_stretched_start_fills_the_inserted_rows_with_the_middle():
+    g = grid1d(0.5)
+    m0 = M.GridMeasure.uniform_on(g, -1.0, 1.0)
+    rng = np.random.default_rng(1)
+    start, middle = rng.random((6, g.n_points)), rng.random(g.n_points)  # K' = 5, h = 2
+    W = mfg.stretched_start(start, m0, 9, middle)
+    assert W.shape == (10, g.n_points)
+    np.testing.assert_array_equal(W[0], m0.weights)
+    np.testing.assert_array_equal(W[1:3], start[1:3])  # rows 1..h
+    np.testing.assert_array_equal(W[3:7], np.tile(middle, (4, 1)))  # rows h+1..h+K-K'
+    np.testing.assert_array_equal(W[7:], start[3:])  # the tail, rows h+1..K' of start
+    # K' = K inserts no row, so the middle appears nowhere
+    np.testing.assert_array_equal(mfg.stretched_start(start, m0, 5, middle)[1:], start[1:])
+
+
+@pytest.mark.parametrize("shape", [(16,), (18,), (1, 17), ()],
+                         ids=["too-narrow", "too-wide", "two-d", "scalar"])
+def test_stretched_start_rejects_a_misshaped_middle(shape):
+    g = grid1d(0.5)
+    m0 = M.GridMeasure.uniform_on(g, -1.0, 1.0)
+    start = np.tile(m0.weights, (3, 1))
+    with pytest.raises(ValueError, match="middle must be one row"):
+        mfg.stretched_start(start, m0, 9, np.zeros(shape))
+    with pytest.raises(ValueError, match="middle must be one row"):
+        M.solve_finite_horizon(M.quadratic_kinetic(), decoupled_coupling(), m0,
+                               zero_terminal(), g, 9 * g.dt, start=start,
+                               middle=np.zeros(shape))
+
+
 @pytest.mark.parametrize("shape", [(11, 17), (3, 16), (17,), (0, 17)],
                          ids=["too-long", "too-narrow", "one-row-1d", "empty"])
 def test_stretched_start_rejects_a_misshaped_path(shape):
@@ -175,6 +204,28 @@ def test_warm_start_from_half_the_horizon(ri1_coarse):
     # a one-row start stretches to the constant path m0: the cold start
     np.testing.assert_array_equal(solve(4.0, inst.m0.weights[None]).m_path.weights,
                                   half.m_path.weights)
+
+
+def test_stretching_through_m_bar_saves_an_iteration(ri1_coarse):
+    # the turnpike puts the middle of T = 4 near m_bar, not near the middle
+    # row of the T = 2 path
+    inst = ri1_coarse
+    tol = 1e-4
+    m_bar = M.solve_ergodic(inst.L, inst.coupling, inst.grid).m_bar.weights
+
+    def solve(T, start=None, middle=None):
+        return M.solve_finite_horizon(inst.L, inst.coupling, inst.m0, inst.uf,
+                                      inst.grid, T, tol, start=start, middle=middle)
+
+    half = solve(2.0, middle=m_bar)
+    row_h, through_m_bar = solve(4.0, half.m_path.weights), solve(4.0, half.m_path.weights, m_bar)
+    assert row_h.iterations == 3 and through_m_bar.iterations == 2
+    for sol in (row_h, through_m_bar):
+        assert sol.converged and sol.residuals[-1] <= tol
+    # without a start the middle is not read: the cold solve, bit for bit
+    cold = solve(2.0)
+    np.testing.assert_array_equal(half.m_path.weights, cold.m_path.weights)
+    assert [h["gap_lo"] for h in half.history] == [h["gap_lo"] for h in cold.history]
 
 
 def test_assumption_gate_rejects_stray_initial_mass(ri1):

@@ -14,7 +14,9 @@ step's own candidate of that policy.  The 2-D d_1 is symmetric,
 obeys the triangle inequality, agrees with the 1-D CDF formula on data laid
 along an axis, and matches a full-support transport LP per row, also as the
 stopping residual of a 2-D fixed point, and the pair the solver returns is
-within its tolerance of its own best response.  The sliced bound lies
+within its tolerance of its own best response.  A warm start stretched
+from probability rows, through its own middle row or a given one, is made
+of probability rows.  The sliced bound lies
 between 0 and that LP, and is exact in 1-D and on data along one row of
 nodes.  The Legendre transform of the
 kinetic Lagrangian |v|^2/2 is |p|^2/2, attained at v = p.  The per-node CSV
@@ -461,6 +463,18 @@ def test_returned_pair_is_within_tol_of_its_best_response(ri1_coarse, name, T, t
                           inst.coupling.path_values(g, sol.m_path.weights), inst.uf, T)
     best = M.measure_path(M.trace_optimal_flow(vf, inst.m0)).weights
     assert reference_sup_d1(g, best, sol.m_path.weights) <= tol
+
+
+@SETTINGS
+@given(data=st.data(), n=st.integers(1, 12), Kp=st.integers(0, 8), extra=st.integers(0, 8),
+       through_middle=st.booleans())
+def test_stretched_start_keeps_probability_rows(data, n, Kp, extra, through_middle):
+    start = np.stack([weights(data.draw, n) for _ in range(Kp + 1)])
+    m0 = SimpleNamespace(weights=weights(data.draw, n))
+    middle = weights(data.draw, n) if through_middle else None
+    W = mfg.stretched_start(start, m0, Kp + extra, middle)
+    assert W.shape == (Kp + extra + 1, n)
+    assert np.abs(W.sum(axis=1) - 1.0).max() <= n * np.finfo(float).eps
 
 
 @SETTINGS
