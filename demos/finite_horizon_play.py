@@ -26,7 +26,8 @@ def main():
         print(f"  {k} = {v}")
 
     print(f"weak continuity residual: {M.kfp_residual(sol):.2e}")
-    per, worst = M.occupation_time_outside(sol.bundle, 2.0)
+    curves = M.trace_optimal_flow(sol.u, inst.m0)
+    per, worst = M.occupation_time_outside(curves, 2.0)
     print(f"time spent outside B_2 by the optimal curves: max {worst}")
 
 

@@ -7,7 +7,7 @@ The value function of
 
 is computed by semi-Lagrangian dynamic programming: at each step the
 velocity is chosen from the grid, the continuation value interpolated
-multilinearly, and the minimizing velocity stored as the optimal feedback.
+multilinearly, and the minimizing velocity's index stored as the policy.
 Interpolation clamps to the box, which encodes state constraints at the
 (remote) boundary.
 
@@ -87,21 +87,21 @@ def _grid_lipschitz(grid, vals, mask=None):
 
 @dataclass
 class ValueField:
-    """Space-time value table with the stored optimal feedback.
+    """Space-time value table with the stored optimal policy.
 
-    values has shape (K+1, N); feedback has shape (K, N, n) (no
-    minimization happens at the final time) and holds the chosen grid
-    velocity of every node.
+    values has shape (K+1, N); policy has shape (K, N) (no minimization
+    happens at the final time) and holds the index into grid.velocities of
+    the velocity chosen at every node.
     """
 
     grid: object
     times: np.ndarray
     values: np.ndarray
-    feedback: np.ndarray
+    policy: np.ndarray
 
     def velocity_at(self, k, pts):
-        """Feedback of step k < K at (..., n) points, multilinear in space; shaped like pts."""
-        return interp_grid(self.grid, self.feedback[k], pts)
+        """Velocity of step k < K at (..., n) points, multilinear in space; shaped like pts."""
+        return interp_grid(self.grid, self.grid.velocities[self.policy[k]], pts)
 
     def to_csv(self, path):
         write_node_table(path, self.grid, "u", self.values, self.times)
@@ -245,7 +245,7 @@ def solve_backward(step, F_path, uf, T, check_boundary=True):
 
     one call of step, the BellmanStep of L on its grid, per time step.  The
     argmins fill one (K, N) policy table of uint8 (up to 256 velocities) or
-    wider indices, and the returned ValueField's feedback is its velocities.
+    wider indices, which the returned ValueField holds.
     With check_boundary that table is checked once, after the last step:
     MinimizerOnBoundary (BellmanStep.check_edge) names the latest time with
     an edge velocity, a sign that v_max is too small for the data.
@@ -262,7 +262,7 @@ def solve_backward(step, F_path, uf, T, check_boundary=True):
         values[k], policy[k] = step(values[k + 1], F[k])
     if check_boundary:
         step.check_edge(policy, times[:K])
-    return ValueField(grid, times, values, grid.velocities[policy])
+    return ValueField(grid, times, values, policy)
 
 
 def hopf_lax_oracle(uf, t, x, T, grid):

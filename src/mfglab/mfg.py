@@ -60,8 +60,10 @@ def theta(gaps):
 
 @dataclass
 class MFGSolution:
-    """The returned pair (u, m_path), the best response to m_path, and the run.
+    """The returned pair (u, m_path) and the run.
 
+    u holds the policy that answers m_path: trace_optimal_flow(u, m0)
+    traces its curves, whose top speed is diagnostics["max_speed"].
     history holds one dict per iteration k: "theta" (the schedule's weight
     of BR(W_k), read from the gap_lo values and unused on the iteration
     that stops), "gap_lo", the sliced lower bound on the best-response gap
@@ -75,7 +77,6 @@ class MFGSolution:
 
     u: object  # ValueField
     m_path: MeasurePath
-    bundle: object  # optimal trajectories against m_path
     converged: bool
     history: list
     diagnostics: dict = field(default_factory=dict)
@@ -184,8 +185,6 @@ def solve_finite_horizon(L, coupling, m0, uf, grid, T, tol=1e-4, start=None, mid
     gaps_lo, history = [], []
     while True:
         t0 = time.perf_counter()
-        # the coupling table is freed when the backward solve returns: memory
-        # peaks in the forward trace, where the step's buffers stay alive
         vf = solve_backward(step, coupling.path_values(grid, W), uT, T)
         t1 = time.perf_counter()
         bundle = trace_optimal_flow(vf, m0)
@@ -218,7 +217,7 @@ def solve_finite_horizon(L, coupling, m0, uf, grid, T, tol=1e-4, start=None, mid
         "time_lipschitz": time_lipschitz_estimate(vf),
         "mass_drift": float(np.abs(W.sum(axis=1) - 1.0).max()),
     }
-    return MFGSolution(vf, path, bundle, converged, history, diagnostics)
+    return MFGSolution(vf, path, converged, history, diagnostics)
 
 
 # ---------------------------------------------------------------------------
@@ -291,9 +290,9 @@ def kfp_residual(solution, test_functions=None):
         sum_k dt sum_nodes m_k [d_t psi + <D psi, v*>] + boundary terms
 
     should vanish; the boundary terms use m(0) and m(T) and cancel exactly
-    for psi compactly supported in (0, T).  v* is the feedback the backward
-    solve stored at the nodes, and the sum runs over steps k < K and the
-    nodes that m charges at any of them, in one array expression per psi.
+    for psi compactly supported in (0, T).  v* is the stored policy's
+    velocity at the nodes, and the sum runs over steps k < K and the nodes
+    that m charges at any of them, in one array expression per psi.
     Returns the max absolute residual over the dictionary.
     """
     path = solution.m_path
@@ -304,7 +303,7 @@ def kfp_residual(solution, test_functions=None):
     charged = (path.weights[:K] > SUPPORT_EPS).any(axis=0)
     w = path.weights[:K, charged]  # (K, S)
     pts = g.points[charged]  # (S, n)
-    vstar = solution.u.feedback[:, charged]  # (K, S, n)
+    vstar = g.velocities[solution.u.policy[:, charged]]  # (K, S, n)
     t = path.times[:K, None]
     worst = 0.0
     for psi in fns:

@@ -1,8 +1,8 @@
 """Lagrangian side: trace the optimal flow and push the initial measure.
 
-Curves follow the stored feedback by forward Euler with the same time step
-as the backward solve, so the pair (value field, measure path) discretizes
-the coupled system consistently.
+Curves follow the stored policy's velocities, interpolated between nodes,
+by forward Euler with the same time step as the backward solve, so the
+pair (value field, measure path) discretizes the coupled system consistently.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ class TrajectoryBundle:
 
 
 def trace_optimal_flow(vf, m0):
-    """Forward-Euler curves through the stored optimal feedback.
+    """Forward-Euler curves through the velocities of the stored policy.
 
     One curve starts at each support node of m0.  Raises EscapedBox if a
     curve leaves the box, which the clamped scheme should prevent for
@@ -48,7 +48,7 @@ def trace_optimal_flow(vf, m0):
     which any is.
     """
     g = vf.grid
-    K = vf.feedback.shape[0]
+    K = len(vf.policy)
     starts = m0.support()
     C = len(starts)
     pos = np.empty((C, K + 1, g.dim))

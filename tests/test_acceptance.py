@@ -101,9 +101,10 @@ def test_criterion_03_long_time_rates(ri1, ergodic_sol, ladder):
 # 4. excursion time outside B_R stays bounded as T grows
 
 
-def test_criterion_04_uniform_excursion(long_ladder):
+def test_criterion_04_uniform_excursion(ri1, long_ladder):
     sols, wides = long_ladder
-    eq_occ = {T: M.occupation_time_outside(s.bundle, 2.0)[1] for T, s in sols.items()}
+    eq_occ = {T: M.occupation_time_outside(M.trace_optimal_flow(s.u, ri1.m0), 2.0)[1]
+              for T, s in sols.items()}
     wide_occ = {T: M.occupation_time_outside(w, 2.0)[1] for T, w in wides.items()}
     Ts = sorted(wide_occ)
     vals = [wide_occ[T] for T in Ts]
@@ -128,7 +129,7 @@ def test_criterion_05_uniform_lipschitz(ri1, long_ladder):
     speeds = [wides[T].max_speed() for T in Ts]
     lip_spread = (max(lips) - min(lips)) / max(lips)
     spd_spread = (max(speeds) - min(speeds)) / max(speeds)
-    inside = all(sols[T].bundle.max_speed() < ri1.grid.v_max for T in Ts)
+    inside = all(sols[T].diagnostics["max_speed"] < ri1.grid.v_max for T in Ts)
     ok = lip_spread <= 0.05 and spd_spread <= 0.05 and inside
     report(5, ok, f"Lip(u) on B_3 spread {lip_spread:.2e} (<= 5%), max speed spread "
                   f"{spd_spread:.2e} (<= 5%), speeds inside the velocity box: {inside}")

@@ -1,5 +1,7 @@
 """Rate fitting, the sup-L2 interpolation inequality, coupling monotonicity."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -156,6 +158,13 @@ def test_convergence_metrics_radius_guard(ri1, ergodic_sol, ladder):
         M.convergence_metrics(sols, sol, ri1.coupling, 5.0)  # ball leaves the box
     with pytest.raises(errors.RadiusTooSmall):
         M.convergence_metrics(sols, sol, ri1.coupling, 0.5)  # smaller than measured R1
+    R1 = max(s.diagnostics["measured_R1"] for s in sols.values())
+    M.convergence_metrics(sols, sol, ri1.coupling, R1)  # support on the sphere of B_R
+    R = R1 - ri1.grid.dx[0]  # one node smaller
+    first = next(s for _, s in sorted(sols.items()) if s.diagnostics["measured_R1"] > R)
+    want = f"measured attainable radius {first.diagnostics['measured_R1']!r} > R={R!r}"
+    with pytest.raises(errors.RadiusTooSmall, match=re.escape(want)):
+        M.convergence_metrics(sols, sol, ri1.coupling, R)
 
 
 def test_convergence_report_rows(ri1, ergodic_sol, ladder):

@@ -4,6 +4,7 @@ With L = v^2/2, no coupling term, and terminal datum x^2/2 the exact value is
 u(t, x) = x^2 / (2 (1 + T - t)), with optimal feedback v(t, x) = -x / (1 + T - t).
 """
 
+import os
 import re
 
 import numpy as np
@@ -31,16 +32,16 @@ def solve_hl(dx, T=1.0):
 
 
 def gradient(vf, k):
-    """Spatial gradient of the value at time index k, upwinded by feedback.
+    """Spatial gradient of the value at time index k, upwinded by the policy.
 
-    Where the stored feedback is positive the scheme looked to the right,
-    so a forward difference follows the characteristic; negative feedback
-    takes the backward difference; near-zero feedback uses the central one.
+    Where the stored velocity is positive the scheme looked to the right,
+    so a forward difference follows the characteristic; a negative velocity
+    takes the backward difference; a near-zero one uses the central one.
     Boundary nodes take the available one-sided difference.
     """
     g = vf.grid
     um = vf.values[k].reshape(g.nodes)
-    v = vf.feedback[min(k, vf.feedback.shape[0] - 1)]
+    v = g.velocities[vf.policy[min(k, len(vf.policy) - 1)]]
     dv = g.v_axis[1] - g.v_axis[0]
     out = np.empty((g.n_points, g.dim))
     for d, dx in enumerate(g.dx):
@@ -234,7 +235,7 @@ def test_backward_step_matches_per_node_loop(name, kinetic):
     vf = M.solve_backward(M.BellmanStep(L, g), F, uT, T)
     values, feedback = backward_by_node(L, F, uT, g, T)
     np.testing.assert_allclose(vf.values, values, rtol=0, atol=1e-12)
-    np.testing.assert_array_equal(vf.feedback, feedback)
+    np.testing.assert_array_equal(g.velocities[vf.policy], feedback)
 
 
 @pytest.mark.parametrize("name", sorted(SMALL_GRIDS))
@@ -247,8 +248,30 @@ def test_backward_step_ties_go_to_lowest_velocity(name):
     vf = M.solve_backward(M.BellmanStep(flat, g), F, uT, 0.3, check_boundary=False)
     values, feedback = backward_by_node(flat, F, uT, g, 0.3)
     np.testing.assert_array_equal(vf.values, values)
-    np.testing.assert_array_equal(vf.feedback, feedback)
-    assert (vf.feedback == g.velocities[0]).all()
+    np.testing.assert_array_equal(g.velocities[vf.policy], feedback)
+    assert (g.velocities[vf.policy] == g.velocities[0]).all()
+
+
+RI2 = os.path.join(os.path.dirname(__file__), "..", "bench", "ri2.json")
+
+
+@pytest.mark.parametrize("source, velocities, dtype", [("RI-1", 161, np.uint8),
+                                                       (RI2, 289, np.uint16)],
+                         ids=["ri1", "ri2"])
+def test_value_field_keeps_the_compact_policy(source, velocities, dtype):
+    inst = M.load_instance(source)
+    g = inst.grid
+    T = 3 * g.dt
+    vf = M.solve_backward(M.BellmanStep(inst.L, g), inst.coupling.values_on(g, inst.m0),
+                          inst.uf, T)
+    K = g.time_steps(T)
+    assert len(g.velocities) == velocities
+    assert vf.policy.dtype == dtype
+    assert vf.policy.shape == (K, g.n_points)
+    # times, values and policy are its only arrays: no (K, N, n) float copy of the control
+    tables = {k: a for k, a in vars(vf).items() if isinstance(a, np.ndarray)}
+    assert sorted(tables) == ["policy", "times", "values"]
+    assert all(a.ndim < 3 for a in tables.values())
 
 
 @pytest.mark.parametrize("name", sorted(SMALL_GRIDS))

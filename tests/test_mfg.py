@@ -293,7 +293,7 @@ def test_kfp_residual_static_path_refines():
         m0 = M.GridMeasure.uniform_on(g, -1.0, 1.0)
         sol = M.solve_finite_horizon(M.quadratic_kinetic(), flat_coupling(),
                                      m0, zero_terminal(), g, 2.0)
-        assert sol.bundle.max_speed() == 0.0
+        assert sol.diagnostics["max_speed"] == 0.0
         K = g.time_steps(2.0)
         np.testing.assert_allclose(sol.m_path.weights,
                                    np.tile(m0.weights, (K + 1, 1)), atol=1e-14)
@@ -304,7 +304,7 @@ def test_kfp_residual_static_path_refines():
 
 def kfp_residual_per_step(solution):
     """Reference: the weak continuity residual summed one step at a time, the
-    feedback interpolated at the nodes m(t_k) charges."""
+    policy's velocities interpolated at the nodes m(t_k) charges."""
     path, vf = solution.m_path, solution.u
     g = path.grid
     T = float(path.times[-1])

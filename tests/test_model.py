@@ -315,7 +315,7 @@ def test_callables_get_arrays_of_n_coordinates(grid):
         assert all(s[-1:] == (n,) for s in shapes), (name, set(shapes))
     C, K = len(m.support()), len(vf.times) - 1
     assert vstar.shape == m.mean().shape == (n,)
-    assert vf.feedback.shape == (K, grid.n_points, n)
+    assert grid.velocities[vf.policy].shape == (K, grid.n_points, n)
     assert bundle.positions.shape == (C, K + 1, n)
     assert bundle.velocities.shape == (C, K, n)
 

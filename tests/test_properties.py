@@ -3,8 +3,8 @@
 Deposit keeps mass and first moment, also over a batch of point sets;
 interpolation, the grid Lipschitz constant and the upwind gradient are
 exact on affine functions, and the Lipschitz estimate of a space-time
-table is the largest constant of its rows; the feedback interpolates all
-its components through one stencil, bit for bit as interp_grid does each;
+table is the largest constant of its rows; a policy's velocities interpolate
+all their components through one stencil, bit for bit as interp_grid does each;
 the backward step's departure values agree with interp_grid at every
 x + dt v, past the box too, and its largest operand is the one the grid's
 size budget predicts; dt L folded into its last product matches dt L added
@@ -72,6 +72,13 @@ def weights(draw, size):
     return w / w.sum()
 
 
+def policies(grid):
+    """One velocity index per node of grid, in the dtype solve_backward stores."""
+    nv, N = len(grid.velocities), grid.n_points
+    return st.lists(st.integers(0, nv - 1), min_size=N, max_size=N).map(
+        lambda p: np.asarray(p, dtype=np.min_scalar_type(nv - 1)))
+
+
 def points_in(draw, grid, count, margin=0.0):
     """count points, each coordinate uniform over the box widened by margin."""
     cols = []
@@ -121,11 +128,10 @@ def test_interp_grid_exact_on_affine_with_clamping(data, slope, offset):
 def test_velocity_at_is_interp_grid_per_component(data):
     grid = data.draw(grids())
     pts = points_in(data.draw, grid, 10, margin=0.5)
-    size = grid.n_points * grid.dim
-    feedback = np.reshape(data.draw(st.lists(finite, min_size=size, max_size=size)),
-                          (1, grid.n_points, grid.dim))
-    vf = M.ValueField(grid, np.array([0.0, grid.dt]), np.zeros((2, grid.n_points)), feedback)
-    want = np.stack([M.interp_grid(grid, c, pts) for c in feedback[0].T], axis=-1)
+    policy = data.draw(policies(grid))[None]
+    vf = M.ValueField(grid, np.array([0.0, grid.dt]), np.zeros((2, grid.n_points)), policy)
+    nodes = grid.velocities[policy[0]]
+    want = np.stack([M.interp_grid(grid, c, pts) for c in nodes.T], axis=-1)
     np.testing.assert_array_equal(vf.velocity_at(0, pts), want)  # bit for bit
 
 
@@ -187,8 +193,7 @@ def test_departure_step_matches_interp_grid(grid, data, slope, offset):
 def test_policy_transition_is_the_steps_own_stencil(grid, data):
     step = M.BellmanStep(M.quadratic_kinetic(), grid)
     N, rows = grid.n_points, np.arange(grid.n_points)
-    policy = np.asarray(data.draw(st.lists(st.integers(0, len(grid.velocities) - 1),
-                                           min_size=N, max_size=N)))
+    policy = data.draw(policies(grid))
     u = np.asarray(data.draw(st.lists(st.floats(-1e3, 1e3), min_size=N, max_size=N)))
     cost, nodes, weights = step.transition(policy)
     assert nodes.shape == weights.shape == (2 ** grid.dim, N)
@@ -262,11 +267,9 @@ def test_lipschitz_estimate_is_the_largest_row_constant(data, grid, rows, R):
 def test_gradient_of_affine_is_its_slope(data, slope, offset):
     grid = data.draw(grids())
     u = affine_on(grid, slope, offset, grid.points)
-    # any feedback: forward, backward and central differences all agree
-    size = grid.points.size
-    fb = data.draw(st.lists(st.sampled_from([-1.0, 0.0, 1.0]), min_size=size, max_size=size))
+    # any policy: forward, backward and central differences all agree
     vf = M.ValueField(grid, np.array([0.0, grid.dt]), np.stack([u, u]),
-                      np.reshape(fb, (1,) + grid.points.shape))
+                      data.draw(policies(grid))[None])
     got = gradient(vf, 0)
     assert got.shape == grid.points.shape
     want = np.broadcast_to(slope[: grid.dim], (grid.n_points, grid.dim))

@@ -48,12 +48,13 @@ def test_trace_endpoint_and_velocity():
 
 def test_trace_escaping_raises():
     g = grid1d(0.04, v_max=4.0)
-    # fabricate a value field whose feedback pushes hard away from the origin
+    # fabricate a value field whose policy pushes hard away from the origin:
+    # velocity index 0 is -4 and index nv - 1 is +4
     K = g.time_steps(1.0)
     times = np.arange(K + 1) * g.dt
     values = np.zeros((K + 1, g.n_points))
-    feedback = np.where(g.points < 0.0, -4.0, 4.0)[None].repeat(K, axis=0)
-    vf = M.ValueField(g, times, values, feedback)
+    policy = np.where(g.points[:, 0] < 0.0, 0, g.v_nodes - 1)[None].repeat(K, axis=0)
+    vf = M.ValueField(g, times, values, policy)
     w = np.zeros(g.n_points)
     w[[g.nearest_node(x) for x in (-3.7, 3.0, 3.8, 3.85)]] = 0.25
     # curves 7, 195 and 196 all leave at the second step; 7 is named
