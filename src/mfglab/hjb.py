@@ -101,7 +101,7 @@ class ValueField:
 
     def velocity_at(self, k, pts):
         """Velocity of step k < K at (..., n) points, multilinear in space; shaped like pts."""
-        return interp_grid(self.grid, self.grid.velocities[self.policy[k]], pts)
+        return interp_grid(self.grid, self.grid.velocities.take(self.policy[k], axis=0), pts)
 
     def to_csv(self, path):
         write_node_table(path, self.grid, "u", self.values, self.times)
@@ -208,6 +208,7 @@ class BellmanStep:
         self._departure = _departure_step(grid, self.shifts, self.dtL)  # Interp[u] + dt L
         self._edge = (np.abs(V) == grid.v_max).any(axis=1)  # linspace ends exactly
         self._rows = np.arange(grid.n_points)
+        self._row_starts = self._rows * len(V)  # flat index of each node's first candidate
 
     def transition(self, policy):
         """(dt L, nodes, weights) of a policy, one velocity index per node: nodes
@@ -225,13 +226,13 @@ class BellmanStep:
     def __call__(self, u, F):
         cand = self._departure(u)
         policy = cand.argmin(axis=1)
-        return cand[self._rows, policy] + self.grid.dt * F, policy
+        return cand.ravel().take(self._row_starts + policy) + self.grid.dt * F, policy
 
     def check_edge(self, policy, times):
         """MinimizerOnBoundary if policy, one row of velocity indices per entry of
         times, picks a velocity on the grid edge: it names the latest such time
         and the first such node in that row."""
-        bad = self._edge[policy]
+        bad = np.take(self._edge, policy)
         if bad.any():
             k = np.argmax(np.where(bad.any(axis=1), times, -np.inf))
             raise MinimizerOnBoundary(times[k], self.grid.points[bad[k].argmax()])

@@ -120,12 +120,17 @@ def sliced_d1(grid, rows1, rows2):
     else:
         angle = np.pi * np.arange(SLICE_DIRECTIONS) / SLICE_DIRECTIONS
         dirs = np.stack([np.cos(angle), np.sin(angle)], axis=1)
-    diffs = rows1 - rows2
+    # column-major, as numpy lays out the permuted copy diffs[:, order]: BLAS
+    # sums the product below in an order set by the layout, and the 1-D path,
+    # which sums diffs itself, must keep the copy's order
+    diffs = np.subtract(rows1, rows2, order="F")
     best = 0.0
     for proj in (grid.points @ dirs.T).T:
         order = np.argsort(proj, kind="stable")
-        c = diffs[:, order]
-        np.cumsum(c, axis=1, out=c)  # in place: one copy of the rows beside diffs
+        # 1-D nodes are sorted, so order is the identity and diffs, read by
+        # this one direction only, is summed itself; 2-D sums a permuted copy
+        c = diffs if grid.dim == 1 else diffs[:, order]
+        np.cumsum(c, axis=1, out=c)
         np.abs(c, out=c)
         best = max(best, float((c[:, :-1] @ np.diff(proj[order])).max()))
     return best
@@ -216,19 +221,23 @@ def deposit(grid, pts, masses):
 
     pts holds P points as (P, n) rows, optionally behind leading batch axes;
     each batch row of points gets its own weight row and all rows share the
-    P masses.
+    P masses.  The masses and the row offsets broadcast against the (rows, P)
+    stencil, and np.add.at adds corner by corner, each corner's points in
+    order.
     """
     masses = np.asarray(masses, dtype=float)
     batch = np.shape(pts)[:-2]
     rows = math.prod(batch)
-    offset = np.repeat(np.arange(rows) * grid.n_points, len(masses))
-    m = np.tile(masses, rows)
+    shape = (rows, len(masses))
+    offset = np.arange(rows)[:, None] * grid.n_points
     w = np.zeros(rows * grid.n_points)
     for idx, weights in cell_corners(grid, pts, clamp=False):
-        wt = m
+        wt = masses
         for f in weights:
-            wt = wt * f
-        np.add.at(w, idx + offset, wt)
+            wt = wt * f.reshape(shape)
+        idx = idx.reshape(shape)
+        idx += offset  # idx is this corner's own array
+        np.add.at(w, idx.ravel(), wt.ravel())  # 1-D indices: np.add.at's fast loop
     return w.reshape(batch + (grid.n_points,))
 
 

@@ -205,7 +205,9 @@ def solve_finite_horizon(L, coupling, m0, uf, grid, T, tol=1e-4, start=None, mid
         converged = gap is not None and gap <= tol
         if converged or len(history) == MAX_ITERS:
             break
-        W = (1.0 - th) * W + th * best
+        W *= 1.0 - th
+        best *= th
+        W += best
 
     path = MeasurePath(grid, vf.times, W)
     radii = grid.radii()

@@ -225,7 +225,8 @@ def cell_corners(grid, pts, clamp):
         if clamp:
             f = np.minimum(np.maximum(f, 0.0), grid.nodes[d] - 1.0)
         i = np.maximum(np.minimum(f.astype(int), grid.nodes[d] - 2), 0)
-        frac.append(f - i)
+        f -= i  # f is this function's own array: the fraction takes its place
+        frac.append(f)
         base = base + i * strides[d]
     for corner in range(2**grid.dim):
         bits = [(corner >> d) & 1 for d in range(grid.dim)]

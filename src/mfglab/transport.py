@@ -3,6 +3,9 @@
 Curves follow the stored policy's velocities, interpolated between nodes,
 by forward Euler with the same time step as the backward solve, so the
 pair (value field, measure path) discretizes the coupled system consistently.
+The sweep is step-major: each step writes one contiguous row of every
+curve's position and velocity, and the deposit reads the positions row by
+row and normalizes its rows in place.
 """
 
 from __future__ import annotations
@@ -22,7 +25,8 @@ class TrajectoryBundle:
     """One traced curve per support node of the initial measure.
 
     Positions (C, K+1, n) and velocities (C, K, n) hold one n-vector per
-    curve and time.
+    curve and time; trace_optimal_flow fills them step-major, so its
+    bundles hold swapaxes views whose [:, k] slices are contiguous.
     """
 
     grid: object
@@ -42,32 +46,39 @@ class TrajectoryBundle:
 def trace_optimal_flow(vf, m0):
     """Forward-Euler curves through the velocities of the stored policy.
 
-    One curve starts at each support node of m0.  Raises EscapedBox if a
-    curve leaves the box, which the clamped scheme should prevent for
-    admissible data: it names the first curve out at the earliest step at
-    which any is.
+    One curve starts at each support node of m0.  The sweep fills step-major
+    (K+1, C, n) positions and (K, C, n) velocities, one contiguous row of all
+    curves per step; the bundle holds them as (C, K+1, n) and (C, K, n)
+    views.  Raises EscapedBox if a curve leaves the box, which the clamped
+    scheme should prevent for admissible data: it names the first curve out
+    at the earliest step at which any is.
     """
     g = vf.grid
     K = len(vf.policy)
     starts = m0.support()
     C = len(starts)
-    pos = np.empty((C, K + 1, g.dim))
-    vel = np.empty((C, K, g.dim))
-    pos[:, 0] = g.points[starts]
+    pos = np.empty((K + 1, C, g.dim))
+    vel = np.empty((K, C, g.dim))
+    pos[0] = g.points[starts]
     for k in range(K):
-        vel[:, k] = vf.velocity_at(k, pos[:, k])
-        pos[:, k + 1] = pos[:, k] + g.dt * vel[:, k]
-    out = ~g.in_box(pos[:, 1:])  # (C, K)
+        vel[k] = vf.velocity_at(k, pos[k])
+        pos[k + 1] = pos[k] + g.dt * vel[k]
+    out = ~g.in_box(pos[1:])  # (K, C)
     if out.any():
-        k = int(out.any(axis=0).argmax())
-        c = int(out[:, k].argmax())
-        raise EscapedBox(int(starts[c]), float(vf.times[k + 1]), pos[c, k + 1])
+        k = int(out.any(axis=1).argmax())
+        c = int(out[k].argmax())
+        raise EscapedBox(int(starts[c]), float(vf.times[k + 1]), pos[k + 1, c])
     masses = m0.weights[starts]
-    return TrajectoryBundle(g, vf.times.copy(), starts, pos, vel, masses)
+    return TrajectoryBundle(g, vf.times.copy(), starts, pos.swapaxes(0, 1),
+                            vel.swapaxes(0, 1), masses)
 
 
 def measure_path(bundle):
-    """Deposit the bundle onto the grid at every time to get m(t)."""
+    """Deposit the bundle onto the grid at every time to get m(t).
+
+    Each row is divided by its own sum in place, so m_path(0) is m0 only up
+    to that rounding.
+    """
     g = bundle.grid
     rows = deposit(g, np.swapaxes(bundle.positions, 0, 1), bundle.masses)
     s = rows.sum(axis=1)
@@ -75,7 +86,8 @@ def measure_path(bundle):
     if (lost > MASS_TOL).any():
         k = int(np.argmax(lost > MASS_TOL))
         raise ValueError(f"deposition lost mass at step {k}: {lost[k]:.3e}")
-    return MeasurePath(g, bundle.times, rows / s[:, None])
+    rows /= s[:, None]
+    return MeasurePath(g, bundle.times, rows)
 
 
 def occupation_time_outside(bundle, R):

@@ -1,6 +1,9 @@
 """Invariants of the grid kernels on generated 1-D and 2-D grids.
 
-Deposit keeps mass and first moment, also over a batch of point sets;
+Deposit keeps mass and first moment, also over a batch of point sets, and
+matches a per-point, per-corner reference bit for bit; the traced flow
+matches a per-curve forward-Euler loop bit for bit, or names the same
+first curve out of the box;
 interpolation, the grid Lipschitz constant and the upwind gradient are
 exact on affine functions, and the Lipschitz estimate of a space-time
 table is the largest constant of its rows; a policy's velocities interpolate
@@ -17,8 +20,8 @@ stopping residual of a 2-D fixed point, and the pair the solver returns is
 within its tolerance of its own best response.  A warm start stretched
 from probability rows, through its own middle row or a given one, is made
 of probability rows.  The sliced bound lies
-between 0 and that LP, and is exact in 1-D and on data along one row of
-nodes.  The Legendre transform of the
+between 0 and that LP, is exact in 1-D and on data along one row of
+nodes, and matches its permuted-copy reference bit for bit.  The Legendre transform of the
 kinetic Lagrangian |v|^2/2 is |p|^2/2, attained at v = p.  The per-node CSV
 writers give the same bytes as a csv.writer of repr'd floats, special
 values included, each with its own line terminator.
@@ -39,9 +42,9 @@ from scipy import sparse
 from scipy.optimize import linprog
 
 import mfglab as M
-from mfglab import cli, mfg
+from mfglab import cli, errors, mfg
 from mfglab.hjb import _departure_step, _grid_lipschitz, _shift_table
-from mfglab.measure import SUPPORT_EPS, _d1_lp, deposit, sliced_d1, sup_d1
+from mfglab.measure import SLICE_DIRECTIONS, SUPPORT_EPS, _d1_lp, deposit, sliced_d1, sup_d1
 
 from test_hjb import gradient
 
@@ -111,6 +114,40 @@ def test_deposit_keeps_mass_and_first_moment(data):
     np.testing.assert_array_equal(batch, [w, deposit(grid, pts[::-1], masses)])
 
 
+def reference_deposit(grid, pts, masses):
+    """deposit one point and one corner at a time, in np.add.at's order:
+    corners outermost, then the batch rows, then the points of a row."""
+    n, N = grid.dim, grid.n_points
+    rows = np.reshape(pts, (-1, len(masses), n))
+    strides = [math.prod(grid.nodes[d + 1:]) for d in range(n)]
+    w = np.zeros(len(rows) * N)
+    for corner in range(2 ** n):
+        for r, row in enumerate(rows):
+            for x, m in zip(row, masses):
+                node, wt = r * N, m
+                for d in range(n):
+                    f = (x[d] - grid.lo[d]) / grid.dx[d]
+                    i = max(min(int(f), grid.nodes[d] - 2), 0)
+                    bit = (corner >> d) & 1
+                    node += (i + bit) * strides[d]
+                    wt = wt * (f - i if bit else 1 - (f - i))
+                w[node] += wt
+    return w.reshape(np.shape(pts)[:-2] + (N,))
+
+
+@SETTINGS
+@given(data=st.data(), batch=st.lists(st.integers(1, 3), max_size=2))
+def test_deposit_matches_a_per_point_reference(data, batch):
+    grid = data.draw(grids())
+    count = data.draw(st.integers(1, 8))
+    pts = points_in(data.draw, grid, count * math.prod(batch)).reshape(
+        tuple(batch) + (count, grid.dim))
+    masses = np.asarray(data.draw(st.lists(st.floats(0.0, 1.0), min_size=count,
+                                           max_size=count)))
+    np.testing.assert_array_equal(deposit(grid, pts, masses),
+                                  reference_deposit(grid, pts, masses))  # bit for bit
+
+
 @SETTINGS
 @given(data=st.data(), slope=st.lists(finite, min_size=2, max_size=2), offset=finite)
 def test_interp_grid_exact_on_affine_with_clamping(data, slope, offset):
@@ -146,6 +183,60 @@ def step_grids(draw):
     dt = draw(st.floats(0.01, 1.0))
     reach = draw(st.floats(0.05, 1.5)) * max(b - a for a, b in zip(g.lo, g.hi))
     return M.GridSpec(g.lo, g.hi, g.nodes, dt, reach / dt, draw(st.integers(3, 12)))
+
+
+def confined_policies(grid):
+    """Like policies, but each node's velocity keeps that node in the box; a
+    traced x + dt v(x) is a convex combination of such steps, so it stays in."""
+    N = grid.n_points
+    ok = grid.in_box(grid.points[:, None] + grid.dt * grid.velocities[None])  # (N, nV)
+    return st.lists(st.integers(0, 10**6), min_size=N, max_size=N).map(
+        lambda r: np.array([np.flatnonzero(row)[j % row.sum()] for row, j in zip(ok, r)],
+                           dtype=np.min_scalar_type(len(grid.velocities) - 1)))
+
+
+@SETTINGS
+@given(grid=step_grids(), data=st.data(), K=st.integers(1, 5))
+def test_trace_matches_a_per_curve_euler_loop(grid, data, K):
+    N = grid.n_points
+    # free nodes may send a curve out of the box, at any step; the rest keep it in
+    free = data.draw(st.lists(st.booleans(), min_size=N, max_size=N))
+    policy = np.stack([np.where(free, data.draw(policies(grid)),
+                                data.draw(confined_policies(grid))) for _ in range(K)])
+    vf = M.ValueField(grid, np.arange(K + 1) * grid.dt, np.zeros((K + 1, N)), policy)
+    w = weights(data.draw, N)
+    if not all(free) and data.draw(st.booleans()):  # curves from kept nodes only: later exits
+        w = np.where(free, 0.0, w + 1.0)
+    m0 = M.GridMeasure(grid, w / w.sum())
+    starts = m0.support()
+    # each curve alone, one forward-Euler step at a time through velocity_at
+    pos, vel = [], []
+    for node in starts:
+        x = [grid.points[node]]
+        v = []
+        for k in range(K):
+            v.append(vf.velocity_at(k, x[-1][None])[0])
+            x.append(x[-1] + grid.dt * v[-1])
+        pos.append(x)
+        vel.append(v)
+    pos, vel = np.array(pos), np.array(vel)
+    out = ~grid.in_box(pos[:, 1:])  # (C, K)
+    first = [int(np.argmax(o)) if o.any() else K for o in out]
+    k = min(first)
+    if k < K:  # the first curve out at the earliest step any is out
+        c = first.index(k)
+        want = errors.EscapedBox(int(starts[c]), float(vf.times[k + 1]), pos[c, k + 1])
+        with pytest.raises(errors.EscapedBox) as raised:
+            M.trace_optimal_flow(vf, m0)
+        assert str(raised.value) == str(want)
+        return
+    b = M.trace_optimal_flow(vf, m0)
+    assert b.positions.shape == (len(starts), K + 1, grid.dim)
+    assert b.velocities.shape == (len(starts), K, grid.dim)
+    np.testing.assert_array_equal(b.positions, pos)  # bit for bit
+    np.testing.assert_array_equal(b.velocities, vel)
+    np.testing.assert_array_equal(b.start_nodes, starts)
+    np.testing.assert_array_equal(b.masses, m0.weights[starts])
 
 
 def departure_stages(step):
@@ -388,6 +479,32 @@ def test_sliced_d1_is_exact_in_1d(data):
     assert lo == sup_d1(grid, rows1, rows2)
     cdf = np.abs(np.cumsum(rows1 - rows2, axis=1)[:, :-1]).sum(axis=1).max() * grid.dx[0]
     assert lo == pytest.approx(cdf, rel=1e-12, abs=1e-14)
+
+
+def reference_sliced_d1(grid, rows1, rows2, dirs):
+    """sliced_d1 as its definition reads: per direction, sum a permuted copy
+    of the difference rows in the order of the projected nodes."""
+    best = 0.0
+    for proj in (grid.points @ dirs.T).T:
+        order = np.argsort(proj, kind="stable")
+        c = (rows1 - rows2)[:, order]
+        np.cumsum(c, axis=1, out=c)
+        np.abs(c, out=c)
+        best = max(best, float((c[:, :-1] @ np.diff(proj[order])).max()))
+    return best
+
+
+@SETTINGS
+@given(data=st.data())
+def test_sliced_d1_matches_its_permuted_copy_reference(data):
+    grid = data.draw(grids())
+    count = data.draw(st.integers(1, 8))
+    rows1 = np.array([weights(data.draw, grid.n_points) for _ in range(count)])
+    rows2 = np.array([weights(data.draw, grid.n_points) for _ in range(count)])
+    angle = np.pi * np.arange(SLICE_DIRECTIONS) / SLICE_DIRECTIONS
+    dirs = np.ones((1, 1)) if grid.dim == 1 else np.stack([np.cos(angle), np.sin(angle)], 1)
+    # bit for bit: the layout of the summed rows sets BLAS's order in the product
+    assert sliced_d1(grid, rows1, rows2) == reference_sliced_d1(grid, rows1, rows2, dirs)
 
 
 @SETTINGS

@@ -1,5 +1,7 @@
 """Characteristic tracing, excursion times, action defect."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -72,6 +74,25 @@ def test_measure_path_mass_and_flat_continuity():
     # d1(m(t_k), m(t_{k+1})) <= max speed * dt, exactly
     vmax = b.max_speed()
     assert sup_d1(g, path.weights[:-1], path.weights[1:]) <= vmax * g.dt + 1e-12
+
+
+def test_measure_path_peak_memory_stays_near_its_output(ri1):
+    # the RI-1 T = 8 bundle of the first fictitious-play iteration: one deposit
+    # holds its (K+1, N) output and a few per-corner stencil arrays, not
+    # (K+1)*C copies of the masses, the row offsets or the normalized rows
+    g = ri1.grid
+    vf = M.solve_backward(M.BellmanStep(ri1.L, g), ri1.coupling.values_on(g, ri1.m0),
+                          ri1.uf, 8.0)
+    b = M.trace_optimal_flow(vf, ri1.m0)
+    tracemalloc.start()
+    try:
+        entry = tracemalloc.get_traced_memory()[0]
+        path = M.measure_path(b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert path.weights.shape == (401, 401)
+    assert peak - entry <= 3 * path.weights.nbytes
 
 
 # ---------------------------------------------------------------------------
