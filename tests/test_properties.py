@@ -185,11 +185,20 @@ def step_grids(draw):
     return M.GridSpec(g.lo, g.hi, g.nodes, dt, reach / dt, draw(st.integers(3, 12)))
 
 
+def confining(grid):
+    """(N, nV) mask: velocity j keeps node i in the box for one step.  With an
+    even v_nodes there is no zero velocity, and on an axis narrower than the
+    smallest step a node may have none."""
+    return grid.in_box(grid.points[:, None] + grid.dt * grid.velocities[None])
+
+
 def confined_policies(grid):
-    """Like policies, but each node's velocity keeps that node in the box; a
-    traced x + dt v(x) is a convex combination of such steps, so it stays in."""
+    """Like policies, but each node's velocity keeps that node in the box where
+    one can (any velocity elsewhere); a traced x + dt v(x) is a convex
+    combination of such steps, so it stays in."""
     N = grid.n_points
-    ok = grid.in_box(grid.points[:, None] + grid.dt * grid.velocities[None])  # (N, nV)
+    ok = confining(grid)
+    ok[~ok.any(axis=1)] = True
     return st.lists(st.integers(0, 10**6), min_size=N, max_size=N).map(
         lambda r: np.array([np.flatnonzero(row)[j % row.sum()] for row, j in zip(ok, r)],
                            dtype=np.min_scalar_type(len(grid.velocities) - 1)))
@@ -199,8 +208,10 @@ def confined_policies(grid):
 @given(grid=step_grids(), data=st.data(), K=st.integers(1, 5))
 def test_trace_matches_a_per_curve_euler_loop(grid, data, K):
     N = grid.n_points
-    # free nodes may send a curve out of the box, at any step; the rest keep it in
-    free = data.draw(st.lists(st.booleans(), min_size=N, max_size=N))
+    # free nodes may send a curve out of the box, at any step; the rest keep it
+    # in, and a node no velocity keeps in is free
+    free = np.logical_or(data.draw(st.lists(st.booleans(), min_size=N, max_size=N)),
+                         ~confining(grid).any(axis=1))
     policy = np.stack([np.where(free, data.draw(policies(grid)),
                                 data.draw(confined_policies(grid))) for _ in range(K)])
     vf = M.ValueField(grid, np.arange(K + 1) * grid.dt, np.zeros((K + 1, N)), policy)
