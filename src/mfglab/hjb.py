@@ -18,11 +18,12 @@ stencil, see Falcone & Ferretti, Semi-Lagrangian Approximation Schemes for
 Linear and Hamilton-Jacobi Equations, SIAM 2013).  Edge padding reproduces
 the clamp to the box.  A step is one small matrix product per axis plus the
 precomputed dt * L, a minimization over velocities, and dt * F(x, t_k) added
-afterwards, which is exact because F does not depend on v.  When dt * L is one
-row repeated over the last product's rows, as for an L of v alone in 1-D, that
-product returns it too and the step makes no pass of its own to add it.  An L
-of x, or a 2-D kinetic L (the last product's rows carry the first velocity
-coordinate), keeps the add (_departure_step).
+afterwards, which is exact because F does not depend on v.  A row of the last
+product is a node and every velocity index but the last.  When dt * L splits
+exactly as r(row) + b(v_last), in any dimension, that product returns it too
+and the step makes no pass of its own to add it: a kinetic L in 1-D (r = 0)
+or 2-D, or one with a potential whose split rounds exactly.  Any other table
+is added after the product (_cost_split, _departure_step).
 """
 
 from __future__ import annotations
@@ -124,30 +125,49 @@ def _shift_table(grid):
     return [(np.floor(s).astype(int), s - np.floor(s)) for s in shifts]
 
 
-def _departure_step(grid, shifts, dtL=None):
+def _cost_split(dtL, nv):
+    """(r, b) with dtL.reshape(-1, nv) == r[:, None] + b bit for bit, or None.
+
+    A row of the reshaped table is a node and every velocity index but the
+    last (the rows of _departure_step's last product).  b is its first row
+    and r its first column less the corner, so r is all zero exactly when
+    every row is b, as for an L of v alone in 1-D; that case costs one
+    comparison of the table with b.  Otherwise the check runs column by
+    column, so it allocates no second (N, nV) float table.
+    """
+    costs = dtL.reshape(-1, nv)
+    b, r = costs[0].copy(), costs[:, 0] - costs[0, 0]  # copies: dtL may be dropped
+    if not r.any():
+        exact = (costs == b).all()
+    else:
+        exact = all(np.array_equal(r + b[c], costs[:, c]) for c in range(nv))
+    return (r, b) if exact else None
+
+
+def _departure_step(grid, shifts, cost=None):
     """Function u -> (N, nV) array of Interp[u](grid.points[i] + dt * velocities[j])
-    plus dtL[i, j] (dtL None adds nothing).
+    plus dt L(i, j): cost is None (adds nothing), a split (r, b) of dt L
+    (_cost_split) folded into the last product, or an (N, nV) table added
+    after it.
 
     Per axis d, with (m, a) its entry of shifts, a (W_d, nv) matrix puts 1 - a_j
     at row m_j - min m and a_j below it, W_d = max m - min m + 2.  Stage d
     contracts axis d of the edge-padded values with it and appends the velocity
     axis, so the last stage is node-major with row-major velocities: a row of
-    its product is a node and every velocity index but the last.  When every
-    row of dtL.reshape(-1, nv) is one row c, as for an L of v alone in 1-D, c
-    goes under the last weight matrix as one more row and that stage's window
-    copy gets a column of ones, so the product returns interpolation plus dt L
-    with no pass of its own.  Any other dtL (an L that depends on x, or on the
-    first velocity coordinate in 2-D) is added after the product.  The fold
-    sums in another order only in BLAS's remainder columns, by about
-    eps * (max |u| + max |dtL|) at most.
+    its product is a node and every velocity index but the last, and a split
+    reads dt L(row, v_last) = r(row) + b(v_last).  The fold puts b under the
+    last weight matrix as one more row and gives that stage's window copy a
+    column of ones; when r varies (an L of x, or a 2-D kinetic L) the matrix
+    gets a row of ones too and the copy a column holding r.  Both columns are
+    filled here, once, so the product returns interpolation plus dt L with no
+    pass of its own.  The fold sums in another order than interpolation plus
+    the table, by about eps * (max |u| + max |dt L|) at most.
     Buffers are allocated once: each call overwrites the array the previous
     call returned.
     """
     nv = grid.v_nodes
-    costs = None if dtL is None else dtL.reshape(-1, nv)
-    # column 0 first: an L of x or a 2-D kinetic L differs there, at 1/nv of the cost
-    fold = (costs is not None and (costs[:, 0] == costs[0, 0]).all()
-            and (costs == costs[0]).all())
+    r, b = cost if isinstance(cost, tuple) else (None, None)
+    folds = [] if b is None else [b] if not r.any() else [b, np.ones(nv)]
     weights, cells = [], []
     for n, (m, a) in zip(grid.nodes, shifts):
         row = m - m.min()
@@ -162,15 +182,18 @@ def _departure_step(grid, shifts, dtL=None):
     stages = []
     for d, w in enumerate(weights):
         win = sliding_window_view(out, len(w), axis=d)
-        if fold and d == grid.dim - 1:
-            w = np.vstack([w, costs[0]])  # meets the column of ones: + dt L
+        width = win.shape[-1]
+        if d == grid.dim - 1:
+            w = np.vstack([w, *folds])  # meets the columns 1 and r: + b + r
         rows = np.empty(win.shape[:-1] + (len(w),))  # contiguous windows, a GEMM operand
-        rows[..., win.shape[-1]:] = 1  # the column of ones, if any
+        rows[..., width:] = 1  # the column of ones, if any
+        if len(folds) == 2 and d == grid.dim - 1:
+            rows[..., width + 1] = r.reshape(win.shape[:-1])  # the column of r
         out = np.empty(win.shape[:-1] + (nv,))
-        stages.append((win, rows[..., :win.shape[-1]], rows.reshape(-1, len(w)), w,
+        stages.append((win, rows[..., :width], rows.reshape(-1, len(w)), w,
                        out.reshape(-1, nv)))
     cand = out.reshape(grid.n_points, -1)
-    add = None if fold else dtL
+    add = None if b is not None else cost
 
     def step(u):
         np.take(u, source, out=padded)
@@ -191,21 +214,27 @@ class BellmanStep:
     dt L(x, v) + Interp[u](x + dt v), plus dt F (module docstring), and policy
     holds the argmin velocity index per node; ties go to the lowest index.  The
     step checks nothing: each solve passes the policies it keeps to check_edge
-    once.  Building it evaluates dtL, the (N, nV) table of dt L(x, v), and
-    shifts, the one stencil of every x + dt v that the step and transition
-    read (_shift_table), and allocates the departure buffers every call reuses.
-    The departure product returns Interp[u] + dt L: with L of v alone in 1-D
-    dtL is folded into its weights, otherwise it is added after the product
-    (_departure_step); transition and the stationary solve read dtL itself.
+    once.  Building it evaluates the (N, nV) table of dt L(x, v), and shifts,
+    the one stencil of every x + dt v that the step and transition read
+    (_shift_table), and allocates the departure buffers every call reuses.
+    The departure product returns Interp[u] + dt L (_departure_step).  When
+    the table splits exactly as r(row) + b(v_last) (_cost_split) it is folded
+    into the last product's weights, and the step keeps split = (r, b) and
+    dtL None: transition reads r + b, bit for bit the table's entry.
+    Otherwise split is None and the step keeps dtL, added after the product.
     """
 
     def __init__(self, L, grid):
         self.grid = grid
         V = grid.velocities
         # node-major (N, nV): the argmin over velocities reads contiguous rows
-        self.dtL = grid.dt * np.asarray(L.eval(grid.points[:, None], V[None]), dtype=float)
+        dtL = np.asarray(L.eval(grid.points[:, None], V[None]), dtype=float)
+        dtL *= grid.dt  # in place: no second (N, nV) table
+        self.split = _cost_split(dtL, grid.v_nodes)
+        self.dtL = None if self.split else dtL
+        del dtL  # a folded table is gone before the departure buffers are made
         self.shifts = _shift_table(grid)
-        self._departure = _departure_step(grid, self.shifts, self.dtL)  # Interp[u] + dt L
+        self._departure = _departure_step(grid, self.shifts, self.split or self.dtL)
         self._edge = (np.abs(V) == grid.v_max).any(axis=1)  # linspace ends exactly
         self._rows = np.arange(grid.n_points)
         self._row_starts = self._rows * len(V)  # flat index of each node's first candidate
@@ -215,13 +244,20 @@ class BellmanStep:
         and weights (2^n, N) are the corners of each departure cell, read off
         shifts and clamped as the edge padding clamps, and their weights."""
         g, N = self.grid, self.grid.n_points
+        flat = self._row_starts + policy
+        if self.split is None:
+            cost = self.dtL.ravel().take(flat)
+        else:
+            r, b = self.split
+            row, col = np.divmod(flat, g.v_nodes)
+            cost = r.take(row) + b.take(col)
         nodes, weights = np.zeros((1, N), dtype=int), np.ones((1, N))
         for i, j, n, (m, a) in zip(np.unravel_index(self._rows, g.nodes), np.unravel_index(
                 policy, (g.v_nodes,) * g.dim), g.nodes, self.shifts):
             corner = np.clip([i + m[j], i + m[j] + 1], 0, n - 1)[:, None]
             nodes = (nodes * n + corner).reshape(-1, N)  # axis 0 varies fastest
             weights = (weights * np.stack([1 - a[j], a[j]])[:, None]).reshape(-1, N)
-        return self.dtL[self._rows, policy], nodes, weights
+        return cost, nodes, weights
 
     def __call__(self, u, F):
         cand = self._departure(u)

@@ -258,10 +258,6 @@ class SpaceTimeBump:
     def eval(self, t, x):
         return self._factors(t, x)[0].prod(axis=-1)
 
-    def dt(self, t, x):
-        b, db = self._factors(t, x)
-        return db[..., 0] * b[..., 1:].prod(axis=-1)
-
     def dx(self, t, x):
         b, db = self._factors(t, x)
         # row d of the product differentiates the factor of x_d only
@@ -289,13 +285,16 @@ def kfp_residual(solution, test_functions=None):
 
     For each test function psi the discrete transport identity
 
-        sum_k dt sum_nodes m_k [d_t psi + <D psi, v*>] + boundary terms
+        sum_k sum_nodes m_k [psi(t_{k+1}) - psi(t_k) + dt <D psi(t_k), v*>]
+            + boundary terms
 
     should vanish; the boundary terms use m(0) and m(T) and cancel exactly
-    for psi compactly supported in (0, T).  v* is the stored policy's
-    velocity at the nodes, and the sum runs over steps k < K and the nodes
-    that m charges at any of them, in one array expression per psi.
-    Returns the max absolute residual over the dictionary.
+    for psi compactly supported in (0, T).  The time difference of psi, not
+    dt d_t psi, makes the sum telescope, so a path that does not move reads 0
+    up to rounding.  v* is the stored policy's velocity at the nodes, and the
+    sum runs over steps k < K and the nodes that m charges at any of them, in
+    one array expression per psi.  Returns the max absolute residual over the
+    dictionary.
     """
     path = solution.m_path
     g = path.grid
@@ -306,11 +305,12 @@ def kfp_residual(solution, test_functions=None):
     w = path.weights[:K, charged]  # (K, S)
     pts = g.points[charged]  # (S, n)
     vstar = g.velocities[solution.u.policy[:, charged]]  # (K, S, n)
-    t = path.times[:K, None]
+    t = path.times[:, None]
     worst = 0.0
     for psi in fns:
-        integrand = psi.dt(t, pts) + (psi.dx(t, pts) * vstar).sum(axis=-1)
-        acc = g.dt * float((w * integrand).sum())
+        integrand = np.diff(psi.eval(t, pts), axis=0) + g.dt * (
+            psi.dx(t[:K], pts) * vstar).sum(axis=-1)
+        acc = float((w * integrand).sum())
         bdry = float(np.dot(path.weights[0], psi.eval(0.0, g.points))) - float(
             np.dot(path.weights[K], psi.eval(T, g.points))
         )

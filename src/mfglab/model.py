@@ -110,13 +110,14 @@ class GridSpec:
     def _departure_cells(self):
         """Cells of the largest array of a stage of hjb._departure_step: the
         contiguous copy of its windows or its (W, nv) weight matrix, the last
-        stage's counted with the row and column that fold dt L in."""
+        stage's counted with the two rows and columns that fold a dt L whose
+        rows vary (the most a fold adds)."""
         if self.dt * self.v_max >= MAX_TABLE_CELLS * min(self.dx):  # W alone is over
             return math.inf
         reach = [self.dt * self.v_max / d for d in self.dx]  # cells one step crosses
         width = [math.floor(r) - math.floor(-r) + 2 for r in reach]  # W per axis
         shape = [n + w - 1 for n, w in zip(self.nodes, width)]  # the edge-padded values
-        width[-1] += 1  # the last window copy's column of ones, its matrix's row of dt L
+        width[-1] += 2  # the last window copy's columns 1 and r, its matrix's rows b and 1
         largest = 0
         for d, (n, w) in enumerate(zip(self.nodes, width)):
             shape[d] = n

@@ -5,7 +5,7 @@ by forward Euler with the same time step as the backward solve, so the
 pair (value field, measure path) discretizes the coupled system consistently.
 The sweep is step-major: each step writes one contiguous row of every
 curve's position and velocity, and the deposit reads the positions row by
-row and normalizes its rows in place.
+row and normalizes every row after the first, m0 itself, in place.
 """
 
 from __future__ import annotations
@@ -76,8 +76,10 @@ def trace_optimal_flow(vf, m0):
 def measure_path(bundle):
     """Deposit the bundle onto the grid at every time to get m(t).
 
-    Each row is divided by its own sum in place, so m_path(0) is m0 only up
-    to that rounding.
+    Every row after the first is divided by its own sum in place.  Row 0 holds
+    the curves' masses at their start nodes, m0 itself: the deposit of a node
+    may spread a few ulps to its neighbour when (x - lo) / dx rounds below
+    the node's index.
     """
     g = bundle.grid
     rows = deposit(g, np.swapaxes(bundle.positions, 0, 1), bundle.masses)
@@ -86,7 +88,9 @@ def measure_path(bundle):
     if (lost > MASS_TOL).any():
         k = int(np.argmax(lost > MASS_TOL))
         raise ValueError(f"deposition lost mass at step {k}: {lost[k]:.3e}")
-    rows /= s[:, None]
+    rows[1:] /= s[1:, None]
+    rows[0] = 0.0
+    rows[0, bundle.start_nodes] = bundle.masses
     return MeasurePath(g, bundle.times, rows)
 
 

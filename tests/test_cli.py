@@ -619,16 +619,19 @@ def test_failed_transport_lp_is_solver_failure(tmp_path, capsys, monkeypatch):
 # SHA-256 of every CSV these runs write, recorded from the 0.1.0 solver; the
 # bytes are the same with one or two BLAS threads.  The two ergodic pairs were
 # recorded from the weak-KAM solve by Howard's policy iteration: their ubar.csv
-# differs in last digits from the one value iteration wrote
+# differs in last digits from the one value iteration wrote.  The RI-1 horizon
+# mpath.csv was recorded with its t = 0 rows m0 itself, and the 2-D horizon
+# u.csv with dt L folded into the last product of every step (both in last
+# digits only)
 PINNED_CSV = [
     (["horizon", "--instance", "RI-1", "--dx", "0.04", "--dt", "0.04", "--T", "2"], {
         "u.csv": "84f95ec205861430ebac5d9f9881a064da84b07ba8db72f4531cacb0facc958a",
-        "mpath.csv": "ace85ed67dc04587226cda68753d55c7f6f4afc06e91bd1b70c884a8733f6c77"}),
+        "mpath.csv": "f34b1948c426ccb7a40c01255b4df4c7c72ae058f8f0a6eb83fba47a81e2a047"}),
     (["ergodic", "--config", RI2], {
         "ubar.csv": "c37cc372b99320746efe366027d3502a232d33da3cb96ea21b1eba0398c7bf39",
         "mbar.csv": "96259e563b5402aecbb39214b343a8f2ac1b3c827a3a08d60caa860f45a567c3"}),
     (["horizon", "--config", RI2, "--T", "2", "--tol", "5e-4"], {
-        "u.csv": "cddc9ae87a504ad43128cfa6602295f7d3163b176004bbcbb407166271f90ed7",
+        "u.csv": "e5d6c9dd29cc21f1f22098ee25ecfd7162597a62185a90d2d79766a67068bfcc",
         "mpath.csv": "4e91fb171d413d7aa8a6134473c6aae301aaeaed3ede8fa1253f2ecc84a39fc8"}),
     (["ergodic", "--instance", "RI-1", "--dx", "0.04", "--dt", "0.04"], {
         "ubar.csv": "c4523c2d11d5ebce20d7a806122509c227693ca60aa48a582b3cdf36b178c500",

@@ -274,6 +274,42 @@ def test_value_field_keeps_the_compact_policy(source, velocities, dtype):
     assert all(a.ndim < 3 for a in tables.values())
 
 
+def held_arrays(obj):
+    """The arrays that own the memory of every array reachable from obj through
+    its attributes, closures, tuples and lists."""
+    out, todo, seen = {}, [obj], set()
+    while todo:
+        x = todo.pop()
+        if id(x) in seen:
+            continue
+        seen.add(id(x))
+        if isinstance(x, np.ndarray):
+            while isinstance(x.base, np.ndarray):
+                x = x.base
+            out[id(x)] = x
+        elif isinstance(x, (tuple, list)):
+            todo.extend(x)
+        elif callable(x) and getattr(x, "__closure__", None):
+            todo.extend(c.cell_contents for c in x.__closure__)
+        elif hasattr(x, "__dict__"):
+            todo.extend(vars(x).values())
+    return list(out.values())
+
+
+def test_a_folded_step_holds_no_cost_table():
+    # bench/ri2.json's kinetic dt L splits exactly as r(row) + b(v_last): the
+    # step folds it and keeps (r, b), so its one (N, nV) float array is the
+    # candidate buffer, which every call overwrites
+    inst = M.load_instance(RI2)
+    g = inst.grid
+    step = M.BellmanStep(inst.L, g)
+    assert step.dtL is None and step.split[0].any()  # r varies: two fold columns
+    cand = step._departure(np.zeros(g.n_points))
+    tables = [a for a in held_arrays(step) if a.dtype.kind == "f"
+              and a.size == g.n_points * len(g.velocities)]
+    assert len(tables) == 1 and np.shares_memory(tables[0], cand)
+
+
 @pytest.mark.parametrize("name", sorted(SMALL_GRIDS))
 def test_coupling_path_of_wrong_shape_is_rejected(name):
     g = SMALL_GRIDS[name]

@@ -11,8 +11,9 @@ all their components through one stencil, bit for bit as interp_grid does each;
 the backward step's departure values agree with interp_grid at every
 x + dt v, past the box too, and its largest operand is the one the grid's
 size budget predicts; dt L folded into its last product matches dt L added
-after it, within float64 rounding, and is folded for an L of v alone in 1-D
-only; a frozen policy's transition stencil gives the
+after it, within float64 rounding, and is folded exactly when the table
+splits as r(row) + b(v_last) bit for bit; a frozen policy's transition cost
+is the dt L table's entry, and its stencil gives the
 step's own candidate of that policy.  The 2-D d_1 is symmetric,
 obeys the triangle inequality, agrees with the 1-D CDF formula on data laid
 along an axis, and matches a full-support transport LP per row, also as the
@@ -258,10 +259,15 @@ def departure_stages(step):
 
 
 def folds_cost(step):
-    """Whether a _departure_step's last product returns dt L: its weight matrix has
-    one row more than its window is wide."""
+    """How many rows of dt L a _departure_step's last weight matrix carries: 0,
+    1 (b, against a column of ones) or 2 (b and ones, against 1 and r)."""
     win, _, _, w, _ = departure_stages(step)[-1]
-    return len(w) == win.shape[-1] + 1
+    return len(w) - win.shape[-1]
+
+
+def dt_lagrangian(L, grid):
+    """The (N, nV) table of dt L(x, v) at every node and grid velocity."""
+    return grid.dt * L.eval(grid.points[:, None], grid.velocities[None])
 
 
 @SETTINGS
@@ -275,15 +281,19 @@ def test_departure_step_matches_interp_grid(grid, data, slope, offset):
                                          max_size=size)))
     cand = step(vals)
     assert cand.shape == (size, len(grid.velocities))
-    # the grid's size budget predicts the largest operand a stage allocates,
-    # with dt L folded in (any table of one repeated row folds, here 0)
-    folded = _departure_step(grid, _shift_table(grid), np.zeros(cand.shape))
-    assert folds_cost(folded) and not folds_cost(step)
+    # a split of dt L folds as one row, or as two when r varies; the grid's
+    # size budget predicts the largest operand a stage allocates in the
+    # worst case, two
+    nv = grid.v_nodes
+    r = (np.arange(cand.size // nv) % 2).astype(float)  # 0, 1, 0, ...: varies
+    one = _departure_step(grid, _shift_table(grid), (np.zeros(len(r)), np.zeros(nv)))
+    two = _departure_step(grid, _shift_table(grid), (r, np.zeros(nv)))
+    assert (folds_cost(step), folds_cost(one), folds_cost(two)) == (0, 1, 2)
     assert grid._departure_cells() == max(max(rows.size, w.size)
-                                          for _, _, rows, w, _ in departure_stages(folded))
-    for got in (cand, folded(vals)):
-        np.testing.assert_allclose(got, M.interp_grid(grid, vals, pts), rtol=0,
-                                   atol=1e-13 * (1 + np.abs(vals).max()))
+                                          for _, _, rows, w, _ in departure_stages(two))
+    interp = M.interp_grid(grid, vals, pts)
+    for got in (cand, one(vals), two(vals) - r.reshape(cand.shape[0], -1).repeat(nv, axis=1)):
+        np.testing.assert_allclose(got, interp, rtol=0, atol=1e-13 * (1 + np.abs(vals).max()))
     clamped = np.clip(pts, grid.lo, grid.hi)
     affine = step(affine_on(grid, slope, offset, grid.points))
     np.testing.assert_allclose(affine.ravel(), affine_on(grid, slope, offset, clamped),
@@ -293,17 +303,19 @@ def test_departure_step_matches_interp_grid(grid, data, slope, offset):
 @SETTINGS
 @given(grid=step_grids(), data=st.data())
 def test_policy_transition_is_the_steps_own_stencil(grid, data):
-    step = M.BellmanStep(M.quadratic_kinetic(), grid)
+    L = M.quadratic_kinetic()
+    step = M.BellmanStep(L, grid)
     N, rows = grid.n_points, np.arange(grid.n_points)
     policy = data.draw(policies(grid))
     u = np.asarray(data.draw(st.lists(st.floats(-1e3, 1e3), min_size=N, max_size=N)))
     cost, nodes, weights = step.transition(policy)
     assert nodes.shape == weights.shape == (2 ** grid.dim, N)
     assert nodes.min() >= 0 and nodes.max() < N and weights.min() >= 0.0
-    np.testing.assert_array_equal(cost, step.dtL[rows, policy])
+    dtL = dt_lagrangian(L, grid)
+    np.testing.assert_array_equal(cost, dtL[rows, policy])  # r + b, when folded
     # the step's own candidate with dt L added after the product; the folded
     # sum is within rounding of it (test_folded_cost_matches_the_added_one)
-    want = (_departure_step(grid, step.shifts)(u) + step.dtL)[rows, policy]
+    want = (_departure_step(grid, step.shifts)(u) + dtL)[rows, policy]
     np.testing.assert_allclose((weights * u[nodes]).sum(axis=0) + cost, want, rtol=0,
                                atol=1e-15 * (1 + np.abs(u).max()))
 
@@ -311,17 +323,28 @@ def test_policy_transition_is_the_steps_own_stencil(grid, data):
 @SETTINGS
 @given(grid=step_grids(), data=st.data())
 def test_folded_cost_matches_the_added_one(grid, data):
-    N = grid.n_points
+    N, nv = grid.n_points, grid.v_nodes
     u = np.asarray(data.draw(st.lists(st.floats(-1e3, 1e3), min_size=N, max_size=N)))
     tilted = M.quadratic_kinetic(potential=lambda x: 0.3 * x[..., 0], C3=1.0)
-    # dt L folds only when it is one row of the last product: v alone in 1-D
-    for L, folds in ((M.quadratic_kinetic(), grid.dim == 1), (tilted, False)):
+    for L in (M.quadratic_kinetic(), tilted):
         step = M.BellmanStep(L, grid)
-        assert folds_cost(step._departure) == folds
-        # the fold sums in another order in BLAS's remainder columns: a bound
-        # from float64 rounding, not bit equality
-        tol = 8 * np.finfo(float).eps * (np.abs(u).max() + np.abs(step.dtL).max())
-        want = _departure_step(grid, step.shifts)(u) + step.dtL
+        dtL = dt_lagrangian(L, grid)
+        # dt L folds exactly when it splits as r(row) + b(v_last), b its first
+        # row and r its first column less the corner, bit for bit
+        costs = dtL.reshape(-1, nv)
+        r, b = costs[:, 0] - costs[0, 0], costs[0]
+        if (r[:, None] + b == costs).all():
+            assert step.dtL is None
+            np.testing.assert_array_equal(step.split[0], r)
+            np.testing.assert_array_equal(step.split[1], b)
+            assert folds_cost(step._departure) == (2 if r.any() else 1)
+        else:
+            assert step.split is None and folds_cost(step._departure) == 0
+            np.testing.assert_array_equal(step.dtL, dtL)
+        # the fold sums in another order than the added table: a bound from
+        # float64 rounding, not bit equality
+        tol = 8 * np.finfo(float).eps * (np.abs(u).max() + np.abs(dtL).max())
+        want = _departure_step(grid, step.shifts)(u) + dtL
         np.testing.assert_allclose(step._departure(u), want, rtol=0, atol=tol)
 
 
