@@ -1,6 +1,6 @@
 """Finite-horizon equilibrium on the reference instance.
 
-Runs fictitious play at T = 2, prints the best-response gap of each
+Runs fictitious play at T = 2, prints the exploitability of each
 iteration, mass conservation along the path, the solver diagnostics, and
 the weak residual of the continuity equation.
 """
@@ -16,7 +16,8 @@ def main():
     sol = M.solve_finite_horizon(inst.L, inst.coupling, inst.m0, inst.uf,
                                  inst.grid, 2.0)
     print(f"converged = {sol.converged} after {sol.iterations} iterations")
-    print("gap history:", ["%.2e" % r for r in sol.residuals])
+    # the first iterate, the constant path m0, has no exploitability
+    print("exploitability history:", [None if r is None else "%.2e" % r for r in sol.residuals])
 
     masses = sol.m_path.weights.sum(axis=1)
     print(f"mass drift along the path: {np.abs(masses - 1.0).max():.2e}")

@@ -140,7 +140,7 @@ def _phase_seconds(history):
 
 
 def _gaps_lo(sol):
-    """The sliced lower bound on the best-response gap of each iteration."""
+    """The sliced d_1 between each iteration's best response and its path."""
     return [h["gap_lo"] for h in sol.history]
 
 
@@ -241,9 +241,8 @@ def _run_converge(params, inst):
     tol = params.get("tol", 1e-4)
     sols, start = {}, None
     for T in sorted(set(T_list)):  # each distinct horizon once, started from the last path
-        # stretched through m_bar, where the turnpike puts the middle of a long horizon
         sols[T] = solve_finite_horizon(inst.L, inst.coupling, inst.m0, inst.uf, inst.grid,
-                                       T, tol, start=start, middle=erg.m_bar.weights)
+                                       T, tol, start=start)
         start = sols[T].m_path.weights
     all_converged = all(s.converged for s in sols.values())
     rep = convergence_metrics(sols, erg, inst.coupling, R)
@@ -299,6 +298,7 @@ _COMMANDS = {
     "converge": (_run_converge, "long-time convergence study", ("T_list", "tol", "R")),
 }
 _HORIZONS = {"T": float, "T_list": lambda arg: [float(s) for s in arg.split(",")]}
+_HELP = {"tol": "stop once the exploitability is at most this (default 1e-4; 0: within rounding)"}
 
 
 # ---------------------------------------------------------------------------
@@ -317,7 +317,7 @@ def _parser():
             sp.add_argument("--T", required=True,
                             help="horizon (comma-separated list for converge)")
         for key in ("dx", "dt", *(key for key in reads if key not in _HORIZONS)):
-            sp.add_argument(f"--{key}", type=float, default=None)
+            sp.add_argument(f"--{key}", type=float, default=None, help=_HELP.get(key))
         sp.add_argument("--out", default=None, help="output directory")
         sp.add_argument("--threads", type=int, default=1, help="accepted and ignored")
     rp = sub.add_parser("reproduce", help="re-run a manifest and compare outputs")

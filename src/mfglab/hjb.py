@@ -237,26 +237,36 @@ class BellmanStep:
         self._departure = _departure_step(grid, self.shifts, self.split or self.dtL)
         self._edge = (np.abs(V) == grid.v_max).any(axis=1)  # linspace ends exactly
         self._rows = np.arange(grid.n_points)
+        self._axis_nodes = np.unravel_index(self._rows, grid.nodes)  # each node's index per axis
         self._row_starts = self._rows * len(V)  # flat index of each node's first candidate
 
     def transition(self, policy):
-        """(dt L, nodes, weights) of a policy, one velocity index per node: nodes
-        and weights (2^n, N) are the corners of each departure cell, read off
-        shifts and clamped as the edge padding clamps, and their weights."""
+        """(dt L, nodes, weights) of rows (..., N) of velocity indices: dt L is
+        (..., N), and nodes and weights (..., 2^n, N) are the corners of each
+        departure cell, read off shifts and clamped as the edge padding clamps,
+        and their weights.  Each row's are its own transition's, bit for bit."""
         g, N = self.grid, self.grid.n_points
-        flat = self._row_starts + policy
+        js = np.unravel_index(policy, (g.v_nodes,) * g.dim)
         if self.split is None:
-            cost = self.dtL.ravel().take(flat)
+            cost = self.dtL.ravel().take(self._row_starts + policy)
         else:
             r, b = self.split
-            row, col = np.divmod(flat, g.v_nodes)
-            cost = r.take(row) + b.take(col)
-        nodes, weights = np.zeros((1, N), dtype=int), np.ones((1, N))
-        for i, j, n, (m, a) in zip(np.unravel_index(self._rows, g.nodes), np.unravel_index(
-                policy, (g.v_nodes,) * g.dim), g.nodes, self.shifts):
-            corner = np.clip([i + m[j], i + m[j] + 1], 0, n - 1)[:, None]
-            nodes = (nodes * n + corner).reshape(-1, N)  # axis 0 varies fastest
-            weights = (weights * np.stack([1 - a[j], a[j]])[:, None]).reshape(-1, N)
+            row = self._rows  # the product row: the node, then every velocity index but the last
+            for j in js[:-1]:
+                row = row * g.v_nodes + j
+            cost = r.take(row) + b.take(js[-1])
+        lead = np.shape(policy)[:-1]
+        nodes = weights = None
+        for i, j, n, (m, a) in zip(self._axis_nodes, js, g.nodes, self.shifts):
+            corner, w = np.empty(lead + (2, N), dtype=np.intp), np.empty(lead + (2, N))
+            corner[..., 0, :], w[..., 1, :] = i + m.take(j), a.take(j)
+            np.add(corner[..., 0, :], 1, out=corner[..., 1, :])
+            np.clip(corner, 0, n - 1, out=corner)
+            np.subtract(1, w[..., 1, :], out=w[..., 0, :])
+            if nodes is not None:  # the new corner axis goes outside: axis 0 varies fastest
+                corner = (nodes[..., None, :, :] * n + corner[..., None, :]).reshape(lead + (-1, N))
+                w = (weights[..., None, :, :] * w[..., None, :]).reshape(lead + (-1, N))
+            nodes, weights = corner, w
         return cost, nodes, weights
 
     def __call__(self, u, F):

@@ -2,17 +2,13 @@
 
 Measures are nonnegative node-weight vectors summing to one.  d_1 is exact:
 the CDF integral in 1-D; in 2-D a transport LP that moves the positive part
-of the signed difference of the two measures onto its negative part.  sup_d1
-stacks the rows of two measure paths into one block-diagonal LP, so a
-fictitious-play residual is one HiGHS solve however many time slices it
-compares.  LP_SUPPORT_CAP bounds, per row, the number of nodes in each part
-of the difference.
+of the signed difference of the two measures onto its negative part.
+LP_SUPPORT_CAP bounds the number of nodes in each part of the difference.
 
-sliced_d1 is the cheap side of the same quantity: the largest 1-D d_1 of
-the rows projected onto SLICE_DIRECTIONS directions.  Projection is
-1-Lipschitz, so it is a lower bound on sup_d1 in 2-D; in 1-D the one
-direction is the axis, and it is the CDF integral itself, the value sup_d1
-returns there.
+sliced_d1 is the cheap side of the same quantity, over stacks of rows: the
+largest 1-D d_1 of the rows projected onto SLICE_DIRECTIONS directions.
+Projection is 1-Lipschitz, so it is a lower bound on d_1 in 2-D; in 1-D the
+one direction is the axis, and it is the CDF integral itself.
 """
 
 from __future__ import annotations
@@ -83,29 +79,17 @@ class GridMeasure:
 
 
 def wasserstein1(m1, m2):
-    """Exact d_1 between two grid measures on the same grid (see sup_d1)."""
+    """Exact d_1 between two grid measures on the same grid: the CDF integral
+    (sliced_d1) in 1-D, the transport LP (_d1_lp) in 2-D."""
     if m1.grid is not m2.grid and m1.grid.describe() != m2.grid.describe():
         raise ValueError("measures live on different grids")
-    return sup_d1(m1.grid, m1.weights[None], m2.weights[None])
-
-
-def sup_d1(grid, rows1, rows2):
-    """max over k of d_1 between weight rows rows1[k] and rows2[k].
-
-    1-D: sliced_d1, the integral of |CDF difference| on all rows at once.
-    2-D: one transport LP for all rows together (see _d1_lp), so a
-    fictitious-play iteration makes at most one HiGHS solve; it is exact
-    only to HiGHS's default primal feasibility tolerance of 1e-7 relative to
-    each row's mass, so a node holding less may be rounded away.  sliced_d1
-    is a lower bound on the 2-D value that costs no LP.
-    """
-    if grid.dim == 1:
-        return sliced_d1(grid, rows1, rows2)
-    return float(_d1_lp(grid, rows1 - rows2).max())
+    if m1.grid.dim == 1:
+        return sliced_d1(m1.grid, m1.weights[None], m2.weights[None])
+    return _d1_lp(m1.grid, m1.weights - m2.weights)
 
 
 def sliced_d1(grid, rows1, rows2):
-    """A lower bound on sup_d1(grid, rows1, rows2), exact in 1-D.
+    """A lower bound on max over k of d_1(rows1[k], rows2[k]), exact in 1-D.
 
     Projecting onto a unit direction is 1-Lipschitz, so the 1-D d_1 of the
     projected rows, the sum over the sorted projected nodes of |cumulative
@@ -136,66 +120,43 @@ def sliced_d1(grid, rows1, rows2):
     return best
 
 
-def _d1_lp(grid, diffs):
-    """d_1 for each row of signed differences diffs[k] = mu_k - nu_k.
+def _d1_lp(grid, diff):
+    """d_1 of a signed difference diff = mu - nu of two measures.
 
-    By Kantorovich-Rubinstein, d_1(mu, nu) depends only on mu - nu: row k
-    moves its positive part onto its negative part at Euclidean cost.  Every
-    row with both parts nonempty becomes one block of a block-diagonal
-    transport LP, solved by a single HiGHS call; the blocks are independent,
-    so row k's optimum is the cost of its own slice of the solution.  Rows
-    without positive or without negative entries (such as equal measures)
-    are 0 without an LP.  Entries within SUPPORT_EPS of 0 count as neither
-    part, and each part may hold at most LP_SUPPORT_CAP nodes per row.
-
-    Each part of a row is scaled to unit mass, and the block's value is
-    scaled back by the mean of the two masses.  HiGHS's primal feasibility
-    tolerance (1e-7) is absolute: unscaled, it declared infeasible a row
-    whose parts hold 0.0295 each, and the rounding in a difference of two
-    nearly equal paths can leave the parts of a small row unequal by more
-    than 1e-7 of their mass.  The value is exact only to that tolerance
-    relative to the row's mass: a node holding less may be rounded away,
-    which moves d_1 by up to its mass times the distance it should travel.
+    By Kantorovich-Rubinstein, the LP (one HiGHS call) moves the positive part
+    of diff onto its negative part at Euclidean cost; without either part it
+    is 0 with no LP.  Entries within SUPPORT_EPS of 0 count as neither part,
+    and each part may hold at most LP_SUPPORT_CAP nodes.  Each part is scaled
+    to unit mass and the value scaled back by their mean mass: HiGHS's primal
+    feasibility tolerance (1e-7) is absolute, and unscaled it declared
+    infeasible a difference whose parts hold 0.0295 each.  The value is exact
+    only to that tolerance relative to the mass: a node holding less may be
+    rounded away, which moves d_1 by up to its mass times its distance.
     """
-    pts = grid.points
-    out = np.zeros(len(diffs))
-    blocks, costs, rows, cols, rhs = [], [], [], [], []
-    nvar = ncon = 0
-    for k, d in enumerate(diffs):
-        src = np.flatnonzero(d > SUPPORT_EPS)
-        dst = np.flatnonzero(d < -SUPPORT_EPS)
-        if len(src) > LP_SUPPORT_CAP or len(dst) > LP_SUPPORT_CAP:
-            raise SupportTooLarge(f"difference supports {len(src)}x{len(dst)} "
-                                  f"exceed cap {LP_SUPPORT_CAP}")
-        if not len(src) or not len(dst):
-            continue
-        p, q = len(src), len(dst)
-        supply, demand = d[src], -d[dst]
-        ij = np.arange(p * q)  # variable (i, j) of the block is i * q + j
-        costs.append(np.sqrt(((pts[src, None] - pts[None, dst]) ** 2).sum(axis=2)).ravel())
-        rows += [ncon + ij // q, ncon + p + ij % q]  # supply row i, demand row j
-        cols += [nvar + ij] * 2
-        rhs += [supply / supply.sum(), demand / demand.sum()]
-        mass = (supply.sum() + demand.sum()) / 2
-        blocks.append((k, slice(nvar, nvar + p * q), mass))
-        nvar += p * q
-        ncon += p + q
-    if not blocks:
-        return out
+    src = np.flatnonzero(diff > SUPPORT_EPS)
+    dst = np.flatnonzero(diff < -SUPPORT_EPS)
+    if len(src) > LP_SUPPORT_CAP or len(dst) > LP_SUPPORT_CAP:
+        raise SupportTooLarge(f"difference supports {len(src)}x{len(dst)} "
+                              f"exceed cap {LP_SUPPORT_CAP}")
+    if not len(src) or not len(dst):
+        return 0.0
     # imported here: scipy.optimize and scipy.sparse are most of a cold start,
-    # and a 1-D run never reaches this LP
+    # and no solving command reaches this LP
     from scipy import sparse
     from scipy.optimize import linprog
 
-    cost = np.concatenate(costs)
-    A = sparse.csr_matrix((np.ones(2 * nvar), (np.concatenate(rows), np.concatenate(cols))),
-                          shape=(ncon, nvar))
-    res = linprog(cost, A_eq=A, b_eq=np.concatenate(rhs), bounds=(0, None), method="highs")
+    p, q = len(src), len(dst)
+    supply, demand = diff[src], -diff[dst]
+    pts = grid.points
+    cost = np.sqrt(((pts[src, None] - pts[None, dst]) ** 2).sum(axis=2)).ravel()
+    ij = np.arange(p * q)  # variable (i, j) is i * q + j
+    rows = np.concatenate([ij // q, p + ij % q])  # supply row i, demand row j
+    A = sparse.csr_matrix((np.ones(2 * p * q), (rows, np.tile(ij, 2))), shape=(p + q, p * q))
+    rhs = np.concatenate([supply / supply.sum(), demand / demand.sum()])
+    res = linprog(cost, A_eq=A, b_eq=rhs, bounds=(0, None), method="highs")
     if not res.success:
         raise TransportLPFailed(f"transport LP failed: {res.message}")
-    for k, s, mass in blocks:
-        out[k] = mass * (cost[s] @ res.x[s])
-    return out
+    return float((supply.sum() + demand.sum()) / 2 * (cost @ res.x))
 
 
 def kantorovich_potential_1d(m1, m2):

@@ -1,33 +1,29 @@
 """Finite-horizon mean field game solver.
 
-Fictitious play on the measure path W_k: solve the backward HJ equation
-against W_k, push the initial measure through the optimal flow to get the
-best response BR(W_k), and stop once the best-response gap
-gap_k = sup_t d_1(BR(W_k)(t), W_k(t)) is at most the tolerance.  Each
-iteration first takes the sliced lower bound gap_lo_k <= gap_k (exact in
-1-D); in 2-D the exact transport LP runs only when gap_lo_k <= tol, since
-above it the iteration cannot stop.  The pair returned is (u_k, W_k), the
-value that answers W_k and W_k itself, so its exact gap is the one
-certified.  Otherwise W_{k+1} = (1 - theta_k) W_k + theta_k BR(W_k), with
-theta_k = theta(gaps_lo), read from the bounds, which exist in every
-iteration: Picard steps (theta = 1) while the bound falls and, from the
-first iteration whose bound does not, the 1/(k+1) weights of fictitious
-play, which have a convergence proof (Cardaliaguet & Hadikhanloo,
-ESAIM:COCV 2017) where Picard iteration can cycle.  Failure to converge is
-a flag, not an exception.  The solver does not check the standing
-assumptions; check_standing_assumptions does, once per instance.
+Fictitious play on the measure path W_k, on one discretization of the crowd.
+Iteration k solves u_k against F(W_k) and pushes m0 with the transpose of
+the backward step, m_{k+1}(j) = sum_i m_k(i) p_ij, p the corner weights of
+BellmanStep.transition (Carlini & Silva, SINUM 2014): the best response
+BR(W_k).  Every W_k after the first mixes such pushed paths, so it has the
+cost cost(W; F) = A(W) + dt sum_{k<K} <W_k, F_k>, A the running dt L plus
+terminal <W_K, u_f> part, one scalar mixed with the weights of W.  By
+discrete duality BR(W_k) costs <u_k(0), m0>, the least any path costs, so
+the exploitability eps_k = cost(W_k; F(W_k)) - <u_k(0), m0> >= 0 is what the
+best deviation gains, at a mixed equilibrium as at a pure one.  The solve
+returns (u_k, W_k) once eps_k is at most the tolerance or its rounding
+floor.  Otherwise W_{k+1} = W_k + theta_k D, D = BR(W_k) - W_k, theta_k the
+exact line search on the potential (Lavigne & Pfeiffer, Appl. Math. Optim.
+2023): the root in [0, 1] of phi'(theta) = (A(BR) - A(W)) +
+dt sum_{k<K} <F(W + theta D)_k, D_k>, and phi'(0) = -eps_k.  W_0 is no mix
+of pushed paths: it has no eps, and theta_0 = 1.  Failure to converge is a
+flag, not an exception; check_standing_assumptions, not the solver, checks
+the standing assumptions.
 
-The first iterate W_0 is the constant path m0, or, given start (the weights
-of a path solved on the same grid at a horizon of K' <= K steps), that path
-stretched in the middle: with h = K' // 2, rows 0..h of start, K - K' copies
-of a middle row, then rows h+1..K' of start, and row 0 set to m0.  The
-middle row is row h of start unless the caller passes one; `mfg converge`
-passes the stationary measure m_bar, which it solves before its ladder.  By
-the turnpike (Porretta, Minimax Theory Appl. 2018) the middle of a long
-horizon is near the stationary pair, so a path solved at T, stretched
-through m_bar, is close to the path at 2T; solving a ladder of horizons in
-increasing order, each started from the one before it, takes fewer
-iterations than starting each from m0.
+W_0 is the constant path m0, or a path start solved on the same grid at
+K' <= K steps, stretched in the middle (stretched_start).  By the turnpike
+(Porretta, Minimax Theory Appl. 2018) the middle of a long horizon is near
+the stationary pair, so a ladder of horizons solved in increasing order,
+each started from the one before, takes fewer iterations than from m0.
 """
 
 from __future__ import annotations
@@ -40,39 +36,25 @@ import numpy as np
 from .errors import AssumptionFailure
 from .hjb import (BellmanStep, TerminalDatum, lipschitz_estimate, solve_backward,
                   time_lipschitz_estimate)
-from .measure import SUPPORT_EPS, GridMeasure, MeasurePath, sliced_d1, sup_d1
+from .measure import SUPPORT_EPS, GridMeasure, MeasurePath, sliced_d1
 from .model import check_F4_gap, check_strict_tonelli
-from .transport import measure_path, trace_optimal_flow
+from .transport import measure_path, trace_optimal_flow  # noqa: F401  (bench/tracer.py wraps them)
 
 MAX_ITERS = 60  # fictitious-play iterations before giving up unconverged
-
-
-def theta(gaps):
-    """Weight of BR(W_k) in W_{k+1}, given the gaps of iterations 0..k.
-
-    1 while each gap is below the one before it, and 1/(k+1) from the first
-    gap that is not, for the rest of the solve.  solve_finite_horizon feeds
-    it the lower bounds gap_lo, the one sequence every iteration has.
-    """
-    falling = all(b < a for a, b in zip(gaps, gaps[1:]))
-    return 1.0 if falling else 1.0 / len(gaps)
 
 
 @dataclass
 class MFGSolution:
     """The returned pair (u, m_path) and the run.
 
-    u holds the policy that answers m_path: trace_optimal_flow(u, m0)
-    traces its curves, whose top speed is diagnostics["max_speed"].
-    history holds one dict per iteration k: "theta" (the schedule's weight
-    of BR(W_k), read from the gap_lo values and unused on the iteration
-    that stops), "gap_lo", the sliced lower bound on the best-response gap
-    (computed every iteration), "gap", the exact gap, or None in 2-D where
-    gap_lo already exceeded the tolerance and no LP ran (in 1-D gap equals
-    gap_lo, which is exact there), and the seconds spent in "backward_s"
-    (coupling along W_k plus the backward solve), "forward_s" (flow trace
-    plus deposit) and "d1_s" (the bound and, where it ran, the exact gap).
-    A converged solve stopped on an exact gap <= tol.
+    u holds the policy that answers m_path; diagnostics hold, among others,
+    "max_speed", the top speed of that policy at a node m_path charges, and
+    "path_cost", A(m_path).  history holds one dict per iteration k: "gap",
+    eps_k (None at k = 0), "gap_lo", the sliced d_1 between BR(W_k) and W_k
+    (above 0 at a mixed equilibrium), "theta" (None on the last iteration),
+    "floor", eps_k's rounding floor, and the seconds of "backward_s"
+    (coupling and backward solve), "forward_s" (push, eps and line search)
+    and "d1_s" (the sliced d_1).
     """
 
     u: object  # ValueField
@@ -87,10 +69,7 @@ class MFGSolution:
 
     @property
     def residuals(self):
-        """Exact best-response gap of each iteration, None where not computed.
-
-        The last one is m_path's, exact whenever the solve converged.
-        """
+        """eps of each iteration, None at the first; the last is m_path's."""
         return [h["gap"] for h in self.history]
 
 
@@ -128,14 +107,12 @@ def check_standing_assumptions(L, coupling, grid, m0=None):
         raise AssumptionFailure("initial measure charges nodes outside K0")
 
 
-def stretched_start(start, m0, K, middle=None):
+def stretched_start(start, m0, K):
     """The first iterate of a K-step solve started from the path start.
 
     start holds K' + 1 rows of weights with K' <= K; with h = K' // 2 the
-    result is rows 0..h of start, K - K' copies of middle (row h of start
-    by default) and rows h+1..K' of start, with row 0 set to m0.
-    ValueError for any other shape of start, or a middle that is not one
-    row of m0's width.
+    result is rows 0..h of start, K - K' copies of row h and rows h+1..K'
+    of start, with row 0 set to m0.  ValueError for any other shape.
     """
     start = np.asarray(start, dtype=float)
     n = m0.weights.size
@@ -144,80 +121,131 @@ def stretched_start(start, m0, K, middle=None):
                          f"got shape {start.shape}")
     Kp = len(start) - 1
     h = Kp // 2
-    middle = start[h] if middle is None else np.asarray(middle, dtype=float)
-    if middle.shape != (n,):
-        raise ValueError(f"middle must be one row of {n} weights, got shape {middle.shape}")
     tail = h + 1 + K - Kp  # the first row after the inserted ones
     W = np.empty((K + 1, n))
     W[:h + 1] = start[:h + 1]
-    W[h + 1:tail] = middle
+    W[h + 1:tail] = start[h]
     W[tail:] = start[h + 1:]
     W[0] = m0.weights
     return W
 
 
-def solve_finite_horizon(L, coupling, m0, uf, grid, T, tol=1e-4, start=None, middle=None):
-    """Fixed point of the best-response map by fictitious play.
+def rounding_floor(K, scale):
+    """64 K eps scale, the rounding of a K-step sum of terms up to scale: eps within it is 0."""
+    return float(64 * K * np.finfo(float).eps * scale)
 
-    Iteration k bounds gap_k = sup_d1(BR(W_k), W_k) from below by
-    gap_lo_k = sliced_d1(BR(W_k), W_k), where BR(W_k) is the measure path of
-    the optimal flow against W_k.  If gap_lo_k > tol the iteration is not
-    done; otherwise gap_k is computed (in 1-D it is gap_lo_k) and the solve
-    stops when gap_k <= tol.  It returns (u_k, W_k) with the flag, the
-    history and diagnostics, so residuals[-1] is the exact gap of the
-    returned path whenever it converged; past MAX_ITERS it returns the last
-    pair unconverged.  The step to W_{k+1} has weight theta(gaps_lo)
-    (module docstring).  W_0 is stretched_start(start, middle): start
-    stretched through K - K' copies of middle (row h of start by default).
-    Without a start W_0 is m0 at every time, whatever middle is.  m_path(0)
-    equals m0 up to the rounding of the deposit's normalization and the
-    value table ends at the terminal datum exactly.
+
+def push(step, policy, m0, uT):
+    """(path, A): m0 pushed through the (K, N) policy table by the step's transpose.
+
+    path[k + 1](j) = sum_i path[k](i) p_ij, with p the corners and weights
+    of step.transition(policy[k]), one np.bincount per step; path[0] is m0
+    bit for bit.  A = sum_k <path[k], dt L of policy[k]> + <path[K], uT> is
+    the running plus terminal cost of the path.  The stencil is built for
+    blocks of steps whose nodes and weights together are no larger than the
+    step's (N, nV) candidates, nor than the (K + 1, N) path.
+    """
+    K, N = policy.shape
+    path, A = np.empty((K + 1, N)), 0.0
+    path[0] = m0
+    block = max(1, min(len(step.grid.velocities), K + 1) >> (step.grid.dim + 1))
+    for k0 in range(0, K, block):
+        costs, nodes, weights = step.transition(policy[k0:k0 + block])
+        for k, idx, w in zip(range(k0, K), nodes, weights):
+            w *= path[k]
+            path[k + 1] = np.bincount(idx.ravel(), w.ravel(), N)
+        A += np.vdot(path[k0:k0 + len(costs)], costs)
+    return path, A + np.dot(path[K], uT)
+
+
+def line_search(slope, floor):
+    """The theta in [0, 1] where slope = phi' changes sign, given phi'(0) < 0: 1 after
+    one evaluation when phi'(1) <= 0, else bisection until |phi'| <= floor or
+    the bracket no longer halves."""
+    if slope(1.0) <= 0.0:
+        return 1.0
+    lo, hi = 0.0, 1.0
+    while lo < (theta := 0.5 * (lo + hi)) < hi:
+        s = slope(theta)
+        if abs(s) <= floor:
+            break
+        lo, hi = (theta, hi) if s < 0.0 else (lo, theta)
+    return theta
+
+
+def _potential_slope(coupling, grid, W, D, dA):
+    """theta -> phi'(theta) = dA + dt sum_{k<K} <F(W + theta D)_k, D_k>, mixing in one buffer."""
+    mix = np.empty_like(W[:-1])
+
+    def slope(theta):
+        np.multiply(D[:-1], theta, out=mix)
+        np.add(mix, W[:-1], out=mix)
+        return dA + grid.dt * np.vdot(coupling.path_values(grid, mix), D[:-1])
+
+    return slope
+
+
+def solve_finite_horizon(L, coupling, m0, uf, grid, T, tol=1e-4, start=None):
+    """Fixed point of the best-response map by fictitious play (module docstring).
+
+    Stops once eps <= max(tol, rounding_floor(K, max |u|)), so tol = 0 ends
+    too, or after MAX_ITERS iterations, unconverged.  W_0 is
+    stretched_start(start), or m0 at every time without a start.  m_path(0)
+    is m0 bit for bit and u ends at the terminal datum exactly.
     """
     if not isinstance(uf, TerminalDatum):
         raise TypeError("uf must be a TerminalDatum")
     uT = uf.validate(grid)  # once: every backward solve starts from this row
 
     K = grid.time_steps(T)
-    step = BellmanStep(L, grid)  # once: every backward solve applies it
-    if start is None:  # the constant path m0: a cold solve
-        start, middle = m0.weights[None], None
-    W = stretched_start(start, m0, K, middle)
-    gaps_lo, history = [], []
+    step = BellmanStep(L, grid)  # once: every backward solve and push applies it
+    W = stretched_start(m0.weights[None] if start is None else start, m0, K)
+    A = None  # the running plus terminal cost of W: none for W_0
+    history = []
     while True:
         t0 = time.perf_counter()
-        vf = solve_backward(step, coupling.path_values(grid, W), uT, T)
+        F = coupling.path_values(grid, W)
+        vf = solve_backward(step, F, uT, T)
+        coupled = grid.dt * np.vdot(W[:-1], F[:-1])
+        del F  # not alive across the push; the line search evaluates its own
         t1 = time.perf_counter()
-        bundle = trace_optimal_flow(vf, m0)
-        best = measure_path(bundle).weights
+        best, A_best = push(step, vf.policy, m0.weights, uT)
+        value = np.dot(vf.values[0], m0.weights)
+        gap = None if A is None else float(A + coupled - value)
+        floor = rounding_floor(K, max(vf.values.max(), -vf.values.min()))
         t2 = time.perf_counter()
         lo = sliced_d1(grid, best, W)
-        if grid.dim == 1:
-            gap = lo  # the bound is exact in 1-D
-        elif lo <= tol:
-            gap = sup_d1(grid, best, W)
-        else:
-            gap = None  # gap >= lo > tol: not done, and no LP needed
         t3 = time.perf_counter()
-        gaps_lo.append(lo)
-        th = theta(gaps_lo)
-        history.append({"theta": th, "gap_lo": lo, "gap": gap, "backward_s": t1 - t0,
-                        "forward_s": t2 - t1, "d1_s": t3 - t2})
-        converged = gap is not None and gap <= tol
-        if converged or len(history) == MAX_ITERS:
+        converged = gap is not None and gap <= max(tol, floor)
+        theta = None
+        if not converged and len(history) + 1 < MAX_ITERS:
+            if A is None:  # W_0 has no cost to descend from: a Picard step
+                theta, W, A = 1.0, best, A_best
+            else:
+                dA = A_best - A
+                best -= W  # the direction D, in place
+                theta = line_search(_potential_slope(coupling, grid, W, best, dA), floor)
+                best *= theta
+                W += best
+                A += theta * dA
+        del best  # not alive across the next backward solve
+        t4 = time.perf_counter()
+        history.append({"gap": gap, "gap_lo": lo, "theta": theta, "floor": floor,
+                        "backward_s": t1 - t0, "forward_s": t2 - t1 + t4 - t3,
+                        "d1_s": t3 - t2})
+        if theta is None:
             break
-        W *= 1.0 - th
-        best *= th
-        W += best
 
     path = MeasurePath(grid, vf.times, W)
-    radii = grid.radii()
-    measured_R1 = float(max(radii[(W > SUPPORT_EPS).any(axis=0)].max(), 0.0))
+    charged = W > SUPPORT_EPS
+    speeds = np.sqrt((grid.velocities ** 2).sum(axis=1))
     diagnostics = {
-        "measured_R1": measured_R1,
-        "max_speed": bundle.max_speed(),
+        "measured_R1": float(max(grid.radii()[charged.any(axis=0)].max(), 0.0)),
+        "max_speed": float(speeds[vf.policy[charged[:-1]]].max()),
         "lipschitz_B2": lipschitz_estimate(vf, 2.0),
         "time_lipschitz": time_lipschitz_estimate(vf),
         "mass_drift": float(np.abs(W.sum(axis=1) - 1.0).max()),
+        "path_cost": float(A),
     }
     return MFGSolution(vf, path, converged, history, diagnostics)
 

@@ -214,21 +214,23 @@ def cell_corners(grid, pts, clamp):
     """Multilinear stencil of points: per cell corner, flat node index and weights.
 
     Yields the 2^n corners of each point's cell, axis 0 varying fastest, as
-    (flat index, per-axis weights).  With clamp the points are first moved
-    into the box; without it the weights of a point just outside the box
-    extrapolate, which keeps the mass and first moment of a deposit exact.
+    (flat index, per-axis weights).  A coordinate x lies in the last cell
+    [x_i, x_{i+1}] with node x_i <= x, at fraction (x - x_i) / (x_{i+1} - x_i),
+    so a point on a node weighs exactly 1 there.  With clamp the points are
+    first moved into the box; without it the weights of a point just outside
+    the box extrapolate, which keeps the mass and first moment of a deposit exact.
     """
     c = np.reshape(pts, (-1, grid.dim))
     strides = [math.prod(grid.nodes[d + 1 :]) for d in range(grid.dim)]
     base, frac = 0, []
-    for d in range(grid.dim):
-        f = (c[:, d] - grid.lo[d]) / grid.dx[d]
-        if clamp:
-            f = np.minimum(np.maximum(f, 0.0), grid.nodes[d] - 1.0)
-        i = np.maximum(np.minimum(f.astype(int), grid.nodes[d] - 2), 0)
-        f -= i  # f is this function's own array: the fraction takes its place
-        frac.append(f)
+    for d, axis in enumerate(grid.axes):
+        x = np.clip(c[:, d], axis[0], axis[-1]) if clamp else c[:, d]
+        i = np.clip(np.searchsorted(axis, x, side="right"), 1, len(axis) - 1) - 1
+        left, width = axis.take(i), axis.take(i + 1)
+        width -= left
+        frac.append(np.subtract(x, left, out=left) / width)
         base = base + i * strides[d]
+        del x, i, left, width  # the generator's frame would keep them through the yields
     for corner in range(2**grid.dim):
         bits = [(corner >> d) & 1 for d in range(grid.dim)]
         idx = base + sum(b * s for b, s in zip(bits, strides))

@@ -1,11 +1,13 @@
-"""Lagrangian side: trace the optimal flow and push the initial measure.
+"""Lagrangian side: trace the optimal flow and deposit its curves.
 
 Curves follow the stored policy's velocities, interpolated between nodes,
-by forward Euler with the same time step as the backward solve, so the
-pair (value field, measure path) discretizes the coupled system consistently.
-The sweep is step-major: each step writes one contiguous row of every
-curve's position and velocity, and the deposit reads the positions row by
-row and normalizes every row after the first, m0 itself, in place.
+by forward Euler with the same time step as the backward solve.  The
+criteria and demos read them: excursion times, the action defect and the
+measure path of a traced cloud.  The finite-horizon solve does not; it
+pushes the crowd with the backward step's own stencil (mfg.push).  The
+sweep is step-major: each step writes one contiguous row of every curve's
+position and velocity, and the deposit reads the positions row by row and
+normalizes every row after the first, m0 itself, in place.
 """
 
 from __future__ import annotations
@@ -76,10 +78,9 @@ def trace_optimal_flow(vf, m0):
 def measure_path(bundle):
     """Deposit the bundle onto the grid at every time to get m(t).
 
-    Every row after the first is divided by its own sum in place.  Row 0 holds
-    the curves' masses at their start nodes, m0 itself: the deposit of a node
-    may spread a few ulps to its neighbour when (x - lo) / dx rounds below
-    the node's index.
+    Every row after the first is divided by its own sum in place.  Row 0 is
+    the deposit of the curves' start nodes, m0 itself bit for bit
+    (cell_corners puts a node's whole mass on it).
     """
     g = bundle.grid
     rows = deposit(g, np.swapaxes(bundle.positions, 0, 1), bundle.masses)
@@ -89,8 +90,6 @@ def measure_path(bundle):
         k = int(np.argmax(lost > MASS_TOL))
         raise ValueError(f"deposition lost mass at step {k}: {lost[k]:.3e}")
     rows[1:] /= s[1:, None]
-    rows[0] = 0.0
-    rows[0, bundle.start_nodes] = bundle.masses
     return MeasurePath(g, bundle.times, rows)
 
 

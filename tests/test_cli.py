@@ -10,6 +10,7 @@ import sys
 import tempfile
 import tracemalloc
 
+import numpy as np
 import pytest
 import scipy.optimize
 from hypothesis import example, given, settings
@@ -18,8 +19,10 @@ from scipy.optimize import OptimizeResult
 
 from mfglab import cli, mfg
 from mfglab.cli import main
-from mfglab.errors import Mismatch
+from mfglab.errors import MFGLabError, Mismatch, TransportLPFailed
 from mfglab.instances import BUILTIN
+from mfglab.measure import GridMeasure, wasserstein1
+from mfglab.model import GridSpec
 
 
 RI2 = os.path.join(os.path.dirname(__file__), "..", "bench", "ri2.json")
@@ -376,6 +379,19 @@ def test_converge_outputs_do_not_depend_on_the_order_of_T(tmp_path):
     assert all(len(man["measured"][key]) == 3 for key in ("E_mid", "D_mid", "t_sup"))
 
 
+def test_2d_long_time_rate_meets_the_papers_bound(tmp_path):
+    # bounds fixed from the paper before any run: in n = 2 dimensions e_F decays
+    # at least like T^(-1/(n+2)), and the turnpike distance D_mid falls too
+    out = str(tmp_path / "ri2")
+    assert run(["converge", "--config", RI2, "--T", "2,4,8,16", "--R", "2.5",
+                "--out", out]) == 0
+    measured = manifest_of(out)["measured"]
+    e_F, D_mid = measured["e_F"], measured["D_mid"]
+    assert all(a > b for a, b in zip(e_F, e_F[1:]))
+    assert all(a > b for a, b in zip(D_mid, D_mid[1:]))
+    assert measured["rate_F"]["slope"] <= -1 / 4
+
+
 # ---------------------------------------------------------------------------
 # failures map to documented exit codes
 
@@ -425,7 +441,7 @@ print(sorted(m for m in ("scipy.optimize", "scipy.sparse") if m in sys.modules))
 
 def test_1d_run_never_imports_scipy():
     # scipy.optimize and scipy.sparse take most of a cold start; only the 2-D d_1 LP
-    # needs them, and the sliced bounds decide every stop of the 2-D horizon run
+    # needs them, and no solve runs it: the exploitability decides every stop
     src = os.path.join(os.path.dirname(__file__), "..", "src")
     env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run([sys.executable, "-c", _COLD_START, RI2], capture_output=True,
@@ -603,44 +619,46 @@ def test_oversized_grid_is_rejected_before_any_array(capsys, override, given):
     assert peak < 16e6  # at --dx 1e-5 the window copy alone would be 95 GiB
 
 
-def test_failed_transport_lp_is_solver_failure(tmp_path, capsys, monkeypatch):
+def test_failed_transport_lp_is_solver_failure(monkeypatch):
     def failed(*args, **kwargs):
         return OptimizeResult(success=False, status=2, message="The problem is infeasible.")
 
-    # measure._d1_lp imports linprog when it builds the LP, so this is what it calls
+    # measure._d1_lp imports linprog when it builds the LP, so this is what it calls;
+    # no solving command runs the LP, so the oracle is called directly
     monkeypatch.setattr(scipy.optimize, "linprog", failed)
-    # at tol 0.2 the sliced bound of iteration 1 (0.0727) cannot decide the
-    # stop, so the exact LP runs; at 5e-4 the bounds decide every iteration
-    assert run(["horizon", "--config", RI2, "--T", "2", "--tol", "0.2",
-                "--out", str(tmp_path / "x")]) == 5
-    assert "transport LP failed: The problem is infeasible." in capsys.readouterr().err
+    g = GridSpec([0.0, 0.0], [1.0, 1.0], [3, 3], 0.1, 1.0, 3)
+    mu, nu = np.zeros(9), np.zeros(9)
+    mu[0] = nu[8] = 1.0
+    with pytest.raises(TransportLPFailed, match="transport LP failed: The problem is infeasible."):
+        wasserstein1(GridMeasure(g, mu), GridMeasure(g, nu))
+    assert issubclass(TransportLPFailed, MFGLabError)  # which main maps to exit 5
 
 
 # SHA-256 of every CSV these runs write, recorded from the 0.1.0 solver; the
 # bytes are the same with one or two BLAS threads.  The two ergodic pairs were
 # recorded from the weak-KAM solve by Howard's policy iteration: their ubar.csv
-# differs in last digits from the one value iteration wrote.  The RI-1 horizon
-# mpath.csv was recorded with its t = 0 rows m0 itself, and the 2-D horizon
-# u.csv with dt L folded into the last product of every step (both in last
-# digits only)
+# differs in last digits from the one value iteration wrote.  The horizon and
+# converge outputs were recorded with the crowd pushed by the transpose of the
+# Bellman step and the solve stopped on the exploitability, which moves the
+# measure path and so every file of these runs but eu.dat
 PINNED_CSV = [
     (["horizon", "--instance", "RI-1", "--dx", "0.04", "--dt", "0.04", "--T", "2"], {
-        "u.csv": "84f95ec205861430ebac5d9f9881a064da84b07ba8db72f4531cacb0facc958a",
-        "mpath.csv": "f34b1948c426ccb7a40c01255b4df4c7c72ae058f8f0a6eb83fba47a81e2a047"}),
+        "u.csv": "2d2d4c94de6282a6c17b94cb89f00e90bde4d149c2d316a08d37cc4722fc378d",
+        "mpath.csv": "f223534721ea08d589dc3020d02bcc7fa66bf593b9feb0008e7c884436d0b86f"}),
     (["ergodic", "--config", RI2], {
         "ubar.csv": "c37cc372b99320746efe366027d3502a232d33da3cb96ea21b1eba0398c7bf39",
         "mbar.csv": "96259e563b5402aecbb39214b343a8f2ac1b3c827a3a08d60caa860f45a567c3"}),
     (["horizon", "--config", RI2, "--T", "2", "--tol", "5e-4"], {
-        "u.csv": "e5d6c9dd29cc21f1f22098ee25ecfd7162597a62185a90d2d79766a67068bfcc",
-        "mpath.csv": "4e91fb171d413d7aa8a6134473c6aae301aaeaed3ede8fa1253f2ecc84a39fc8"}),
+        "u.csv": "a3cc77cb3addc358b4c54517265b934c55231d09e3674127988fe17b6fb22193",
+        "mpath.csv": "e6a6313b65fff88e14953006299a33350055ed275fd4d193b95bd922318d0fbb"}),
     (["ergodic", "--instance", "RI-1", "--dx", "0.04", "--dt", "0.04"], {
         "ubar.csv": "c4523c2d11d5ebce20d7a806122509c227693ca60aa48a582b3cdf36b178c500",
         "mbar.csv": "8a2745d877f31e92b6f52153e9ff01b264be0dbec506074cb23695a4d7df9619"}),
     (["converge", "--instance", "RI-1", "--T", "2,4,8", "--R", "3"], {
-        "report.csv": "4246beff9e6bd17043f65600ad809e7806f6ec0491f99d18726c647850d9ea00",
+        "report.csv": "edf6abacb9a819e7e0c79a2a12bf7fd863664854f06d8615e1b96fb1b79892ca",
         "eu.dat": "52eafc2caea8cbbbdcf37d3017065e3dd1ead34e3bdd889b15290c00be0051e0",
-        "ef.dat": "ab52c3c0762238f267cf7c4370c0115fa5e90327d45bf0805fa6d27b50f6e9b2",
-        "fit.json": "a9345af03f4dfe25e98a1278d417281fc71f250d9b104d44f331a8a89154a60b"}),
+        "ef.dat": "cf737be288def11445464c867bcc85ed6ec200090a23deaa5dce867a9e83452b",
+        "fit.json": "6146a4e4e2ab0e53d5928309ca89f481225871e30430501fba6b5cfa8a56eebc"}),
 ]
 
 
@@ -651,8 +669,8 @@ def test_outputs_keep_their_pinned_bytes(tmp_path, args, digests):
     out = str(tmp_path / "out")
     assert run([*args, "--out", out]) == 0
     assert {name: cli._sha256(os.path.join(out, name)) for name in digests} == digests
-    if args[0] == "converge":  # iterations per T of the ladder stretched through m_bar
-        assert [len(g) for g in manifest_of(out)["measured"]["gaps"]] == [4, 2, 2]
+    if args[0] == "converge":  # iterations per T of the warm-started ladder
+        assert [len(g) for g in manifest_of(out)["measured"]["gaps"]] == [3, 2, 2]
 
 
 def test_a_profile_works_in_either_dimension(tmp_path):

@@ -216,7 +216,7 @@ def test_d1_lp_solves_a_row_with_small_total_mass():
     g = M.GridSpec((-3.0, -3.0), (3.0, 3.0), (61, 61), 0.1, 3.0, 31)
     row = np.zeros(g.n_points)
     row[list(FAILING_ROW)] = list(FAILING_ROW.values())
-    assert _d1_lp(g, row[None])[0] == pytest.approx(0.0065651676269311, rel=1e-12)
+    assert _d1_lp(g, row) == pytest.approx(0.0065651676269311, rel=1e-12)
 
 
 def test_d1_lp_solves_a_row_whose_parts_differ_by_rounding():
@@ -231,4 +231,4 @@ def test_d1_lp_solves_a_row_whose_parts_differ_by_rounding():
     row[40] = -2.0489099306075786e-10
     src = np.flatnonzero(row > 0)
     want = row[src] @ np.linalg.norm(g.points[src] - g.points[40], axis=1)
-    assert _d1_lp(g, row[None])[0] == pytest.approx(want, rel=1e-6)
+    assert _d1_lp(g, row) == pytest.approx(want, rel=1e-6)

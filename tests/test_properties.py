@@ -1,7 +1,8 @@
 """Invariants of the grid kernels on generated 1-D and 2-D grids.
 
-Deposit keeps mass and first moment, also over a batch of point sets, and
-matches a per-point, per-corner reference bit for bit; the traced flow
+Deposit keeps mass and first moment, also over a batch of point sets,
+matches a per-point, per-corner reference bit for bit, and deposits a
+node's mass on that node alone; the traced flow
 matches a per-curve forward-Euler loop bit for bit, or names the same
 first curve out of the box;
 interpolation, the grid Lipschitz constant and the upwind gradient are
@@ -13,14 +14,18 @@ x + dt v, past the box too, and its largest operand is the one the grid's
 size budget predicts; dt L folded into its last product matches dt L added
 after it, within float64 rounding, and is folded exactly when the table
 splits as r(row) + b(v_last) bit for bit; a frozen policy's transition cost
-is the dt L table's entry, and its stencil gives the
-step's own candidate of that policy.  The 2-D d_1 is symmetric,
+is the dt L table's entry, its stencil gives the step's own candidate of
+that policy, and a block of policies has the row-by-row transitions bit for
+bit.  The push through that stencil keeps mass and starts at m0; by
+discrete duality the pushed best response costs <u(0), m0> within the
+rounding floor, and no mix of pushed paths costs less, so the
+exploitability is at least -floor; the line search takes the full step
+when the slope at 1 is not positive.  The 2-D d_1 is symmetric,
 obeys the triangle inequality, agrees with the 1-D CDF formula on data laid
-along an axis, and matches a full-support transport LP per row, also as the
-stopping residual of a 2-D fixed point, and the pair the solver returns is
-within its tolerance of its own best response.  A warm start stretched
-from probability rows, through its own middle row or a given one, is made
-of probability rows.  The sliced bound lies
+along an axis and matches a full-support transport LP, and the pair the
+solver returns is within its tolerance of its own best response.  A warm
+start stretched from probability rows is made of probability rows.  The
+sliced bound lies
 between 0 and that LP, is exact in 1-D and on data along one row of
 nodes, and matches its permuted-copy reference bit for bit.  The Legendre transform of the
 kinetic Lagrangian |v|^2/2 is |p|^2/2, attained at v = p.  The per-node CSV
@@ -45,7 +50,7 @@ from scipy.optimize import linprog
 import mfglab as M
 from mfglab import cli, errors, mfg
 from mfglab.hjb import _departure_step, _grid_lipschitz, _shift_table
-from mfglab.measure import SLICE_DIRECTIONS, SUPPORT_EPS, _d1_lp, deposit, sliced_d1, sup_d1
+from mfglab.measure import SLICE_DIRECTIONS, SUPPORT_EPS, _d1_lp, deposit, sliced_d1
 
 from test_hjb import gradient
 
@@ -117,7 +122,8 @@ def test_deposit_keeps_mass_and_first_moment(data):
 
 def reference_deposit(grid, pts, masses):
     """deposit one point and one corner at a time, in np.add.at's order:
-    corners outermost, then the batch rows, then the points of a row."""
+    corners outermost, then the batch rows, then the points of a row.  A
+    coordinate's cell is the last one whose left node is at most it."""
     n, N = grid.dim, grid.n_points
     rows = np.reshape(pts, (-1, len(masses), n))
     strides = [math.prod(grid.nodes[d + 1:]) for d in range(n)]
@@ -126,12 +132,12 @@ def reference_deposit(grid, pts, masses):
         for r, row in enumerate(rows):
             for x, m in zip(row, masses):
                 node, wt = r * N, m
-                for d in range(n):
-                    f = (x[d] - grid.lo[d]) / grid.dx[d]
-                    i = max(min(int(f), grid.nodes[d] - 2), 0)
+                for d, axis in enumerate(grid.axes):
+                    i = max(min(sum(axis <= x[d]) - 1, len(axis) - 2), 0)
+                    f = (x[d] - axis[i]) / (axis[i + 1] - axis[i])
                     bit = (corner >> d) & 1
                     node += (i + bit) * strides[d]
-                    wt = wt * (f - i if bit else 1 - (f - i))
+                    wt = wt * (f if bit else 1 - f)
                 w[node] += wt
     return w.reshape(np.shape(pts)[:-2] + (N,))
 
@@ -147,6 +153,17 @@ def test_deposit_matches_a_per_point_reference(data, batch):
                                            max_size=count)))
     np.testing.assert_array_equal(deposit(grid, pts, masses),
                                   reference_deposit(grid, pts, masses))  # bit for bit
+
+
+@SETTINGS
+@given(data=st.data(), batch=st.integers(1, 3))
+def test_deposit_of_nodes_is_the_identity(data, batch):
+    grid = data.draw(grids())
+    w = weights(data.draw, grid.n_points)
+    nodes = np.flatnonzero(w)
+    pts = np.broadcast_to(grid.points[nodes], (batch, len(nodes), grid.dim))
+    got = deposit(grid, pts, w[nodes])  # every batch row deposits the same nodes
+    np.testing.assert_array_equal(got, np.broadcast_to(w, got.shape))  # bit for bit
 
 
 @SETTINGS
@@ -321,6 +338,72 @@ def test_policy_transition_is_the_steps_own_stencil(grid, data):
 
 
 @SETTINGS
+@given(grid=step_grids(), data=st.data(), K=st.integers(1, 4), tilted=st.booleans())
+def test_block_transition_is_the_row_by_row_one(grid, data, K, tilted):
+    # bit for bit: the stationary solve passes one row, and ubar.csv keeps its bytes
+    L = M.quadratic_kinetic(potential=lambda x: 0.3 * x[..., 0], C3=1.0) if tilted else (
+        M.quadratic_kinetic())
+    step = M.BellmanStep(L, grid)
+    policy = np.stack([data.draw(policies(grid)) for _ in range(K)])
+    block = step.transition(policy)
+    for k, row in enumerate(policy):
+        for got, want in zip(block, step.transition(row)):
+            np.testing.assert_array_equal(got[k], want)
+
+
+def pushed_problem(grid, data, K):
+    """(step, F, uT, m0) of a kinetic L with a drawn coupling path and terminal row."""
+    N = grid.n_points
+    F = np.reshape(data.draw(st.lists(finite, min_size=(K + 1) * N, max_size=(K + 1) * N)),
+                   (K + 1, N))
+    uT = np.asarray(data.draw(st.lists(finite, min_size=N, max_size=N)))
+    return M.BellmanStep(M.quadratic_kinetic(), grid), F, uT, weights(data.draw, N)
+
+
+def path_cost(grid, A, path, F):
+    """A(path) plus the coupling term dt sum_{k<K} <path_k, F_k>."""
+    return A + grid.dt * np.vdot(path[:-1], F[:-1])
+
+
+@SETTINGS
+@given(grid=step_grids(), data=st.data(), K=st.integers(1, 5))
+def test_push_keeps_mass_and_starts_at_m0(grid, data, K):
+    step, _, uT, m0 = pushed_problem(grid, data, K)
+    policy = np.stack([data.draw(policies(grid)) for _ in range(K)])
+    path, A = mfg.push(step, policy, m0, uT)
+    assert path.shape == (K + 1, grid.n_points) and path.min() >= 0.0
+    np.testing.assert_array_equal(path[0], m0)  # bit for bit
+    assert np.abs(path.sum(axis=1) - 1.0).max() <= 4 * K * np.finfo(float).eps
+    # A reads dt L off the transition of each step's policy
+    costs = step.transition(policy)[0]
+    assert A == pytest.approx(np.vdot(path[:-1], costs) + path[-1] @ uT, rel=1e-12, abs=1e-12)
+
+
+@SETTINGS
+@given(grid=step_grids(), data=st.data(), K=st.integers(1, 5), alpha=st.floats(0.0, 1.0))
+def test_pushed_best_response_costs_the_value(grid, data, K, alpha):
+    step, F, uT, m0 = pushed_problem(grid, data, K)
+    vf = M.solve_backward(step, F, uT, K * grid.dt, check_boundary=False)
+    value = vf.values[0] @ m0
+    floor = mfg.rounding_floor(K, np.abs(vf.values).max())
+    # discrete duality: the best response's cost is <u(0), m0> within the floor
+    best, A = mfg.push(step, vf.policy, m0, uT)
+    assert abs(path_cost(grid, A, best, F) - value) <= floor
+    # any mix of pushed paths costs at least that: eps >= -floor
+    other, B = mfg.push(step, np.stack([data.draw(policies(grid)) for _ in range(K)]), m0, uT)
+    mix = (1 - alpha) * best + alpha * other
+    assert path_cost(grid, (1 - alpha) * A + alpha * B, mix, F) - value >= -floor
+
+
+@SETTINGS
+@given(slope=st.floats(0.0, 1e3), at_one=st.floats(-1e3, 0.0), floor=st.floats(0.0, 1.0))
+def test_line_search_returns_one_when_the_slope_at_one_is_not_positive(slope, at_one, floor):
+    calls = []
+    phi = lambda th: calls.append(th) or at_one + slope * (th - 1.0)  # noqa: E731
+    assert mfg.line_search(phi, floor) == 1.0 and calls == [1.0]
+
+
+@SETTINGS
 @given(grid=step_grids(), data=st.data())
 def test_folded_cost_matches_the_added_one(grid, data):
     N, nv = grid.n_points, grid.v_nodes
@@ -436,7 +519,7 @@ def reference_d1(m1, m2):
     return float(res.fun)
 
 
-def reference_sup_d1(grid, rows1, rows2):
+def reference_max_d1(grid, rows1, rows2):
     return max(reference_d1(M.GridMeasure(grid, a, validate=False),
                             M.GridMeasure(grid, b, validate=False))
                for a, b in zip(rows1, rows2))
@@ -478,17 +561,15 @@ def test_d1_2d_matches_cdf_formula_on_an_axis(data):
 
 
 @SETTINGS
-@given(data=st.data())
-def test_sup_d1_2d_matches_full_support_lp_per_row(data):
+@given(data=st.data(), same=st.booleans())
+def test_d1_2d_matches_full_support_lp(data, same):
     grid = data.draw(grids(dims=(2,), max_nodes=6))
-    count = data.draw(st.integers(1, 4))
-    rows1 = np.array([weights(data.draw, grid.n_points) for _ in range(count)])
-    rows2 = np.array([weights(data.draw, grid.n_points) for _ in range(count)])
-    for k in data.draw(st.sets(st.integers(0, count - 1))):
-        rows2[k] = rows1[k]  # rows without an LP mixed in
-    want = [reference_sup_d1(grid, rows1[k : k + 1], rows2[k : k + 1]) for k in range(count)]
-    np.testing.assert_allclose(_d1_lp(grid, rows1 - rows2), want, rtol=1e-12, atol=1e-14)
-    assert sup_d1(grid, rows1, rows2) == pytest.approx(max(want), rel=1e-12, abs=1e-14)
+    w1 = weights(data.draw, grid.n_points)
+    w2 = w1 if same else weights(data.draw, grid.n_points)  # equal measures need no LP
+    want = reference_max_d1(grid, w1[None], w2[None])
+    assert _d1_lp(grid, w1 - w2) == pytest.approx(want, rel=1e-12, abs=1e-14)
+    got = M.wasserstein1(M.GridMeasure(grid, w1), M.GridMeasure(grid, w2))
+    assert got == pytest.approx(want, rel=1e-12, abs=1e-14)
 
 
 @SETTINGS
@@ -499,7 +580,7 @@ def test_sliced_d1_is_a_lower_bound_on_the_full_support_lp(data):
     rows1 = np.array([weights(data.draw, grid.n_points) for _ in range(count)])
     rows2 = np.array([weights(data.draw, grid.n_points) for _ in range(count)])
     lo = sliced_d1(grid, rows1, rows2)
-    assert 0.0 <= lo <= reference_sup_d1(grid, rows1, rows2) + 1e-12
+    assert 0.0 <= lo <= reference_max_d1(grid, rows1, rows2) + 1e-12
 
 
 @SETTINGS
@@ -510,7 +591,6 @@ def test_sliced_d1_is_exact_in_1d(data):
     rows1 = np.array([weights(data.draw, grid.n_points) for _ in range(count)])
     rows2 = np.array([weights(data.draw, grid.n_points) for _ in range(count)])
     lo = sliced_d1(grid, rows1, rows2)
-    assert lo == sup_d1(grid, rows1, rows2)
     cdf = np.abs(np.cumsum(rows1 - rows2, axis=1)[:, :-1]).sum(axis=1).max() * grid.dx[0]
     assert lo == pytest.approx(cdf, rel=1e-12, abs=1e-14)
 
@@ -560,7 +640,7 @@ def test_sliced_d1_is_exact_on_one_row_of_nodes(data):
         return out.ravel()[None]
 
     w1, w2 = weights(data.draw, n), weights(data.draw, n)
-    want = sup_d1(line, w1[None], w2[None])
+    want = M.wasserstein1(M.GridMeasure(line, w1), M.GridMeasure(line, w2))
     assert sliced_d1(plane, lift(w1), lift(w2)) == pytest.approx(want, rel=1e-12, abs=1e-14)
 
 
@@ -574,59 +654,33 @@ def small_2d():
     })
 
 
-def test_2d_fixed_point_stops_where_the_reference_lp_stops():
-    inst = small_2d()
-
-    def solve():
-        # theta = 0.5 from k = 1 takes more iterations than the default schedule
-        with mock.patch.object(mfg, "theta", lambda gaps: 0.5 if len(gaps) > 1 else 1.0):
-            return M.solve_finite_horizon(inst.L, inst.coupling, inst.m0, inst.uf,
-                                          inst.grid, 2.0, tol=5e-4)
-
-    exact = []  # the reference LP's gap of every iteration, bound or no bound
-
-    def bound(grid, rows1, rows2):
-        exact.append(reference_sup_d1(grid, rows1, rows2))
-        return sliced_d1(grid, rows1, rows2)
-
-    with mock.patch.object(mfg, "sup_d1", reference_sup_d1), \
-            mock.patch.object(mfg, "sliced_d1", bound):
-        want = solve()
-    got = solve()
-    assert want.converged and want.iterations == 10
-    assert got.iterations == want.iterations
-    np.testing.assert_array_equal(got.m_path.weights, want.m_path.weights)
-    assert [h["gap_lo"] for h in got.history] == [h["gap_lo"] for h in want.history]
-    for h, ref in zip(got.history, exact):
-        assert h["gap_lo"] <= ref + 1e-12
-        if h["gap"] is not None:
-            assert h["gap"] == pytest.approx(ref, rel=1e-12, abs=0)
-    assert got.residuals[-1] <= 5e-4
-
-
 @pytest.mark.parametrize("name, T, tol", [("RI-1", 2.0, 1e-4), ("RI-1", 4.0, 1e-4),
                                           ("small-2d", 2.0, 5e-4)])
 def test_returned_pair_is_within_tol_of_its_best_response(ri1_coarse, name, T, tol):
-    # the gap is recomputed from the returned path alone: one more backward
-    # solve, one more forward trace, and the full-support reference LP
+    # the best response is recomputed from the returned path alone: one more
+    # backward solve and one more push; the exploitability of the path is its
+    # cost under its own coupling less the best response's, <u(0), m0>
     inst = ri1_coarse if name == "RI-1" else small_2d()
     g = inst.grid
     sol = M.solve_finite_horizon(inst.L, inst.coupling, inst.m0, inst.uf, g, T, tol=tol)
     assert sol.converged
-    vf = M.solve_backward(M.BellmanStep(inst.L, g),
-                          inst.coupling.path_values(g, sol.m_path.weights), inst.uf, T)
-    best = M.measure_path(M.trace_optimal_flow(vf, inst.m0)).weights
-    assert reference_sup_d1(g, best, sol.m_path.weights) <= tol
+    W, uT = sol.m_path.weights, inst.uf.values_on(g)
+    step = M.BellmanStep(inst.L, g)
+    F = inst.coupling.path_values(g, W)
+    vf = M.solve_backward(step, F, uT, T)
+    best, A_best = mfg.push(step, vf.policy, inst.m0.weights, uT)
+    value = vf.values[0] @ inst.m0.weights
+    floor = mfg.rounding_floor(len(W) - 1, np.abs(vf.values).max())
+    assert abs(path_cost(g, A_best, best, F) - value) <= floor  # duality
+    assert -floor <= path_cost(g, sol.diagnostics["path_cost"], W, F) - value <= tol
 
 
 @SETTINGS
-@given(data=st.data(), n=st.integers(1, 12), Kp=st.integers(0, 8), extra=st.integers(0, 8),
-       through_middle=st.booleans())
-def test_stretched_start_keeps_probability_rows(data, n, Kp, extra, through_middle):
+@given(data=st.data(), n=st.integers(1, 12), Kp=st.integers(0, 8), extra=st.integers(0, 8))
+def test_stretched_start_keeps_probability_rows(data, n, Kp, extra):
     start = np.stack([weights(data.draw, n) for _ in range(Kp + 1)])
     m0 = SimpleNamespace(weights=weights(data.draw, n))
-    middle = weights(data.draw, n) if through_middle else None
-    W = mfg.stretched_start(start, m0, Kp + extra, middle)
+    W = mfg.stretched_start(start, m0, Kp + extra)
     assert W.shape == (Kp + extra + 1, n)
     assert np.abs(W.sum(axis=1) - 1.0).max() <= n * np.finfo(float).eps
 

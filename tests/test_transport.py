@@ -7,7 +7,7 @@ import pytest
 
 import mfglab as M
 from mfglab import errors
-from mfglab.measure import sup_d1
+from mfglab.measure import sliced_d1
 
 
 def grid1d(dx, lo=-4.0, hi=4.0, v_max=4.0):
@@ -73,7 +73,7 @@ def test_measure_path_mass_and_flat_continuity():
     # deposition keeps the path Lipschitz in the flat metric:
     # d1(m(t_k), m(t_{k+1})) <= max speed * dt, exactly
     vmax = b.max_speed()
-    assert sup_d1(g, path.weights[:-1], path.weights[1:]) <= vmax * g.dt + 1e-12
+    assert sliced_d1(g, path.weights[:-1], path.weights[1:]) <= vmax * g.dt + 1e-12
 
 
 def test_measure_path_peak_memory_stays_near_its_output(ri1):
