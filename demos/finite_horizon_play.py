@@ -16,8 +16,7 @@ def main():
     sol = M.solve_finite_horizon(inst.L, inst.coupling, inst.m0, inst.uf,
                                  inst.grid, 2.0)
     print(f"converged = {sol.converged} after {sol.iterations} iterations")
-    # the first iterate, the constant path m0, has no exploitability
-    print("exploitability history:", [None if r is None else "%.2e" % r for r in sol.residuals])
+    print("exploitability history:", ["%.2e" % r for r in sol.residuals])
 
     masses = sol.m_path.weights.sum(axis=1)
     print(f"mass drift along the path: {np.abs(masses - 1.0).max():.2e}")

@@ -1,6 +1,6 @@
 """Long-horizon behavior of the finite-horizon equilibria.
 
-Solves the system on a ladder of horizons, each started from the path
+Solves the system on a ladder of horizons, each started from the policy
 solved at the one before it and stretched in the middle, as `mfg converge`
 solves its ladder, measures the distance of the
 time-averaged value u(0, x)/T + lambda-corrected profile and of the flight
@@ -22,10 +22,10 @@ def main():
     print(f"stationary multiplier lambda = {erg.lam:.12f}")
 
     sols, start = {}, None
-    for T in (2.0, 4.0, 8.0, 16.0):  # each started from the path of the one before
+    for T in (2.0, 4.0, 8.0, 16.0):  # each started from the policy of the one before
         sols[T] = M.solve_finite_horizon(inst.L, inst.coupling, inst.m0, inst.uf, inst.grid,
                                          T, start=start)
-        start = sols[T].m_path.weights
+        start = sols[T].u.policy
         print(f"  T = {T:5.1f}: converged in {sols[T].iterations} iterations")
 
     rep = M.convergence_metrics(sols, erg, inst.coupling, 3.0)

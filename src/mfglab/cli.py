@@ -139,11 +139,6 @@ def _phase_seconds(history):
     return {p: [round(h[p], 4) for h in history] for p in _PHASES}
 
 
-def _gaps_lo(sol):
-    """The sliced d_1 between each iteration's best response and its path."""
-    return [h["gap_lo"] for h in sol.history]
-
-
 def _instance(params):
     """The embedded document of a --config run, else the built-in instance."""
     return load_instance(params.get("document", params["instance"]),
@@ -216,7 +211,8 @@ def _run_horizon(params, inst):
         "iterations": sol.iterations,
         "final_residual": sol.residuals[-1],
         "gaps": sol.residuals,
-        "gaps_lo": _gaps_lo(sol),
+        "gaps_lo": [h["gap_lo"] for h in sol.history],
+        "thetas": [h["theta"] for h in sol.history],
         **{k: float(v) for k, v in sol.diagnostics.items()},
     }
     lines = [f"converged = {sol.converged} after {sol.iterations} iterations",
@@ -240,10 +236,10 @@ def _run_converge(params, inst):
     erg = solve_ergodic(inst.L, inst.coupling, inst.grid)
     tol = params.get("tol", 1e-4)
     sols, start = {}, None
-    for T in sorted(set(T_list)):  # each distinct horizon once, started from the last path
+    for T in sorted(set(T_list)):  # each distinct horizon once, started from the last policy
         sols[T] = solve_finite_horizon(inst.L, inst.coupling, inst.m0, inst.uf, inst.grid,
                                        T, tol, start=start)
-        start = sols[T].m_path.weights
+        start = sols[T].u.policy
     all_converged = all(s.converged for s in sols.values())
     rep = convergence_metrics(sols, erg, inst.coupling, R)
 
@@ -277,7 +273,8 @@ def _run_converge(params, inst):
         "C_hat_F": rep.C_hat_F,
         "all_converged": all_converged,
         "gaps": [sols[T].residuals for T in T_list],  # one list per T, as in T_list
-        "gaps_lo": [_gaps_lo(sols[T]) for T in T_list],
+        "gaps_lo": [[h["gap_lo"] for h in sols[T].history] for T in T_list],
+        "thetas": [[h["theta"] for h in sols[T].history] for T in T_list],
     }
     per_solve = [_phase_seconds(sols[T].history) for T in T_list]
     timings = {p: [t[p] for t in per_solve] for p in _PHASES}

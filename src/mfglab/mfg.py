@@ -4,8 +4,8 @@ Fictitious play on the measure path W_k, on one discretization of the crowd.
 Iteration k solves u_k against F(W_k) and pushes m0 with the transpose of
 the backward step, m_{k+1}(j) = sum_i m_k(i) p_ij, p the corner weights of
 BellmanStep.transition (Carlini & Silva, SINUM 2014): the best response
-BR(W_k).  Every W_k after the first mixes such pushed paths, so it has the
-cost cost(W; F) = A(W) + dt sum_{k<K} <W_k, F_k>, A the running dt L plus
+BR(W_k).  Every W_k mixes such pushed paths, so it has the cost
+cost(W; F) = A(W) + dt sum_{k<K} <W_k, F_k>, A the running dt L plus
 terminal <W_K, u_f> part, one scalar mixed with the weights of W.  By
 discrete duality BR(W_k) costs <u_k(0), m0>, the least any path costs, so
 the exploitability eps_k = cost(W_k; F(W_k)) - <u_k(0), m0> >= 0 is what the
@@ -14,16 +14,16 @@ returns (u_k, W_k) once eps_k is at most the tolerance or its rounding
 floor.  Otherwise W_{k+1} = W_k + theta_k D, D = BR(W_k) - W_k, theta_k the
 exact line search on the potential (Lavigne & Pfeiffer, Appl. Math. Optim.
 2023): the root in [0, 1] of phi'(theta) = (A(BR) - A(W)) +
-dt sum_{k<K} <F(W + theta D)_k, D_k>, and phi'(0) = -eps_k.  W_0 is no mix
-of pushed paths: it has no eps, and theta_0 = 1.  Failure to converge is a
-flag, not an exception; check_standing_assumptions, not the solver, checks
-the standing assumptions.
+dt sum_{k<K} <F(W + theta D)_k, D_k>, and phi'(0) = -eps_k.  Failure to
+converge is a flag, not an exception; check_standing_assumptions, not the
+solver, checks the standing assumptions.
 
-W_0 is the constant path m0, or a path start solved on the same grid at
-K' <= K steps, stretched in the middle (stretched_start).  By the turnpike
-(Porretta, Minimax Theory Appl. 2018) the middle of a long horizon is near
-the stationary pair, so a ladder of horizons solved in increasing order,
-each started from the one before, takes fewer iterations than from m0.
+W_0 is m0 pushed through a start policy (stretched_start): a solve's at
+K' <= K steps, stretched in the middle, or the slowest velocity, at rest
+when v = 0 is a node.  By the turnpike (Porretta, Minimax Theory Appl. 2018)
+the middle of a long horizon is near the stationary pair, so a ladder of
+horizons solved in increasing order, each started from the one before,
+takes fewer iterations than from rest.
 """
 
 from __future__ import annotations
@@ -50,8 +50,8 @@ class MFGSolution:
     u holds the policy that answers m_path; diagnostics hold, among others,
     "max_speed", the top speed of that policy at a node m_path charges, and
     "path_cost", A(m_path).  history holds one dict per iteration k: "gap",
-    eps_k (None at k = 0), "gap_lo", the sliced d_1 between BR(W_k) and W_k
-    (above 0 at a mixed equilibrium), "theta" (None on the last iteration),
+    eps_k, "gap_lo", the sliced d_1 between BR(W_k) and W_k (above 0 at a
+    mixed equilibrium), "theta" (None on the last iteration),
     "floor", eps_k's rounding floor, and the seconds of "backward_s"
     (coupling and backward solve), "forward_s" (push, eps and line search)
     and "d1_s" (the sliced d_1).
@@ -69,7 +69,7 @@ class MFGSolution:
 
     @property
     def residuals(self):
-        """eps of each iteration, None at the first; the last is m_path's."""
+        """eps of each iteration; the last is m_path's."""
         return [h["gap"] for h in self.history]
 
 
@@ -107,27 +107,25 @@ def check_standing_assumptions(L, coupling, grid, m0=None):
         raise AssumptionFailure("initial measure charges nodes outside K0")
 
 
-def stretched_start(start, m0, K):
-    """The first iterate of a K-step solve started from the path start.
+def stretched_start(start, grid, K):
+    """The (K, N) policy a K-step solve first pushes m0 through.
 
-    start holds K' + 1 rows of weights with K' <= K; with h = K' // 2 the
-    result is rows 0..h of start, K - K' copies of row h and rows h+1..K'
-    of start, with row 0 set to m0.  ValueError for any other shape.
+    start is the (K', N) policy of a solve on grid, 1 <= K' <= K; with
+    h = K' // 2 the result is rows 0..h of start, K - K' copies of row h, then
+    rows h+1..K'-1.  start None is the one-row policy of the slowest velocity.
+    ValueError unless start is an integer table of that shape indexing grid.velocities.
     """
-    start = np.asarray(start, dtype=float)
-    n = m0.weights.size
-    if start.ndim != 2 or start.shape[1] != n or not 1 <= len(start) <= K + 1:
-        raise ValueError(f"start must hold 1 to {K + 1} rows of {n} weights, "
-                         f"got shape {start.shape}")
-    Kp = len(start) - 1
-    h = Kp // 2
-    tail = h + 1 + K - Kp  # the first row after the inserted ones
-    W = np.empty((K + 1, n))
-    W[:h + 1] = start[:h + 1]
-    W[h + 1:tail] = start[h]
-    W[tail:] = start[h + 1:]
-    W[0] = m0.weights
-    return W
+    nV, n = len(grid.velocities), grid.n_points
+    if start is None:  # in the dtype of solve_backward's policy table
+        start = np.full((1, n), np.square(grid.velocities).sum(axis=1).argmin(),
+                        np.min_scalar_type(nV - 1))
+    start = np.asarray(start)
+    if not (start.ndim == 2 and start.shape[1] == n and 1 <= len(start) <= K
+            and start.dtype.kind in "iu" and 0 <= start.min() and start.max() < nV):
+        raise ValueError(f"start must hold 1 to {K} rows of {n} velocity indices in "
+                         f"[0, {nV}), got a {start.dtype} table of shape {start.shape}")
+    h = len(start) // 2
+    return np.insert(start, np.full(K - len(start), h + 1), start[h], axis=0)
 
 
 def rounding_floor(K, scale):
@@ -173,14 +171,18 @@ def line_search(slope, floor):
     return theta
 
 
-def _potential_slope(coupling, grid, W, D, dA):
-    """theta -> phi'(theta) = dA + dt sum_{k<K} <F(W + theta D)_k, D_k>, mixing in one buffer."""
-    mix = np.empty_like(W[:-1])
+def _potential_slope(coupling, grid, W, best, dA):
+    """theta -> phi'(theta) = dA + dt sum_{k<K} <F(W + theta D)_k, D_k>; best stays
+    intact, and D = best - W is formed in one buffer for the mix and for the pairing."""
+    buf = np.empty_like(W[:-1])
 
     def slope(theta):
-        np.multiply(D[:-1], theta, out=mix)
-        np.add(mix, W[:-1], out=mix)
-        return dA + grid.dt * np.vdot(coupling.path_values(grid, mix), D[:-1])
+        np.subtract(best[:-1], W[:-1], out=buf)
+        np.multiply(buf, theta, out=buf)
+        np.add(buf, W[:-1], out=buf)
+        F = coupling.path_values(grid, buf)
+        np.subtract(best[:-1], W[:-1], out=buf)
+        return dA + grid.dt * np.vdot(F, buf)
 
     return slope
 
@@ -189,9 +191,10 @@ def solve_finite_horizon(L, coupling, m0, uf, grid, T, tol=1e-4, start=None):
     """Fixed point of the best-response map by fictitious play (module docstring).
 
     Stops once eps <= max(tol, rounding_floor(K, max |u|)), so tol = 0 ends
-    too, or after MAX_ITERS iterations, unconverged.  W_0 is
-    stretched_start(start), or m0 at every time without a start.  m_path(0)
-    is m0 bit for bit and u ends at the terminal datum exactly.
+    too, or after MAX_ITERS iterations, unconverged.  W_0 is m0 pushed
+    through stretched_start(start, grid, K): start is the (K', N) policy of
+    a shorter solve, u.policy, or None.  m_path(0) is m0 bit for bit and u
+    ends at the terminal datum exactly.
     """
     if not isinstance(uf, TerminalDatum):
         raise TypeError("uf must be a TerminalDatum")
@@ -199,8 +202,7 @@ def solve_finite_horizon(L, coupling, m0, uf, grid, T, tol=1e-4, start=None):
 
     K = grid.time_steps(T)
     step = BellmanStep(L, grid)  # once: every backward solve and push applies it
-    W = stretched_start(m0.weights[None] if start is None else start, m0, K)
-    A = None  # the running plus terminal cost of W: none for W_0
+    W, A = push(step, stretched_start(start, grid, K), m0.weights, uT)
     history = []
     while True:
         t0 = time.perf_counter()
@@ -211,20 +213,21 @@ def solve_finite_horizon(L, coupling, m0, uf, grid, T, tol=1e-4, start=None):
         t1 = time.perf_counter()
         best, A_best = push(step, vf.policy, m0.weights, uT)
         value = np.dot(vf.values[0], m0.weights)
-        gap = None if A is None else float(A + coupled - value)
+        gap = float(A + coupled - value)
         floor = rounding_floor(K, max(vf.values.max(), -vf.values.min()))
         t2 = time.perf_counter()
         lo = sliced_d1(grid, best, W)
         t3 = time.perf_counter()
-        converged = gap is not None and gap <= max(tol, floor)
+        converged = gap <= max(tol, floor)
         theta = None
         if not converged and len(history) + 1 < MAX_ITERS:
-            if A is None:  # W_0 has no cost to descend from: a Picard step
-                theta, W, A = 1.0, best, A_best
+            del vf  # the next backward solve replaces it: not alive across the line search
+            dA = A_best - A
+            theta = line_search(_potential_slope(coupling, grid, W, best, dA), floor)
+            if theta == 1.0:  # the pushed best response, bit for bit
+                W, A = best, A_best
             else:
-                dA = A_best - A
                 best -= W  # the direction D, in place
-                theta = line_search(_potential_slope(coupling, grid, W, best, dA), floor)
                 best *= theta
                 W += best
                 A += theta * dA

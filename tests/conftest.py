@@ -34,8 +34,8 @@ def ergodic_sol(ri1):
 def ladder(ri1):
     """(solutions dict, seconds) for the doubling horizons T in {2,...,32}.
 
-    Each horizon starts from the path solved at the one before it, stretched
-    in the middle, as `mfg converge` solves its ladder.  The seconds exclude
+    Each horizon starts from the policy solved at the one before it,
+    stretched in the middle, as `mfg converge` solves its ladder.  The seconds exclude
     the stationary solve.
     """
     t0 = time.perf_counter()
@@ -43,7 +43,7 @@ def ladder(ri1):
     for T in (2.0, 4.0, 8.0, 16.0, 32.0):
         sols[T] = M.solve_finite_horizon(ri1.L, ri1.coupling, ri1.m0, ri1.uf,
                                          ri1.grid, T, start=start)
-        start = sols[T].m_path.weights
+        start = sols[T].u.policy
     return sols, time.perf_counter() - t0
 
 

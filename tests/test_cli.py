@@ -129,8 +129,13 @@ def test_horizon_run(tmp_path):
     out = str(tmp_path / "hz")
     assert run(["horizon", "--instance", "RI-1", "--T", "2.0", "--out", out]) == 0
     assert sorted(os.listdir(out)) == ["manifest.json", "mpath.csv", "u.csv"]
-    man = manifest_of(out)
-    assert man["measured"]["converged"] is True
+    measured = manifest_of(out)["measured"]
+    assert measured["converged"] is True
+    # every iterate has an eps; each but the last took a step theta in (0, 1]
+    assert all(isinstance(g, float) for g in measured["gaps"])
+    thetas = measured["thetas"]
+    assert len(thetas) == measured["iterations"] and thetas[-1] is None
+    assert all(0.0 < t <= 1.0 for t in thetas[:-1])
 
 
 # ---------------------------------------------------------------------------
@@ -357,8 +362,9 @@ def test_converge_repeated_horizon_keeps_one_entry_per_T(tmp_path, monkeypatch):
     assert calls == [2.0, 4.0]  # each distinct horizon once, in increasing order
     man = manifest_of(out)
     assert man["config"]["params"]["T_list"] == [2.0, 4.0, 2.0]
-    gaps = man["measured"]["gaps"]
+    gaps, thetas = man["measured"]["gaps"], man["measured"]["thetas"]
     assert len(gaps) == 3 and gaps[0] == gaps[2] != gaps[1]
+    assert [len(t) for t in thetas] == [len(g) for g in gaps] and thetas[0] == thetas[2]
     for phase in ("backward_s", "forward_s", "d1_s"):
         assert len(man["timings"][phase]) == 3
     report = (tmp_path / "rep" / "report.csv").read_bytes()
@@ -375,7 +381,7 @@ def test_converge_outputs_do_not_depend_on_the_order_of_T(tmp_path):
         assert a == b, name
     man = manifest_of(dirs["8,2,4"])
     # per-T lists follow the order given; the turnpike lists are per sorted T
-    assert [len(g) for g in man["measured"]["gaps"]] == [2, 3, 2]
+    assert [len(g) for g in man["measured"]["gaps"]] == [1, 3, 2]
     assert all(len(man["measured"][key]) == 3 for key in ("E_mid", "D_mid", "t_sup"))
 
 
@@ -637,14 +643,14 @@ def test_failed_transport_lp_is_solver_failure(monkeypatch):
 # SHA-256 of every CSV these runs write, recorded from the 0.1.0 solver; the
 # bytes are the same with one or two BLAS threads.  The two ergodic pairs were
 # recorded from the weak-KAM solve by Howard's policy iteration: their ubar.csv
-# differs in last digits from the one value iteration wrote.  The horizon and
-# converge outputs were recorded with the crowd pushed by the transpose of the
-# Bellman step and the solve stopped on the exploitability, which moves the
-# measure path and so every file of these runs but eu.dat
+# differs in last digits from the one value iteration wrote.  The RI-1 horizon
+# and converge outputs were recorded with every iterate a pushed path: m0 pushed
+# through a starting policy, the shorter horizon's in the converge ladder, and a
+# step of theta = 1 taking the pushed best response bit for bit
 PINNED_CSV = [
     (["horizon", "--instance", "RI-1", "--dx", "0.04", "--dt", "0.04", "--T", "2"], {
         "u.csv": "2d2d4c94de6282a6c17b94cb89f00e90bde4d149c2d316a08d37cc4722fc378d",
-        "mpath.csv": "f223534721ea08d589dc3020d02bcc7fa66bf593b9feb0008e7c884436d0b86f"}),
+        "mpath.csv": "662eb4ec0005ba9a63a83a7b22153f4c9cabe1df7cf5d828e5d1c221b74b30ed"}),
     (["ergodic", "--config", RI2], {
         "ubar.csv": "c37cc372b99320746efe366027d3502a232d33da3cb96ea21b1eba0398c7bf39",
         "mbar.csv": "96259e563b5402aecbb39214b343a8f2ac1b3c827a3a08d60caa860f45a567c3"}),
@@ -655,10 +661,10 @@ PINNED_CSV = [
         "ubar.csv": "c4523c2d11d5ebce20d7a806122509c227693ca60aa48a582b3cdf36b178c500",
         "mbar.csv": "8a2745d877f31e92b6f52153e9ff01b264be0dbec506074cb23695a4d7df9619"}),
     (["converge", "--instance", "RI-1", "--T", "2,4,8", "--R", "3"], {
-        "report.csv": "edf6abacb9a819e7e0c79a2a12bf7fd863664854f06d8615e1b96fb1b79892ca",
+        "report.csv": "224a2296fcd371978522ad44d2c27500d13d737ffb04073876f7b9565b199086",
         "eu.dat": "52eafc2caea8cbbbdcf37d3017065e3dd1ead34e3bdd889b15290c00be0051e0",
-        "ef.dat": "cf737be288def11445464c867bcc85ed6ec200090a23deaa5dce867a9e83452b",
-        "fit.json": "6146a4e4e2ab0e53d5928309ca89f481225871e30430501fba6b5cfa8a56eebc"}),
+        "ef.dat": "e681a94db6ef4740acb07e8b8154727b2788b4c6ea4683e93c17365705532644",
+        "fit.json": "3b3825251621ae6305134b8c5d282376fcdc7836b08e1cf36695a8abf3963a8d"}),
 ]
 
 
@@ -670,7 +676,7 @@ def test_outputs_keep_their_pinned_bytes(tmp_path, args, digests):
     assert run([*args, "--out", out]) == 0
     assert {name: cli._sha256(os.path.join(out, name)) for name in digests} == digests
     if args[0] == "converge":  # iterations per T of the warm-started ladder
-        assert [len(g) for g in manifest_of(out)["measured"]["gaps"]] == [3, 2, 2]
+        assert [len(g) for g in manifest_of(out)["measured"]["gaps"]] == [3, 2, 1]
 
 
 def test_a_profile_works_in_either_dimension(tmp_path):

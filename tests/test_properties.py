@@ -676,13 +676,29 @@ def test_returned_pair_is_within_tol_of_its_best_response(ri1_coarse, name, T, t
 
 
 @SETTINGS
-@given(data=st.data(), n=st.integers(1, 12), Kp=st.integers(0, 8), extra=st.integers(0, 8))
-def test_stretched_start_keeps_probability_rows(data, n, Kp, extra):
-    start = np.stack([weights(data.draw, n) for _ in range(Kp + 1)])
-    m0 = SimpleNamespace(weights=weights(data.draw, n))
-    W = mfg.stretched_start(start, m0, Kp + extra)
-    assert W.shape == (Kp + extra + 1, n)
-    assert np.abs(W.sum(axis=1) - 1.0).max() <= n * np.finfo(float).eps
+@given(grid=grids(), data=st.data(), Kp=st.integers(1, 8), extra=st.integers(0, 8))
+def test_stretched_start_repeats_the_middle_row(grid, data, Kp, extra):
+    start = np.stack([data.draw(policies(grid)) for _ in range(Kp)])
+    P = mfg.stretched_start(start, grid, Kp + extra)
+    h = Kp // 2
+    assert P.shape == (Kp + extra, grid.n_points) and P.dtype == start.dtype
+    np.testing.assert_array_equal(P[:h + 1], start[:h + 1])
+    np.testing.assert_array_equal(P[h + 1:h + 1 + extra], np.tile(start[h], (extra, 1)))
+    np.testing.assert_array_equal(P[h + 1 + extra:], start[h + 1:])
+
+
+@SETTINGS
+@given(grid=step_grids(), data=st.data(), K=st.integers(1, 5))
+def test_cold_start_push_rests_at_m0(grid, data, K):
+    _, _, uT, m0 = pushed_problem(grid, data, K)
+    L = M.quadratic_kinetic(potential=lambda x: 0.3 * x[..., 0], C3=1.0)
+    path, A = mfg.push(M.BellmanStep(L, grid), mfg.stretched_start(None, grid, K), m0, uT)
+    if grid.v_nodes % 2:  # v = 0 is a velocity: the crowd stays put, bit for bit
+        np.testing.assert_array_equal(path, np.tile(m0, (K + 1, 1)))
+        at_rest = K * grid.dt * (m0 @ L.eval(grid.points, np.zeros(grid.dim)))
+        assert abs(A - at_rest - m0 @ uT) <= mfg.rounding_floor(K, abs(at_rest) + np.abs(uT).max())
+    else:  # no velocity at rest: the slowest one still keeps mass
+        assert np.abs(path.sum(axis=1) - 1.0).max() <= 4 * K * np.finfo(float).eps
 
 
 @SETTINGS
