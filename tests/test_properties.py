@@ -23,8 +23,9 @@ exploitability is at least -floor; the line search takes the full step
 when the slope at 1 is not positive.  The 2-D d_1 is symmetric,
 obeys the triangle inequality, agrees with the 1-D CDF formula on data laid
 along an axis and matches a full-support transport LP, and the pair the
-solver returns is within its tolerance of its own best response.  A warm
-start stretched from probability rows is made of probability rows.  The
+solver returns is within its tolerance of its own best response.  A start
+policy stretched to K rows repeats its middle row, and its push is made of
+probability rows.  The
 sliced bound lies
 between 0 and that LP, is exact in 1-D and on data along one row of
 nodes, and matches its permuted-copy reference bit for bit.  The Legendre transform of the
@@ -688,16 +689,29 @@ def test_stretched_start_repeats_the_middle_row(grid, data, Kp, extra):
 
 
 @SETTINGS
+@given(grid=step_grids(), data=st.data(), Kp=st.integers(1, 4), extra=st.integers(0, 4))
+def test_stretched_start_keeps_probability_rows(grid, data, Kp, extra):
+    # the first iterate is the push of the stretched policy: K + 1 probability rows
+    K = Kp + extra
+    step, _, uT, m0 = pushed_problem(grid, data, K)
+    start = np.stack([data.draw(policies(grid)) for _ in range(Kp)])
+    W, _ = mfg.push(step, mfg.stretched_start(start, grid, K), m0, uT)
+    assert W.shape == (K + 1, grid.n_points) and W.min() >= 0.0
+    assert np.abs(W.sum(axis=1) - 1.0).max() <= 4 * K * np.finfo(float).eps
+
+
+@SETTINGS
 @given(grid=step_grids(), data=st.data(), K=st.integers(1, 5))
 def test_cold_start_push_rests_at_m0(grid, data, K):
     _, _, uT, m0 = pushed_problem(grid, data, K)
     L = M.quadratic_kinetic(potential=lambda x: 0.3 * x[..., 0], C3=1.0)
     path, A = mfg.push(M.BellmanStep(L, grid), mfg.stretched_start(None, grid, K), m0, uT)
-    if grid.v_nodes % 2:  # v = 0 is a velocity: the crowd stays put, bit for bit
+    # an odd v_nodes puts v = 0 in the grid only up to linspace's rounding of the middle node
+    if not np.square(grid.velocities).sum(axis=1).min():  # v = 0 exactly: the crowd stays put
         np.testing.assert_array_equal(path, np.tile(m0, (K + 1, 1)))
         at_rest = K * grid.dt * (m0 @ L.eval(grid.points, np.zeros(grid.dim)))
         assert abs(A - at_rest - m0 @ uT) <= mfg.rounding_floor(K, abs(at_rest) + np.abs(uT).max())
-    else:  # no velocity at rest: the slowest one still keeps mass
+    else:  # no velocity exactly at rest: the slowest one still keeps mass
         assert np.abs(path.sum(axis=1) - 1.0).max() <= 4 * K * np.finfo(float).eps
 
 
