@@ -1,13 +1,12 @@
 """Long-horizon behavior of the finite-horizon equilibria.
 
-Solves the system on a ladder of horizons, each started from the policy
-solved at the one before it and stretched in the middle, as `mfg converge`
-solves its ladder, measures the distance of the
-time-averaged value u(0, x)/T + lambda-corrected profile and of the flight
-of the coupling from their stationary counterparts on a fixed ball, and
-fits the decay rate against T.  In dimension one the predicted envelope is
-T^(-1/3).  In the middle of the horizon (the turnpike) both distances fall
-much faster.
+Solves the system on a ladder of horizons, each started from the stationary
+feedback held at every step, as `mfg converge` solves its ladder, measures
+the distance of the time-averaged value u(0, x)/T + lambda-corrected
+profile and of the flight of the coupling from their stationary
+counterparts on a fixed ball, and fits the decay rate against T.  In
+dimension one the predicted envelope is T^(-1/3).  In the middle of the
+horizon (the turnpike) both distances fall much faster.
 """
 
 import numpy as np
@@ -21,11 +20,10 @@ def main():
     erg = M.solve_ergodic(inst.L, inst.coupling, inst.grid)
     print(f"stationary multiplier lambda = {erg.lam:.12f}")
 
-    sols, start = {}, None
-    for T in (2.0, 4.0, 8.0, 16.0):  # each started from the policy of the one before
+    sols = {}
+    for T in (2.0, 4.0, 8.0, 16.0):  # each started from the stationary feedback
         sols[T] = M.solve_finite_horizon(inst.L, inst.coupling, inst.m0, inst.uf, inst.grid,
-                                         T, start=start)
-        start = sols[T].u.policy
+                                         T, start=erg.policy)
         print(f"  T = {T:5.1f}: converged in {sols[T].iterations} iterations")
 
     rep = M.convergence_metrics(sols, erg, inst.coupling, 3.0)

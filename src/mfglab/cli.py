@@ -235,11 +235,9 @@ def _run_converge(params, inst):
     check_standing_assumptions(inst.L, inst.coupling, inst.grid, inst.m0)
     erg = solve_ergodic(inst.L, inst.coupling, inst.grid)
     tol = params.get("tol", 1e-4)
-    sols, start = {}, None
-    for T in sorted(set(T_list)):  # each distinct horizon once, started from the last policy
-        sols[T] = solve_finite_horizon(inst.L, inst.coupling, inst.m0, inst.uf, inst.grid,
-                                       T, tol, start=start)
-        start = sols[T].u.policy
+    sols = {T: solve_finite_horizon(inst.L, inst.coupling, inst.m0, inst.uf, inst.grid,
+                                    T, tol, start=erg.policy)  # each horizon from the feedback
+            for T in sorted(set(T_list))}
     all_converged = all(s.converged for s in sols.values())
     rep = convergence_metrics(sols, erg, inst.coupling, R)
 

@@ -73,11 +73,12 @@ def mather_point(L, coupling, grid, m):
 
 @dataclass
 class ErgodicSolution:
-    """Stationary pair; u_bar is 0 at the Mather node.  Policy iteration
-    evaluated weak_kam_steps policies in evaluation_sweeps sweeps in all and
-    weak_kam_s seconds, and ended at residual ||T w - w||_inf =
-    weak_kam_residual; per policy, policy_sweeps holds the sweeps of its
-    evaluation and policy_changes the nodes its improvement changed."""
+    """Stationary pair; u_bar is 0 at the Mather node, and policy, the stationary
+    feedback, is the (N,) argmin row of one Bellman step from u_bar in solve_backward's
+    policy dtype.  Policy iteration evaluated weak_kam_steps policies in evaluation_sweeps
+    sweeps in all and weak_kam_s seconds, and ended at residual ||T w - w||_inf =
+    weak_kam_residual; per policy, policy_sweeps holds the sweeps of its evaluation and
+    policy_changes the nodes its improvement changed."""
 
     grid: object
     lam: float
@@ -86,6 +87,7 @@ class ErgodicSolution:
     mather_node: int
     iterations: int
     residuals: dict
+    policy: np.ndarray
     weak_kam_steps: int
     weak_kam_residual: float
     weak_kam_s: float
@@ -167,8 +169,8 @@ def solve_ergodic(L, coupling, grid, m_start=None):
     node of the Dirac it was given, a fixed point of the map.  After
     MAX_DIRAC_ITERS steps without one it raises CycleDetected.  Returns an
     ErgodicSolution with lambda, u_bar (normalized to 0 at the Mather node),
-    m_bar, the number of Dirac steps and residuals["second_equation"], the
-    stationarity check of verify_second_equation.
+    m_bar, the number of Dirac steps, the feedback and residuals["second_equation"],
+    the stationarity check of verify_second_equation, which reads that feedback.
     """
     m = (GridMeasure.uniform_on(grid, coupling.K0_lo, coupling.K0_hi)
          if m_start is None else m_start)
@@ -190,9 +192,16 @@ def solve_ergodic(L, coupling, grid, m_start=None):
                                                   step=step, counts=counts)
     seconds = time.perf_counter() - t0
     u_bar = u_bar - u_bar[node]
-    residuals = {"second_equation": verify_second_equation(step, coupling, m, u_bar)}
-    return ErgodicSolution(grid, lam, u_bar, m, node, iters, residuals,
-                           steps, residual, seconds, **counts)
+    second, policy = _stationary_feedback(step, coupling, m, u_bar)
+    return ErgodicSolution(grid, lam, u_bar, m, node, iters, {"second_equation": second},
+                           policy, steps, residual, seconds, **counts)
+
+
+def _stationary_feedback(step, coupling, m_bar, u_bar):
+    """(verify_second_equation's residual, the feedback row it reads)."""
+    policy = step(u_bar, coupling.values_on(step.grid, m_bar))[1].astype(step.policy_dtype)
+    v = step.grid.velocities[policy[m_bar.support()]]
+    return float(np.linalg.norm(v, axis=1).max()), policy
 
 
 def verify_second_equation(step, coupling, m_bar, u_bar):
@@ -204,10 +213,7 @@ def verify_second_equation(step, coupling, m_bar, u_bar):
     feedback of one Bellman step of the frozen problem from u_bar (step is
     the BellmanStep of its Lagrangian on m_bar's grid).
     """
-    grid = step.grid
-    policy = step(u_bar, coupling.values_on(grid, m_bar))[1]
-    v = grid.velocities[policy[m_bar.support()]]
-    return float(np.linalg.norm(v, axis=1).max())
+    return _stationary_feedback(step, coupling, m_bar, u_bar)[0]
 
 
 def lambda_lipschitz_check(L, coupling, grid, m1, m2):

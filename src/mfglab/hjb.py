@@ -239,6 +239,7 @@ class BellmanStep:
         self._rows = np.arange(grid.n_points)
         self._axis_nodes = np.unravel_index(self._rows, grid.nodes)  # each node's index per axis
         self._row_starts = self._rows * len(V)  # flat index of each node's first candidate
+        self.policy_dtype = np.min_scalar_type(len(V) - 1)  # of every stored policy
 
     def transition(self, policy):
         """(dt L, nodes, weights) of rows (..., N) of velocity indices: dt L is
@@ -291,8 +292,8 @@ def solve_backward(step, F_path, uf, T, check_boundary=True):
         dt * [L(x, v) + F(x, t_k)] + Interp[u(t_{k+1})](x + dt v),
 
     one call of step, the BellmanStep of L on its grid, per time step.  The
-    argmins fill one (K, N) policy table of uint8 (up to 256 velocities) or
-    wider indices, which the returned ValueField holds.
+    argmins fill one (K, N) policy table of step.policy_dtype, uint8 up to 256
+    velocities, which the returned ValueField holds.
     With check_boundary that table is checked once, after the last step:
     MinimizerOnBoundary (BellmanStep.check_edge) names the latest time with
     an edge velocity, a sign that v_max is too small for the data.
@@ -303,7 +304,7 @@ def solve_backward(step, F_path, uf, T, check_boundary=True):
     F = _as_path_values(F_path, grid, K)
     uT = uf.validate(grid) if isinstance(uf, TerminalDatum) else np.asarray(uf, dtype=float)
     values = np.empty((K + 1, grid.n_points))
-    policy = np.empty((K, grid.n_points), dtype=np.min_scalar_type(len(grid.velocities) - 1))
+    policy = np.empty((K, grid.n_points), dtype=step.policy_dtype)
     values[K] = uT
     for k in range(K - 1, -1, -1):
         values[k], policy[k] = step(values[k + 1], F[k])

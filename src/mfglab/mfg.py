@@ -18,12 +18,12 @@ dt sum_{k<K} <F(W + theta D)_k, D_k>, and phi'(0) = -eps_k.  Failure to
 converge is a flag, not an exception; check_standing_assumptions, not the
 solver, checks the standing assumptions.
 
-W_0 is m0 pushed through a start policy (stretched_start): a solve's at
-K' <= K steps, stretched in the middle, or the slowest velocity, at rest
-when v = 0 is a node.  By the turnpike (Porretta, Minimax Theory Appl. 2018)
-the middle of a long horizon is near the stationary pair, so a ladder of
-horizons solved in increasing order, each started from the one before,
-takes fewer iterations than from rest.
+W_0 is m0 pushed through a start row held at every step (stretched_start):
+the stationary feedback ErgodicSolution.policy, or the slowest velocity, at
+rest when v = 0 is a node.  Finite-horizon solutions converge to the ergodic
+pair (Cardaliaguet, Dyn. Games Appl. 2013) and the middle of a long horizon
+sits at it (the turnpike: Porretta, Minimax Theory Appl. 2018), so a solve
+started from the feedback takes fewer iterations than from rest.
 """
 
 from __future__ import annotations
@@ -107,25 +107,20 @@ def check_standing_assumptions(L, coupling, grid, m0=None):
         raise AssumptionFailure("initial measure charges nodes outside K0")
 
 
-def stretched_start(start, grid, K):
-    """The (K, N) policy a K-step solve first pushes m0 through.
-
-    start is the (K', N) policy of a solve on grid, 1 <= K' <= K; with
-    h = K' // 2 the result is rows 0..h of start, K - K' copies of row h, then
-    rows h+1..K'-1.  start None is the one-row policy of the slowest velocity.
-    ValueError unless start is an integer table of that shape indexing grid.velocities.
-    """
-    nV, n = len(grid.velocities), grid.n_points
-    if start is None:  # in the dtype of solve_backward's policy table
-        start = np.full((1, n), np.square(grid.velocities).sum(axis=1).argmin(),
-                        np.min_scalar_type(nV - 1))
+def stretched_start(start, step, K):
+    """The (K, N) policy a K-step solve first pushes m0 through: the (N,) row
+    start, such as ErgodicSolution.policy, or for None the slowest velocity,
+    held at every step as a read-only view with no table of its own.
+    ValueError unless start is one integer row of N indices into the step's velocities."""
+    V, n = step.grid.velocities, step.grid.n_points
+    if start is None:
+        start = np.full(n, np.square(V).sum(axis=1).argmin(), step.policy_dtype)
     start = np.asarray(start)
-    if not (start.ndim == 2 and start.shape[1] == n and 1 <= len(start) <= K
-            and start.dtype.kind in "iu" and 0 <= start.min() and start.max() < nV):
-        raise ValueError(f"start must hold 1 to {K} rows of {n} velocity indices in "
-                         f"[0, {nV}), got a {start.dtype} table of shape {start.shape}")
-    h = len(start) // 2
-    return np.insert(start, np.full(K - len(start), h + 1), start[h], axis=0)
+    if not (start.shape == (n,) and start.dtype.kind in "iu"
+            and 0 <= start.min() and start.max() < len(V)):
+        raise ValueError(f"start must be one row of {n} velocity indices in [0, {len(V)}), "
+                         f"got a {start.dtype} array of shape {start.shape}")
+    return np.broadcast_to(start, (K, n))
 
 
 def rounding_floor(K, scale):
@@ -192,9 +187,9 @@ def solve_finite_horizon(L, coupling, m0, uf, grid, T, tol=1e-4, start=None):
 
     Stops once eps <= max(tol, rounding_floor(K, max |u|)), so tol = 0 ends
     too, or after MAX_ITERS iterations, unconverged.  W_0 is m0 pushed
-    through stretched_start(start, grid, K): start is the (K', N) policy of
-    a shorter solve, u.policy, or None.  m_path(0) is m0 bit for bit and u
-    ends at the terminal datum exactly.
+    through stretched_start(start, step, K): start is one (N,) row held at
+    every step, the stationary feedback ErgodicSolution.policy, or None.
+    m_path(0) is m0 bit for bit and u ends at the terminal datum exactly.
     """
     if not isinstance(uf, TerminalDatum):
         raise TypeError("uf must be a TerminalDatum")
@@ -202,7 +197,7 @@ def solve_finite_horizon(L, coupling, m0, uf, grid, T, tol=1e-4, start=None):
 
     K = grid.time_steps(T)
     step = BellmanStep(L, grid)  # once: every backward solve and push applies it
-    W, A = push(step, stretched_start(start, grid, K), m0.weights, uT)
+    W, A = push(step, stretched_start(start, step, K), m0.weights, uT)
     history = []
     while True:
         t0 = time.perf_counter()

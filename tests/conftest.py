@@ -31,19 +31,17 @@ def ergodic_sol(ri1):
 
 
 @pytest.fixture(scope="session")
-def ladder(ri1):
+def ladder(ri1, ergodic_sol):
     """(solutions dict, seconds) for the doubling horizons T in {2,...,32}.
 
-    Each horizon starts from the policy solved at the one before it,
-    stretched in the middle, as `mfg converge` solves its ladder.  The seconds exclude
-    the stationary solve.
+    Each horizon starts from the stationary feedback, held at every step, as
+    `mfg converge` solves its ladder.  The seconds exclude the stationary solve.
     """
+    feedback = ergodic_sol[0].policy
     t0 = time.perf_counter()
-    sols, start = {}, None
-    for T in (2.0, 4.0, 8.0, 16.0, 32.0):
-        sols[T] = M.solve_finite_horizon(ri1.L, ri1.coupling, ri1.m0, ri1.uf,
-                                         ri1.grid, T, start=start)
-        start = sols[T].u.policy
+    sols = {T: M.solve_finite_horizon(ri1.L, ri1.coupling, ri1.m0, ri1.uf, ri1.grid, T,
+                                      start=feedback)
+            for T in (2.0, 4.0, 8.0, 16.0, 32.0)}
     return sols, time.perf_counter() - t0
 
 

@@ -373,15 +373,23 @@ def test_converge_repeated_horizon_keeps_one_entry_per_T(tmp_path, monkeypatch):
 
 def test_converge_outputs_do_not_depend_on_the_order_of_T(tmp_path):
     args = ["converge", "--instance", "RI-1", "--dx", "0.04", "--dt", "0.04", "--R", "3"]
-    dirs = {order: str(tmp_path / order.replace(",", "-")) for order in ("2,4,8", "8,2,4")}
+    dirs = {order: str(tmp_path / order.replace(",", "-")) for order in ("2,4,8", "8,2,4", "2,8")}
     for order, out in dirs.items():
         assert run([*args, "--T", order, "--out", out]) == 0
+
+    def read(order, name):
+        with open(os.path.join(dirs[order], name), "rb") as fh:
+            return fh.read()
+
     for name in ("report.csv", "eu.dat", "ef.dat", "fit.json"):
-        a, b = (open(os.path.join(out, name), "rb").read() for out in dirs.values())
-        assert a == b, name
+        assert read("2,4,8", name) == read("8,2,4", name), name
+    # every horizon starts from the stationary feedback, not from its neighbour,
+    # so dropping T = 4 leaves the rows of T = 2 and 8 as they were
+    rows = read("2,4,8", "report.csv").splitlines()
+    assert read("2,8", "report.csv").splitlines() == [rows[0], rows[1], rows[3]]
     man = manifest_of(dirs["8,2,4"])
     # per-T lists follow the order given; the turnpike lists are per sorted T
-    assert [len(g) for g in man["measured"]["gaps"]] == [1, 3, 2]
+    assert [len(g) for g in man["measured"]["gaps"]] == [1, 2, 1]
     assert all(len(man["measured"][key]) == 3 for key in ("E_mid", "D_mid", "t_sup"))
 
 
@@ -645,8 +653,9 @@ def test_failed_transport_lp_is_solver_failure(monkeypatch):
 # recorded from the weak-KAM solve by Howard's policy iteration: their ubar.csv
 # differs in last digits from the one value iteration wrote.  The RI-1 horizon
 # and converge outputs were recorded with every iterate a pushed path: m0 pushed
-# through a starting policy, the shorter horizon's in the converge ladder, and a
-# step of theta = 1 taking the pushed best response bit for bit
+# through a starting row held at every step, the stationary feedback in the
+# converge ladder, and a step of theta = 1 taking the pushed best response bit
+# for bit
 PINNED_CSV = [
     (["horizon", "--instance", "RI-1", "--dx", "0.04", "--dt", "0.04", "--T", "2"], {
         "u.csv": "2d2d4c94de6282a6c17b94cb89f00e90bde4d149c2d316a08d37cc4722fc378d",
@@ -661,10 +670,10 @@ PINNED_CSV = [
         "ubar.csv": "c4523c2d11d5ebce20d7a806122509c227693ca60aa48a582b3cdf36b178c500",
         "mbar.csv": "8a2745d877f31e92b6f52153e9ff01b264be0dbec506074cb23695a4d7df9619"}),
     (["converge", "--instance", "RI-1", "--T", "2,4,8", "--R", "3"], {
-        "report.csv": "224a2296fcd371978522ad44d2c27500d13d737ffb04073876f7b9565b199086",
+        "report.csv": "65ca5904e07c5c3e5b679a6c90086185989eceb3f30040425b7e4c734613cf66",
         "eu.dat": "52eafc2caea8cbbbdcf37d3017065e3dd1ead34e3bdd889b15290c00be0051e0",
-        "ef.dat": "e681a94db6ef4740acb07e8b8154727b2788b4c6ea4683e93c17365705532644",
-        "fit.json": "3b3825251621ae6305134b8c5d282376fcdc7836b08e1cf36695a8abf3963a8d"}),
+        "ef.dat": "8cf2abe476bbee9ef2885f47908ed2dba612c50f2b04e25afa930f89a30393cd",
+        "fit.json": "3f26b0bda4b83e982855d6298bfcf9fe0e2f272542f186854c7f8d5d831682df"}),
 ]
 
 
@@ -675,8 +684,8 @@ def test_outputs_keep_their_pinned_bytes(tmp_path, args, digests):
     out = str(tmp_path / "out")
     assert run([*args, "--out", out]) == 0
     assert {name: cli._sha256(os.path.join(out, name)) for name in digests} == digests
-    if args[0] == "converge":  # iterations per T of the warm-started ladder
-        assert [len(g) for g in manifest_of(out)["measured"]["gaps"]] == [3, 2, 1]
+    if args[0] == "converge":  # iterations per T, each started from the stationary feedback
+        assert [len(g) for g in manifest_of(out)["measured"]["gaps"]] == [2, 1, 1]
 
 
 def test_a_profile_works_in_either_dimension(tmp_path):

@@ -114,49 +114,49 @@ def test_initial_and_terminal_slices(ri1, ladder):
 
 
 # ---------------------------------------------------------------------------
-# warm start from a shorter horizon's policy
+# warm start from the stationary feedback
 
 
-@pytest.mark.parametrize("start", [np.zeros((10, 17), dtype=np.uint8), np.zeros((3, 16), int),
-                                   np.zeros(17, int), np.zeros((0, 17), int),
-                                   np.full((3, 17), 1 / 17), np.full((3, 17), 17, np.uint8)],
-                         ids=["too-long", "too-narrow", "one-row-1d", "empty", "float-path",
+@pytest.mark.parametrize("start", [np.zeros((10, 17), dtype=np.uint8), np.zeros(16, int),
+                                   np.zeros((1, 17), int), np.zeros(0, int),
+                                   np.full(17, 1 / 17), np.full(17, 17, np.uint8)],
+                         ids=["too-long", "too-narrow", "one-row-2d", "empty", "float-path",
                               "out-of-range"])
 def test_stretched_start_rejects_a_misshaped_path(start):
     g = grid1d(0.5)
     assert g.n_points == 17 and len(g.velocities) == 17
     m0 = M.GridMeasure.uniform_on(g, -1.0, 1.0)
-    with pytest.raises(ValueError, match="start must hold"):
-        mfg.stretched_start(start, g, 9)
-    with pytest.raises(ValueError, match="start must hold"):
+    with pytest.raises(ValueError, match="start must be one row"):
+        mfg.stretched_start(start, M.BellmanStep(M.quadratic_kinetic(), g), 9)
+    with pytest.raises(ValueError, match="start must be one row"):
         M.solve_finite_horizon(M.quadratic_kinetic(), decoupled_coupling(), m0,
                                zero_terminal(), g, 9 * g.dt, start=start)
 
 
-def test_warm_start_from_half_the_horizon(ri1_coarse):
+def test_warm_start_from_the_stationary_feedback(ri1_coarse):
     inst = ri1_coarse
     tol = 1e-4
+    erg = M.solve_ergodic(inst.L, inst.coupling, inst.grid)
 
     def solve(T, start=None):
         return M.solve_finite_horizon(inst.L, inst.coupling, inst.m0, inst.uf,
                                       inst.grid, T, tol, start=start)
 
-    half = solve(4.0)
-    cold, warm = solve(8.0), solve(8.0, half.u.policy)
+    cold, warm = solve(8.0), solve(8.0, erg.policy)
     assert cold.iterations == 3 and warm.iterations == 1
     assert warm.converged and warm.residuals[-1] <= tol
     np.testing.assert_array_equal(warm.m_path.weights[0], inst.m0.weights)
-    # a one-row policy at rest stretches to the cold start
-    rest = np.full((1, inst.grid.n_points), np.abs(inst.grid.v_axis).argmin())
-    np.testing.assert_array_equal(solve(4.0, rest).m_path.weights, half.m_path.weights)
+    # a row at rest, in any integer dtype, is the cold start
+    rest = np.full(inst.grid.n_points, np.abs(inst.grid.v_axis).argmin())
+    np.testing.assert_array_equal(solve(4.0, rest).m_path.weights, solve(4.0).m_path.weights)
 
 
 @pytest.mark.parametrize("case", ["ri1", "ri2", "even-vn"])
 def test_every_iterate_is_certified(ri1_coarse, case):
     # every iterate, the first included, mixes pushed paths, so its
-    # exploitability is no less than 0 up to its rounding floor, cold or warm;
-    # bench/ri2.json at T = 4 has only a mixed equilibrium, and a grid of even
-    # v_nodes has no velocity at rest
+    # exploitability is no less than 0 up to its rounding floor, cold or from
+    # the stationary feedback; bench/ri2.json at T = 4 has only a mixed
+    # equilibrium, and a grid of even v_nodes has no velocity at rest
     inst, T, tol = ri1_coarse, 4.0, 1e-4
     if case == "ri2":
         inst, tol = M.load_instance(RI2), 0.0
@@ -168,8 +168,8 @@ def test_every_iterate_is_certified(ri1_coarse, case):
     def solve(T, start=None):
         return M.solve_finite_horizon(inst.L, inst.coupling, m0, inst.uf, g, T, tol, start=start)
 
-    half = solve(T / 2)
-    for sol in (half, solve(T), solve(T, half.u.policy)):
+    feedback = M.solve_ergodic(inst.L, inst.coupling, g).policy
+    for sol in (solve(T / 2), solve(T), solve(T / 2, feedback), solve(T, feedback)):
         assert sol.converged
         for h in sol.history:
             assert isinstance(h["gap"], float) and h["gap"] >= -h["floor"]

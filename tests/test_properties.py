@@ -24,8 +24,10 @@ when the slope at 1 is not positive.  The 2-D d_1 is symmetric,
 obeys the triangle inequality, agrees with the 1-D CDF formula on data laid
 along an axis and matches a full-support transport LP, and the pair the
 solver returns is within its tolerance of its own best response.  A start
-policy stretched to K rows repeats its middle row, and its push is made of
-probability rows.  The
+row stretched to K steps is that row at every step, a view with no table of
+its own, and its push is made of probability rows; the stationary feedback
+of RI-1 and bench/ri2.json is at rest on m_bar, whose push it keeps bit for
+bit.  The
 sliced bound lies
 between 0 and that LP, is exact in 1-D and on data along one row of
 nodes, and matches its permuted-copy reference bit for bit.  The Legendre transform of the
@@ -56,6 +58,7 @@ from mfglab.measure import SLICE_DIRECTIONS, SUPPORT_EPS, _d1_lp, deposit, slice
 from test_hjb import gradient
 
 SETTINGS = settings(max_examples=40, deadline=None)
+RI2 = os.path.join(os.path.dirname(__file__), "..", "bench", "ri2.json")
 finite = st.floats(-3.0, 3.0, allow_nan=False)
 
 
@@ -677,27 +680,41 @@ def test_returned_pair_is_within_tol_of_its_best_response(ri1_coarse, name, T, t
 
 
 @SETTINGS
-@given(grid=grids(), data=st.data(), Kp=st.integers(1, 8), extra=st.integers(0, 8))
-def test_stretched_start_repeats_the_middle_row(grid, data, Kp, extra):
-    start = np.stack([data.draw(policies(grid)) for _ in range(Kp)])
-    P = mfg.stretched_start(start, grid, Kp + extra)
-    h = Kp // 2
-    assert P.shape == (Kp + extra, grid.n_points) and P.dtype == start.dtype
-    np.testing.assert_array_equal(P[:h + 1], start[:h + 1])
-    np.testing.assert_array_equal(P[h + 1:h + 1 + extra], np.tile(start[h], (extra, 1)))
-    np.testing.assert_array_equal(P[h + 1 + extra:], start[h + 1:])
+@given(grid=grids(), data=st.data(), K=st.integers(1, 16))
+def test_stretched_start_holds_the_row(grid, data, K):
+    step = M.BellmanStep(M.quadratic_kinetic(), grid)
+    start = data.draw(policies(grid))
+    for row in (start, None):  # None: the slowest velocity, in the step's policy dtype
+        P = mfg.stretched_start(row, step, K)
+        assert P.shape == (K, grid.n_points) and P.dtype == step.policy_dtype
+        assert P.strides[0] == 0 and not P.flags.writeable  # no (K, N) table of its own
+    np.testing.assert_array_equal(mfg.stretched_start(start, step, K), np.tile(start, (K, 1)))
 
 
 @SETTINGS
-@given(grid=step_grids(), data=st.data(), Kp=st.integers(1, 4), extra=st.integers(0, 4))
-def test_stretched_start_keeps_probability_rows(grid, data, Kp, extra):
-    # the first iterate is the push of the stretched policy: K + 1 probability rows
-    K = Kp + extra
+@given(grid=step_grids(), data=st.data(), K=st.integers(1, 8))
+def test_stretched_start_keeps_probability_rows(grid, data, K):
+    # the first iterate is the push of the held row: K + 1 probability rows
     step, _, uT, m0 = pushed_problem(grid, data, K)
-    start = np.stack([data.draw(policies(grid)) for _ in range(Kp)])
-    W, _ = mfg.push(step, mfg.stretched_start(start, grid, K), m0, uT)
+    W, _ = mfg.push(step, mfg.stretched_start(data.draw(policies(grid)), step, K), m0, uT)
     assert W.shape == (K + 1, grid.n_points) and W.min() >= 0.0
     assert np.abs(W.sum(axis=1) - 1.0).max() <= 4 * K * np.finfo(float).eps
+
+
+@pytest.mark.parametrize("name", ["RI-1", RI2], ids=["ri1", "ri2"])
+def test_stationary_feedback_keeps_m_bar(name):
+    # the feedback is at rest on m_bar, so m_bar pushed through it, held for
+    # the K steps of T = 4, is m_bar at every step, bit for bit
+    inst = M.load_instance(name)
+    g = inst.grid
+    erg = M.solve_ergodic(inst.L, inst.coupling, g)
+    step = M.BellmanStep(inst.L, g)
+    assert erg.residuals["second_equation"] == 0.0
+    assert erg.policy.shape == (g.n_points,) and erg.policy.dtype == step.policy_dtype
+    K = g.time_steps(4.0)
+    path, _ = mfg.push(step, mfg.stretched_start(erg.policy, step, K), erg.m_bar.weights,
+                       np.zeros(g.n_points))
+    np.testing.assert_array_equal(path, np.tile(erg.m_bar.weights, (K + 1, 1)))
 
 
 @SETTINGS
@@ -705,7 +722,8 @@ def test_stretched_start_keeps_probability_rows(grid, data, Kp, extra):
 def test_cold_start_push_rests_at_m0(grid, data, K):
     _, _, uT, m0 = pushed_problem(grid, data, K)
     L = M.quadratic_kinetic(potential=lambda x: 0.3 * x[..., 0], C3=1.0)
-    path, A = mfg.push(M.BellmanStep(L, grid), mfg.stretched_start(None, grid, K), m0, uT)
+    step = M.BellmanStep(L, grid)
+    path, A = mfg.push(step, mfg.stretched_start(None, step, K), m0, uT)
     # an odd v_nodes puts v = 0 in the grid only up to linspace's rounding of the middle node
     if not np.square(grid.velocities).sum(axis=1).min():  # v = 0 exactly: the crowd stays put
         np.testing.assert_array_equal(path, np.tile(m0, (K + 1, 1)))
