@@ -65,12 +65,6 @@ from .model import (
     rest_landscape,
     separable_coupling,
 )
-from .transport import (
-    TrajectoryBundle,
-    action_defect,
-    measure_path,
-    occupation_time_outside,
-    trace_optimal_flow,
-)
+from .transport import TrajectoryBundle, measure_path, trace_optimal_flow
 
 __all__ = [name for name in dir() if not name.startswith("_")]

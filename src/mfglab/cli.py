@@ -213,6 +213,7 @@ def _run_horizon(params, inst):
         "gaps": sol.residuals,
         "gaps_lo": [h["gap_lo"] for h in sol.history],
         "thetas": [h["theta"] for h in sol.history],
+        "floors": [h["floor"] for h in sol.history],
         **{k: float(v) for k, v in sol.diagnostics.items()},
     }
     lines = [f"converged = {sol.converged} after {sol.iterations} iterations",
@@ -273,6 +274,7 @@ def _run_converge(params, inst):
         "gaps": [sols[T].residuals for T in T_list],  # one list per T, as in T_list
         "gaps_lo": [[h["gap_lo"] for h in sols[T].history] for T in T_list],
         "thetas": [[h["theta"] for h in sols[T].history] for T in T_list],
+        "floors": [[h["floor"] for h in sols[T].history] for T in T_list],
     }
     per_solve = [_phase_seconds(sols[T].history) for T in T_list]
     timings = {p: [t[p] for t in per_solve] for p in _PHASES}

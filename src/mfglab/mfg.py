@@ -24,6 +24,11 @@ rest when v = 0 is a node.  Finite-horizon solutions converge to the ergodic
 pair (Cardaliaguet, Dyn. Games Appl. 2013) and the middle of a long horizon
 sits at it (the turnpike: Porretta, Minimax Theory Appl. 2018), so a solve
 started from the feedback takes fewer iterations than from rest.
+
+The crowd has this one discretization everywhere.  pull, the adjoint of
+push, sweeps the same stencil backward for the expected cost of the chain
+from every node, such as the time outside B_R; top_speed reads the policy
+over a pushed path's support.  Nothing here traces a curve.
 """
 
 from __future__ import annotations
@@ -38,7 +43,7 @@ from .hjb import (BellmanStep, TerminalDatum, lipschitz_estimate, solve_backward
                   time_lipschitz_estimate)
 from .measure import SUPPORT_EPS, GridMeasure, MeasurePath, sliced_d1
 from .model import check_F4_gap, check_strict_tonelli
-from .transport import measure_path, trace_optimal_flow  # noqa: F401  (bench/tracer.py wraps them)
+from .transport import measure_path, trace_optimal_flow  # noqa: F401  (bench/tracer.py only)
 
 MAX_ITERS = 60  # fictitious-play iterations before giving up unconverged
 
@@ -128,27 +133,61 @@ def rounding_floor(K, scale):
     return float(64 * K * np.finfo(float).eps * scale)
 
 
+def _stencils(step, policy, reverse=False):
+    """(k0, dt L, nodes, weights) of step.transition for each block of rows
+    policy[k0:], last block first if reverse.  A block's nodes and weights
+    together are no larger than the step's (N, nV) candidates, nor than a
+    (K + 1, N) path."""
+    K = len(policy)
+    block = max(1, min(len(step.grid.velocities), K + 1) >> (step.grid.dim + 1))
+    starts = range(0, K, block)
+    for k0 in reversed(starts) if reverse else starts:
+        yield k0, *step.transition(policy[k0:k0 + block])
+
+
 def push(step, policy, m0, uT):
     """(path, A): m0 pushed through the (K, N) policy table by the step's transpose.
 
     path[k + 1](j) = sum_i path[k](i) p_ij, with p the corners and weights
     of step.transition(policy[k]), one np.bincount per step; path[0] is m0
     bit for bit.  A = sum_k <path[k], dt L of policy[k]> + <path[K], uT> is
-    the running plus terminal cost of the path.  The stencil is built for
-    blocks of steps whose nodes and weights together are no larger than the
-    step's (N, nV) candidates, nor than the (K + 1, N) path.
+    the running plus terminal cost of the path.
     """
     K, N = policy.shape
     path, A = np.empty((K + 1, N)), 0.0
     path[0] = m0
-    block = max(1, min(len(step.grid.velocities), K + 1) >> (step.grid.dim + 1))
-    for k0 in range(0, K, block):
-        costs, nodes, weights = step.transition(policy[k0:k0 + block])
+    for k0, costs, nodes, weights in _stencils(step, policy):
         for k, idx, w in zip(range(k0, K), nodes, weights):
             w *= path[k]
             path[k + 1] = np.bincount(idx.ravel(), w.ravel(), N)
         A += np.vdot(path[k0:k0 + len(costs)], costs)
     return path, A + np.dot(path[K], uT)
+
+
+def pull(step, policy, running, terminal):
+    """The (N,) expected cost from every start node of the chain that push moves.
+
+    The adjoint of push, one backward sweep over the same stencil: o_K =
+    terminal and o_k(i) = running_k(i) + sum_c w_c o_{k+1}(node_c), with the
+    corners and weights of step.transition(policy[k]).  running broadcasts
+    to (K, N) and terminal to (N,), so <m0, pull(...)> is the running plus
+    terminal cost of m0's push.  With running dt 1[|x| > R] and terminal 0 it
+    is the expected time outside B_R.
+    """
+    K, N = policy.shape
+    running = np.broadcast_to(running, (K, N))
+    o = np.broadcast_to(np.asarray(terminal, dtype=float), (N,))
+    for k0, _, nodes, weights in _stencils(step, policy, reverse=True):
+        for idx, w, c in zip(nodes[::-1], weights[::-1], running[k0:k0 + len(nodes)][::-1]):
+            w *= o.take(idx)
+            o = c + w.sum(axis=0)
+    return o
+
+
+def top_speed(grid, policy, path):
+    """The top speed the (K, N) policy gives a node the (K + 1, N) path charges before K."""
+    speeds = np.sqrt((grid.velocities ** 2).sum(axis=1))
+    return float(speeds[policy[path[:-1] > SUPPORT_EPS]].max())
 
 
 def line_search(slope, floor):
@@ -235,11 +274,9 @@ def solve_finite_horizon(L, coupling, m0, uf, grid, T, tol=1e-4, start=None):
             break
 
     path = MeasurePath(grid, vf.times, W)
-    charged = W > SUPPORT_EPS
-    speeds = np.sqrt((grid.velocities ** 2).sum(axis=1))
     diagnostics = {
-        "measured_R1": float(max(grid.radii()[charged.any(axis=0)].max(), 0.0)),
-        "max_speed": float(speeds[vf.policy[charged[:-1]]].max()),
+        "measured_R1": float(max(grid.radii()[(W > SUPPORT_EPS).any(axis=0)].max(), 0.0)),
+        "max_speed": top_speed(grid, vf.policy, W),
         "lipschitz_B2": lipschitz_estimate(vf, 2.0),
         "time_lipschitz": time_lipschitz_estimate(vf),
         "mass_drift": float(np.abs(W.sum(axis=1) - 1.0).max()),

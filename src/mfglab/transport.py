@@ -1,13 +1,14 @@
 """Lagrangian side: trace the optimal flow and deposit its curves.
 
 Curves follow the stored policy's velocities, interpolated between nodes,
-by forward Euler with the same time step as the backward solve.  The
-criteria and demos read them: excursion times, the action defect and the
-measure path of a traced cloud.  The finite-horizon solve does not; it
-pushes the crowd with the backward step's own stencil (mfg.push).  The
-sweep is step-major: each step writes one contiguous row of every curve's
-position and velocity, and the deposit reads the positions row by row and
-normalizes every row after the first, m0 itself, in place.
+by forward Euler with the same time step as the backward solve.  No solve,
+criterion or demo reads them: the crowd is pushed, and its statistics
+pulled, through the backward step's own stencil (mfg.push, mfg.pull).  The
+curves stay for bench/tracer.py, which wraps trace_optimal_flow and
+measure_path by name.  The sweep is step-major: each step writes one
+contiguous row of every curve's position and velocity, and the deposit
+reads the positions row by row and normalizes every row after the first,
+m0 itself, in place.
 """
 
 from __future__ import annotations
@@ -17,9 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EscapedBox
-from .hjb import _as_path_values
 from .measure import MASS_TOL, MeasurePath, deposit
-from .model import interp_grid
 
 
 @dataclass
@@ -37,12 +36,6 @@ class TrajectoryBundle:
     positions: np.ndarray
     velocities: np.ndarray
     masses: np.ndarray  # (C,)
-
-    def max_speed(self):
-        return float(np.sqrt((self.velocities**2).sum(axis=-1)).max())
-
-    def radii(self):
-        return np.sqrt((self.positions**2).sum(axis=-1))
 
 
 def trace_optimal_flow(vf, m0):
@@ -91,36 +84,3 @@ def measure_path(bundle):
         raise ValueError(f"deposition lost mass at step {k}: {lost[k]:.3e}")
     rows[1:] /= s[1:, None]
     return MeasurePath(g, bundle.times, rows)
-
-
-def occupation_time_outside(bundle, R):
-    """Lebesgue time each curve spends outside the closed ball B_R.
-
-    Left-endpoint rule: dt times the number of sample times t_k < T with
-    |xi(t_k)| > R.  Returns (per_curve, max).
-    """
-    r = bundle.radii()[:, :-1]
-    dt = float(bundle.times[1] - bundle.times[0])
-    per = (r > R).sum(axis=1) * dt
-    return per, float(per.max())
-
-
-def action_defect(bundle, vf, L, F_path, uf_values):
-    """Per-curve gap between the Riemann action along the curve and u(0, .).
-
-    The discrete domination inequality makes this nonnegative up to
-    interpolation error; it shrinks at first order under refinement.
-    """
-    g = bundle.grid
-    dt = g.dt
-    K = bundle.velocities.shape[1]
-    F = _as_path_values(F_path, g, K)
-    C = bundle.positions.shape[0]
-    action = np.zeros(C)
-    for k in range(K):
-        x = bundle.positions[:, k]
-        v = bundle.velocities[:, k]
-        action += dt * (L.eval(x, v) + interp_grid(g, F[k], x))
-    action += interp_grid(g, uf_values, bundle.positions[:, K])
-    u0 = interp_grid(g, vf.values[0], bundle.positions[:, 0])
-    return action - u0

@@ -10,6 +10,7 @@ import time
 import pytest
 
 import mfglab as M
+from mfglab import mfg
 
 
 @pytest.fixture(scope="session")
@@ -47,17 +48,27 @@ def ladder(ri1, ergodic_sol):
 
 @pytest.fixture(scope="session")
 def long_ladder(ri1):
-    """Solutions plus a wide-cloud trace for each T in {5,10,20,40}.
+    """Solutions plus the crowd's statistics on the step's stencil for each T
+    in {5,10,20,40}.
 
-    The wide cloud starts uniform on [-3, 3] and follows the equilibrium
-    feedback, so its excursion statistics are not trivially zero the way the
-    equilibrium cloud's are (that one never leaves K0).
+    stats[T] holds the worst expected time outside B_2 (mfg.pull) from the
+    support of the equilibrium cloud m0 and of a wide cloud, uniform on
+    [-3, 3], and the top speed over the support of the wide cloud's push
+    (mfg.top_speed).  The wide cloud follows the equilibrium feedback, so its
+    statistics are not trivially zero the way the equilibrium cloud's are
+    (that one never leaves K0).
     """
-    m_wide = M.GridMeasure.uniform_on(ri1.grid, -3.0, 3.0)
-    sols, wides = {}, {}
+    g = ri1.grid
+    step = M.BellmanStep(ri1.L, g)
+    m_wide = M.GridMeasure.uniform_on(g, -3.0, 3.0)
+    outside, uT = g.dt * (g.radii() > 2.0), ri1.uf.values_on(g)
+    sols, stats = {}, {}
     for T in (5.0, 10.0, 20.0, 40.0):
-        sol = M.solve_finite_horizon(ri1.L, ri1.coupling, ri1.m0, ri1.uf,
-                                     ri1.grid, T)
+        sol = M.solve_finite_horizon(ri1.L, ri1.coupling, ri1.m0, ri1.uf, g, T)
         sols[T] = sol
-        wides[T] = M.trace_optimal_flow(sol.u, m_wide)
-    return sols, wides
+        occupation = mfg.pull(step, sol.u.policy, outside, 0.0)
+        wide, _ = mfg.push(step, sol.u.policy, m_wide.weights, uT)
+        stats[T] = {"eq_occupation": float(occupation[ri1.m0.support()].max()),
+                    "wide_occupation": float(occupation[m_wide.support()].max()),
+                    "wide_speed": mfg.top_speed(g, sol.u.policy, wide)}
+    return sols, stats

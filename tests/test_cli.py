@@ -136,6 +136,22 @@ def test_horizon_run(tmp_path):
     thetas = measured["thetas"]
     assert len(thetas) == measured["iterations"] and thetas[-1] is None
     assert all(0.0 < t <= 1.0 for t in thetas[:-1])
+    certifies_the_stop(measured, 1e-4)
+
+
+def certifies_the_stop(measured, tol):
+    """A converged run's last eps is within tol or its rounding floor, both in the manifest."""
+    gaps, floors = measured["gaps"], measured["floors"]
+    assert measured["converged"] and len(floors) == len(gaps) == measured["iterations"]
+    assert all(isinstance(f, float) and f > 0.0 for f in floors)
+    assert gaps[-1] <= max(tol, floors[-1])
+
+
+def test_tol_zero_stop_is_checked_from_the_manifest(tmp_path):
+    out = str(tmp_path / "hz")
+    assert run(["horizon", "--instance", "RI-1", "--dx", "0.04", "--dt", "0.04", "--T", "2",
+                "--tol", "0", "--out", out]) == 0
+    certifies_the_stop(manifest_of(out)["measured"], 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -365,6 +381,9 @@ def test_converge_repeated_horizon_keeps_one_entry_per_T(tmp_path, monkeypatch):
     gaps, thetas = man["measured"]["gaps"], man["measured"]["thetas"]
     assert len(gaps) == 3 and gaps[0] == gaps[2] != gaps[1]
     assert [len(t) for t in thetas] == [len(g) for g in gaps] and thetas[0] == thetas[2]
+    floors = man["measured"]["floors"]
+    assert [len(f) for f in floors] == [len(g) for g in gaps] and floors[0] == floors[2]
+    assert all(g[-1] <= max(1e-4, f[-1]) for g, f in zip(gaps, floors))
     for phase in ("backward_s", "forward_s", "d1_s"):
         assert len(man["timings"][phase]) == 3
     report = (tmp_path / "rep" / "report.csv").read_bytes()

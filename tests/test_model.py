@@ -308,7 +308,6 @@ def test_callables_get_arrays_of_n_coordinates(grid):
     vf = M.solve_backward(M.BellmanStep(L, grid), coupling.values_on(grid, m), uf,
                           0.5)  # validates uf
     bundle = M.trace_optimal_flow(vf, m)
-    M.action_defect(bundle, vf, L, None, uf.values_on(grid))
 
     assert sorted(seen) == ["lagrangian", "potential", "profile", "terminal"]
     for name, shapes in seen.items():

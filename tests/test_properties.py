@@ -19,7 +19,10 @@ that policy, and a block of policies has the row-by-row transitions bit for
 bit.  The push through that stencil keeps mass and starts at m0; by
 discrete duality the pushed best response costs <u(0), m0> within the
 rounding floor, and no mix of pushed paths costs less, so the
-exploitability is at least -floor; the line search takes the full step
+exploitability is at least -floor.  The backward sweep over that stencil
+(pull) is the push's adjoint, returns u(0) for the argmin policy's costs, and
+on a chain of whole-cell steps counts the time outside a ball exactly; the
+line search takes the full step
 when the slope at 1 is not positive.  The 2-D d_1 is symmetric,
 obeys the triangle inequality, agrees with the 1-D CDF formula on data laid
 along an axis and matches a full-support transport LP, and the pair the
@@ -397,6 +400,63 @@ def test_pushed_best_response_costs_the_value(grid, data, K, alpha):
     other, B = mfg.push(step, np.stack([data.draw(policies(grid)) for _ in range(K)]), m0, uT)
     mix = (1 - alpha) * best + alpha * other
     assert path_cost(grid, (1 - alpha) * A + alpha * B, mix, F) - value >= -floor
+
+
+def seeded_problem(grid, data, K):
+    """(step, policy, F, uT, m0) of a kinetic L: a (K, N) policy table, a (K + 1, N)
+    cost path and a terminal row from one drawn seed, and drawn weights m0.  Up
+    to K = 20 steps span blocks of several rows of the push's stencil."""
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    N, step = grid.n_points, M.BellmanStep(M.quadratic_kinetic(), grid)
+    policy = rng.integers(0, len(grid.velocities), (K, N)).astype(step.policy_dtype)
+    F, uT = rng.uniform(-3, 3, (K + 1, N)), rng.uniform(-3, 3, N)
+    return step, policy, F, uT, weights(data.draw, N)
+
+
+@SETTINGS
+@given(grid=step_grids(), data=st.data(), K=st.integers(1, 20))
+def test_pull_is_the_adjoint_of_push(grid, data, K):
+    # <m0, pull(c, g)> = sum_{k<K} <path_k, c_k> + <path_K, g>, path the push of m0
+    step, policy, F, uT, m0 = seeded_problem(grid, data, K)
+    path, _ = mfg.push(step, policy, m0, uT)
+    o = mfg.pull(step, policy, F[:-1], uT)
+    assert o.shape == (grid.n_points,)
+    scale = K * np.abs(F).max() + np.abs(uT).max()  # bounds every o_k
+    assert abs(m0 @ o - np.vdot(path[:-1], F[:-1]) - path[-1] @ uT) <= mfg.rounding_floor(K, scale)
+
+
+@SETTINGS
+@given(grid=step_grids(), data=st.data(), K=st.integers(1, 20))
+def test_pull_of_the_backward_policy_is_the_value(grid, data, K):
+    # dynamic programming: the chain of the argmin policy, charged the step's
+    # dt L plus dt F and u_f at the end, costs u(0) from every node; a folded
+    # dt L rounds by eps max |dt L| per step (_departure_step), in the floor too
+    step, _, F, uT, _ = seeded_problem(grid, data, K)
+    vf = M.solve_backward(step, F, uT, K * grid.dt, check_boundary=False)
+    running = step.transition(vf.policy)[0] + grid.dt * F[:-1]
+    o = mfg.pull(step, vf.policy, running, uT)
+    scale = np.abs(vf.values).max() + np.abs(dt_lagrangian(M.quadratic_kinetic(), grid)).max()
+    floor = mfg.rounding_floor(K, scale)
+    assert np.abs(o - vf.values[0]).max() <= floor
+
+
+@SETTINGS
+@given(dim=st.sampled_from((1, 2)), reach=st.integers(1, 4), data=st.data(),
+       K=st.integers(1, 20), R=st.floats(0.0, 3.0))
+def test_pull_counts_the_steps_outside_a_ball_on_a_whole_cell_chain(dim, reach, data, K, R):
+    # dt = dx = 1/8 and integer velocities up to reach per axis: each step moves
+    # whole cells with weight 1, so the occupation is dt times the steps outside B_R
+    grid = M.GridSpec((-2.0,) * dim, (2.0,) * dim, (33,) * dim, 0.125, reach, 2 * reach + 1)
+    step, policy, _, _, _ = seeded_problem(grid, data, K)
+    outside = grid.radii() > R
+    o = mfg.pull(step, policy, grid.dt * outside, 0.0)
+    moves = np.array(np.unravel_index(policy, (2 * reach + 1,) * dim)) - reach  # (dim, K, N)
+    at, want = np.array(np.unravel_index(np.arange(grid.n_points), grid.nodes)), 0
+    for k in range(K):  # every start node at once
+        node = np.ravel_multi_index(at, grid.nodes)
+        want = want + outside[node]
+        at = np.clip(at + moves[:, k, node], 0, 32)
+    np.testing.assert_array_equal(o, grid.dt * want)  # bit for bit
 
 
 @SETTINGS

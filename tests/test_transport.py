@@ -1,4 +1,4 @@
-"""Characteristic tracing, excursion times, action defect."""
+"""Characteristic tracing and the deposit of the traced curves."""
 
 import tracemalloc
 
@@ -26,15 +26,6 @@ def hl_setup(dx, T=1.0):
     return g, M.solve_backward(step, None, quadratic_terminal(), T)
 
 
-def straight_bundle(g, x0, speed, T):
-    """Hand-built single curve x(t) = x0 + speed * t with unit mass."""
-    K = g.time_steps(T)
-    times = np.arange(K + 1) * g.dt
-    pos = x0 + speed * times
-    return M.TrajectoryBundle(g, times, np.asarray([g.nearest_node(x0)]),
-                              pos[None, :, None], np.full((1, K, 1), speed), np.asarray([1.0]))
-
-
 # ---------------------------------------------------------------------------
 # tracing the optimal flow
 
@@ -45,7 +36,7 @@ def test_trace_endpoint_and_velocity():
     b = M.trace_optimal_flow(vf, M.GridMeasure.dirac(g, 1.0))
     assert b.positions[0, -1] == pytest.approx(0.5, abs=2.0 * (0.02 + 0.02))
     assert np.allclose(b.velocities, -0.5, atol=0.05)
-    assert b.max_speed() <= g.v_max + 1e-12
+    assert np.abs(b.velocities).max() <= g.v_max + 1e-12
 
 
 def test_trace_escaping_raises():
@@ -72,7 +63,7 @@ def test_measure_path_mass_and_flat_continuity():
     np.testing.assert_allclose(masses, 1.0, atol=1e-12)
     # deposition keeps the path Lipschitz in the flat metric:
     # d1(m(t_k), m(t_{k+1})) <= max speed * dt, exactly
-    vmax = b.max_speed()
+    vmax = np.abs(b.velocities).max()
     assert sliced_d1(g, path.weights[:-1], path.weights[1:]) <= vmax * g.dt + 1e-12
 
 
@@ -93,58 +84,3 @@ def test_measure_path_peak_memory_stays_near_its_output(ri1):
         tracemalloc.stop()
     assert path.weights.shape == (401, 401)
     assert peak - entry <= 3 * path.weights.nbytes
-
-
-# ---------------------------------------------------------------------------
-# excursion time on a hand-built curve
-
-
-def test_occupation_time_straight_curve():
-    # x(t) = 2 - t/2 stays outside B_1 until t = 2
-    g = grid1d(0.02)
-    b = straight_bundle(g, 2.0, -0.5, 4.0)
-    per_curve, worst = M.occupation_time_outside(b, 1.0)
-    assert worst == per_curve[0]
-    assert worst == pytest.approx(2.0, abs=g.dt + 1e-12)
-
-
-def test_occupation_time_inside_is_zero():
-    g = grid1d(0.02)
-    b = straight_bundle(g, 0.5, 0.0, 4.0)
-    _, worst = M.occupation_time_outside(b, 1.0)
-    assert worst == 0.0
-
-
-# ---------------------------------------------------------------------------
-# action defect: traced curves realize the value up to interpolation error
-
-
-def test_action_defect_small_and_first_order():
-    worst = {}
-    for dx in (0.04, 0.02):
-        g, vf = hl_setup(dx)
-        b = M.trace_optimal_flow(vf, M.GridMeasure.uniform_on(g, -1.0, 1.0))
-        uf_vals = quadratic_terminal().values_on(g)
-        d = M.action_defect(b, vf, M.quadratic_kinetic(), None, uf_vals)
-        worst[dx] = float(np.abs(d).max())
-        assert worst[dx] <= 0.01
-    order = np.log2(worst[0.04] / worst[0.02])
-    assert order >= 0.8
-
-
-def test_action_defect_of_two_curves_is_per_curve():
-    # a 1-D bundle of exactly two curves must not be read as one 2-D point
-    g = grid1d(0.1, lo=-2.0, hi=2.0)
-    step = M.BellmanStep(M.quadratic_kinetic(), g)
-    vf = M.solve_backward(step, None, quadratic_terminal(), 0.5)
-    uf_vals = quadratic_terminal().values_on(g)
-
-    def defects(nodes):
-        w = np.zeros(g.n_points)
-        w[nodes] = 1.0 / len(nodes)
-        b = M.trace_optimal_flow(vf, M.GridMeasure(g, w))
-        return M.action_defect(b, vf, M.quadratic_kinetic(), None, uf_vals)
-
-    together = defects([18, 22])
-    assert together.shape == (2,)
-    np.testing.assert_array_equal(together, [defects([18])[0], defects([22])[0]])
