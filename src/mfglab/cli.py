@@ -10,6 +10,12 @@ configuration and asserts the outputs are byte-identical.  A `--config` run
 embeds the parsed instance document and its SHA-256 in the manifest params,
 so reproduce rebuilds the instance from the manifest alone, from any working
 directory and whatever happened to the JSON file since.
+
+horizon and converge solve the stationary pair first and start every
+horizon from its feedback, one BellmanStep shared by all their solves.  The
+feedback only warms the start: where the stationary solve fails, horizon
+starts at rest (its manifest's measured.start says which), while converge,
+whose metrics need the pair, fails.
 """
 
 from __future__ import annotations
@@ -27,6 +33,7 @@ from . import __version__
 from .analysis import convergence_metrics
 from .ergodic import solve_ergodic
 from .errors import AssumptionFailure, MFGLabError, Mismatch, NoStabilization
+from .hjb import BellmanStep
 from .instances import load_instance
 from .mfg import check_standing_assumptions, default_probes, solve_finite_horizon
 from .model import check_F4_gap, check_F5, check_strict_tonelli, write_node_table
@@ -203,10 +210,19 @@ def _run_ergodic(params, inst):
 
 
 def _run_horizon(params, inst):
-    check_standing_assumptions(inst.L, inst.coupling, inst.grid, inst.m0)
-    sol = solve_finite_horizon(inst.L, inst.coupling, inst.m0, inst.uf, inst.grid,
-                               params["T"], tol=params.get("tol", 1e-4))
+    g = inst.grid
+    g.time_steps(params["T"])  # reject a bad horizon before any solve
+    check_standing_assumptions(inst.L, inst.coupling, g, inst.m0)
+    step = BellmanStep(inst.L, g)  # once: the stationary solve and the horizon's
+    try:
+        erg = solve_ergodic(inst.L, inst.coupling, g, step=step)
+    except MFGLabError:  # the feedback only warms the start: without it, start at rest
+        erg = None
+    sol = solve_finite_horizon(inst.L, inst.coupling, inst.m0, inst.uf, g, params["T"],
+                               tol=params.get("tol", 1e-4),
+                               start=None if erg is None else erg.policy, step=step)
     measured = {
+        "start": "rest" if erg is None else "feedback",
         "converged": sol.converged,
         "iterations": sol.iterations,
         "final_residual": sol.residuals[-1],
@@ -220,7 +236,9 @@ def _run_horizon(params, inst):
              f"final residual = {measured['final_residual']!r}"]
     code = EXIT_OK if sol.converged else EXIT_NO_CONVERGENCE
     writers = {"u.csv": sol.u.to_csv, "mpath.csv": sol.m_path.to_csv}
-    return writers, measured, _phase_seconds(sol.history), code, lines
+    timings = {"weak_kam_s": None if erg is None else round(erg.weak_kam_s, 4),
+               **_phase_seconds(sol.history)}
+    return writers, measured, timings, code, lines
 
 
 def _run_converge(params, inst):
@@ -234,11 +252,13 @@ def _run_converge(params, inst):
         raise ValueError(f"R={R!r}: the ball B_R does not fit the box "
                          f"lo={list(inst.grid.lo)}, hi={list(inst.grid.hi)}")
     check_standing_assumptions(inst.L, inst.coupling, inst.grid, inst.m0)
-    erg = solve_ergodic(inst.L, inst.coupling, inst.grid)
+    step = BellmanStep(inst.L, inst.grid)  # once: the stationary solve and every horizon's
+    erg = solve_ergodic(inst.L, inst.coupling, inst.grid, step=step)
     tol = params.get("tol", 1e-4)
     sols = {T: solve_finite_horizon(inst.L, inst.coupling, inst.m0, inst.uf, inst.grid,
-                                    T, tol, start=erg.policy)  # each horizon from the feedback
+                                    T, tol, start=erg.policy, step=step)  # from the feedback
             for T in sorted(set(T_list))}
+    del step  # not alive across the metrics
     all_converged = all(s.converged for s in sols.values())
     rep = convergence_metrics(sols, erg, inst.coupling, R)
 
@@ -277,7 +297,8 @@ def _run_converge(params, inst):
         "floors": [[h["floor"] for h in sols[T].history] for T in T_list],
     }
     per_solve = [_phase_seconds(sols[T].history) for T in T_list]
-    timings = {p: [t[p] for t in per_solve] for p in _PHASES}
+    timings = {"weak_kam_s": round(erg.weak_kam_s, 4),
+               **{p: [t[p] for t in per_solve] for p in _PHASES}}
     lines = [f"T={T!r}: e_u={eu!r} e_F={ef!r}" for T, eu, ef in
              zip(rep.T_list, rep.e_u, rep.e_F)]
     lines.append(f"slope(e_u) = {rep.rate_u['slope']:.3f}, "

@@ -161,7 +161,7 @@ def weak_kam_solution(L, coupling, grid, m_bar, lam, step=None, counts=None):
     return w, steps * grid.dt, steps, float(np.abs(Tw - w).max())
 
 
-def solve_ergodic(L, coupling, grid, m_start=None):
+def solve_ergodic(L, coupling, grid, m_start=None, step=None):
     """Fixed point of m -> Dirac at the Mather point, then the weak-KAM solution.
 
     From m_start (uniform on K0 by default) the Dirac iteration steps
@@ -171,6 +171,7 @@ def solve_ergodic(L, coupling, grid, m_start=None):
     ErgodicSolution with lambda, u_bar (normalized to 0 at the Mather node),
     m_bar, the number of Dirac steps, the feedback and residuals["second_equation"],
     the stationarity check of verify_second_equation, which reads that feedback.
+    step is the BellmanStep of L on grid, built here when None.
     """
     m = (GridMeasure.uniform_on(grid, coupling.K0_lo, coupling.K0_hi)
          if m_start is None else m_start)
@@ -185,7 +186,7 @@ def solve_ergodic(L, coupling, grid, m_start=None):
         raise CycleDetected("Dirac iteration cycled; no stationary node found")
 
     lam = critical_value(L, coupling, grid, m)
-    step = BellmanStep(L, grid)  # once: policy iteration and the stationarity check
+    step = BellmanStep(L, grid) if step is None else step  # policy iteration and the check
     counts = {}
     t0 = time.perf_counter()
     u_bar, _, steps, residual = weak_kam_solution(L, coupling, grid, m, lam,

@@ -23,7 +23,10 @@ the stationary feedback ErgodicSolution.policy, or the slowest velocity, at
 rest when v = 0 is a node.  Finite-horizon solutions converge to the ergodic
 pair (Cardaliaguet, Dyn. Games Appl. 2013) and the middle of a long horizon
 sits at it (the turnpike: Porretta, Minimax Theory Appl. 2018), so a solve
-started from the feedback takes fewer iterations than from rest.
+started from the feedback takes fewer iterations than from rest: on RI-1,
+T = 8 ends after 1 iteration against 3.  The CLI's horizon and converge
+start from the feedback; horizon starts at rest when the stationary solve
+fails.
 
 The crowd has this one discretization everywhere.  pull, the adjoint of
 push, sweeps the same stencil backward for the expected cost of the chain
@@ -137,12 +140,20 @@ def _stencils(step, policy, reverse=False):
     """(k0, dt L, nodes, weights) of step.transition for each block of rows
     policy[k0:], last block first if reverse.  A block's nodes and weights
     together are no larger than the step's (N, nV) candidates, nor than a
-    (K + 1, N) path."""
+    (K + 1, N) path.  A row held at every step (zero row stride, as
+    stretched_start gives) has its transition built once; each block gets
+    views of it and weights of its own, which push and pull overwrite."""
     K = len(policy)
     block = max(1, min(len(step.grid.velocities), K + 1) >> (step.grid.dim + 1))
     starts = range(0, K, block)
+    held = step.transition(policy[:1]) if K > 1 and policy.strides[0] == 0 else None
     for k0 in reversed(starts) if reverse else starts:
-        yield k0, *step.transition(policy[k0:k0 + block])
+        if held is None:
+            yield k0, *step.transition(policy[k0:k0 + block])
+        else:
+            costs, nodes, weights = (np.broadcast_to(a, (min(block, K - k0),) + a.shape[1:])
+                                     for a in held)
+            yield k0, costs, nodes, weights.copy()
 
 
 def push(step, policy, m0, uT):
@@ -221,21 +232,23 @@ def _potential_slope(coupling, grid, W, best, dA):
     return slope
 
 
-def solve_finite_horizon(L, coupling, m0, uf, grid, T, tol=1e-4, start=None):
+def solve_finite_horizon(L, coupling, m0, uf, grid, T, tol=1e-4, start=None, step=None):
     """Fixed point of the best-response map by fictitious play (module docstring).
 
     Stops once eps <= max(tol, rounding_floor(K, max |u|)), so tol = 0 ends
     too, or after MAX_ITERS iterations, unconverged.  W_0 is m0 pushed
     through stretched_start(start, step, K): start is one (N,) row held at
     every step, the stationary feedback ErgodicSolution.policy, or None.
-    m_path(0) is m0 bit for bit and u ends at the terminal datum exactly.
+    step is the BellmanStep of L on grid, built here when None; the CLI
+    passes the one its stationary solve used.  m_path(0) is m0 bit for bit
+    and u ends at the terminal datum exactly.
     """
     if not isinstance(uf, TerminalDatum):
         raise TypeError("uf must be a TerminalDatum")
     uT = uf.validate(grid)  # once: every backward solve starts from this row
 
     K = grid.time_steps(T)
-    step = BellmanStep(L, grid)  # once: every backward solve and push applies it
+    step = BellmanStep(L, grid) if step is None else step  # every backward solve and push
     W, A = push(step, stretched_start(start, step, K), m0.weights, uT)
     history = []
     while True:

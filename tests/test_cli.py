@@ -139,6 +139,21 @@ def test_horizon_run(tmp_path):
     certifies_the_stop(measured, 1e-4)
 
 
+def test_horizon_starts_from_the_stationary_feedback(tmp_path):
+    # horizon starts as every converge horizon does, so on the same grid its
+    # T = 8 solve is converge's, and from the feedback it ends after one iteration
+    coarse = ["--instance", "RI-1", "--dx", "0.04", "--dt", "0.04"]
+    hz, cv = str(tmp_path / "hz"), str(tmp_path / "cv")
+    assert run(["horizon", *coarse, "--T", "8", "--out", hz]) == 0
+    assert run(["converge", *coarse, "--T", "2,8", "--out", cv]) == 0
+    horizon, converge = manifest_of(hz), manifest_of(cv)
+    assert horizon["measured"]["start"] == "feedback"
+    gaps = horizon["measured"]["gaps"]
+    assert len(gaps) == 1 and gaps == converge["measured"]["gaps"][1]
+    for man in (horizon, converge):  # the stationary solve's seconds, as ergodic writes them
+        assert isinstance(man["timings"]["weak_kam_s"], float)
+
+
 def certifies_the_stop(measured, tol):
     """A converged run's last eps is within tol or its rounding floor, both in the manifest."""
     gaps, floors = measured["gaps"], measured["floors"]
@@ -920,3 +935,29 @@ def test_fuzzed_input_ends_in_a_documented_exit_code(doc_name, command, target, 
                 contextlib.redirect_stderr(io.StringIO()):
             code = run(args)
     assert code in (0, 2, 3, 4, 5), (args, doc)
+
+
+@pytest.mark.parametrize("grid, code, start", [
+    ({"v_max": 1.0}, 0, "rest"),
+    ({"dt": 1.0}, 4, None),
+], ids=["no-stationary-pair", "horizon-below-one-step"])
+def test_horizon_without_a_stationary_pair_starts_at_rest(tmp_path, capsys, monkeypatch,
+                                                          grid, code, start):
+    # the feedback only warms the start: where the stationary solve fails
+    # (ergodic exits 5) the horizon starts at rest and still solves, and a bad
+    # horizon is rejected before the stationary solve runs
+    doc = json.loads(json.dumps(FUZZ_DOCS["RI-1"]))
+    doc["grid"].update(grid)
+    cfg_path = tmp_path / "doc.json"
+    cfg_path.write_text(json.dumps(doc))
+    if start is None:
+        monkeypatch.setattr(cli, "solve_ergodic", no_solve)
+    else:
+        assert run(["ergodic", "--config", str(cfg_path)]) == 5
+    out = str(tmp_path / "hz")
+    assert run(["horizon", "--config", str(cfg_path), "--T", "0.4", "--out", out]) == code
+    if start is None:
+        assert "T=0.4 must be a positive multiple of dt=1.0" in capsys.readouterr().err
+    else:
+        man = manifest_of(out)
+        assert man["measured"]["start"] == start and man["timings"]["weak_kam_s"] is None

@@ -761,6 +761,24 @@ def test_stretched_start_keeps_probability_rows(grid, data, K):
     assert np.abs(W.sum(axis=1) - 1.0).max() <= 4 * K * np.finfo(float).eps
 
 
+@SETTINGS
+@given(grid=step_grids(), data=st.data(), K=st.integers(1, 40))
+def test_held_row_pushes_and_pulls_as_its_table(grid, data, K):
+    # the held row's transition is built once and shared by every block: push
+    # and pull give what they give on the row's (K, N) table, bit for bit, and
+    # leave the shared stencil as they found it, so a second push repeats the first
+    step, F, uT, m0 = pushed_problem(grid, data, K)
+    P = mfg.stretched_start(data.draw(policies(grid)), step, K)
+    table = np.ascontiguousarray(P)
+    want_path, want_A = mfg.push(step, table, m0, uT)
+    for _ in range(2):
+        path, A = mfg.push(step, P, m0, uT)
+        np.testing.assert_array_equal(path, want_path)
+        assert A == want_A
+    np.testing.assert_array_equal(mfg.pull(step, P, F[:-1], uT),
+                                  mfg.pull(step, table, F[:-1], uT))
+
+
 @pytest.mark.parametrize("name", ["RI-1", RI2], ids=["ri1", "ri2"])
 def test_stationary_feedback_keeps_m_bar(name):
     # the feedback is at rest on m_bar, so m_bar pushed through it, held for
