@@ -11,11 +11,13 @@ embeds the parsed instance document and its SHA-256 in the manifest params,
 so reproduce rebuilds the instance from the manifest alone, from any working
 directory and whatever happened to the JSON file since.
 
-horizon and converge solve the stationary pair first and start every
-horizon from its feedback, one BellmanStep shared by all their solves.  The
-feedback only warms the start: where the stationary solve fails, horizon
-starts at rest (its manifest's measured.start says which), while converge,
-whose metrics need the pair, fails.
+horizon and converge share one solve pipeline (_solve): check the standing
+assumptions, build one BellmanStep for every solve, solve the stationary pair,
+then each distinct horizon from its feedback; _solve_record gives the manifest
+each solve's iterations.  The feedback only warms the start: where the
+stationary solve fails, horizon prints its error on stderr and starts at rest
+(measured.start "rest", measured.start_error the error, null after a feedback
+start), while converge, whose metrics need the pair, fails.
 """
 
 from __future__ import annotations
@@ -139,11 +141,36 @@ def read_manifest(path):
 # measured, timings, exit code, lines to print)
 
 _PHASES = ("backward_s", "forward_s", "d1_s")  # of each fictitious-play iteration
+_RECORD = {"gaps": "gap", "gaps_lo": "gap_lo", "thetas": "theta", "floors": "floor"}
 
 
-def _phase_seconds(history):
-    """{phase: seconds of each iteration} of one fictitious-play solve."""
-    return {p: [round(h[p], 4) for h in history] for p in _PHASES}
+def _solve_record(sol):
+    """(measured, timings) of one fictitious-play solve: {key: one entry per iteration}."""
+    return ({key: [h[field] for h in sol.history] for key, field in _RECORD.items()},
+            {p: [round(h[p], 4) for h in sol.history] for p in _PHASES})
+
+
+def _solve(params, inst, horizons, need_pair):
+    """(stationary pair, its error, {T: MFGSolution}) of horizon and converge (module
+    docstring): each distinct horizon once, in increasing order.  Where the
+    stationary solve fails, need_pair re-raises; otherwise the error's message
+    is printed and returned, the pair is None and every horizon starts at rest."""
+    g = inst.grid
+    check_standing_assumptions(inst.L, inst.coupling, g, inst.m0)
+    step = BellmanStep(inst.L, g)
+    erg = error = None
+    try:
+        erg = solve_ergodic(inst.L, inst.coupling, g, step=step)
+    except MFGLabError as e:
+        if need_pair:
+            raise
+        error = str(e)
+        print(f"stationary solve failed, starting at rest: {error}", file=sys.stderr)
+    sols = {T: solve_finite_horizon(inst.L, inst.coupling, inst.m0, inst.uf, g, T,
+                                    params.get("tol", 1e-4), step=step,
+                                    start=None if erg is None else erg.policy)
+            for T in sorted(set(horizons))}
+    return erg, error, sols
 
 
 def _instance(params):
@@ -210,34 +237,23 @@ def _run_ergodic(params, inst):
 
 
 def _run_horizon(params, inst):
-    g = inst.grid
-    g.time_steps(params["T"])  # reject a bad horizon before any solve
-    check_standing_assumptions(inst.L, inst.coupling, g, inst.m0)
-    step = BellmanStep(inst.L, g)  # once: the stationary solve and the horizon's
-    try:
-        erg = solve_ergodic(inst.L, inst.coupling, g, step=step)
-    except MFGLabError:  # the feedback only warms the start: without it, start at rest
-        erg = None
-    sol = solve_finite_horizon(inst.L, inst.coupling, inst.m0, inst.uf, g, params["T"],
-                               tol=params.get("tol", 1e-4),
-                               start=None if erg is None else erg.policy, step=step)
+    inst.grid.time_steps(params["T"])  # reject a bad horizon before any solve
+    erg, error, sols = _solve(params, inst, [params["T"]], need_pair=False)
+    sol = sols[params["T"]]
+    record, phases = _solve_record(sol)
     measured = {
-        "start": "rest" if erg is None else "feedback",
+        "start": "rest" if erg is None else "feedback", "start_error": error,
         "converged": sol.converged,
         "iterations": sol.iterations,
         "final_residual": sol.residuals[-1],
-        "gaps": sol.residuals,
-        "gaps_lo": [h["gap_lo"] for h in sol.history],
-        "thetas": [h["theta"] for h in sol.history],
-        "floors": [h["floor"] for h in sol.history],
+        **record,
         **{k: float(v) for k, v in sol.diagnostics.items()},
     }
     lines = [f"converged = {sol.converged} after {sol.iterations} iterations",
              f"final residual = {measured['final_residual']!r}"]
     code = EXIT_OK if sol.converged else EXIT_NO_CONVERGENCE
     writers = {"u.csv": sol.u.to_csv, "mpath.csv": sol.m_path.to_csv}
-    timings = {"weak_kam_s": None if erg is None else round(erg.weak_kam_s, 4),
-               **_phase_seconds(sol.history)}
+    timings = {"weak_kam_s": None if erg is None else round(erg.weak_kam_s, 4), **phases}
     return writers, measured, timings, code, lines
 
 
@@ -251,16 +267,10 @@ def _run_converge(params, inst):
     if not inst.grid.contains_ball(R):  # the errors are measured on B_R
         raise ValueError(f"R={R!r}: the ball B_R does not fit the box "
                          f"lo={list(inst.grid.lo)}, hi={list(inst.grid.hi)}")
-    check_standing_assumptions(inst.L, inst.coupling, inst.grid, inst.m0)
-    step = BellmanStep(inst.L, inst.grid)  # once: the stationary solve and every horizon's
-    erg = solve_ergodic(inst.L, inst.coupling, inst.grid, step=step)
-    tol = params.get("tol", 1e-4)
-    sols = {T: solve_finite_horizon(inst.L, inst.coupling, inst.m0, inst.uf, inst.grid,
-                                    T, tol, start=erg.policy, step=step)  # from the feedback
-            for T in sorted(set(T_list))}
-    del step  # not alive across the metrics
+    erg, _, sols = _solve(params, inst, T_list, need_pair=True)
     all_converged = all(s.converged for s in sols.values())
     rep = convergence_metrics(sols, erg, inst.coupling, R)
+    records, phases = zip(*(_solve_record(sols[T]) for T in T_list))  # one per T, as in T_list
 
     def report_csv():
         rows = ["T,e_u,e_F,e_u_scaled,e_F_scaled\n"]
@@ -280,25 +290,13 @@ def _run_converge(params, inst):
                "ef.dat": _text(dat("F", rep.e_F)),
                "fit.json": _text(lambda: _canonical_json(fit))}
     measured = {
-        "lambda": erg.lam,
-        "e_u": rep.e_u,
-        "e_F": rep.e_F,
-        "E_mid": rep.E_mid,
-        "D_mid": rep.D_mid,
-        "t_sup": rep.t_sup,
-        "rate_u": rep.rate_u,
-        "rate_F": rep.rate_F,
-        "C_hat_u": rep.C_hat_u,
-        "C_hat_F": rep.C_hat_F,
-        "all_converged": all_converged,
-        "gaps": [sols[T].residuals for T in T_list],  # one list per T, as in T_list
-        "gaps_lo": [[h["gap_lo"] for h in sols[T].history] for T in T_list],
-        "thetas": [[h["theta"] for h in sols[T].history] for T in T_list],
-        "floors": [[h["floor"] for h in sols[T].history] for T in T_list],
+        "lambda": erg.lam, "all_converged": all_converged,
+        **{key: getattr(rep, key) for key in ("e_u", "e_F", "E_mid", "D_mid", "t_sup",
+                                              "rate_u", "rate_F", "C_hat_u", "C_hat_F")},
+        **{key: [r[key] for r in records] for key in _RECORD},
     }
-    per_solve = [_phase_seconds(sols[T].history) for T in T_list]
     timings = {"weak_kam_s": round(erg.weak_kam_s, 4),
-               **{p: [t[p] for t in per_solve] for p in _PHASES}}
+               **{p: [t[p] for t in phases] for p in _PHASES}}
     lines = [f"T={T!r}: e_u={eu!r} e_F={ef!r}" for T, eu, ef in
              zip(rep.T_list, rep.e_u, rep.e_F)]
     lines.append(f"slope(e_u) = {rep.rate_u['slope']:.3f}, "

@@ -222,6 +222,7 @@ class BellmanStep:
     into the last product's weights, and the step keeps split = (r, b) and
     dtL None: transition reads r + b, bit for bit the table's entry.
     Otherwise split is None and the step keeps dtL, added after the product.
+    dtL_max = max |dt L| scales the rounding a fold adds to the product.
     """
 
     def __init__(self, L, grid):
@@ -230,6 +231,7 @@ class BellmanStep:
         # node-major (N, nV): the argmin over velocities reads contiguous rows
         dtL = np.asarray(L.eval(grid.points[:, None], V[None]), dtype=float)
         dtL *= grid.dt  # in place: no second (N, nV) table
+        self.dtL_max = float(max(dtL.max(), -dtL.min()))
         self.split = _cost_split(dtL, grid.v_nodes)
         self.dtL = None if self.split else dtL
         del dtL  # a folded table is gone before the departure buffers are made

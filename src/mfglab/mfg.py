@@ -235,8 +235,9 @@ def _potential_slope(coupling, grid, W, best, dA):
 def solve_finite_horizon(L, coupling, m0, uf, grid, T, tol=1e-4, start=None, step=None):
     """Fixed point of the best-response map by fictitious play (module docstring).
 
-    Stops once eps <= max(tol, rounding_floor(K, max |u|)), so tol = 0 ends
-    too, or after MAX_ITERS iterations, unconverged.  W_0 is m0 pushed
+    Stops once eps <= max(tol, rounding_floor(K, max |u| + max |dt L|)), so
+    tol = 0 ends too, or after MAX_ITERS iterations, unconverged; max |dt L|
+    covers the dt L folded into the departure product.  W_0 is m0 pushed
     through stretched_start(start, step, K): start is one (N,) row held at
     every step, the stationary feedback ErgodicSolution.policy, or None.
     step is the BellmanStep of L on grid, built here when None; the CLI
@@ -261,7 +262,7 @@ def solve_finite_horizon(L, coupling, m0, uf, grid, T, tol=1e-4, start=None, ste
         best, A_best = push(step, vf.policy, m0.weights, uT)
         value = np.dot(vf.values[0], m0.weights)
         gap = float(A + coupled - value)
-        floor = rounding_floor(K, max(vf.values.max(), -vf.values.min()))
+        floor = rounding_floor(K, max(vf.values.max(), -vf.values.min()) + step.dtL_max)
         t2 = time.perf_counter()
         lo = sliced_d1(grid, best, W)
         t3 = time.perf_counter()

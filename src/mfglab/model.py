@@ -242,11 +242,9 @@ def interp_grid(grid, values, pts):
 
     values holds one value per node, (N,), and the result is shaped
     (...); it may hold m columns, (N, m), all interpolated through one
-    stencil into (..., m), where m = 1 in 1-D.
+    stencil into (..., m), in any dimension.
     """
     cols = np.shape(values)[1:]
-    if grid.dim == 1:  # one np.interp is faster than the generic stencil
-        return np.interp(pts[..., :1] if cols else pts[..., 0], grid.axes[0], np.ravel(values))
     out = None
     for idx, weights in cell_corners(grid, pts, clamp=True):
         term = values[idx]

@@ -6,10 +6,14 @@ installs the tracer on a fresh Patches/Tracer pair and undoes it; another
 reads the weak-KAM step count off a real solve's return value, the way the
 tracer does.  A traced horizon --out plus reproduce pins that reproduce
 writes its fresh outputs as real files at the paths the tracer measures.
+The benchmark's oracles read what the CLI's solvers return through taps on
+their cli names, so a test counts the calls each tap sees.
 """
 
 import importlib.util
 import os
+
+import pytest
 
 import mfglab as M
 from mfglab import cli
@@ -63,3 +67,28 @@ def test_traced_reproduce_writes_real_files(tmp_path):
         patches.restore()
     for pass_id in (1, 2):
         assert tracer.layer_metrics(spans, pass_id, 0.0)["cli.out_bytes"] > 0
+
+
+@pytest.mark.parametrize("args, counts", [
+    (["converge", "--T", "2,4,8", "--R", "3"], (1, 3, 1)),
+    (["horizon", "--T", "2"], (1, 1, 0)),
+], ids=["converge", "horizon"])
+def test_benchmark_taps_see_every_solve(args, counts):
+    # bench/run.py keeps what these three names return, as wrapped here
+    names = ("solve_ergodic", "solve_finite_horizon", "convergence_metrics")
+    calls = dict.fromkeys(names, 0)
+
+    def tap(name, fn):
+        def counted(*a, **kw):
+            calls[name] += 1
+            return fn(*a, **kw)
+        return counted
+
+    patches = load_tracer().Patches()
+    for name in names:
+        patches.wrap(cli, name, lambda fn, name=name: tap(name, fn))
+    try:
+        assert cli.main([*args, "--instance", "RI-1", "--dx", "0.04", "--dt", "0.04"]) == 0
+    finally:
+        patches.restore()
+    assert tuple(calls[name] for name in names) == counts

@@ -148,8 +148,10 @@ def test_horizon_starts_from_the_stationary_feedback(tmp_path):
     assert run(["converge", *coarse, "--T", "2,8", "--out", cv]) == 0
     horizon, converge = manifest_of(hz), manifest_of(cv)
     assert horizon["measured"]["start"] == "feedback"
-    gaps = horizon["measured"]["gaps"]
-    assert len(gaps) == 1 and gaps == converge["measured"]["gaps"][1]
+    assert horizon["measured"]["start_error"] is None
+    assert len(horizon["measured"]["gaps"]) == 1
+    for key in ("gaps", "gaps_lo", "thetas", "floors"):  # one solve, recorded alike
+        assert horizon["measured"][key] == converge["measured"][key][1], key
     for man in (horizon, converge):  # the stationary solve's seconds, as ergodic writes them
         assert isinstance(man["timings"]["weak_kam_s"], float)
 
@@ -954,10 +956,15 @@ def test_horizon_without_a_stationary_pair_starts_at_rest(tmp_path, capsys, monk
         monkeypatch.setattr(cli, "solve_ergodic", no_solve)
     else:
         assert run(["ergodic", "--config", str(cfg_path)]) == 5
+        reason = capsys.readouterr().err.removeprefix("solver failure: ").strip()
+        assert reason.startswith("optimal velocity on velocity-grid boundary")
     out = str(tmp_path / "hz")
     assert run(["horizon", "--config", str(cfg_path), "--T", "0.4", "--out", out]) == code
+    err = capsys.readouterr().err
     if start is None:
-        assert "T=0.4 must be a positive multiple of dt=1.0" in capsys.readouterr().err
-    else:
+        assert "T=0.4 must be a positive multiple of dt=1.0" in err
+    else:  # the reason ergodic gave, printed and in the manifest
+        assert f"stationary solve failed, starting at rest: {reason}\n" in err
         man = manifest_of(out)
         assert man["measured"]["start"] == start and man["timings"]["weak_kam_s"] is None
+        assert man["measured"]["start_error"] == reason

@@ -392,8 +392,9 @@ def test_pushed_best_response_costs_the_value(grid, data, K, alpha):
     step, F, uT, m0 = pushed_problem(grid, data, K)
     vf = M.solve_backward(step, F, uT, K * grid.dt, check_boundary=False)
     value = vf.values[0] @ m0
-    floor = mfg.rounding_floor(K, np.abs(vf.values).max())
-    # discrete duality: the best response's cost is <u(0), m0> within the floor
+    floor = mfg.rounding_floor(K, np.abs(vf.values).max() + step.dtL_max)
+    # discrete duality: the best response's cost is <u(0), m0> within the floor,
+    # which covers the rounding of the dt L folded into the departure product
     best, A = mfg.push(step, vf.policy, m0, uT)
     assert abs(path_cost(grid, A, best, F) - value) <= floor
     # any mix of pushed paths costs at least that: eps >= -floor
