@@ -30,6 +30,7 @@ import os
 import sys
 import tempfile
 import time
+from collections import namedtuple
 
 from . import __version__
 from .analysis import convergence_metrics
@@ -57,10 +58,11 @@ def _atomic_write(path, writer):
     try:
         writer(tmp)
         os.replace(tmp, path)
-    except BaseException:
+    except OSError as e:  # name the output: the temp file is gone when this is read
+        raise OSError(str(e).replace(tmp, path)) from e
+    finally:
         if os.path.exists(tmp):
             os.unlink(tmp)
-        raise
 
 
 def _text(make):
@@ -305,13 +307,18 @@ def _run_converge(params, inst):
     return writers, measured, timings, code, lines
 
 
-# each subcommand's body, help line and the params it reads besides instance,
-# dx and dt; the horizon params are required and read from --T
+# each subcommand's body, help line, the params it reads besides instance, dx
+# and dt (the horizon params are required and read from --T), and the files
+# it writes, in the order it writes them
+_Command = namedtuple("_Command", "body help reads outputs")
 _COMMANDS = {
-    "verify": (_run_verify, "run the assumption checks", ()),
-    "ergodic": (_run_ergodic, "solve the stationary system", ()),
-    "horizon": (_run_horizon, "solve the finite-horizon system", ("T", "tol")),
-    "converge": (_run_converge, "long-time convergence study", ("T_list", "tol", "R")),
+    "verify": _Command(_run_verify, "run the assumption checks", (), ("verify.txt",)),
+    "ergodic": _Command(_run_ergodic, "solve the stationary system", (),
+                        ("ubar.csv", "mbar.csv")),
+    "horizon": _Command(_run_horizon, "solve the finite-horizon system", ("T", "tol"),
+                        ("u.csv", "mpath.csv")),
+    "converge": _Command(_run_converge, "long-time convergence study", ("T_list", "tol", "R"),
+                         ("report.csv", "eu.dat", "ef.dat", "fit.json")),
 }
 _HORIZONS = {"T": float, "T_list": lambda arg: [float(s) for s in arg.split(",")]}
 _HELP = {"tol": "stop once the exploitability is at most this (default 1e-4; 0: within rounding)"}
@@ -325,7 +332,7 @@ def _parser():
     p = argparse.ArgumentParser(prog="mfg",
                                 description="mean field game numerical laboratory")
     sub = p.add_subparsers(dest="command", required=True)
-    for name, (_, help_line, reads) in _COMMANDS.items():
+    for name, (_, help_line, reads, _) in _COMMANDS.items():
         sp = sub.add_parser(name, help=help_line)
         sp.add_argument("--instance", default=None, help="built-in name, e.g. RI-1")
         sp.add_argument("--config", default=None, help="path to a JSON instance document")
@@ -371,7 +378,7 @@ def _collect_params(args):
         with open(args.config) as fh:
             params["document"] = json.load(fh)
         params["document_sha256"] = _config_hash(params["document"])
-    for key in ("dx", "dt", *_COMMANDS[args.command][2]):
+    for key in ("dx", "dt", *_COMMANDS[args.command].reads):
         if key in _HORIZONS:
             params[key] = _HORIZONS[key](args.T)
         elif getattr(args, key) is not None:
@@ -384,17 +391,22 @@ def _dispatch(command, params, out_dir):
     """Run a subcommand and write its outputs into out_dir, if one is given.
 
     Shared between normal runs and reproduce re-runs.  Returns (output
-    paths, measured, timings, exit code, lines to print).
+    paths, measured, timings, exit code, lines to print); timings holds the
+    seconds of the instance load (load_s), of the solve (seconds) and of the
+    output writes (write_s).
     """
-    inst = _instance(params)
     t0 = time.perf_counter()
-    writers, measured, timings, code, lines = _COMMANDS[command][0](params, inst)
-    timings = {"seconds": round(time.perf_counter() - t0, 3), **timings}
+    inst = _instance(params)
+    t1 = time.perf_counter()
+    writers, measured, timings, code, lines = _COMMANDS[command].body(params, inst)
+    t2 = time.perf_counter()
     outputs = []
     if out_dir:
-        for fname, writer in writers.items():
+        for fname in _COMMANDS[command].outputs:
             outputs.append(os.path.join(out_dir, fname))
-            _atomic_write(outputs[-1], writer)
+            _atomic_write(outputs[-1], writers[fname])
+    timings = {"load_s": round(t1 - t0, 4), "seconds": round(t2 - t1, 3),
+               "write_s": round(time.perf_counter() - t2, 4), **timings}
     return outputs, measured, timings, code, lines
 
 
@@ -417,13 +429,20 @@ def _cmd_reproduce(manifest_path):
         raise ValueError(f"manifest: unknown subcommand {command!r}")
     if not isinstance(params, dict) or not isinstance(outputs, dict):
         raise ValueError("manifest: config.params and outputs must be JSON objects")
-    for key in ("instance", *(key for key in _COMMANDS[command][2] if key in _HORIZONS)):
+    for key in ("instance", *(key for key in _COMMANDS[command].reads if key in _HORIZONS)):
         _manifest_field(manifest, f"config.params.{key}")
     _check_params(params, "manifest: config.params.")
     doc = params.get("document")
     if doc is not None and _config_hash(doc) != params.get("document_sha256"):
         raise ValueError("manifest: the embedded instance document does not match "
                          "its document_sha256")
+    names = _COMMANDS[command].outputs
+    for fname in names:
+        if fname not in outputs:
+            raise ValueError(f"manifest: outputs lack {fname}, which {command} writes")
+    for fname in sorted(outputs):
+        if fname not in names:
+            raise ValueError(f"manifest: outputs name {fname}, which {command} does not write")
     base = os.path.dirname(os.path.abspath(manifest_path))
     with tempfile.TemporaryDirectory(dir=base) as tmp:
         _dispatch(command, params, tmp)

@@ -11,6 +11,9 @@ from __future__ import annotations
 
 import math
 import operator
+import os
+import shutil
+import tempfile
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -187,20 +190,42 @@ class GridSpec:
         }
 
 
+def _row_blocks(n_rows):
+    """[lo, hi) bounds of contiguous row blocks, one per CPU this process may
+    run on, never more than n_rows; one block where affinity or fork is missing."""
+    try:
+        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "fork") else 1
+    except (AttributeError, OSError):
+        cpus = 1
+    n = max(1, min(cpus, n_rows))
+    bounds = [i * n_rows // n for i in range(n + 1)]
+    return list(zip(bounds, bounds[1:]))
+
+
 def write_node_table(path, grid, column, rows, times=None, end="\r\n", keep=None):
-    """Write the node table path, one row of N node values at a time.
+    """Write the node table path: the header, then each row of N node values.
 
     The header is [t,]node_index,x[,y],<column>, and node i of the row at
     time t is the line [t,]i,<coordinates of i>,v, every number as repr
     gives it; times=None writes one row without the t column.  keep(row)
     masks the nodes written, and a row it keeps none of writes no line.
+
+    The rows are split into contiguous blocks, one per CPU of
+    os.sched_getaffinity(0) (_row_blocks).  A forked child formats each block
+    after the first into an anonymous temporary file in path's directory and
+    leaves by os._exit; the parent writes the header and block 0, then appends
+    the children's bytes in row order, so the file does not depend on the
+    number of blocks.  A child that fails raises OSError naming path.  Every
+    child is reaped before this returns or raises.
     """
     heads = np.array([",".join([str(i), *map(repr, p), ""])
                       for i, p in enumerate(grid.points.tolist())], dtype=object)
     names = ["node_index", *AXIS_NAMES[: grid.dim], column]
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(names if times is None else ["t", *names]) + end)
-        for t, row in zip([None] if times is None else times.tolist(), rows):
+    header = ",".join(names if times is None else ["t", *names]) + end
+    times = [None] if times is None else times.tolist()
+
+    def write_rows(fh, lo, hi):
+        for t, row in zip(times[lo:hi], rows[lo:hi]):
             pick = slice(None) if keep is None else keep(row)
             if vals := row[pick].tolist():
                 # repr of the list formats each float in C; no float repr
@@ -208,6 +233,41 @@ def write_node_table(path, grid, column, rows, times=None, end="\r\n", keep=None
                 lead = "" if t is None else repr(t) + ","
                 cells = map(operator.add, heads[pick], repr(vals)[1:-1].split(", "))
                 fh.write(lead + (end + lead).join(cells) + end)
+
+    # a forked child reads the rows in place, with nothing pickled, and runs
+    # only the row loop, which calls into no threaded library
+    blocks = _row_blocks(min(len(times), len(rows)))
+    parts, pids = [], {}
+    try:
+        for lo, hi in blocks[1:]:
+            parts.append(tempfile.TemporaryFile(dir=os.path.dirname(os.path.abspath(path))))
+            pid = os.fork()
+            if pid == 0:  # the child writes its block and never returns
+                code = 1
+                try:
+                    with open(parts[-1].fileno(), "w", newline="", closefd=False) as fh:
+                        write_rows(fh, lo, hi)
+                    code = 0
+                finally:
+                    os._exit(code)
+            pids[pid] = (lo, hi)
+        with open(path, "w", newline="") as fh:
+            fh.write(header)
+            write_rows(fh, *blocks[0])
+            fh.flush()  # the children's bytes go to fh.buffer, after block 0's text
+            for part, (pid, (lo, hi)) in zip(parts, list(pids.items())):
+                status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                del pids[pid]
+                if status:
+                    raise OSError(f"{path}: the writer of rows {lo} to {hi - 1} "
+                                  f"exited with status {status}")
+                part.seek(0)
+                shutil.copyfileobj(part, fh.buffer)
+    finally:
+        for pid in pids:
+            os.waitpid(pid, 0)
+        for part in parts:
+            part.close()
 
 
 def cell_corners(grid, pts, clamp):

@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 import tracemalloc
 
 import numpy as np
@@ -22,7 +23,7 @@ from mfglab.cli import main
 from mfglab.errors import MFGLabError, Mismatch, TransportLPFailed
 from mfglab.instances import BUILTIN
 from mfglab.measure import GridMeasure, wasserstein1
-from mfglab.model import GridSpec
+from mfglab.model import GridSpec, write_node_table
 
 
 RI2 = os.path.join(os.path.dirname(__file__), "..", "bench", "ri2.json")
@@ -162,6 +163,19 @@ def certifies_the_stop(measured, tol):
     assert measured["converged"] and len(floors) == len(gaps) == measured["iterations"]
     assert all(isinstance(f, float) and f > 0.0 for f in floors)
     assert gaps[-1] <= max(tol, floors[-1])
+
+
+def test_manifest_times_the_load_and_the_writes(tmp_path):
+    out = str(tmp_path / "hz")
+    t0 = time.perf_counter()
+    assert run(["horizon", "--instance", "RI-1", "--dx", "0.04", "--dt", "0.04", "--T", "2",
+                "--out", out]) == 0
+    wall = time.perf_counter() - t0
+    timings = manifest_of(out)["timings"]
+    parts = [timings[key] for key in ("load_s", "seconds", "write_s")]
+    assert all(isinstance(p, float) and p >= 0.0 for p in parts)
+    # seconds is rounded to 1e-3 and the others to 1e-4, each by at most half of it
+    assert sum(parts) <= wall + 0.5e-3 + 2 * 0.5e-4
 
 
 def test_tol_zero_stop_is_checked_from_the_manifest(tmp_path):
@@ -337,6 +351,10 @@ def test_old_manifest_reproduces(tmp_path, args, old_params):
      "config.params.tol must be a finite number >= 0, got 'x'"),
     (lambda m: m["config"]["params"].update(R=-1.0),
      "config.params.R must be a finite radius > 0, got -1.0"),
+    # outputs name exactly the files the subcommand writes
+    (lambda m: m["outputs"].pop("u.csv"), "outputs lack u.csv, which horizon writes"),
+    (lambda m: m["outputs"].update({"extra.csv": "0" * 64}),
+     "outputs name extra.csv, which horizon does not write"),
 ])
 def test_malformed_manifest_is_config_error(tmp_path, monkeypatch, capsys, edit, message):
     def no_solve(*args, **kwargs):
@@ -344,7 +362,7 @@ def test_malformed_manifest_is_config_error(tmp_path, monkeypatch, capsys, edit,
 
     manifest = {"config": {"subcommand": "horizon", "version": "0.1.0",
                            "params": {"instance": "RI-1", "T": 2.0}},
-                "outputs": {"u.csv": "0" * 64}}
+                "outputs": {"u.csv": "0" * 64, "mpath.csv": "0" * 64}}
     edit(manifest)
     path = tmp_path / "manifest.json"
     write_canonical(path, manifest)
@@ -968,3 +986,105 @@ def test_horizon_without_a_stationary_pair_starts_at_rest(tmp_path, capsys, monk
         man = manifest_of(out)
         assert man["measured"]["start"] == start and man["timings"]["weak_kam_s"] is None
         assert man["measured"]["start_error"] == reason
+
+
+# ---------------------------------------------------------------------------
+# node tables: one process per allowed CPU formats a block of rows
+
+
+def allow_cpus(monkeypatch, n):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+def no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    return True
+
+
+@pytest.mark.parametrize("args, forks", [
+    (["horizon", "--instance", "RI-1", "--dx", "0.04", "--dt", "0.04", "--T", "2"],
+     {1: 0, 2: 2, 5: 8}),  # u.csv and mpath.csv, 51 rows each
+    (["ergodic", "--config", RI2], {1: 0, 2: 0, 5: 0}),  # one row each: never forked
+], ids=["ri1-horizon", "ri2-ergodic"])
+def test_node_tables_do_not_depend_on_the_process_count(tmp_path, monkeypatch, args, forks):
+    fork, forked, written = os.fork, [], {}
+    monkeypatch.setattr(os, "fork", lambda: forked.append(1) or fork())
+    for n in forks:
+        allow_cpus(monkeypatch, n)
+        forked.clear()
+        out = tmp_path / str(n)
+        assert run([*args, "--out", str(out)]) == 0
+        assert len(forked) == forks[n]
+        written[n] = {name: (out / name).read_bytes() for name in cli._COMMANDS[args[0]].outputs}
+        assert sorted(os.listdir(out)) == sorted(["manifest.json", *written[n]])
+    assert written[1] == written[2] == written[5]
+    assert no_child_left()
+
+
+def small_table():
+    """A 1-D grid of 4 nodes and 10 rows; row k holds k + x at node x."""
+    grid = GridSpec(lo=0.0, hi=0.3, nodes=4, dt=0.5, v_max=1.0, v_nodes=3)
+    times = 0.5 * np.arange(10)
+    rows = np.arange(10)[:, None] + grid.points[:, 0]
+    return grid, times, rows
+
+
+def test_a_block_of_empty_rows_writes_no_line(tmp_path, monkeypatch):
+    # rows 4 and 5 keep no node: the last row of block 0 and the first of
+    # block 1 with two processes, the whole of block 2 with five
+    grid, times, rows = small_table()
+
+    def keep(row):
+        return (row > 0.15) & ~((4 <= row[0]) & (row[0] < 6))
+
+    want = ["t,node_index,x,weight\r\n"]
+    for t, row in zip(times.tolist(), rows):
+        want += [f"{t!r},{i},{x!r},{v!r}\r\n" for i, (x, v, k)
+                 in enumerate(zip(grid.points[:, 0].tolist(), row.tolist(), keep(row))) if k]
+    for n in (1, 2, 5):
+        allow_cpus(monkeypatch, n)
+        path = tmp_path / f"{n}.csv"
+        write_node_table(str(path), grid, "weight", rows, times, keep=keep)
+        assert path.read_bytes() == "".join(want).encode()
+    assert sorted(os.listdir(tmp_path)) == ["1.csv", "2.csv", "5.csv"]
+    assert no_child_left()
+
+
+def keep_failing_at(bad_row):
+    """A keep that raises on the row equal to bad_row and keeps the rest."""
+    def keep(row):
+        if np.array_equal(row, bad_row):
+            raise RuntimeError("keep failed")
+        return row > 1e-15
+    return keep
+
+
+@pytest.mark.parametrize("cpus, block", [(2, "5 to 9"), (5, "4 to 5")])
+def test_a_failed_block_raises_and_leaves_nothing(tmp_path, monkeypatch, cpus, block):
+    # row 5 fails in a child; with five processes two later children are
+    # still to be reaped when the writer raises
+    grid, times, rows = small_table()
+    allow_cpus(monkeypatch, cpus)
+    path = str(tmp_path / "m.csv")
+    with pytest.raises(OSError, match=f"m.csv: the writer of rows {block} exited with status 1"):
+        write_node_table(path, grid, "weight", rows, times, keep=keep_failing_at(rows[5]))
+    assert os.listdir(tmp_path) == ["m.csv"]  # what block 0 wrote; no block file
+    assert no_child_left()
+
+
+def test_a_failed_block_exits_4_and_leaves_no_temp_file(tmp_path, monkeypatch, capsys):
+    allow_cpus(monkeypatch, 2)
+
+    def to_csv(self, path):  # the path writer with a keep that fails on its last row
+        write_node_table(path, self.grid, "weight", self.weights, self.times,
+                         keep=keep_failing_at(self.weights[-1]))
+
+    monkeypatch.setattr(mfg.MeasurePath, "to_csv", to_csv)
+    out = tmp_path / "hz"
+    assert run(["horizon", "--instance", "RI-1", "--dx", "0.04", "--dt", "0.04", "--T", "2",
+                "--out", str(out)]) == 4
+    err = capsys.readouterr().err
+    assert f"{out / 'mpath.csv'}: the writer of rows 25 to 50 exited with status 1" in err
+    assert os.listdir(out) == ["u.csv"]  # no .tmp_* file, no block file, no manifest
+    assert no_child_left()
