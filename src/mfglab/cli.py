@@ -17,7 +17,11 @@ then each distinct horizon from its feedback; _solve_record gives the manifest
 each solve's iterations.  The feedback only warms the start: where the
 stationary solve fails, horizon prints its error on stderr and starts at rest
 (measured.start "rest", measured.start_error the error, null after a feedback
-start), while converge, whose metrics need the pair, fails.
+start), while converge, whose metrics need the pair, fails.  Once the pair is
+known the horizons do not depend on each other, so one process per allowed
+CPU solves a contiguous block of them (_solve_horizons); horizon's one T, and
+a run pinned to one CPU, stay in this process.  --threads is accepted and
+ignored.
 """
 
 from __future__ import annotations
@@ -35,11 +39,11 @@ from collections import namedtuple
 from . import __version__
 from .analysis import convergence_metrics
 from .ergodic import solve_ergodic
-from .errors import AssumptionFailure, MFGLabError, Mismatch, NoStabilization
+from .errors import AssumptionFailure, ChildFailed, MFGLabError, Mismatch, NoStabilization
 from .hjb import BellmanStep
 from .instances import load_instance
 from .mfg import check_standing_assumptions, default_probes, solve_finite_horizon
-from .model import check_F4_gap, check_F5, check_strict_tonelli, write_node_table
+from .model import check_F4_gap, check_F5, check_strict_tonelli, in_blocks, write_node_table
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -152,11 +156,49 @@ def _solve_record(sol):
             {p: [round(h[p], 4) for h in sol.history] for p in _PHASES})
 
 
+def _solve_horizons(solve, grid, horizons):
+    """{T: (solve(T), its seconds)} for each distinct horizon, one block of them per
+    allowed CPU (model.in_blocks): the horizons in increasing order, cut where
+    the running step count K crosses each equal share.  A child pickles its
+    block's solutions with the grid left out, and they are loaded here onto
+    this process's grid.  A child's exception is re-raised here, so a failed
+    horizon exits as it would in one process, the smallest failing T first."""
+    import pickle
+
+    Ts = sorted(set(horizons))
+    done = {}
+
+    def own(lo, hi):
+        for T in Ts[lo:hi]:
+            t0 = time.perf_counter()
+            done[T] = solve(T), time.perf_counter() - t0
+
+    def work(lo, hi, part):
+        own(lo, hi)
+        pickler = pickle.Pickler(part, pickle.HIGHEST_PROTOCOL)
+        pickler.persistent_id = lambda obj: "grid" if obj is grid else None
+        pickler.dump(done)
+
+    def take(lo, hi, part):
+        unpickler = pickle.Unpickler(part)
+        unpickler.persistent_load = lambda key: grid
+        done.update(unpickler.load())
+
+    try:
+        in_blocks([grid.time_steps(T) for T in Ts], own, work, take,
+                  lambda lo, hi: "the solve of T = " + ", ".join(map(repr, Ts[lo:hi])))
+    except ChildFailed as e:
+        raise e if e.cause is None else e.cause
+    return done
+
+
 def _solve(params, inst, horizons, need_pair):
-    """(stationary pair, its error, {T: MFGSolution}) of horizon and converge (module
-    docstring): each distinct horizon once, in increasing order.  Where the
+    """(stationary pair, its error, {T: MFGSolution}, timings) of horizon and converge
+    (module docstring): each distinct horizon once (_solve_horizons).  Where the
     stationary solve fails, need_pair re-raises; otherwise the error's message
-    is printed and returned, the pair is None and every horizon starts at rest."""
+    is printed and returned, the pair is None and every horizon starts at rest.
+    timings holds solve_s, the seconds of each horizon's solve in the order of
+    horizons, and horizons_s, those of all of them here."""
     g = inst.grid
     check_standing_assumptions(inst.L, inst.coupling, g, inst.m0)
     step = BellmanStep(inst.L, g)
@@ -168,11 +210,15 @@ def _solve(params, inst, horizons, need_pair):
             raise
         error = str(e)
         print(f"stationary solve failed, starting at rest: {error}", file=sys.stderr)
-    sols = {T: solve_finite_horizon(inst.L, inst.coupling, inst.m0, inst.uf, g, T,
-                                    params.get("tol", 1e-4), step=step,
-                                    start=None if erg is None else erg.policy)
-            for T in sorted(set(horizons))}
-    return erg, error, sols
+    t0 = time.perf_counter()
+    done = _solve_horizons(
+        lambda T: solve_finite_horizon(inst.L, inst.coupling, inst.m0, inst.uf, g, T,
+                                       params.get("tol", 1e-4), step=step,
+                                       start=None if erg is None else erg.policy),
+        g, horizons)
+    timings = {"solve_s": [round(done[T][1], 4) for T in horizons],
+               "horizons_s": round(time.perf_counter() - t0, 4)}
+    return erg, error, {T: sol for T, (sol, _) in done.items()}, timings
 
 
 def _instance(params):
@@ -240,7 +286,7 @@ def _run_ergodic(params, inst):
 
 def _run_horizon(params, inst):
     inst.grid.time_steps(params["T"])  # reject a bad horizon before any solve
-    erg, error, sols = _solve(params, inst, [params["T"]], need_pair=False)
+    erg, error, sols, solve_timings = _solve(params, inst, [params["T"]], need_pair=False)
     sol = sols[params["T"]]
     record, phases = _solve_record(sol)
     measured = {
@@ -255,7 +301,8 @@ def _run_horizon(params, inst):
              f"final residual = {measured['final_residual']!r}"]
     code = EXIT_OK if sol.converged else EXIT_NO_CONVERGENCE
     writers = {"u.csv": sol.u.to_csv, "mpath.csv": sol.m_path.to_csv}
-    timings = {"weak_kam_s": None if erg is None else round(erg.weak_kam_s, 4), **phases}
+    timings = {"weak_kam_s": None if erg is None else round(erg.weak_kam_s, 4), **phases,
+               **solve_timings}
     return writers, measured, timings, code, lines
 
 
@@ -269,7 +316,7 @@ def _run_converge(params, inst):
     if not inst.grid.contains_ball(R):  # the errors are measured on B_R
         raise ValueError(f"R={R!r}: the ball B_R does not fit the box "
                          f"lo={list(inst.grid.lo)}, hi={list(inst.grid.hi)}")
-    erg, _, sols = _solve(params, inst, T_list, need_pair=True)
+    erg, _, sols, solve_timings = _solve(params, inst, T_list, need_pair=True)
     all_converged = all(s.converged for s in sols.values())
     rep = convergence_metrics(sols, erg, inst.coupling, R)
     records, phases = zip(*(_solve_record(sols[T]) for T in T_list))  # one per T, as in T_list
@@ -298,7 +345,7 @@ def _run_converge(params, inst):
         **{key: [r[key] for r in records] for key in _RECORD},
     }
     timings = {"weak_kam_s": round(erg.weak_kam_s, 4),
-               **{p: [t[p] for t in phases] for p in _PHASES}}
+               **{p: [t[p] for t in phases] for p in _PHASES}, **solve_timings}
     lines = [f"T={T!r}: e_u={eu!r} e_F={ef!r}" for T, eu, ef in
              zip(rep.T_list, rep.e_u, rep.e_F)]
     lines.append(f"slope(e_u) = {rep.rate_u['slope']:.3f}, "

@@ -7,9 +7,10 @@ fixed point of  m -> Dirac at the minimizer of L_m(., 0),  and the corrected
 value function is a weak-KAM solution of the frozen problem: on the grid, a
 fixed point w = T w of its one-step Bellman map T (Gomes, "Viscosity solution
 methods and the discrete Aubry-Mather problem", DCDS-A 2005; Fathi & Maderna,
-NoDEA 2007).  Howard's policy iteration finds it, with no horizon and no
-tolerance: it stops when T improves no node of the policy it evaluated, and
-w is then a fixed point of T within a few ulps of max |w|.
+NoDEA 2007).  Policy iteration with capped evaluations finds it, with no
+horizon and no tolerance: it stops when T improves no node of a policy
+evaluated to its fixed point, and w is then a fixed point of T within a few
+ulps of max |w|.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from .measure import GridMeasure, wasserstein1
 from .model import ARGMIN_TOL, rest_landscape
 
 MAX_DIRAC_ITERS = 25  # steps of the Dirac iteration before it counts as a cycle
+EVAL_SWEEPS = 20  # sweeps of a policy's evaluation before it is improved
 
 
 def _boundary_mask(grid):
@@ -106,17 +108,22 @@ def weak_kam_solution(L, coupling, grid, m_bar, lam, step=None, counts=None):
     (step.shifts).  A policy is evaluated on its step.transition stencil by
     sweeps with the self-loop solved,
     w_i <- (dt L_i + dt F_i + sum_{j != i} p_ij w_j) / (1 - p_ii), from the
-    last w until a sweep leaves w bitwise unchanged or after N sweeps (N the
-    node count); w stays 0 where the rest cost L(x, 0) + F(x, m_bar) + lam is
+    last w until a sweep leaves w bitwise unchanged or after EVAL_SWEEPS
+    sweeps; w stays 0 where the rest cost L(x, 0) + F(x, m_bar) + lam is
     within ARGMIN_TOL of 0.  One Bellman step improves the policy only where
     T gains, (T w)_i < w_i - 4 ulps of max |w|, so that velocities tied within
-    rounding do not alternate; the loop ends when no node changes, and the
-    velocity edge is checked on that policy only.  Raises NoStabilization when
+    rounding do not alternate.  Where it changes no node after a capped
+    evaluation, the same policy is swept on to the bitwise fixed point, or to
+    N sweeps in all (N the node count), and improved again: modified policy
+    iteration (Puterman & Shin, Management Sci. 1978) whose stop rule is
+    Howard's.  The loop ends when no node changes, and the velocity edge is
+    checked on that policy only.  Raises NoStabilization when
     lam is not the critical value (a rest cost below -ARGMIN_TOL, or above it
     at the Mather node), when w is not finite, or after N policies.  Returns
     (w, steps * dt, steps, ||T w - w||_inf), w not normalized, steps counting
     policies; counts, when given, receives "evaluation_sweeps" and, per
-    policy, "policy_sweeps" and "policy_changes".
+    policy, "policy_sweeps" (a policy swept on counts its sweeps together)
+    and "policy_changes".
     """
     Fbar = coupling.values_on(grid, m_bar) + lam
     step = BellmanStep(L, grid) if step is None else step
@@ -131,26 +138,32 @@ def weak_kam_solution(L, coupling, grid, m_bar, lam, step=None, counts=None):
                 np.unravel_index(node, grid.nodes), step.shifts)
     nearest = [np.abs(i[:, None] - at + m + a).argmin(axis=1) for i, at, (m, a) in cells]
     policy = np.ravel_multi_index(nearest, (grid.v_nodes,) * grid.dim)
-    w, sweeps, changes = np.zeros(grid.n_points), [], []
-    for steps in range(1, grid.n_points + 1):
+    n, w, sweeps, changes = grid.n_points, np.zeros(grid.n_points), [], []
+    for steps in range(1, n + 1):
         cost, idx, weights = step.transition(policy)
-        loop = idx == np.arange(grid.n_points)
+        loop = idx == np.arange(n)
         cost = np.where(free, cost + grid.dt * Fbar, 0.0)
         stay = np.where(free, 1.0 - (weights * loop).sum(axis=0), 1.0)
         weights = np.where(free & ~loop, weights, 0.0)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            for sweep in range(1, grid.n_points + 1):
-                w_new = ((weights * w[idx]).sum(axis=0) + cost) / stay
-                if np.array_equal(w_new, w):
-                    break
-                w = w_new
-        sweeps.append(sweep)
-        if not np.isfinite(w).all():
-            raise NoStabilization(f"weak-KAM: policy {steps} has a non-finite value")
-        Tw, jstar = step(w, Fbar)
-        jstar = np.where(Tw < w - 4 * np.spacing(np.abs(w).max()), jstar, policy)
-        changes.append(int(np.count_nonzero(jstar != policy)))
-        if not changes[-1]:
+        done = fixed = 0
+        while True:  # capped sweeps, then on to the fixed point where T changes no node
+            with np.errstate(divide="ignore", invalid="ignore"):
+                for sweep in range(done + 1, (n if done else min(EVAL_SWEEPS, n)) + 1):
+                    w_new = ((weights * w[idx]).sum(axis=0) + cost) / stay
+                    if fixed := np.array_equal(w_new, w):
+                        break
+                    w = w_new
+            done = sweep
+            if not np.isfinite(w).all():
+                raise NoStabilization(f"weak-KAM: policy {steps} has a non-finite value")
+            Tw, jstar = step(w, Fbar)
+            jstar = np.where(Tw < w - 4 * np.spacing(np.abs(w).max()), jstar, policy)
+            changed = int(np.count_nonzero(jstar != policy))
+            if changed or fixed or done == n:
+                break
+        sweeps.append(done)
+        changes.append(changed)
+        if not changed:
             break
         policy = jstar
     else:

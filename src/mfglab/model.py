@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (
+    ChildFailed,
     GapViolated,
     MaximizerOnBoundary,
     UnsupportedDimension,
@@ -190,16 +191,84 @@ class GridSpec:
         }
 
 
-def _row_blocks(n_rows):
-    """[lo, hi) bounds of contiguous row blocks, one per CPU this process may
-    run on, never more than n_rows; one block where affinity or fork is missing."""
+def _blocks(weights):
+    """[lo, hi) bounds of contiguous blocks of items, one per CPU this process
+    may run on and never more than the items; one block where affinity or fork
+    is missing.  With n blocks, block i < n - 1 ends after the last item whose
+    running weight is at most (i + 1) / n of the total, or later where an
+    earlier block would be empty: unit weights give the bounds i * len // n."""
     try:
         cpus = len(os.sched_getaffinity(0)) if hasattr(os, "fork") else 1
     except (AttributeError, OSError):
         cpus = 1
-    n = max(1, min(cpus, n_rows))
-    bounds = [i * n_rows // n for i in range(n + 1)]
-    return list(zip(bounds, bounds[1:]))
+    n = max(1, min(cpus, len(weights)))
+    run = np.cumsum(weights)
+    bounds = [0]
+    for i in range(1, n):
+        cut = int(np.count_nonzero(n * run <= i * run[-1]))
+        bounds.append(min(max(cut, bounds[-1] + 1), len(weights) - n + i))
+    return list(zip(bounds, bounds[1:] + [len(weights)]))
+
+
+def in_blocks(weights, own, work, take, name, where=None):
+    """Run a job in contiguous blocks of items, one process per block (_blocks).
+
+    For each block after the first a forked child runs work(lo, hi, fh), fh
+    an anonymous binary temporary file in the directory where (the system's
+    when None), and leaves by os._exit.  This process runs own(lo, hi) on
+    block 0, then take(lo, hi, fh), fh rewound, on each later block in order
+    once its child has exited with status 0.  A child that fails raises
+    ChildFailed naming name(lo, hi), its exit status and the exception the
+    child raised, rebuilt with its class and arguments.  If this process
+    raises, its children are killed.  Every child is reaped and every file
+    closed before this returns or raises.
+    """
+    import pickle
+
+    blocks = _blocks(weights)
+    parts, pids = [], {}
+    try:
+        for lo, hi in blocks[1:]:
+            parts.append(tempfile.TemporaryFile(dir=where))
+            pid = os.fork()
+            if pid == 0:  # the child runs its block and never returns
+                code = 1
+                try:
+                    work(lo, hi, parts[-1])
+                    parts[-1].flush()
+                    code = 0
+                except BaseException as e:  # its class and arguments replace the output
+                    parts[-1].seek(0)
+                    parts[-1].truncate()
+                    pickle.dump((type(e), e.args), parts[-1])
+                    parts[-1].flush()
+                finally:
+                    os._exit(code)
+            pids[pid] = (lo, hi)
+        own(*blocks[0])
+        for part, (pid, (lo, hi)) in zip(parts, list(pids.items())):
+            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            del pids[pid]
+            part.seek(0)
+            if status:
+                try:
+                    cls, args = pickle.load(part)
+                    cause = cls.__new__(cls, *args)  # not __init__, whose arguments may differ
+                except Exception:  # the child left none
+                    cause = None
+                raise ChildFailed(name(lo, hi), status, cause)
+            take(lo, hi, part)
+    except BaseException:
+        import signal
+
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        for pid in pids:
+            os.waitpid(pid, 0)
+        for part in parts:
+            part.close()
 
 
 def write_node_table(path, grid, column, rows, times=None, end="\r\n", keep=None):
@@ -210,13 +279,13 @@ def write_node_table(path, grid, column, rows, times=None, end="\r\n", keep=None
     gives it; times=None writes one row without the t column.  keep(row)
     masks the nodes written, and a row it keeps none of writes no line.
 
-    The rows are split into contiguous blocks, one per CPU of
-    os.sched_getaffinity(0) (_row_blocks).  A forked child formats each block
-    after the first into an anonymous temporary file in path's directory and
-    leaves by os._exit; the parent writes the header and block 0, then appends
-    the children's bytes in row order, so the file does not depend on the
-    number of blocks.  A child that fails raises OSError naming path.  Every
-    child is reaped before this returns or raises.
+    The rows are split into contiguous blocks of equal size, one per CPU of
+    os.sched_getaffinity(0), and in_blocks runs each block after the first in
+    a forked child that formats it into an anonymous temporary file in path's
+    directory.  This process writes the header and block 0, then appends the
+    children's bytes in row order, so the file does not depend on the number
+    of blocks.  A child that fails raises OSError naming path, the rows and
+    the child's exception.
     """
     heads = np.array([",".join([str(i), *map(repr, p), ""])
                       for i, p in enumerate(grid.points.tolist())], dtype=object)
@@ -234,40 +303,22 @@ def write_node_table(path, grid, column, rows, times=None, end="\r\n", keep=None
                 cells = map(operator.add, heads[pick], repr(vals)[1:-1].split(", "))
                 fh.write(lead + (end + lead).join(cells) + end)
 
-    # a forked child reads the rows in place, with nothing pickled, and runs
-    # only the row loop, which calls into no threaded library
-    blocks = _row_blocks(min(len(times), len(rows)))
-    parts, pids = [], {}
-    try:
-        for lo, hi in blocks[1:]:
-            parts.append(tempfile.TemporaryFile(dir=os.path.dirname(os.path.abspath(path))))
-            pid = os.fork()
-            if pid == 0:  # the child writes its block and never returns
-                code = 1
-                try:
-                    with open(parts[-1].fileno(), "w", newline="", closefd=False) as fh:
-                        write_rows(fh, lo, hi)
-                    code = 0
-                finally:
-                    os._exit(code)
-            pids[pid] = (lo, hi)
-        with open(path, "w", newline="") as fh:
+    def work(lo, hi, part):
+        # a forked child reads the rows in place, with nothing pickled, and
+        # runs only the row loop, which calls into no threaded library
+        with open(part.fileno(), "w", newline="", closefd=False) as fh:
+            write_rows(fh, lo, hi)
+
+    with open(path, "w", newline="") as fh:
+        def own(lo, hi):
             fh.write(header)
-            write_rows(fh, *blocks[0])
+            write_rows(fh, lo, hi)
             fh.flush()  # the children's bytes go to fh.buffer, after block 0's text
-            for part, (pid, (lo, hi)) in zip(parts, list(pids.items())):
-                status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-                del pids[pid]
-                if status:
-                    raise OSError(f"{path}: the writer of rows {lo} to {hi - 1} "
-                                  f"exited with status {status}")
-                part.seek(0)
-                shutil.copyfileobj(part, fh.buffer)
-    finally:
-        for pid in pids:
-            os.waitpid(pid, 0)
-        for part in parts:
-            part.close()
+
+        in_blocks([1] * min(len(times), len(rows)), own, work,
+                  lambda lo, hi, part: shutil.copyfileobj(part, fh.buffer),
+                  lambda lo, hi: f"{path}: the writer of rows {lo} to {hi - 1}",
+                  where=os.path.dirname(os.path.abspath(path)))
 
 
 def cell_corners(grid, pts, clamp):

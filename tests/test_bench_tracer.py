@@ -73,14 +73,17 @@ def test_traced_reproduce_writes_real_files(tmp_path):
     (["converge", "--T", "2,4,8", "--R", "3"], (1, 3, 1)),
     (["horizon", "--T", "2"], (1, 1, 0)),
 ], ids=["converge", "horizon"])
-def test_benchmark_taps_see_every_solve(args, counts):
-    # bench/run.py keeps what these three names return, as wrapped here
+def test_benchmark_taps_see_every_solve(tmp_path, args, counts):
+    # bench/run.py keeps what these three names return, as wrapped here; each
+    # call appends a line to a file, so that a call in a forked child counts too
     names = ("solve_ergodic", "solve_finite_horizon", "convergence_metrics")
-    calls = dict.fromkeys(names, 0)
+    log = tmp_path / "calls"
+    log.write_text("")
 
     def tap(name, fn):
         def counted(*a, **kw):
-            calls[name] += 1
+            with open(log, "a") as fh:
+                fh.write(name + "\n")
             return fn(*a, **kw)
         return counted
 
@@ -91,4 +94,5 @@ def test_benchmark_taps_see_every_solve(args, counts):
         assert cli.main([*args, "--instance", "RI-1", "--dx", "0.04", "--dt", "0.04"]) == 0
     finally:
         patches.restore()
-    assert tuple(calls[name] for name in names) == counts
+    calls = log.read_text().split()
+    assert tuple(calls.count(name) for name in names) == counts

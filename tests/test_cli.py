@@ -20,7 +20,7 @@ from scipy.optimize import OptimizeResult
 
 from mfglab import cli, mfg
 from mfglab.cli import main
-from mfglab.errors import MFGLabError, Mismatch, TransportLPFailed
+from mfglab.errors import MFGLabError, MinimizerOnBoundary, Mismatch, TransportLPFailed
 from mfglab.instances import BUILTIN
 from mfglab.measure import GridMeasure, wasserstein1
 from mfglab.model import GridSpec, write_node_table
@@ -403,14 +403,24 @@ def test_converge_run_and_thread_determinism(tmp_path):
 
 
 def test_converge_repeated_horizon_keeps_one_entry_per_T(tmp_path, monkeypatch):
-    calls = []
+    log = tmp_path / "calls"
     solve = cli.solve_finite_horizon
-    monkeypatch.setattr(cli, "solve_finite_horizon",
-                        lambda *args, **kw: calls.append(args[5]) or solve(*args, **kw))
-    out = str(tmp_path / "rep")
-    assert run(["converge", "--instance", "RI-1", "--dx", "0.04", "--dt", "0.04",
-                "--T", "2,4,2", "--R", "3", "--out", out]) == 0
-    assert calls == [2.0, 4.0]  # each distinct horizon once, in increasing order
+
+    def logged(*args, **kw):  # a line per call, so that a forked child's call counts too
+        with open(log, "a") as fh:
+            fh.write(f"{args[5]!r}\n")
+        return solve(*args, **kw)
+
+    monkeypatch.setattr(cli, "solve_finite_horizon", logged)
+    for cpus in (1, 2):
+        allow_cpus(monkeypatch, cpus)
+        log.write_text("")
+        out = str(tmp_path / f"rep{cpus}")
+        assert run(["converge", "--instance", "RI-1", "--dx", "0.04", "--dt", "0.04",
+                    "--T", "2,4,2", "--R", "3", "--out", out]) == 0
+        calls = [float(T) for T in log.read_text().split()]
+        # each distinct horizon once, in increasing order in one process
+        assert (calls if cpus == 1 else sorted(calls)) == [2.0, 4.0]
     man = manifest_of(out)
     assert man["config"]["params"]["T_list"] == [2.0, 4.0, 2.0]
     gaps, thetas = man["measured"]["gaps"], man["measured"]["thetas"]
@@ -421,7 +431,7 @@ def test_converge_repeated_horizon_keeps_one_entry_per_T(tmp_path, monkeypatch):
     assert all(g[-1] <= max(1e-4, f[-1]) for g, f in zip(gaps, floors))
     for phase in ("backward_s", "forward_s", "d1_s"):
         assert len(man["timings"][phase]) == 3
-    report = (tmp_path / "rep" / "report.csv").read_bytes()
+    report = (tmp_path / "rep2" / "report.csv").read_bytes()
     assert report.startswith(b"T,e_u,e_F,e_u_scaled,e_F_scaled\n") and b"\r" not in report
 
 
@@ -1067,7 +1077,8 @@ def test_a_failed_block_raises_and_leaves_nothing(tmp_path, monkeypatch, cpus, b
     grid, times, rows = small_table()
     allow_cpus(monkeypatch, cpus)
     path = str(tmp_path / "m.csv")
-    with pytest.raises(OSError, match=f"m.csv: the writer of rows {block} exited with status 1"):
+    with pytest.raises(OSError, match=f"m.csv: the writer of rows {block} exited with status 1"
+                                      ": RuntimeError: keep failed$"):
         write_node_table(path, grid, "weight", rows, times, keep=keep_failing_at(rows[5]))
     assert os.listdir(tmp_path) == ["m.csv"]  # what block 0 wrote; no block file
     assert no_child_left()
@@ -1086,5 +1097,92 @@ def test_a_failed_block_exits_4_and_leaves_no_temp_file(tmp_path, monkeypatch, c
                 "--out", str(out)]) == 4
     err = capsys.readouterr().err
     assert f"{out / 'mpath.csv'}: the writer of rows 25 to 50 exited with status 1" in err
+    assert err.endswith("exited with status 1: RuntimeError: keep failed\n")
     assert os.listdir(out) == ["u.csv"]  # no .tmp_* file, no block file, no manifest
     assert no_child_left()
+
+
+# ---------------------------------------------------------------------------
+# the converge ladder: one process per allowed CPU solves a block of horizons
+
+LADDER = ["converge", "--instance", "RI-1", "--dx", "0.04", "--dt", "0.04", "--R", "3"]
+
+
+def count_forks(monkeypatch):
+    fork, forked = os.fork, []
+    monkeypatch.setattr(os, "fork", lambda: forked.append(1) or fork())
+    return forked
+
+
+@pytest.mark.parametrize("horizons", ["2,4,8", "8,2,4,2"])
+def test_the_ladder_does_not_depend_on_the_process_count(tmp_path, monkeypatch, horizons):
+    forked = count_forks(monkeypatch)
+    metrics, on_own_grid = cli.convergence_metrics, []
+
+    def own_grid(sols, erg, *args):  # every solution holds this process's grid object
+        on_own_grid.append(all(s.u.grid is s.m_path.grid is erg.grid for s in sols.values()))
+        return metrics(sols, erg, *args)
+
+    monkeypatch.setattr(cli, "convergence_metrics", own_grid)
+    written, measured = {}, {}
+    for cpus in (1, 2, 3, 5):
+        allow_cpus(monkeypatch, cpus)
+        forked.clear()
+        out = tmp_path / str(cpus)
+        assert run([*LADDER, "--T", horizons, "--out", str(out)]) == 0
+        assert len(forked) == min(cpus, 3) - 1  # three distinct horizons: one block each at most
+        written[cpus] = {name: (out / name).read_bytes() for name in cli._COMMANDS["converge"].outputs}
+        measured[cpus] = manifest_of(out)["measured"]
+    assert written[1] == written[2] == written[3] == written[5]
+    assert measured[1] == measured[2] == measured[3] == measured[5]
+    assert on_own_grid == [True] * 4
+    assert no_child_left()
+
+
+@pytest.mark.parametrize("failing", [{8.0}, {2.0}, {4.0, 8.0}],
+                         ids=["in-a-child", "in-the-parent", "in-two-children"])
+def test_a_failed_horizon_exits_as_in_one_process(tmp_path, monkeypatch, capsys, failing):
+    # the blocks of 2, 4, 8 are [2, 4] and [8] at two CPUs, one horizon each at three
+    solve = cli.solve_finite_horizon
+
+    def fail_at(*args, **kw):
+        if args[5] in failing:
+            raise MinimizerOnBoundary(args[5], [0.5])
+        return solve(*args, **kw)
+
+    monkeypatch.setattr(cli, "solve_finite_horizon", fail_at)
+    forked = count_forks(monkeypatch)
+    errs = {}
+    for cpus in (1, 2, 3):
+        allow_cpus(monkeypatch, cpus)
+        forked.clear()
+        assert run([*LADDER, "--T", "2,4,8", "--out", str(tmp_path / str(cpus))]) == 5
+        errs[cpus] = capsys.readouterr().err
+        assert len(forked) == cpus - 1
+        assert no_child_left()
+    T = min(failing)
+    assert errs[1] == f"solver failure: optimal velocity on velocity-grid boundary at t={T:.6g}, x=[0.5]\n"
+    assert errs[1] == errs[2] == errs[3]
+
+
+def test_a_child_without_a_result_exits_4(tmp_path, monkeypatch, capsys):
+    solve = cli.solve_finite_horizon
+    monkeypatch.setattr(cli, "solve_finite_horizon",  # T = 8 is solved in the child
+                        lambda *args, **kw: os._exit(3) if args[5] == 8.0 else solve(*args, **kw))
+    allow_cpus(monkeypatch, 2)
+    assert run([*LADDER, "--T", "2,4,8", "--out", str(tmp_path / "out")]) == 4
+    assert capsys.readouterr().err == ("i/o or configuration error: "
+                                       "the solve of T = 8.0 exited with status 3\n")
+    assert no_child_left()
+
+
+def test_manifest_times_each_horizon_inside_the_phase(tmp_path):
+    out = tmp_path / "out"
+    assert run([*LADDER, "--T", "8,2,4,2", "--out", str(out)]) == 0
+    timings = manifest_of(out)["timings"]
+    solve_s, horizons_s = timings["solve_s"], timings["horizons_s"]
+    assert len(solve_s) == 4 and solve_s[1] == solve_s[3]  # one entry per T, as in T_list
+    # in whatever process solved it, each horizon's solve lies inside the phase
+    # that the parent times; allow for the rounding to 4 and 3 digits
+    assert max(solve_s) <= horizons_s + 1e-4
+    assert horizons_s <= timings["seconds"] + 5.5e-4
