@@ -20,8 +20,10 @@ stationary solve fails, horizon prints its error on stderr and starts at rest
 start), while converge, whose metrics need the pair, fails.  Once the pair is
 known the horizons do not depend on each other, so one process per allowed
 CPU solves a contiguous block of them (_solve_horizons); horizon's one T, and
-a run pinned to one CPU, stay in this process.  --threads is accepted and
-ignored.
+a run pinned to one CPU, stay in this process.  The node-table writer forks
+the same way (model.in_blocks), and a failed block, a child's or this
+process's, raises what one process would raise, so no exit code depends on
+the number of CPUs.  --threads is accepted and ignored.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from collections import namedtuple
 from . import __version__
 from .analysis import convergence_metrics
 from .ergodic import solve_ergodic
-from .errors import AssumptionFailure, ChildFailed, MFGLabError, Mismatch, NoStabilization
+from .errors import AssumptionFailure, MFGLabError, Mismatch, NoStabilization
 from .hjb import BellmanStep
 from .instances import load_instance
 from .mfg import check_standing_assumptions, default_probes, solve_finite_horizon
@@ -147,6 +149,7 @@ def read_manifest(path):
 # measured, timings, exit code, lines to print)
 
 _PHASES = ("backward_s", "forward_s", "d1_s")  # of each fictitious-play iteration
+_SOLVE_PHASES = ("check_s", "step_s", "stationary_s", "horizons_s")  # of _solve, in order
 _RECORD = {"gaps": "gap", "gaps_lo": "gap_lo", "thetas": "theta", "floors": "floor"}
 
 
@@ -161,8 +164,8 @@ def _solve_horizons(solve, grid, horizons):
     allowed CPU (model.in_blocks): the horizons in increasing order, cut where
     the running step count K crosses each equal share.  A child pickles its
     block's solutions with the grid left out, and they are loaded here onto
-    this process's grid.  A child's exception is re-raised here, so a failed
-    horizon exits as it would in one process, the smallest failing T first."""
+    this process's grid.  A failed horizon raises its own exception (the
+    smallest failing T first), so it exits as it would in one process."""
     import pickle
 
     Ts = sorted(set(horizons))
@@ -184,11 +187,8 @@ def _solve_horizons(solve, grid, horizons):
         unpickler.persistent_load = lambda key: grid
         done.update(unpickler.load())
 
-    try:
-        in_blocks([grid.time_steps(T) for T in Ts], own, work, take,
-                  lambda lo, hi: "the solve of T = " + ", ".join(map(repr, Ts[lo:hi])))
-    except ChildFailed as e:
-        raise e if e.cause is None else e.cause
+    in_blocks([grid.time_steps(T) for T in Ts], own, work, take,
+              lambda lo, hi: "the solve of T = " + ", ".join(map(repr, Ts[lo:hi])))
     return done
 
 
@@ -197,11 +197,15 @@ def _solve(params, inst, horizons, need_pair):
     (module docstring): each distinct horizon once (_solve_horizons).  Where the
     stationary solve fails, need_pair re-raises; otherwise the error's message
     is printed and returned, the pair is None and every horizon starts at rest.
-    timings holds solve_s, the seconds of each horizon's solve in the order of
-    horizons, and horizons_s, those of all of them here."""
+    timings holds the seconds of its phases here, one after another: check_s,
+    step_s, stationary_s and horizons_s (all the horizons), and solve_s, those
+    of each horizon's solve in the order of horizons."""
     g = inst.grid
+    marks = [time.perf_counter()]
     check_standing_assumptions(inst.L, inst.coupling, g, inst.m0)
+    marks.append(time.perf_counter())
     step = BellmanStep(inst.L, g)
+    marks.append(time.perf_counter())
     erg = error = None
     try:
         erg = solve_ergodic(inst.L, inst.coupling, g, step=step)
@@ -210,14 +214,15 @@ def _solve(params, inst, horizons, need_pair):
             raise
         error = str(e)
         print(f"stationary solve failed, starting at rest: {error}", file=sys.stderr)
-    t0 = time.perf_counter()
+    marks.append(time.perf_counter())
     done = _solve_horizons(
         lambda T: solve_finite_horizon(inst.L, inst.coupling, inst.m0, inst.uf, g, T,
                                        params.get("tol", 1e-4), step=step,
                                        start=None if erg is None else erg.policy),
         g, horizons)
-    timings = {"solve_s": [round(done[T][1], 4) for T in horizons],
-               "horizons_s": round(time.perf_counter() - t0, 4)}
+    marks.append(time.perf_counter())
+    timings = {p: round(b - a, 4) for p, a, b in zip(_SOLVE_PHASES, marks, marks[1:])}
+    timings["solve_s"] = [round(done[T][1], 4) for T in horizons]
     return erg, error, {T: sol for T, (sol, _) in done.items()}, timings
 
 
@@ -318,7 +323,9 @@ def _run_converge(params, inst):
                          f"lo={list(inst.grid.lo)}, hi={list(inst.grid.hi)}")
     erg, _, sols, solve_timings = _solve(params, inst, T_list, need_pair=True)
     all_converged = all(s.converged for s in sols.values())
+    t0 = time.perf_counter()
     rep = convergence_metrics(sols, erg, inst.coupling, R)
+    solve_timings["metrics_s"] = round(time.perf_counter() - t0, 4)
     records, phases = zip(*(_solve_record(sols[T]) for T in T_list))  # one per T, as in T_list
 
     def report_csv():

@@ -5,17 +5,6 @@ returned as flags on result objects instead.
 """
 
 
-class ChildFailed(OSError):
-    """A forked child of model.in_blocks exited with a status other than 0
-    (CLI exit code 4).  cause is the exception it raised, rebuilt with its
-    class and arguments, or None where it left none."""
-
-    def __init__(self, name, status, cause):
-        super().__init__(f"{name} exited with status {status}"
-                         + ("" if cause is None else f": {type(cause).__name__}: {cause}"))
-        self.cause = cause
-
-
 class MFGLabError(Exception):
     """Base class so the CLI can map failures to exit codes."""
 

@@ -18,12 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    ChildFailed,
-    GapViolated,
-    MaximizerOnBoundary,
-    UnsupportedDimension,
-)
+from .errors import GapViolated, MaximizerOnBoundary, UnsupportedDimension
 
 ARGMIN_TOL = 1e-10  # two node values within this are treated as tied minima
 HESSIAN_RTOL = 1e-3  # relative tolerance on finite-difference matrix bounds
@@ -217,11 +212,13 @@ def in_blocks(weights, own, work, take, name, where=None):
     an anonymous binary temporary file in the directory where (the system's
     when None), and leaves by os._exit.  This process runs own(lo, hi) on
     block 0, then take(lo, hi, fh), fh rewound, on each later block in order
-    once its child has exited with status 0.  A child that fails raises
-    ChildFailed naming name(lo, hi), its exit status and the exception the
-    child raised, rebuilt with its class and arguments.  If this process
-    raises, its children are killed.  Every child is reaped and every file
-    closed before this returns or raises.
+    once its child has exited with status 0.  A block fails as it would in
+    one process: the first failed block in order raises its own exception, a
+    child's rebuilt with its class and arguments (attributes set after
+    __init__ are lost), and a child that left none raises OSError naming
+    name(lo, hi) and its exit status.  If this process raises, its children
+    are killed.  Every child is reaped and every file closed before this
+    returns or raises.
     """
     import pickle
 
@@ -253,10 +250,10 @@ def in_blocks(weights, own, work, take, name, where=None):
             if status:
                 try:
                     cls, args = pickle.load(part)
-                    cause = cls.__new__(cls, *args)  # not __init__, whose arguments may differ
+                    error = cls.__new__(cls, *args)  # not __init__, whose arguments may differ
                 except Exception:  # the child left none
-                    cause = None
-                raise ChildFailed(name(lo, hi), status, cause)
+                    error = OSError(f"{name(lo, hi)} exited with status {status}")
+                raise error
             take(lo, hi, part)
     except BaseException:
         import signal
@@ -284,8 +281,8 @@ def write_node_table(path, grid, column, rows, times=None, end="\r\n", keep=None
     a forked child that formats it into an anonymous temporary file in path's
     directory.  This process writes the header and block 0, then appends the
     children's bytes in row order, so the file does not depend on the number
-    of blocks.  A child that fails raises OSError naming path, the rows and
-    the child's exception.
+    of blocks.  A failed block raises what one process would raise, such as
+    keep's exception or the OSError of a write (in_blocks).
     """
     heads = np.array([",".join([str(i), *map(repr, p), ""])
                       for i, p in enumerate(grid.points.tolist())], dtype=object)

@@ -3,14 +3,21 @@
 Everything heavy is solved once per session and shared between the module
 tests and the acceptance gate; the timings are kept alongside the solutions
 because two acceptance criteria carry wall-clock budgets.
+
+Each run draws fresh hypothesis examples; the profile loaded here prints the
+@reproduce_failure decorator of a failing draw, so it can be replayed.
 """
 
 import time
 
 import pytest
+from hypothesis import settings
 
 import mfglab as M
 from mfglab import mfg
+
+settings.register_profile("replayable", print_blob=True)
+settings.load_profile("replayable")
 
 
 @pytest.fixture(scope="session")

@@ -1012,14 +1012,19 @@ def no_child_left():
     return True
 
 
+def count_forks(monkeypatch):
+    fork, forked = os.fork, []
+    monkeypatch.setattr(os, "fork", lambda: forked.append(1) or fork())
+    return forked
+
+
 @pytest.mark.parametrize("args, forks", [
     (["horizon", "--instance", "RI-1", "--dx", "0.04", "--dt", "0.04", "--T", "2"],
      {1: 0, 2: 2, 5: 8}),  # u.csv and mpath.csv, 51 rows each
     (["ergodic", "--config", RI2], {1: 0, 2: 0, 5: 0}),  # one row each: never forked
 ], ids=["ri1-horizon", "ri2-ergodic"])
 def test_node_tables_do_not_depend_on_the_process_count(tmp_path, monkeypatch, args, forks):
-    fork, forked, written = os.fork, [], {}
-    monkeypatch.setattr(os, "fork", lambda: forked.append(1) or fork())
+    forked, written = count_forks(monkeypatch), {}
     for n in forks:
         allow_cpus(monkeypatch, n)
         forked.clear()
@@ -1061,57 +1066,66 @@ def test_a_block_of_empty_rows_writes_no_line(tmp_path, monkeypatch):
     assert no_child_left()
 
 
-def keep_failing_at(bad_row):
-    """A keep that raises on the row equal to bad_row and keeps the rest."""
+def keep_failing_at(bad_row, error):
+    """A keep that raises error("keep failed") on the row equal to bad_row and
+    keeps the rest."""
     def keep(row):
         if np.array_equal(row, bad_row):
-            raise RuntimeError("keep failed")
+            raise error("keep failed")
         return row > 1e-15
     return keep
 
 
-@pytest.mark.parametrize("cpus, block", [(2, "5 to 9"), (5, "4 to 5")])
+@pytest.mark.parametrize("cpus, block", [(1, "0 to 9"), (2, "0 to 4"), (2, "5 to 9"), (5, "4 to 5")])
 def test_a_failed_block_raises_and_leaves_nothing(tmp_path, monkeypatch, cpus, block):
-    # row 5 fails in a child; with five processes two later children are
-    # still to be reaped when the writer raises
+    # the first row of block fails: in block 0 at one CPU or two, in a
+    # child's block at two, and at five with two later children still to be
+    # killed and reaped; each raises keep's own exception, as one process would
     grid, times, rows = small_table()
     allow_cpus(monkeypatch, cpus)
     path = str(tmp_path / "m.csv")
-    with pytest.raises(OSError, match=f"m.csv: the writer of rows {block} exited with status 1"
-                                      ": RuntimeError: keep failed$"):
-        write_node_table(path, grid, "weight", rows, times, keep=keep_failing_at(rows[5]))
-    assert os.listdir(tmp_path) == ["m.csv"]  # what block 0 wrote; no block file
+    bad = int(block.split()[0])
+    with pytest.raises(RuntimeError) as raised:
+        write_node_table(path, grid, "weight", rows, times,
+                         keep=keep_failing_at(rows[bad], RuntimeError))
+    assert type(raised.value) is RuntimeError and raised.value.args == ("keep failed",)
+    assert os.listdir(tmp_path) == ["m.csv"]  # what block 0 wrote; no part file
+    assert no_child_left()
+
+
+def test_a_writer_child_without_an_exception_names_its_rows(tmp_path, monkeypatch):
+    grid, times, rows = small_table()
+    allow_cpus(monkeypatch, 2)  # row 7 is in the child's block, rows 5 to 9
+    path = str(tmp_path / "m.csv")
+    with pytest.raises(OSError, match="m.csv: the writer of rows 5 to 9 exited with status 3$"):
+        write_node_table(path, grid, "weight", rows, times,
+                         keep=lambda row: os._exit(3) if row[0] == 7 else row > 1e-15)
+    assert os.listdir(tmp_path) == ["m.csv"]
     assert no_child_left()
 
 
 def test_a_failed_block_exits_4_and_leaves_no_temp_file(tmp_path, monkeypatch, capsys):
-    allow_cpus(monkeypatch, 2)
-
     def to_csv(self, path):  # the path writer with a keep that fails on its last row
         write_node_table(path, self.grid, "weight", self.weights, self.times,
-                         keep=keep_failing_at(self.weights[-1]))
+                         keep=keep_failing_at(self.weights[-1], OSError))
 
     monkeypatch.setattr(mfg.MeasurePath, "to_csv", to_csv)
-    out = tmp_path / "hz"
-    assert run(["horizon", "--instance", "RI-1", "--dx", "0.04", "--dt", "0.04", "--T", "2",
-                "--out", str(out)]) == 4
-    err = capsys.readouterr().err
-    assert f"{out / 'mpath.csv'}: the writer of rows 25 to 50 exited with status 1" in err
-    assert err.endswith("exited with status 1: RuntimeError: keep failed\n")
-    assert os.listdir(out) == ["u.csv"]  # no .tmp_* file, no block file, no manifest
-    assert no_child_left()
+    errs = {}
+    for cpus in (1, 2):  # at two CPUs the last row is in the child's block, rows 25 to 50
+        allow_cpus(monkeypatch, cpus)
+        out = tmp_path / str(cpus)
+        assert run(["horizon", "--instance", "RI-1", "--dx", "0.04", "--dt", "0.04", "--T", "2",
+                    "--out", str(out)]) == 4
+        errs[cpus] = capsys.readouterr().err
+        assert os.listdir(out) == ["u.csv"]  # no .tmp_* file, no part file, no manifest
+        assert no_child_left()
+    assert errs[1] == errs[2] == "i/o or configuration error: keep failed\n"
 
 
 # ---------------------------------------------------------------------------
 # the converge ladder: one process per allowed CPU solves a block of horizons
 
 LADDER = ["converge", "--instance", "RI-1", "--dx", "0.04", "--dt", "0.04", "--R", "3"]
-
-
-def count_forks(monkeypatch):
-    fork, forked = os.fork, []
-    monkeypatch.setattr(os, "fork", lambda: forked.append(1) or fork())
-    return forked
 
 
 @pytest.mark.parametrize("horizons", ["2,4,8", "8,2,4,2"])
@@ -1186,3 +1200,24 @@ def test_manifest_times_each_horizon_inside_the_phase(tmp_path):
     # that the parent times; allow for the rounding to 4 and 3 digits
     assert max(solve_s) <= horizons_s + 1e-4
     assert horizons_s <= timings["seconds"] + 5.5e-4
+
+
+@pytest.mark.parametrize("command, horizons, phases", [
+    ("horizon", "2", cli._SOLVE_PHASES),
+    ("converge", "2,4,8", (*cli._SOLVE_PHASES, "metrics_s")),
+])
+def test_manifest_phases_add_up_to_the_run(tmp_path, command, horizons, phases):
+    out = tmp_path / "out"
+    t0 = time.perf_counter()
+    assert run([command, "--instance", "RI-1", "--dx", "0.04", "--dt", "0.04", "--T", horizons,
+                "--out", str(out)]) == 0
+    wall = time.perf_counter() - t0
+    timings = manifest_of(out)["timings"]
+    parts = [timings[key] for key in phases]
+    assert all(isinstance(p, float) and p >= 0.0 for p in parts)
+    # one-sided, so a drifting machine cannot flake it: the phases run one
+    # after another inside seconds, and seconds inside the run; each entry is
+    # rounded to 1e-4 and seconds to 1e-3, each by at most half of it
+    assert sum(parts) <= timings["seconds"] + 0.5e-3 + len(parts) * 0.5e-4
+    run_parts = [timings[key] for key in ("load_s", "seconds", "write_s")]
+    assert sum(run_parts) <= wall + 0.5e-3 + 2 * 0.5e-4

@@ -36,7 +36,10 @@ between 0 and that LP, is exact in 1-D and on data along one row of
 nodes, and matches its permuted-copy reference bit for bit.  The Legendre transform of the
 kinetic Lagrangian |v|^2/2 is |p|^2/2, attained at v = p.  The per-node CSV
 writers give the same bytes as a csv.writer of repr'd floats, special
-values included, each with its own line terminator.
+values included, each with its own line terminator.  The blocks that the
+forked writer and ladder run are contiguous, cover the items, none empty,
+one per allowed CPU but never more than the items, and one where the
+platform cannot fork or the affinity is unknown.
 """
 
 import csv
@@ -57,6 +60,7 @@ import mfglab as M
 from mfglab import cli, errors, mfg
 from mfglab.hjb import _departure_step, _grid_lipschitz, _shift_table
 from mfglab.measure import SLICE_DIRECTIONS, SUPPORT_EPS, _d1_lp, deposit, sliced_d1
+from mfglab.model import _blocks
 
 from test_hjb import gradient
 
@@ -903,3 +907,39 @@ def test_csv_writers_match_the_csv_writer_reference(data, grid):
             [["node_index", *names, "ubar"]]
             + [[str(i), *c, repr(u)] for i, (c, u) in enumerate(zip(coords, values[-1].tolist()))])
         assert b"\r" not in text
+
+
+def blocks_at(weights, cpus, mp):
+    mp.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    return _blocks(weights)
+
+
+@SETTINGS
+@given(weights=st.lists(st.integers(1, 10_000), min_size=1, max_size=12),
+       cpus=st.integers(1, 8))
+def test_blocks_cover_the_items_one_per_cpu(weights, cpus):
+    n = min(cpus, len(weights))
+    with pytest.MonkeyPatch.context() as mp:
+        blocks = blocks_at(weights, cpus, mp)
+        assert len(blocks) == n
+        assert [lo for lo, _ in blocks] == [0, *(hi for _, hi in blocks[:-1])]
+        assert blocks[-1][1] == len(weights)
+        assert all(lo < hi for lo, hi in blocks)
+        units = blocks_at([1] * len(weights), cpus, mp)
+        assert [lo for lo, _ in units] == [i * len(weights) // n for i in range(n)]
+
+        def unknown(pid):
+            raise OSError("no affinity")
+
+        mp.setattr(os, "sched_getaffinity", unknown)
+        assert _blocks(weights) == [(0, len(weights))]
+        mp.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
+        mp.delattr(os, "fork")
+        assert _blocks(weights) == [(0, len(weights))]
+
+
+def test_ri1_ladder_blocks_at_two_cpus(ri1):
+    # K = 100, 200 and 400 steps: the running 300 is within half of 700
+    with pytest.MonkeyPatch.context() as mp:
+        assert blocks_at([ri1.grid.time_steps(T) for T in (2.0, 4.0, 8.0)], 2, mp) \
+            == [(0, 2), (2, 3)]
