@@ -65,6 +65,5 @@ from .model import (
     rest_landscape,
     separable_coupling,
 )
-from .transport import TrajectoryBundle, measure_path, trace_optimal_flow
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -100,10 +100,6 @@ class ValueField:
     values: np.ndarray
     policy: np.ndarray
 
-    def velocity_at(self, k, pts):
-        """Velocity of step k < K at (..., n) points, multilinear in space; shaped like pts."""
-        return interp_grid(self.grid, self.grid.velocities.take(self.policy[k], axis=0), pts)
-
     def to_csv(self, path):
         write_node_table(path, self.grid, "u", self.values, self.times)
 

@@ -77,15 +77,25 @@ def _section(cfg, key, required=False):
 
 
 def _convert(val, cast, section, key, what):
-    """cast(val), or a ValueError naming the section and key."""
+    """cast(val), or a ValueError naming the section and key.  A JSON boolean
+    is no number, alone or in a list, though Python reads True as 1."""
     try:
+        if isinstance(val, bool) or isinstance(val, list) and bool in map(type, val):
+            raise TypeError
         return cast(val)
     except (TypeError, ValueError, OverflowError):
         raise ValueError(f"{section}: {key!r} must be {what}, got {val!r}") from None
 
 
-def _number(val, section, key, cast=float):
-    return _convert(val, cast, section, key, "a number")
+def _number(val, section, key):
+    return _convert(val, float, section, key, "a number")
+
+
+def _count(v):
+    """int(v) for an integral v such as 81 or 81.0; a fractional count is refused."""
+    if not float(v).is_integer():
+        raise ValueError
+    return int(v)
 
 
 def _bounded(val, section, key, op=">"):
@@ -99,14 +109,16 @@ def _bounded(val, section, key, op=">"):
     return _convert(val, cast, section, key, f"a finite number {op} 0")
 
 
-def _per_axis(val, section, key, dtype=float):
-    """val as a 1-D array with one entry per axis (a bare number is one axis)."""
+def _per_axis(val, section, key, count=False):
+    """val as a 1-D array with one entry per axis (a bare number is one axis);
+    a count's entries must be integral."""
     def cast(v):
-        arr = np.atleast_1d(v).astype(dtype)
+        arr = np.atleast_1d(v)
         if arr.ndim != 1:
             raise ValueError
-        return arr
-    return _convert(val, cast, section, key, "a number or a list of numbers")
+        return np.array([_count(x) if count else float(x) for x in arr.tolist()])
+    what = "an integer or a list of integers" if count else "a number or a list of numbers"
+    return _convert(val, cast, section, key, what)
 
 
 def _pick(registry, cfg, key, section):
@@ -129,9 +141,9 @@ def _build_grid(cfg):
                              f"'hi' = {hi.tolist()!r} give no finite node count")
         nodes = [int(round(k)) + 1 for k in steps]
     else:
-        nodes = _per_axis(_require(cfg, "nodes", "grid"), "grid", "nodes", dtype=int)
+        nodes = _per_axis(_require(cfg, "nodes", "grid"), "grid", "nodes", count=True)
     dt = _number(cfg.get("dt", cfg.get("dx", 0.02)), "grid", "dt")
-    v_nodes = _number(cfg.get("v_nodes", 161), "grid", "v_nodes", cast=int)
+    v_nodes = _convert(cfg.get("v_nodes", 161), _count, "grid", "v_nodes", "an integer")
     if v_nodes % 2 == 0:  # v = 0 must be a velocity node
         raise ValueError(f"grid: 'v_nodes' must be odd, got {v_nodes!r}")
     return GridSpec(lo, hi, nodes, dt, _number(cfg.get("v_max", 4.0), "grid", "v_max"),

@@ -13,8 +13,6 @@ one direction is the axis, and it is the CDF integral itself.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .errors import EscapedBox, SupportTooLarge, TransportLPFailed, UnsupportedDimension
@@ -180,26 +178,17 @@ def kantorovich_potential_1d(m1, m2):
 def deposit(grid, pts, masses):
     """Area-weight the point masses onto their 2^n neighboring nodes.
 
-    pts holds P points as (P, n) rows, optionally behind leading batch axes;
-    each batch row of points gets its own weight row and all rows share the
-    P masses.  The masses and the row offsets broadcast against the (rows, P)
-    stencil, and np.add.at adds corner by corner, each corner's points in
-    order.
+    pts holds P points as (P, n) rows, one mass each; np.add.at adds corner
+    by corner, each corner's points in order, into one (N,) weight row.
     """
     masses = np.asarray(masses, dtype=float)
-    batch = np.shape(pts)[:-2]
-    rows = math.prod(batch)
-    shape = (rows, len(masses))
-    offset = np.arange(rows)[:, None] * grid.n_points
-    w = np.zeros(rows * grid.n_points)
+    w = np.zeros(grid.n_points)
     for idx, weights in cell_corners(grid, pts, clamp=False):
         wt = masses
         for f in weights:
-            wt = wt * f.reshape(shape)
-        idx = idx.reshape(shape)
-        idx += offset  # idx is this corner's own array
-        np.add.at(w, idx.ravel(), wt.ravel())  # 1-D indices: np.add.at's fast loop
-    return w.reshape(batch + (grid.n_points,))
+            wt = wt * f
+        np.add.at(w, idx, wt)  # 1-D indices: np.add.at's fast loop
+    return w
 
 
 def pushforward(m, images):

@@ -46,8 +46,8 @@ from .hjb import (BellmanStep, TerminalDatum, lipschitz_estimate, solve_backward
                   time_lipschitz_estimate)
 from .measure import SUPPORT_EPS, GridMeasure, MeasurePath, sliced_d1
 from .model import check_F4_gap, check_strict_tonelli
-from .transport import measure_path, trace_optimal_flow  # noqa: F401  (bench/tracer.py only)
 
+trace_optimal_flow = measure_path = None  # bench/tracer.py wraps both; no solve reaches them
 MAX_ITERS = 60  # fictitious-play iterations before giving up unconverged
 
 

@@ -321,8 +321,9 @@ def write_node_table(path, grid, column, rows, times=None, end="\r\n", keep=None
 def cell_corners(grid, pts, clamp):
     """Multilinear stencil of points: per cell corner, flat node index and weights.
 
-    Yields the 2^n corners of each point's cell, axis 0 varying fastest, as
-    (flat index, per-axis weights).  A coordinate x lies in the last cell
+    The (..., n) points are read as P = prod(...) rows.  Yields the 2^n
+    corners of each point's cell, axis 0 varying fastest, as (flat index,
+    per-axis weights), every array (P,).  A coordinate x lies in the last cell
     [x_i, x_{i+1}] with node x_i <= x, at fraction (x - x_i) / (x_{i+1} - x_i),
     so a point on a node weighs exactly 1 there.  With clamp the points are
     first moved into the box; without it the weights of a point just outside
@@ -348,18 +349,16 @@ def cell_corners(grid, pts, clamp):
 def interp_grid(grid, values, pts):
     """Clamped multilinear interpolation of node values at (..., n) points.
 
-    values holds one value per node, (N,), and the result is shaped
-    (...); it may hold m columns, (N, m), all interpolated through one
-    stencil into (..., m), in any dimension.
+    values holds one value per node, (N,); the result is shaped like the
+    points' leading axes, (...), in any dimension.
     """
-    cols = np.shape(values)[1:]
     out = None
     for idx, weights in cell_corners(grid, pts, clamp=True):
         term = values[idx]
         for w in weights:
-            term = term * w.reshape(w.shape + (1,) * len(cols))
+            term = term * w
         out = term if out is None else out + term
-    return out.reshape(np.shape(pts)[:-1] + cols)
+    return out.reshape(np.shape(pts)[:-1])
 
 
 # ---------------------------------------------------------------------------
@@ -439,11 +438,14 @@ class Coupling:
         self.K0_hi = tuple(float(a) for a in np.atleast_1d(self.K0_hi))
 
     def validate_geometry(self, grid):
-        """ValueError naming K0 and the box unless K0 sits strictly inside it and holds a node."""
+        """ValueError naming K0 and the box unless K0 has one coordinate per grid
+        axis at each corner, sits strictly inside the box and holds a node."""
+        K0 = [list(self.K0_lo), list(self.K0_hi)]
+        if not len(self.K0_lo) == len(self.K0_hi) == grid.dim:
+            raise ValueError(f"coupling: 'K0' = {K0} needs one coordinate per grid axis")
         inside = all(lo < a < b < hi for a, b, lo, hi
                      in zip(self.K0_lo, self.K0_hi, grid.lo, grid.hi))
         if not (inside and self.K0_mask(grid).any()):
-            K0 = [list(self.K0_lo), list(self.K0_hi)]
             box = [list(grid.lo), list(grid.hi)]
             raise ValueError(f"K0 = {K0} must sit strictly inside the box {box} "
                              f"and hold a grid node")

@@ -21,7 +21,7 @@ from scipy.optimize import OptimizeResult
 from mfglab import cli, mfg
 from mfglab.cli import main
 from mfglab.errors import MFGLabError, MinimizerOnBoundary, Mismatch, TransportLPFailed
-from mfglab.instances import BUILTIN
+from mfglab.instances import BUILTIN, load_instance
 from mfglab.measure import GridMeasure, wasserstein1
 from mfglab.model import GridSpec, write_node_table
 
@@ -578,6 +578,16 @@ def test_module_entry_point():
                     "C3": math.nan}, "C3"),
     ("lagrangian", {"kind": "kinetic_plus_potential", "potential": "gaussian",
                     "C3": math.inf}, "C3"),
+    ("grid", {"nodes": 81.5, "dx": None}, "nodes"),  # a count is integral
+    ("grid", {"nodes": [81.9], "dx": None}, "nodes"),
+    ("grid", {"v_nodes": 81.5}, "v_nodes"),
+    ("grid", {"dt": True}, "dt"),  # a JSON boolean is no number
+    ("grid", {"v_max": True}, "v_max"),
+    ("initial", {"kind": "dirac", "at": [True]}, "at"),
+    ("coupling", {"K0": [[-1.0], [True]]}, "K0"),
+    ("coupling", {"lip2": False}, "lip2"),
+    ("coupling", {"K0": [[-1.0, -5.0], [1.0, 2.0]]}, "K0"),  # two coordinates in 1-D
+    ("coupling", {"K0": [[-1.0], [1.0, 2.0]]}, "K0"),
 ])
 def test_bad_instance_document_is_config_error(tmp_path, capsys, section, patch, key):
     cfg = {
@@ -602,6 +612,14 @@ def test_bad_instance_document_is_config_error(tmp_path, capsys, section, patch,
     assert repr(key) in err or f" {key} " in err
     if "nope" in patch.values():
         assert "known:" in err
+
+
+def test_integral_float_counts_stay_accepted():
+    doc = json.loads(json.dumps(BUILTIN["RI-1"]))
+    doc["grid"] = {"lo": -4.0, "hi": 4.0, "nodes": [81.0], "dt": 0.1, "v_max": 4.0,
+                   "v_nodes": 81.0}
+    grid = load_instance(doc).grid
+    assert (grid.nodes, grid.v_nodes) == ((81,), 81)
 
 
 @pytest.mark.parametrize("args, value", [

@@ -145,7 +145,7 @@ def test_gradient_upwind():
 
 def test_feedback_velocity():
     g, vf = solve_hl(0.02)
-    v = vf.velocity_at(0, np.asarray([1.0]))
+    v = g.velocities[vf.policy[0, g.nearest_node(1.0)]]
     assert v[0] == pytest.approx(-0.5, abs=0.05)  # exact -x/(1+T)
 
 

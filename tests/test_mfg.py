@@ -246,8 +246,8 @@ def test_kfp_residual_static_path_refines():
 
 def kfp_residual_per_step(solution):
     """Reference: the weak continuity residual summed one step at a time, the
-    time difference of psi and the policy's velocities interpolated at the
-    nodes m(t_k) charges."""
+    time difference of psi and the policy's velocities at the nodes m(t_k)
+    charges."""
     path, vf = solution.m_path, solution.u
     g = path.grid
     T = float(path.times[-1])
@@ -263,7 +263,7 @@ def kfp_residual_per_step(solution):
                 continue
             pts = g.points[sup]
             integrand = (psi.eval(t_next, pts) - psi.eval(t, pts)
-                         + g.dt * (psi.dx(t, pts) * vf.velocity_at(k, pts)).sum(axis=1))
+                         + g.dt * (psi.dx(t, pts) * g.velocities[vf.policy[k, sup]]).sum(axis=1))
             acc += float(np.dot(w[sup], integrand))
         bdry = (float(np.dot(path.weights[0], psi.eval(0.0, g.points)))
                 - float(np.dot(path.weights[K], psi.eval(T, g.points))))

@@ -198,11 +198,14 @@ def test_coupling_profile_lipschitz_within_declared(ri1):
 
 
 def test_coupling_geometry_validation():
-    c = M.separable_coupling(lambda x: -np.exp(-(x ** 2).sum(-1)),
-                             lambda s: 2.0 + np.tanh(s),
-                             (-5.0,), (5.0,), 0.36, 0.86)
+    def coupling(lo, hi):
+        return M.separable_coupling(lambda x: -np.exp(-(x ** 2).sum(-1)),
+                                    lambda s: 2.0 + np.tanh(s), lo, hi, 0.36, 0.86)
     with pytest.raises(ValueError):
-        c.validate_geometry(grid1d())  # K0 not strictly inside the box
+        coupling((-5.0,), (5.0,)).validate_geometry(grid1d())  # K0 not strictly inside the box
+    for lo, hi in (((-1.0, -5.0), (1.0, 2.0)), ((-1.0,), (1.0, 2.0))):  # one coordinate per axis
+        with pytest.raises(ValueError, match="coupling: 'K0'"):
+            coupling(lo, hi).validate_geometry(grid1d())
 
 
 def test_confinement_gap_reference_instance(ri1):
@@ -307,16 +310,13 @@ def test_callables_get_arrays_of_n_coordinates(grid):
     _, vstar = M.legendre_transform(L, grid.points[3], np.full(n, 0.2), grid)
     vf = M.solve_backward(M.BellmanStep(L, grid), coupling.values_on(grid, m), uf,
                           0.5)  # validates uf
-    bundle = M.trace_optimal_flow(vf, m)
 
     assert sorted(seen) == ["lagrangian", "potential", "profile", "terminal"]
     for name, shapes in seen.items():
         assert all(s[-1:] == (n,) for s in shapes), (name, set(shapes))
-    C, K = len(m.support()), len(vf.times) - 1
+    K = len(vf.times) - 1
     assert vstar.shape == m.mean().shape == (n,)
     assert grid.velocities[vf.policy].shape == (K, grid.n_points, n)
-    assert bundle.positions.shape == (C, K + 1, n)
-    assert bundle.velocities.shape == (C, K, n)
 
 
 # ---------------------------------------------------------------------------

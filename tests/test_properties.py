@@ -1,14 +1,12 @@
 """Invariants of the grid kernels on generated 1-D and 2-D grids.
 
-Deposit keeps mass and first moment, also over a batch of point sets,
+Deposit keeps mass and first moment,
 matches a per-point, per-corner reference bit for bit, and deposits a
-node's mass on that node alone; the traced flow
-matches a per-curve forward-Euler loop bit for bit, or names the same
-first curve out of the box;
+node's mass on that node alone;
 interpolation, the grid Lipschitz constant and the upwind gradient are
-exact on affine functions, and the Lipschitz estimate of a space-time
-table is the largest constant of its rows; a policy's velocities interpolate
-all their components through one stencil, bit for bit as interp_grid does each;
+exact on affine functions, interpolation at points behind leading axes
+too, and the Lipschitz estimate of a space-time
+table is the largest constant of its rows;
 the backward step's departure values agree with interp_grid at every
 x + dt v, past the box too, and its largest operand is the one the grid's
 size budget predicts; dt L folded into its last product matches dt L added
@@ -57,7 +55,7 @@ from scipy import sparse
 from scipy.optimize import linprog
 
 import mfglab as M
-from mfglab import cli, errors, mfg
+from mfglab import cli, mfg
 from mfglab.hjb import _departure_step, _grid_lipschitz, _shift_table
 from mfglab.measure import SLICE_DIRECTIONS, SUPPORT_EPS, _d1_lp, deposit, sliced_d1
 from mfglab.model import _blocks
@@ -126,40 +124,34 @@ def test_deposit_keeps_mass_and_first_moment(data):
     assert w.sum() == pytest.approx(masses.sum(), abs=1e-12)
     np.testing.assert_allclose(w @ grid.points, masses @ pts,
                                atol=1e-10)
-    # a batch of point sets deposits row by row, bit for bit
-    batch = deposit(grid, np.stack([pts, pts[::-1]]), masses)
-    np.testing.assert_array_equal(batch, [w, deposit(grid, pts[::-1], masses)])
 
 
 def reference_deposit(grid, pts, masses):
     """deposit one point and one corner at a time, in np.add.at's order:
-    corners outermost, then the batch rows, then the points of a row.  A
-    coordinate's cell is the last one whose left node is at most it."""
-    n, N = grid.dim, grid.n_points
-    rows = np.reshape(pts, (-1, len(masses), n))
+    corners outermost, then the points.  A coordinate's cell is the last one
+    whose left node is at most it."""
+    n = grid.dim
     strides = [math.prod(grid.nodes[d + 1:]) for d in range(n)]
-    w = np.zeros(len(rows) * N)
+    w = np.zeros(grid.n_points)
     for corner in range(2 ** n):
-        for r, row in enumerate(rows):
-            for x, m in zip(row, masses):
-                node, wt = r * N, m
-                for d, axis in enumerate(grid.axes):
-                    i = max(min(sum(axis <= x[d]) - 1, len(axis) - 2), 0)
-                    f = (x[d] - axis[i]) / (axis[i + 1] - axis[i])
-                    bit = (corner >> d) & 1
-                    node += (i + bit) * strides[d]
-                    wt = wt * (f if bit else 1 - f)
-                w[node] += wt
-    return w.reshape(np.shape(pts)[:-2] + (N,))
+        for x, m in zip(pts, masses):
+            node, wt = 0, m
+            for d, axis in enumerate(grid.axes):
+                i = max(min(sum(axis <= x[d]) - 1, len(axis) - 2), 0)
+                f = (x[d] - axis[i]) / (axis[i + 1] - axis[i])
+                bit = (corner >> d) & 1
+                node += (i + bit) * strides[d]
+                wt = wt * (f if bit else 1 - f)
+            w[node] += wt
+    return w
 
 
 @SETTINGS
-@given(data=st.data(), batch=st.lists(st.integers(1, 3), max_size=2))
-def test_deposit_matches_a_per_point_reference(data, batch):
+@given(data=st.data())
+def test_deposit_matches_a_per_point_reference(data):
     grid = data.draw(grids())
     count = data.draw(st.integers(1, 8))
-    pts = points_in(data.draw, grid, count * math.prod(batch)).reshape(
-        tuple(batch) + (count, grid.dim))
+    pts = points_in(data.draw, grid, count)
     masses = np.asarray(data.draw(st.lists(st.floats(0.0, 1.0), min_size=count,
                                            max_size=count)))
     np.testing.assert_array_equal(deposit(grid, pts, masses),
@@ -167,38 +159,26 @@ def test_deposit_matches_a_per_point_reference(data, batch):
 
 
 @SETTINGS
-@given(data=st.data(), batch=st.integers(1, 3))
-def test_deposit_of_nodes_is_the_identity(data, batch):
+@given(data=st.data())
+def test_deposit_of_nodes_is_the_identity(data):
     grid = data.draw(grids())
     w = weights(data.draw, grid.n_points)
     nodes = np.flatnonzero(w)
-    pts = np.broadcast_to(grid.points[nodes], (batch, len(nodes), grid.dim))
-    got = deposit(grid, pts, w[nodes])  # every batch row deposits the same nodes
-    np.testing.assert_array_equal(got, np.broadcast_to(w, got.shape))  # bit for bit
+    np.testing.assert_array_equal(deposit(grid, grid.points[nodes], w[nodes]), w)  # bit for bit
 
 
 @SETTINGS
 @given(data=st.data(), slope=st.lists(finite, min_size=2, max_size=2), offset=finite)
 def test_interp_grid_exact_on_affine_with_clamping(data, slope, offset):
     grid = data.draw(grids())
-    pts = points_in(data.draw, grid, 10, margin=0.5)  # some points outside the box
     values = affine_on(grid, slope, offset, grid.points)
-    clamped = np.clip(pts, grid.lo, grid.hi)
-    got = M.interp_grid(grid, values, pts)
-    assert got.shape == (10,)
-    np.testing.assert_allclose(got, affine_on(grid, slope, offset, clamped), atol=1e-10)
-
-
-@SETTINGS
-@given(data=st.data())
-def test_velocity_at_is_interp_grid_per_component(data):
-    grid = data.draw(grids())
-    pts = points_in(data.draw, grid, 10, margin=0.5)
-    policy = data.draw(policies(grid))[None]
-    vf = M.ValueField(grid, np.array([0.0, grid.dt]), np.zeros((2, grid.n_points)), policy)
-    nodes = grid.velocities[policy[0]]
-    want = np.stack([M.interp_grid(grid, c, pts) for c in nodes.T], axis=-1)
-    np.testing.assert_array_equal(vf.velocity_at(0, pts), want)  # bit for bit
+    for lead in ((10,), (2, 5)):  # the result is shaped like the points' leading axes
+        pts = points_in(data.draw, grid, math.prod(lead), margin=0.5).reshape(lead + (grid.dim,))
+        clamped = np.clip(pts, grid.lo, grid.hi)  # some points outside the box
+        got = M.interp_grid(grid, values, pts)
+        assert got.shape == lead
+        np.testing.assert_allclose(got.ravel(), affine_on(grid, slope, offset, clamped),
+                                   atol=1e-10)
 
 
 @st.composite
@@ -212,71 +192,6 @@ def step_grids(draw):
     dt = draw(st.floats(0.01, 1.0))
     reach = draw(st.floats(0.05, 1.5)) * max(b - a for a, b in zip(g.lo, g.hi))
     return M.GridSpec(g.lo, g.hi, g.nodes, dt, reach / dt, draw(st.integers(3, 12)))
-
-
-def confining(grid):
-    """(N, nV) mask: velocity j keeps node i in the box for one step.  With an
-    even v_nodes there is no zero velocity, and on an axis narrower than the
-    smallest step a node may have none."""
-    return grid.in_box(grid.points[:, None] + grid.dt * grid.velocities[None])
-
-
-def confined_policies(grid):
-    """Like policies, but each node's velocity keeps that node in the box where
-    one can (any velocity elsewhere); a traced x + dt v(x) is a convex
-    combination of such steps, so it stays in."""
-    N = grid.n_points
-    ok = confining(grid)
-    ok[~ok.any(axis=1)] = True
-    return st.lists(st.integers(0, 10**6), min_size=N, max_size=N).map(
-        lambda r: np.array([np.flatnonzero(row)[j % row.sum()] for row, j in zip(ok, r)],
-                           dtype=np.min_scalar_type(len(grid.velocities) - 1)))
-
-
-@SETTINGS
-@given(grid=step_grids(), data=st.data(), K=st.integers(1, 5))
-def test_trace_matches_a_per_curve_euler_loop(grid, data, K):
-    N = grid.n_points
-    # free nodes may send a curve out of the box, at any step; the rest keep it
-    # in, and a node no velocity keeps in is free
-    free = np.logical_or(data.draw(st.lists(st.booleans(), min_size=N, max_size=N)),
-                         ~confining(grid).any(axis=1))
-    policy = np.stack([np.where(free, data.draw(policies(grid)),
-                                data.draw(confined_policies(grid))) for _ in range(K)])
-    vf = M.ValueField(grid, np.arange(K + 1) * grid.dt, np.zeros((K + 1, N)), policy)
-    w = weights(data.draw, N)
-    if not all(free) and data.draw(st.booleans()):  # curves from kept nodes only: later exits
-        w = np.where(free, 0.0, w + 1.0)
-    m0 = M.GridMeasure(grid, w / w.sum())
-    starts = m0.support()
-    # each curve alone, one forward-Euler step at a time through velocity_at
-    pos, vel = [], []
-    for node in starts:
-        x = [grid.points[node]]
-        v = []
-        for k in range(K):
-            v.append(vf.velocity_at(k, x[-1][None])[0])
-            x.append(x[-1] + grid.dt * v[-1])
-        pos.append(x)
-        vel.append(v)
-    pos, vel = np.array(pos), np.array(vel)
-    out = ~grid.in_box(pos[:, 1:])  # (C, K)
-    first = [int(np.argmax(o)) if o.any() else K for o in out]
-    k = min(first)
-    if k < K:  # the first curve out at the earliest step any is out
-        c = first.index(k)
-        want = errors.EscapedBox(int(starts[c]), float(vf.times[k + 1]), pos[c, k + 1])
-        with pytest.raises(errors.EscapedBox) as raised:
-            M.trace_optimal_flow(vf, m0)
-        assert str(raised.value) == str(want)
-        return
-    b = M.trace_optimal_flow(vf, m0)
-    assert b.positions.shape == (len(starts), K + 1, grid.dim)
-    assert b.velocities.shape == (len(starts), K, grid.dim)
-    np.testing.assert_array_equal(b.positions, pos)  # bit for bit
-    np.testing.assert_array_equal(b.velocities, vel)
-    np.testing.assert_array_equal(b.start_nodes, starts)
-    np.testing.assert_array_equal(b.masses, m0.weights[starts])
 
 
 def departure_stages(step):

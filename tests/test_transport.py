@@ -1,14 +1,10 @@
-"""Characteristic tracing and the deposit of the traced curves; excursion time
-and action of the crowd read off the Bellman stencil (mfg.pull)."""
-
-import tracemalloc
+"""Excursion time and action of the crowd read off the Bellman stencil (mfg.pull)."""
 
 import numpy as np
 import pytest
 
 import mfglab as M
-from mfglab import errors, mfg
-from mfglab.measure import sliced_d1
+from mfglab import mfg
 
 
 def grid1d(dx, lo=-4.0, hi=4.0, v_max=4.0):
@@ -25,66 +21,6 @@ def hl_setup(dx, T=1.0):
     g = grid1d(dx)
     step = M.BellmanStep(M.quadratic_kinetic(), g)
     return g, M.solve_backward(step, None, quadratic_terminal(), T)
-
-
-# ---------------------------------------------------------------------------
-# tracing the optimal flow
-
-
-def test_trace_endpoint_and_velocity():
-    # optimal curve from x0 = 1: x(t) = (2 - t)/2 at T = 1, constant speed -1/2
-    g, vf = hl_setup(0.02)
-    b = M.trace_optimal_flow(vf, M.GridMeasure.dirac(g, 1.0))
-    assert b.positions[0, -1] == pytest.approx(0.5, abs=2.0 * (0.02 + 0.02))
-    assert np.allclose(b.velocities, -0.5, atol=0.05)
-    assert np.abs(b.velocities).max() <= g.v_max + 1e-12
-
-
-def test_trace_escaping_raises():
-    g = grid1d(0.04, v_max=4.0)
-    # fabricate a value field whose policy pushes hard away from the origin:
-    # velocity index 0 is -4 and index nv - 1 is +4
-    K = g.time_steps(1.0)
-    times = np.arange(K + 1) * g.dt
-    values = np.zeros((K + 1, g.n_points))
-    policy = np.where(g.points[:, 0] < 0.0, 0, g.v_nodes - 1)[None].repeat(K, axis=0)
-    vf = M.ValueField(g, times, values, policy)
-    w = np.zeros(g.n_points)
-    w[[g.nearest_node(x) for x in (-3.7, 3.0, 3.8, 3.85)]] = 0.25
-    # curves 7, 195 and 196 all leave at the second step; 7 is named
-    with pytest.raises(errors.EscapedBox, match=r"curve 7 left the box at t=0\.08,"):
-        M.trace_optimal_flow(vf, M.GridMeasure(g, w))
-
-
-def test_measure_path_mass_and_flat_continuity():
-    g, vf = hl_setup(0.02)
-    b = M.trace_optimal_flow(vf, M.GridMeasure.uniform_on(g, -1.0, 1.0))
-    path = M.measure_path(b)
-    masses = path.weights.sum(axis=1)
-    np.testing.assert_allclose(masses, 1.0, atol=1e-12)
-    # deposition keeps the path Lipschitz in the flat metric:
-    # d1(m(t_k), m(t_{k+1})) <= max speed * dt, exactly
-    vmax = np.abs(b.velocities).max()
-    assert sliced_d1(g, path.weights[:-1], path.weights[1:]) <= vmax * g.dt + 1e-12
-
-
-def test_measure_path_peak_memory_stays_near_its_output(ri1):
-    # the RI-1 T = 8 bundle of the first fictitious-play iteration: one deposit
-    # holds its (K+1, N) output and a few per-corner stencil arrays, not
-    # (K+1)*C copies of the masses, the row offsets or the normalized rows
-    g = ri1.grid
-    vf = M.solve_backward(M.BellmanStep(ri1.L, g), ri1.coupling.values_on(g, ri1.m0),
-                          ri1.uf, 8.0)
-    b = M.trace_optimal_flow(vf, ri1.m0)
-    tracemalloc.start()
-    try:
-        entry = tracemalloc.get_traced_memory()[0]
-        path = M.measure_path(b)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert path.weights.shape == (401, 401)
-    assert peak - entry <= 3 * path.weights.nbytes
 
 
 # ---------------------------------------------------------------------------
