@@ -1,13 +1,14 @@
 """Grid measures and the 1-Wasserstein distance.
 
-Shows the CDF formula in 1-D, the dual Kantorovich witness, pushforward
-under a contracting map, and weak-* convergence of shrinking uniforms to a
-point mass.
+Shows the CDF formula in 1-D, the dual Kantorovich witness, weak-*
+convergence of shrinking uniforms to a point mass, and the solver's own push
+of a point mass along a constant velocity.
 """
 
 import numpy as np
 
 import mfglab as M
+from mfglab import mfg
 
 
 def main():
@@ -27,8 +28,12 @@ def main():
         u = M.GridMeasure.uniform_on(g, -h, h)
         print(f"  h = {h:5.3f}: d1 = {M.wasserstein1(u, d0):.6f}  (h/2 = {h / 2})")
 
-    half = M.pushforward(d1, d1.grid.points / 2.0)
-    print("pushforward of delta_1 under x/2 has mean", half.mean())
+    # mfg.push moves a crowd by the transpose of the backward step; velocity
+    # node 0 is v = -1, so delta_1 held there for T = 0.5 arrives at 0.5
+    step = M.BellmanStep(M.quadratic_kinetic(), g)
+    left = np.zeros((int(round(0.5 / g.dt)), g.n_points), dtype=step.policy_dtype)
+    path, _ = mfg.push(step, left, d1.weights, np.zeros(g.n_points))
+    print("delta_1 pushed at v = -1 for T = 0.5 has mean", M.GridMeasure(g, path[-1]).mean())
 
 
 if __name__ == "__main__":

@@ -40,7 +40,6 @@ from .measure import (
     GridMeasure,
     MeasurePath,
     kantorovich_potential_1d,
-    pushforward,
     wasserstein1,
 )
 from .mfg import (

@@ -3,7 +3,7 @@
 Subcommands: verify | ergodic | horizon | converge | reproduce.
 Exit codes: 0 success, 1 reproduce mismatch, 2 assumption failure,
 3 non-convergence, 4 I/O, configuration or usage error, 5 solver failure
-(any other MFGLabError, such as MinimizerOnBoundary or EscapedBox).  Every run
+(any other MFGLabError, such as MinimizerOnBoundary).  Every run
 writes a manifest.json that round-trips byte-identically and lists the
 SHA-256 of each CSV output; `mfg reproduce <manifest>` re-runs the same
 configuration and asserts the outputs are byte-identical.  A `--config` run
@@ -43,7 +43,7 @@ from .analysis import convergence_metrics
 from .ergodic import solve_ergodic
 from .errors import AssumptionFailure, MFGLabError, Mismatch, NoStabilization
 from .hjb import BellmanStep
-from .instances import load_instance
+from .instances import load_instance, parse_json
 from .mfg import check_standing_assumptions, default_probes, solve_finite_horizon
 from .model import check_F4_gap, check_F5, check_strict_tonelli, in_blocks, write_node_table
 
@@ -137,7 +137,7 @@ def write_manifest(out_dir, subcommand, params, outputs, measured, timings):
 def read_manifest(path):
     with open(path) as fh:
         raw = fh.read()
-    manifest = json.loads(raw)
+    manifest = parse_json(raw, path)
     if _canonical_json(manifest) != raw:
         raise ValueError("manifest does not round-trip byte-identically")
     return manifest
@@ -430,7 +430,7 @@ def _collect_params(args):
     params = {"instance": args.config or args.instance}
     if args.config:
         with open(args.config) as fh:
-            params["document"] = json.load(fh)
+            params["document"] = parse_json(fh.read(), args.config)
         params["document_sha256"] = _config_hash(params["document"])
     for key in ("dx", "dt", *_COMMANDS[args.command].reads):
         if key in _HORIZONS:

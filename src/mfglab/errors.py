@@ -62,11 +62,6 @@ class LipschitzExceeded(MFGLabError):
     pass
 
 
-class EscapedBox(MFGLabError):
-    def __init__(self, curve, t, x):
-        super().__init__(f"curve {curve} left the box at t={t:.6g}, x={x}")
-
-
 class RadiusTooSmall(MFGLabError):
     pass
 

@@ -77,10 +77,11 @@ def _section(cfg, key, required=False):
 
 
 def _convert(val, cast, section, key, what):
-    """cast(val), or a ValueError naming the section and key.  A JSON boolean
-    is no number, alone or in a list, though Python reads True as 1."""
+    """cast(val), or a ValueError naming the section and key.  A JSON boolean or
+    string is no number, alone or in a list, though Python reads True as 1 and
+    float reads "0.1"."""
     try:
-        if isinstance(val, bool) or isinstance(val, list) and bool in map(type, val):
+        if any(isinstance(v, (bool, str)) for v in (val if isinstance(val, list) else [val])):
             raise TypeError
         return cast(val)
     except (TypeError, ValueError, OverflowError):
@@ -221,6 +222,14 @@ def from_config(cfg, dx=None, dt=None):
     return Instance(cfg.get("name", "instance"), L, coupling, grid, uf, m0)
 
 
+def parse_json(text, path):
+    """json.loads(text); a document nested too deep for the parser is a ValueError naming path."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError(f"{path}: JSON nested too deeply to parse") from None
+
+
 def load_instance(path_or_name, dx=None, dt=None):
     """Named built-in instance, or a path to a JSON instance document.
 
@@ -233,7 +242,7 @@ def load_instance(path_or_name, dx=None, dt=None):
         cfg = json.loads(json.dumps(BUILTIN[path_or_name]))
         return from_config(cfg, dx=dx, dt=dt)
     with open(path_or_name) as fh:
-        cfg = json.load(fh)
+        cfg = parse_json(fh.read(), path_or_name)
     return from_config(cfg, dx=dx, dt=dt)
 
 

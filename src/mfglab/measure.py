@@ -15,8 +15,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import EscapedBox, SupportTooLarge, TransportLPFailed, UnsupportedDimension
-from .model import cell_corners, write_node_table
+from .errors import SupportTooLarge, TransportLPFailed, UnsupportedDimension
+from .model import write_node_table
 
 MASS_TOL = 1e-12
 SUPPORT_EPS = 1e-15
@@ -169,56 +169,6 @@ def kantorovich_potential_1d(m1, m2):
     steps = -np.sign(c[:-1]) * g.dx[0]
     phi[1:] = np.cumsum(steps)
     return phi
-
-
-# ---------------------------------------------------------------------------
-# pushforward
-
-
-def deposit(grid, pts, masses):
-    """Area-weight the point masses onto their 2^n neighboring nodes.
-
-    pts holds P points as (P, n) rows, one mass each; np.add.at adds corner
-    by corner, each corner's points in order, into one (N,) weight row.
-    """
-    masses = np.asarray(masses, dtype=float)
-    w = np.zeros(grid.n_points)
-    for idx, weights in cell_corners(grid, pts, clamp=False):
-        wt = masses
-        for f in weights:
-            wt = wt * f
-        np.add.at(w, idx, wt)  # 1-D indices: np.add.at's fast loop
-    return w
-
-
-def pushforward(m, images):
-    """Image measure of m under a node map, deposited back onto the grid.
-
-    images: (S, n) image points aligned with m's S support nodes (or a
-    callable applied to their points).  Mass is conserved exactly up to
-    float drift <= MASS_TOL, which is renormalized away; anything larger is
-    an error.  Images outside the box raise EscapedBox.
-    """
-    g = m.grid
-    sup = m.support()
-    pts = g.points[sup]
-    if callable(images):
-        img = np.asarray(images(pts), dtype=float)
-    else:
-        img = np.asarray(images, dtype=float)
-        if img.shape[0] == g.n_points:
-            img = img[sup]
-    inside = g.in_box(img)
-    if not inside.all():
-        k = int(np.flatnonzero(~inside)[0])
-        raise EscapedBox(int(sup[k]), 0.0, img[k])
-    w = deposit(g, img, m.weights[sup])
-    drift = abs(w.sum() - 1.0)
-    if drift > MASS_TOL:
-        raise ValueError(f"pushforward lost mass: drift {drift:.3e}")
-    if drift > 0:
-        w = w / w.sum()
-    return GridMeasure(g, w, validate=False)
 
 
 class MeasurePath:

@@ -318,45 +318,32 @@ def write_node_table(path, grid, column, rows, times=None, end="\r\n", keep=None
                   where=os.path.dirname(os.path.abspath(path)))
 
 
-def cell_corners(grid, pts, clamp):
-    """Multilinear stencil of points: per cell corner, flat node index and weights.
+def interp_grid(grid, values, pts):
+    """Clamped multilinear interpolation of node values at (..., n) points.
 
-    The (..., n) points are read as P = prod(...) rows.  Yields the 2^n
-    corners of each point's cell, axis 0 varying fastest, as (flat index,
-    per-axis weights), every array (P,).  A coordinate x lies in the last cell
-    [x_i, x_{i+1}] with node x_i <= x, at fraction (x - x_i) / (x_{i+1} - x_i),
-    so a point on a node weighs exactly 1 there.  With clamp the points are
-    first moved into the box; without it the weights of a point just outside
-    the box extrapolate, which keeps the mass and first moment of a deposit exact.
+    values holds one value per node, (N,); the result is shaped like the
+    points' leading axes, (...), in any dimension.  Each point is first moved
+    into the box.  A coordinate x lies in the last cell [x_i, x_{i+1}] with
+    node x_i <= x, at fraction (x - x_i) / (x_{i+1} - x_i), so a point on a
+    node takes that node's value exactly; the 2^n corners of each point's
+    cell are summed in turn, axis 0 varying fastest.
     """
     c = np.reshape(pts, (-1, grid.dim))
     strides = [math.prod(grid.nodes[d + 1 :]) for d in range(grid.dim)]
     base, frac = 0, []
     for d, axis in enumerate(grid.axes):
-        x = np.clip(c[:, d], axis[0], axis[-1]) if clamp else c[:, d]
+        x = np.clip(c[:, d], axis[0], axis[-1])
         i = np.clip(np.searchsorted(axis, x, side="right"), 1, len(axis) - 1) - 1
         left, width = axis.take(i), axis.take(i + 1)
         width -= left
         frac.append(np.subtract(x, left, out=left) / width)
         base = base + i * strides[d]
-        del x, i, left, width  # the generator's frame would keep them through the yields
+    out = None
     for corner in range(2**grid.dim):
         bits = [(corner >> d) & 1 for d in range(grid.dim)]
-        idx = base + sum(b * s for b, s in zip(bits, strides))
-        yield idx, [f if b else 1 - f for b, f in zip(bits, frac)]
-
-
-def interp_grid(grid, values, pts):
-    """Clamped multilinear interpolation of node values at (..., n) points.
-
-    values holds one value per node, (N,); the result is shaped like the
-    points' leading axes, (...), in any dimension.
-    """
-    out = None
-    for idx, weights in cell_corners(grid, pts, clamp=True):
-        term = values[idx]
-        for w in weights:
-            term = term * w
+        term = values[base + sum(b * s for b, s in zip(bits, strides))]
+        for b, f in zip(bits, frac):
+            term = term * (f if b else 1 - f)
         out = term if out is None else out + term
     return out.reshape(np.shape(pts)[:-1])
 

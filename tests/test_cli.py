@@ -277,6 +277,16 @@ def test_reproduce_missing_manifest(tmp_path):
     assert run(["reproduce", str(tmp_path / "none" / "manifest.json")]) == 4
 
 
+@pytest.mark.parametrize("command", [["verify", "--config"], ["verify", "--instance"],
+                                     ["reproduce"]], ids=["config", "instance", "manifest"])
+def test_deeply_nested_json_is_config_error(tmp_path, capsys, command):
+    # json recurses once per level: 5000 levels pass the default recursion limit
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 5000 + "]" * 5000)
+    assert run(command + [str(path)]) == 4
+    assert capsys.readouterr().err.endswith(f"{path}: JSON nested too deeply to parse\n")
+
+
 def test_config_manifest_reproduces_from_any_directory(tmp_path, monkeypatch, capsys):
     # the manifest carries the document, so neither the working directory
     # nor later edits of the JSON file matter; edits of the embedded copy do
@@ -588,6 +598,11 @@ def test_module_entry_point():
     ("coupling", {"lip2": False}, "lip2"),
     ("coupling", {"K0": [[-1.0, -5.0], [1.0, 2.0]]}, "K0"),  # two coordinates in 1-D
     ("coupling", {"K0": [[-1.0], [1.0, 2.0]]}, "K0"),
+    ("grid", {"dx": "0.1"}, "dx"),  # a numeric string is no number
+    ("grid", {"v_nodes": "81"}, "v_nodes"),
+    ("grid", {"nodes": "81", "dx": None}, "nodes"),
+    ("grid", {"nodes": ["81"], "dx": None}, "nodes"),
+    ("coupling", {"delta0": "0.36"}, "delta0"),
 ])
 def test_bad_instance_document_is_config_error(tmp_path, capsys, section, patch, key):
     cfg = {

@@ -1,4 +1,4 @@
-"""Grid measures, the flat metric and pushforwards."""
+"""Grid measures and the flat metric: exact d_1 in 1-D and 2-D, its dual witness."""
 
 import numpy as np
 import pytest
@@ -112,28 +112,6 @@ def test_duality_rejects_steep_witness():
     a, b = random_measure(g, rng), random_measure(g, rng)
     with pytest.raises(errors.NotLipschitz):
         duality_gap_check(a, b, 2.0 * g.axes[0])
-
-
-# ---------------------------------------------------------------------------
-# pushforward
-
-
-def test_pushforward_halving_map():
-    g = grid1d()
-    u = M.GridMeasure.uniform_on(g, -1.0, 1.0)
-    ph = M.pushforward(u, lambda x: x / 2.0)
-    assert ph.weights.sum() == pytest.approx(1.0, abs=1e-14)
-    assert ph.mean() == pytest.approx(u.mean() / 2.0, abs=1e-12)
-    # multilinear deposition is 1-Lipschitz against the flat metric:
-    # d1(T#m, m) <= max |T(x) - x| = 0.5 on the support
-    assert M.wasserstein1(ph, u) <= 0.5 + 1e-12
-
-
-def test_pushforward_escaping_map_raises():
-    g = grid1d()
-    u = M.GridMeasure.uniform_on(g, -1.0, 1.0)
-    with pytest.raises(errors.EscapedBox):
-        M.pushforward(u, lambda x: x + 100.0)
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,6 @@
 """Invariants of the grid kernels on generated 1-D and 2-D grids.
 
-Deposit keeps mass and first moment,
-matches a per-point, per-corner reference bit for bit, and deposits a
-node's mass on that node alone;
-interpolation, the grid Lipschitz constant and the upwind gradient are
+Interpolation, the grid Lipschitz constant and the upwind gradient are
 exact on affine functions, interpolation at points behind leading axes
 too, and the Lipschitz estimate of a space-time
 table is the largest constant of its rows;
@@ -14,7 +11,8 @@ after it, within float64 rounding, and is folded exactly when the table
 splits as r(row) + b(v_last) bit for bit; a frozen policy's transition cost
 is the dt L table's entry, its stencil gives the step's own candidate of
 that policy, and a block of policies has the row-by-row transitions bit for
-bit.  The push through that stencil keeps mass and starts at m0; by
+bit.  The push through that stencil keeps mass, starts at m0 and moves the mean
+of a crowd whose departures stay in the box by dt v within rounding; by
 discrete duality the pushed best response costs <u(0), m0> within the
 rounding floor, and no mix of pushed paths costs less, so the
 exploitability is at least -floor.  The backward sweep over that stencil
@@ -49,7 +47,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy import sparse
 from scipy.optimize import linprog
@@ -57,7 +55,7 @@ from scipy.optimize import linprog
 import mfglab as M
 from mfglab import cli, mfg
 from mfglab.hjb import _departure_step, _grid_lipschitz, _shift_table
-from mfglab.measure import SLICE_DIRECTIONS, SUPPORT_EPS, _d1_lp, deposit, sliced_d1
+from mfglab.measure import SLICE_DIRECTIONS, SUPPORT_EPS, _d1_lp, sliced_d1
 from mfglab.model import _blocks
 
 from test_hjb import gradient
@@ -109,62 +107,6 @@ def points_in(draw, grid, count, margin=0.0):
 
 def affine_on(grid, slope, offset, pts):
     return np.reshape(pts, (-1, grid.dim)) @ np.asarray(slope[: grid.dim]) + offset
-
-
-@SETTINGS
-@given(data=st.data())
-def test_deposit_keeps_mass_and_first_moment(data):
-    grid = data.draw(grids())
-    count = data.draw(st.integers(1, 12))
-    pts = points_in(data.draw, grid, count)
-    masses = np.asarray(data.draw(st.lists(st.floats(0.0, 1.0), min_size=count,
-                                           max_size=count)))
-    w = deposit(grid, pts, masses)
-    assert w.shape == (grid.n_points,)
-    assert w.sum() == pytest.approx(masses.sum(), abs=1e-12)
-    np.testing.assert_allclose(w @ grid.points, masses @ pts,
-                               atol=1e-10)
-
-
-def reference_deposit(grid, pts, masses):
-    """deposit one point and one corner at a time, in np.add.at's order:
-    corners outermost, then the points.  A coordinate's cell is the last one
-    whose left node is at most it."""
-    n = grid.dim
-    strides = [math.prod(grid.nodes[d + 1:]) for d in range(n)]
-    w = np.zeros(grid.n_points)
-    for corner in range(2 ** n):
-        for x, m in zip(pts, masses):
-            node, wt = 0, m
-            for d, axis in enumerate(grid.axes):
-                i = max(min(sum(axis <= x[d]) - 1, len(axis) - 2), 0)
-                f = (x[d] - axis[i]) / (axis[i + 1] - axis[i])
-                bit = (corner >> d) & 1
-                node += (i + bit) * strides[d]
-                wt = wt * (f if bit else 1 - f)
-            w[node] += wt
-    return w
-
-
-@SETTINGS
-@given(data=st.data())
-def test_deposit_matches_a_per_point_reference(data):
-    grid = data.draw(grids())
-    count = data.draw(st.integers(1, 8))
-    pts = points_in(data.draw, grid, count)
-    masses = np.asarray(data.draw(st.lists(st.floats(0.0, 1.0), min_size=count,
-                                           max_size=count)))
-    np.testing.assert_array_equal(deposit(grid, pts, masses),
-                                  reference_deposit(grid, pts, masses))  # bit for bit
-
-
-@SETTINGS
-@given(data=st.data())
-def test_deposit_of_nodes_is_the_identity(data):
-    grid = data.draw(grids())
-    w = weights(data.draw, grid.n_points)
-    nodes = np.flatnonzero(w)
-    np.testing.assert_array_equal(deposit(grid, grid.points[nodes], w[nodes]), w)  # bit for bit
 
 
 @SETTINGS
@@ -303,6 +245,27 @@ def test_push_keeps_mass_and_starts_at_m0(grid, data, K):
     # A reads dt L off the transition of each step's policy
     costs = step.transition(policy)[0]
     assert A == pytest.approx(np.vdot(path[:-1], costs) + path[-1] @ uT, rel=1e-12, abs=1e-12)
+
+
+@SETTINGS
+@given(grid=step_grids(), data=st.data())
+def test_push_moves_the_mean_by_dt_v(grid, data):
+    # multilinear weights reproduce x itself, so a node whose departure
+    # x + dt v stays in the box moves its mass's first moment by dt v exactly
+    step = M.BellmanStep(M.quadratic_kinetic(), grid)
+    N, V = grid.n_points, grid.velocities
+    inside = grid.in_box(grid.points[:, None] + grid.dt * V[None])  # (N, nV)
+    policy = np.array([data.draw(st.sampled_from(np.flatnonzero(row).tolist() or [0]))
+                       for row in inside], dtype=step.policy_dtype)
+    charged = inside[np.arange(N), policy]
+    assume(charged.any())  # a narrow 2-D axis may leave every departure outside
+    m0 = np.zeros(N)
+    m0[charged] = weights(data.draw, int(charged.sum()))
+    path, _ = mfg.push(step, policy[None], m0, np.zeros(N))
+    want = path[0] @ grid.points + grid.dt * (m0 @ V[policy])
+    scale = np.abs(grid.points).max() + grid.dt * np.abs(V).max()
+    np.testing.assert_allclose(path[1] @ grid.points, want, rtol=0,
+                               atol=16 * np.finfo(float).eps * scale)
 
 
 @SETTINGS
